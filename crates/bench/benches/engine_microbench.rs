@@ -267,9 +267,10 @@ fn sampling_dynamics_skip_ahead(c: &mut Criterion) {
 /// aggregate interactions/sec speedups of the lockstep sharing and of the
 /// worker pool stacked on it (on a single-core box `ensemble-mt` resolves
 /// to one worker and measures pure scheduling overhead).  3-Majority is
-/// the headline row (its `O(k²j³)` adoption law is skipped on every cached
-/// activation-law hit, and the two-opinion count space keeps the reuse
-/// fraction high); the USD row bounds the win for an `O(k)`-table dynamic.
+/// the high-reuse row (the two-opinion count space keeps the reuse
+/// fraction high, and every cached activation-law hit skips the `O(k)`
+/// closed-form law); the USD row measures the same for its `O(k)` row
+/// table.
 fn ensemble_lockstep_comparison(c: &mut Criterion) {
     let n = 1_000_000u64;
     let replicas = 32usize;
@@ -387,10 +388,10 @@ fn ensemble_lockstep_comparison(c: &mut Criterion) {
 ///   (acceptance: ≥ 0.95× the rebuild arm) and typically wins modestly,
 ///   because the row table is small but the rebuild runs on *every* event.
 /// * `incremental_laws_3majority` — the sequential sampler at n = 10⁶,
-///   k = 8, where the per-event work without patching is the fresh
-///   `O(k²·j³)` integer adoption DP.  The patch replaces it with a
-///   single-category deconvolve/convolve pass, `O(k·j³)`, so the win scales
-///   with k (acceptance: ≥ 1.5× the rebuild arm at k = 8).
+///   k = 8, where the per-event work without the incremental path is the
+///   fresh `O(k²·j³)` integer adoption DP.  For `j = 3` the incremental
+///   path evaluates the `O(k)` closed-form law (the same integers), so the
+///   win scales with k (acceptance: ≥ 1.5× the rebuild arm at k = 8).
 ///
 /// Both arms of each pair are bit-identical trajectories (pinned by
 /// `tests/incremental_equivalence.rs`), so the wall-clock ratio is purely

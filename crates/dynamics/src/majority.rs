@@ -55,13 +55,57 @@
 //! Patches and rebuilds are noted through [`crate::law_maintenance`], which
 //! `SequentialSampler` folds into `pp_core::MaintenanceStats`.
 //!
+//! # The closed form for `j ≤ 3`
+//!
+//! For at most three samples the tables above collapse into a handful of
+//! aggregates, so the same integers `Q_o` are computed in `O(k)` per refresh
+//! with no tables at all.  Write `u` for the undecided count, `M = Σ c_i`,
+//! `S2 = Σ c_i²`, and for the candidate `o` with `c = c_o` let `R = M − c`
+//! (the rival mass) and `E = R² − (S2 − c²) = Σ_{i≠i'} c_i·c_i'` (ordered
+//! pairs of distinct rivals).  The only table row `Q_o` reads is `D[j−t][·]`,
+//! the `j − t` non-candidate samples split by how many rivals tie at `t`:
+//!
+//! * `t = j`: no samples are left, so the row is the unit `D[0][0] = 1` and
+//!   `N_{o,j} = L`;
+//! * `t = j − 1 ≥ 1`: one sample is left, drawn from any of the `n − c`
+//!   other agents.  A rival ties only when `t = 1` (`j = 2`), so
+//!   `N_{o,2} = (n − c)·L` for `j = 3` and `N_{o,1} = u·L + R·(L/2)` for
+//!   `j = 2`;
+//! * `t = 1`, `j = 3`: two samples are left, every rival capped at one of
+//!   them — both undecided (`u²`, no tie), one undecided and one rival
+//!   (`2uR`, one tie), or two distinct rivals (`E`, two ties):
+//!   `N_{o,1} = u²·L + 2uR·(L/2) + E·(L/3)`.
+//!
+//! Hence, with `C(j, t)` in front of each `c^t·N_{o,t}`,
+//!
+//! ```text
+//! j = 3:  Q_o = 3c·N_{o,1} + 3c²·(n − c)·L + c³·L
+//! j = 2:  Q_o = 2c·(u·L + R·(L/2)) + c²·L
+//! j = 1:  Q_o = c·L
+//! ```
+//!
+//! Each row entry is the same exact count of weighted sample sequences the
+//! convolution accumulates, and each `L/(1 + T)` is the same integer
+//! division the table read-out performs, so the closed form and
+//! `AdoptionDp` agree as integers — not approximately — and the final
+//! `Q_o / (L·n^j)` conversion is bit-identical.  (`E = 0` for `k ≤ 2`,
+//! where `L/3` would be `0` anyway.)  The closed form serves every
+//! refresh under the headroom gate while incremental laws are enabled:
+//! the memo's first refresh per run generation or parameter set is
+//! counted as a rebuild, the rest as patches.  With incremental laws
+//! disabled the dynamic program is rebuilt instead, which is what lets the
+//! law-twin equivalence suites pin the closed form against the DP
+//! trajectory for trajectory; the sampled debug cross-check (every
+//! refresh under `exhaustive-checks`) compares its integers to a fresh DP.
+//!
 //! Both skip-ahead hooks consume the same adoption law, so [`JMajority`]
 //! memoizes the most recent `(parameters, counts, law)` triple in a
 //! single-entry *thread-local* cache: per state-changing event the law is
-//! patched (or rebuilt) once — the null-probability evaluation refreshes the
-//! memo, the conditional event draw hits it — and under the lockstep
-//! ensemble, which shares whole [`crate::sampling::ActivationLaw`]s across
-//! replicas by counts, a cached law skips even the patch.  An ensemble
+//! refreshed (closed form, patch or rebuild) once — the null-probability
+//! evaluation refreshes the memo, the conditional event draw hits it — and
+//! under the lockstep ensemble, which shares whole
+//! [`crate::sampling::ActivationLaw`]s across replicas by counts, a cached
+//! law skips even the refresh.  An ensemble
 //! counts-key *miss* lands back here, where the memo acts as the nearest
 //! cached neighbour: the new law derives from the previous counts by delta
 //! replay instead of a full rebuild.  The memo is invisible to callers
@@ -338,44 +382,117 @@ impl AdoptionDp {
         }
     }
 
+    /// The integer adoption weight `Q_o = L·n^j·q_o` from the maintained
+    /// tables (module docs).
+    fn adoption_integer(&self, o: usize) -> u128 {
+        let (k, j) = (self.opinions, self.samples);
+        let c_o = u128::from(self.counts[o]);
+        if c_o == 0 {
+            return 0;
+        }
+        let mut big_q = 0u128;
+        let mut c_pow = 1u128;
+        for t in 1..=j {
+            c_pow *= c_o;
+            let range = self.table_range(o, t);
+            let row = &self.tables[range][(j - t) * k..(j - t) * k + k];
+            let mut n_ot = 0u128;
+            for (ties, &w) in row.iter().enumerate() {
+                n_ot += w * (self.tie_lcm / (ties as u128 + 1));
+            }
+            big_q += self.binom[j * (j + 1) + t] * c_pow * n_ot;
+        }
+        big_q
+    }
+
     /// The adoption law `q_o = Q_o / (L·n^j)` from the maintained tables.
     /// Pure integer arithmetic up to the final (correctly rounded) `f64`
     /// conversions, so patched and rebuilt tables give bit-equal vectors.
     fn adoption_law(&self) -> Vec<f64> {
-        let (k, j) = (self.opinions, self.samples);
-        let stride = j + 1;
         let n: u128 = self.counts.iter().map(|&c| u128::from(c)).sum();
-        #[allow(clippy::cast_possible_truncation)]
-        let denom = (self.tie_lcm * n.pow(j as u32)) as f64;
-        let mut q = vec![0.0; k];
-        for (o, slot) in q.iter_mut().enumerate() {
-            let c_o = u128::from(self.counts[o]);
-            if c_o == 0 {
-                continue;
-            }
-            let mut big_q = 0u128;
-            let mut c_pow = 1u128;
-            for t in 1..=j {
-                c_pow *= c_o;
-                let range = self.table_range(o, t);
-                let row = &self.tables[range][(j - t) * k..(j - t) * k + k];
-                let mut n_ot = 0u128;
-                for (ties, &w) in row.iter().enumerate() {
-                    n_ot += w * (self.tie_lcm / (ties as u128 + 1));
-                }
-                big_q += self.binom[j * stride + t] * c_pow * n_ot;
-            }
-            *slot = big_q as f64 / denom;
+        let denom = law_denominator(self.tie_lcm, n, self.samples);
+        (0..self.opinions)
+            .map(|o| self.adoption_integer(o) as f64 / denom)
+            .collect()
+    }
+}
+
+/// `L·n^j` as the `f64` every integer adoption weight is divided by.
+fn law_denominator(tie_lcm: u128, n: u128, j: usize) -> f64 {
+    #[allow(clippy::cast_possible_truncation)]
+    let scale = n.pow(j as u32);
+    (tie_lcm * scale) as f64
+}
+
+/// The largest sample count [`ClosedFormLaw`] covers.
+const CLOSED_FORM_MAX_SAMPLES: usize = 3;
+
+/// The `O(k)` closed form of the integer adoption law for `j ≤ 3` (module
+/// docs): the count aggregates every `Q_o` is a polynomial in.  Valid under
+/// the [`integer_law_headroom`] gate, which bounds every intermediate.
+#[derive(Debug, Clone, Copy)]
+struct ClosedFormLaw {
+    samples: usize,
+    /// `L = lcm(1..=k)`.
+    tie_lcm: u128,
+    /// Population `n`.
+    n: u128,
+    /// Undecided count `u`.
+    undecided: u128,
+    /// `M = Σ c_i` over the opinions.
+    decided: u128,
+    /// `S2 = Σ c_i²` over the opinions.
+    square_sum: u128,
+}
+
+impl ClosedFormLaw {
+    fn new(samples: usize, tie_lcm: u128, config: &Configuration) -> ClosedFormLaw {
+        debug_assert!((1..=CLOSED_FORM_MAX_SAMPLES).contains(&samples));
+        let mut decided = 0u128;
+        let mut square_sum = 0u128;
+        for &c in config.supports() {
+            let c = u128::from(c);
+            decided += c;
+            square_sum += c * c;
         }
-        q
+        ClosedFormLaw {
+            samples,
+            tie_lcm,
+            n: u128::from(config.population()),
+            undecided: u128::from(config.undecided()),
+            decided,
+            square_sum,
+        }
+    }
+
+    /// `Q_o` for an opinion with support `c`, equal as an integer to
+    /// [`AdoptionDp::adoption_integer`].
+    fn adoption_integer(&self, c: u64) -> u128 {
+        let c = u128::from(c);
+        let l = self.tie_lcm;
+        let (u, rivals) = (self.undecided, self.decided - c);
+        match self.samples {
+            1 => c * l,
+            2 => 2 * c * (u * l + rivals * (l / 2)) + c * c * l,
+            _ => {
+                let rival_pairs = rivals * rivals - (self.square_sum - c * c);
+                let one = u * u * l + 2 * u * rivals * (l / 2) + rival_pairs * (l / 3);
+                3 * c * one + 3 * c * c * (self.n - c) * l + c * c * c * l
+            }
+        }
+    }
+
+    /// `L·n^j`, the denominator turning `Q_o` into `q_o`.
+    fn denominator(&self) -> f64 {
+        law_denominator(self.tie_lcm, self.n, self.samples)
     }
 }
 
 /// The single-entry adoption-law memo: the dynamic's parameters and the
 /// counts the law was computed for, the law itself, and (when the integer
-/// formulation fits) the patchable tables behind it.  One per thread
-/// (see the module docs) — workers of the parallel ensemble each warm
-/// their own.
+/// formulation fits and `j > 3`) the patchable tables behind it.  One per
+/// thread (see the module docs) — workers of the parallel ensemble each
+/// warm their own.
 #[derive(Debug, Default)]
 struct AdoptionMemo {
     opinions: usize,
@@ -384,7 +501,10 @@ struct AdoptionMemo {
     undecided: u64,
     q: Vec<f64>,
     dp: Option<AdoptionDp>,
-    patches: u64,
+    /// Integer refreshes served without a DP rebuild (table patches and
+    /// closed-form evaluations): the sampled debug cross-check's cadence.
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    cheap_refreshes: u64,
     valid: bool,
     /// The run generation that warmed the memo
     /// ([`law_maintenance::active_generation`] at the last refresh).  A
@@ -404,47 +524,84 @@ impl AdoptionMemo {
             && self.supports == config.supports()
     }
 
-    /// Brings the memo to `config`: delta-patches the integer tables when
-    /// the parameters match and patching is enabled, otherwise rebuilds
-    /// (integer when it fits, float dynamic program when not).
+    /// Whether the sampled debug cross-check against a fresh DP is due on
+    /// this cheap refresh (every one under `exhaustive-checks`).
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    fn cross_check_due(&mut self) -> bool {
+        self.cheap_refreshes += 1;
+        cfg!(feature = "exhaustive-checks") || self.cheap_refreshes.is_multiple_of(64)
+    }
+
+    /// Brings the memo to `config`: evaluates the closed form for `j ≤ 3`,
+    /// delta-patches the integer tables for larger `j` when the parameters
+    /// match, and otherwise rebuilds (integer DP when it fits, float dynamic
+    /// program when not).  Disabling incremental laws forces the rebuild.
     fn refresh(&mut self, dynamics: &JMajority, config: &Configuration) {
         let params_match = self.valid
             && self.generation == law_maintenance::active_generation()
             && self.opinions == dynamics.opinions
             && self.samples == dynamics.samples;
-        let can_patch = params_match
-            && law_maintenance::incremental_laws_enabled()
-            && self.dp.is_some()
-            && integer_law_headroom(dynamics.opinions, dynamics.samples, config.population())
-                .is_some();
-        if can_patch {
-            let dp = self.dp.as_mut().expect("checked above");
-            dp.patch(config);
-            self.patches += 1;
-            law_maintenance::note_law_patch();
-            #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-            if cfg!(feature = "exhaustive-checks") || self.patches.is_multiple_of(64) {
-                let fresh = AdoptionDp::build(dynamics, config)
-                    .expect("the headroom gate admitted this configuration");
-                assert_eq!(
-                    *dp, fresh,
-                    "patched adoption tables diverged from a fresh rebuild"
+        let incremental = law_maintenance::incremental_laws_enabled();
+        match integer_law_headroom(dynamics.opinions, dynamics.samples, config.population()) {
+            Some(tie_lcm) if incremental && dynamics.samples <= CLOSED_FORM_MAX_SAMPLES => {
+                let law = ClosedFormLaw::new(dynamics.samples, tie_lcm, config);
+                let denom = law.denominator();
+                self.q.clear();
+                self.q.extend(
+                    config
+                        .supports()
+                        .iter()
+                        .map(|&c| law.adoption_integer(c) as f64 / denom),
                 );
-            }
-            self.q = dp.adoption_law();
-        } else {
-            self.dp = AdoptionDp::build(dynamics, config);
-            match &self.dp {
-                Some(dp) => {
-                    self.q = dp.adoption_law();
+                self.dp = None;
+                if params_match {
+                    law_maintenance::note_law_patch();
+                } else {
                     law_maintenance::note_law_rebuild();
                 }
-                None => {
-                    // Past the u128-headroom gate: the float program runs
-                    // again on *every* counts change — a per-event cost
-                    // counted apart from intentional cold rebuilds.
-                    self.q = dynamics.float_adoption_probabilities(config);
-                    law_maintenance::note_law_fallback_rebuild();
+                #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+                if self.cross_check_due() {
+                    let fresh = AdoptionDp::build(dynamics, config)
+                        .expect("the headroom gate admitted this configuration");
+                    for (o, &c) in config.supports().iter().enumerate() {
+                        assert_eq!(
+                            law.adoption_integer(c),
+                            fresh.adoption_integer(o),
+                            "closed-form adoption weight diverged from the DP at opinion {o}"
+                        );
+                    }
+                }
+            }
+            Some(_) if incremental && params_match && self.dp.is_some() => {
+                let dp = self.dp.as_mut().expect("checked above");
+                dp.patch(config);
+                law_maintenance::note_law_patch();
+                self.q = dp.adoption_law();
+                #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+                if self.cross_check_due() {
+                    let fresh = AdoptionDp::build(dynamics, config)
+                        .expect("the headroom gate admitted this configuration");
+                    assert_eq!(
+                        self.dp.as_ref(),
+                        Some(&fresh),
+                        "patched adoption tables diverged from a fresh rebuild"
+                    );
+                }
+            }
+            _ => {
+                self.dp = AdoptionDp::build(dynamics, config);
+                match &self.dp {
+                    Some(dp) => {
+                        self.q = dp.adoption_law();
+                        law_maintenance::note_law_rebuild();
+                    }
+                    None => {
+                        // Past the u128-headroom gate: the float program
+                        // runs again on *every* counts change — a per-event
+                        // cost counted apart from intentional cold rebuilds.
+                        self.q = dynamics.float_adoption_probabilities(config);
+                        law_maintenance::note_law_fallback_rebuild();
+                    }
                 }
             }
         }
@@ -666,17 +823,18 @@ impl JMajority {
     ) -> Option<(AgentState, AgentState)> {
         let k = config.num_opinions();
         let n = config.population();
-        let rows: Vec<f64> = (0..k)
-            .map(|o| q[o] * (n - config.support(o)) as f64)
-            .collect();
-        let total: f64 = rows.iter().sum();
+        // Two passes over the same products in the same order (sum, then
+        // walk) instead of a per-event row vector.
+        let row = |o: usize| q[o] * (n - config.support(o)) as f64;
+        let total: f64 = (0..k).map(row).sum();
         debug_assert!(total > 0.0, "no productive activation exists");
         if total <= 0.0 {
             return None;
         }
         let mut target = rng.gen_range(0.0..total);
         let mut winner = None;
-        for (o, &row) in rows.iter().enumerate() {
+        for o in 0..k {
+            let row = row(o);
             if row <= 0.0 {
                 continue;
             }
@@ -1303,6 +1461,143 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         crate::law_maintenance::set_active_generation(0);
+    }
+
+    /// The largest population the `u128` headroom gate admits for `(k, j)`,
+    /// capped at `2^62` (for `j = 1` the gate admits every such population).
+    fn headroom_edge(k: usize, j: usize) -> u64 {
+        let (mut admitted, mut rejected) = (1u64, 1u64 << 62);
+        if integer_law_headroom(k, j, rejected).is_some() {
+            return rejected;
+        }
+        while rejected - admitted > 1 {
+            let mid = admitted + (rejected - admitted) / 2;
+            if integer_law_headroom(k, j, mid).is_some() {
+                admitted = mid;
+            } else {
+                rejected = mid;
+            }
+        }
+        admitted
+    }
+
+    /// Splits `n` over `k` opinions and the undecided state in proportion
+    /// to `weights` (the first `k + 1` entries; a zero weight is an empty
+    /// category), the rounding remainder going to the last non-empty one.
+    fn split_population(n: u64, k: usize, weights: &[u64]) -> Configuration {
+        let weights = &weights[..=k];
+        let total: u64 = weights.iter().sum();
+        let mut counts: Vec<u64> = weights
+            .iter()
+            .map(|&w| (u128::from(n) * u128::from(w) / u128::from(total)) as u64)
+            .collect();
+        let last = weights.iter().rposition(|&w| w > 0).expect("total > 0");
+        counts[last] += n - counts.iter().sum::<u64>();
+        let undecided = counts.pop().expect("k + 1 categories");
+        Configuration::from_counts(counts, undecided).unwrap()
+    }
+
+    /// The closed form's `Q_o` integers and `f64` law against a fresh
+    /// [`AdoptionDp::build`] at `config`.
+    fn assert_closed_form_matches_dp(
+        config: &Configuration,
+        j: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let k = config.num_opinions();
+        let m = JMajority::new(k, j);
+        let tie_lcm = integer_law_headroom(k, j, config.population())
+            .expect("the case lies inside the headroom gate");
+        let dp = AdoptionDp::build(&m, config).expect("the gate admits the DP too");
+        let law = ClosedFormLaw::new(j, tie_lcm, config);
+        for (o, dp_q) in dp.adoption_law().into_iter().enumerate() {
+            let closed = law.adoption_integer(config.support(o));
+            proptest::prop_assert_eq!(
+                closed,
+                dp.adoption_integer(o),
+                "Q_{} at {}, j = {}",
+                o,
+                config,
+                j
+            );
+            let q = closed as f64 / law.denominator();
+            proptest::prop_assert_eq!(q.to_bits(), dp_q.to_bits());
+        }
+        Ok(())
+    }
+
+    mod closed_form {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn closed_form_integers_equal_the_dp(
+                (k, j) in (1usize..9, 1usize..4),
+                raw in collection::vec(0u64..60, 9..10),
+                empty_mask in 0u64..512,
+            ) {
+                // Each of the k + 1 categories is empty with probability ½.
+                let counts: Vec<u64> = (0..k)
+                    .map(|i| if (empty_mask >> i) & 1 == 1 { 0 } else { raw[i] })
+                    .collect();
+                let undecided = if (empty_mask >> 8) & 1 == 1 { 0 } else { raw[8] };
+                prop_assume!(counts.iter().sum::<u64>() + undecided > 0);
+                let config = Configuration::from_counts(counts, undecided).unwrap();
+                assert_closed_form_matches_dp(&config, j)?;
+            }
+
+            #[test]
+            fn closed_form_is_exact_at_the_headroom_edge(
+                (k, j) in (1usize..9, 1usize..4),
+                weights in collection::vec(0u64..1_000, 9..10),
+                below in 0u64..1_000,
+            ) {
+                prop_assume!(weights[..=k].iter().any(|&w| w > 0));
+                let edge = headroom_edge(k, j);
+                let config = split_population(edge - below, k, &weights);
+                assert_closed_form_matches_dp(&config, j)?;
+            }
+        }
+    }
+
+    #[test]
+    fn the_float_fallback_engages_just_past_the_headroom_edge() {
+        for j in 2..=CLOSED_FORM_MAX_SAMPLES {
+            for k in [1usize, 2, 3, 8] {
+                let edge = headroom_edge(k, j);
+                let m = JMajority::new(k, j);
+                let weights = [3u64, 0, 2, 1, 5, 0, 4, 1, 2];
+                let inside = split_population(edge, k, &weights);
+                let past = split_population(edge + 1, k, &weights);
+                assert!(integer_law_headroom(k, j, past.population()).is_none());
+                let before = crate::law_maintenance::law_event_snapshot();
+                let q_inside = m.adoption_probabilities(&inside);
+                let (patches, rebuilds, fallbacks) =
+                    crate::law_maintenance::law_events_since(before);
+                assert_eq!(fallbacks, 0, "k = {k}, j = {j}: inside the gate");
+                assert_eq!(patches + rebuilds, 1);
+                let before = crate::law_maintenance::law_event_snapshot();
+                let q_past = m.adoption_probabilities(&past);
+                assert_eq!(
+                    crate::law_maintenance::law_events_since(before),
+                    (0, 0, 1),
+                    "k = {k}, j = {j}: past the gate the float program must run"
+                );
+                assert_eq!(
+                    q_past.iter().map(|q| q.to_bits()).collect::<Vec<_>>(),
+                    m.float_adoption_probabilities(&past)
+                        .iter()
+                        .map(|q| q.to_bits())
+                        .collect::<Vec<_>>()
+                );
+                // One agent apart, the two laws agree to float precision.
+                for (a, b) in q_inside.iter().zip(&q_past) {
+                    assert!((a - b).abs() < 1e-9, "k = {k}, j = {j}: {a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

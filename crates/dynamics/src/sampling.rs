@@ -18,9 +18,10 @@ use rand::Rng;
 /// `p_null` always carries the exact null-activation probability; `weights`
 /// is a dynamic-interpreted table backing
 /// [`SamplingDynamics::sample_from_law`] — the j-Majority dynamics store
-/// their `O(k²j³)` adoption law `q` here so a cached law skips the dynamic
-/// program entirely, while dynamics whose conditional draw is already cheap
-/// (Voter, TwoChoices, MedianRule) leave it empty and fall through to
+/// their adoption law `q` here so a cached law skips its evaluation (an
+/// `O(k)` closed form for `j ≤ 3`, a table patch beyond), while dynamics
+/// whose conditional draw is already cheap (Voter, TwoChoices, MedianRule)
+/// leave it empty and fall through to
 /// [`SamplingDynamics::sample_productive_move`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivationLaw {

@@ -63,7 +63,9 @@ pub enum MaintenanceWorkload {
     /// resummation vs the `(from, to)` delta patch.
     UsdRows,
     /// 3-Majority through the sequential sampler: the per-event `O(k²·j³)`
-    /// integer adoption DP vs the single-category `O(k·j³)` patch.
+    /// integer adoption DP rebuild vs the `O(k)` closed-form law (for
+    /// `j ≤ 3` the incremental path evaluates the closed form instead of
+    /// patching the DP tables; both are the same integers).
     MajorityLaws,
 }
 
@@ -611,7 +613,7 @@ impl EngineThroughputExperiment {
             "sampling-dynamics rows (3-majority, median-rule) compare per-activation stepping against the geometric skip-ahead with closed-form conditional samplers; rejection misses are asserted to be exactly 0, and the batched rows are stamped as E13/<dynamic> entries so the CI trend gate guards them like the USD engines".to_string(),
         );
         report.push_note(
-            "maintenance rows (usd-rows, 3-majority-laws) compare per-event from-scratch row-table / activation-law rebuilds against the O(delta) incremental patch path on otherwise identical (bit-exact) runs; the incremental rows are stamped as E13/<workload> entries and regression-gated by the trend check".to_string(),
+            "maintenance rows (usd-rows, 3-majority-laws) compare per-event from-scratch row-table / activation-law rebuilds against the O(delta) incremental patch path on otherwise identical (bit-exact) runs (for 3-majority-laws the incremental row is the O(k) closed-form law and the rebuild row the integer DP); the incremental rows are stamped as E13/<workload> entries and regression-gated by the trend check".to_string(),
         );
         report.push_note(
             "telemetry rows compare the batched deep-bias run with the metrics registry detached vs live on bit-identical trajectories; the telemetry-on speedup is the observability overhead (budget: within 5% of telemetry-off), and each entry is stamped with the run's counter snapshot".to_string(),

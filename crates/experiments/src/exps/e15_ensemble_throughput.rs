@@ -16,12 +16,12 @@
 //! Because the arms are bit-identical, their total interaction counts are
 //! asserted equal — the speedup is pure wall-clock.
 //!
-//! The j-Majority rows are where the sharing buys the most: its adoption
-//! law costs `O(k²j³)` per event, and a cached `ActivationLaw` skips that
-//! dynamic program entirely, so the ensemble's edge grows with the
-//! shared-table reuse fraction (well above 90% in the effectively
-//! one-dimensional two-opinion regime).  The USD rows bound the win for a
-//! dynamic whose per-event table is already `O(k)`.
+//! The 3-Majority rows measure sharing in the effectively one-dimensional
+//! two-opinion regime, where the shared-table reuse fraction is well above
+//! 90%; a cached `ActivationLaw` skips the adoption-law evaluation, which
+//! is an `O(k)` closed form for `j ≤ 3`, so what is left to win is the
+//! per-event law refresh and draw bookkeeping.  The USD rows measure the
+//! same for a dynamic whose per-event table is an `O(k)` row table.
 //!
 //! Each cell runs three arms over the identical replica set: the
 //! `replica-loop` baseline, the single-threaded lockstep `ensemble`
@@ -59,8 +59,8 @@ use usd_core::UsdEnsemble;
 pub enum EnsembleWorkload {
     /// The USD at `k = 2`, multiplicative bias 4.
     Usd,
-    /// 3-Majority at `k = 2`, multiplicative bias 4 (the `O(k²j³)`
-    /// adoption-law rows — the regime the shared laws were built for).
+    /// 3-Majority at `k = 2`, multiplicative bias 4 (the shared
+    /// adoption-law rows, in the high-reuse two-opinion regime).
     ThreeMajority,
 }
 
@@ -399,7 +399,7 @@ impl EnsembleThroughputExperiment {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         ));
         report.push_note(
-            "the ensemble's edge tracks the shared-table reuse fraction and the per-counts table cost: largest for the j-majority family (O(k²j³) adoption law skipped on every cache hit), bounded for the USD whose row table is already O(k)".to_string(),
+            "the ensemble's edge tracks the shared-table reuse fraction and the per-counts table cost: both the 3-majority adoption law (closed form for j <= 3) and the USD row table are O(k) per counts, so a cache hit saves little more than the map traffic it costs".to_string(),
         );
         report.push_note(
             "CI95 column: half-width of the normal-approximation confidence interval of the mean hitting time, from the streaming Welford accumulator — identical across arms by bit-exactness".to_string(),

@@ -21,9 +21,10 @@
 //!    especially in effectively low-dimensional workloads (two opinions, no
 //!    undecided pool) where [`EnsembleRunResult::shared_reuse_fraction`]
 //!    typically exceeds 90%.  Sharing only pays when the table costs more
-//!    than the map traffic, so the cache is *adaptive* by default
-//!    ([`SharedCacheMode`]): windows with too little measured reuse turn
-//!    the map dormant and recompute into per-replica scratch instead.
+//!    than the map traffic — and most shipped tables are `O(k)` (see
+//!    [`SharedCacheMode`]) — so the cache is *adaptive* by default:
+//!    windows with too little measured reuse turn the map dormant and
+//!    recompute into per-replica scratch instead.
 //! 2. **Parallel replica advancement.** Rounds are scheduled in *windows*
 //!    of [`LOCKSTEP_WINDOW_ROUNDS`] rounds.  At each window boundary the
 //!    counts-keyed table map is *frozen*; within the window the live
@@ -594,12 +595,17 @@ impl EnsembleRunResult {
 ///
 /// Sharing is only a win when the table is dearer than the map traffic that
 /// caches it: a hit saves one table computation but costs a hash lookup, a
-/// miss additionally pays an insert and two allocations.  For the j-Majority
-/// family (an `O(k²j³)` dynamic program per table, reuse above 90% in the
-/// two-opinion regime) the cache is the whole point; for the USD (an `O(k)`
-/// integer table) it can cost an order of magnitude more than it saves.
-/// The mode never affects *results* — only wall-clock — because shared
-/// tables are pure functions of the counts and consume no randomness.
+/// miss additionally pays an insert and two allocations.  The shipped
+/// tables are mostly cheap — the USD's `O(k)` integer row table, and the
+/// `O(k)` closed-form adoption law behind 3-Majority (and j-Majority with
+/// `j ≤ 3`) — and the walks rarely revisit counts once the undecided pool
+/// or a third opinion is in play (the 8-replica 3-Majority ensembles of the
+/// repository benchmark hit on about 2% of lookups), so caching can cost
+/// more than it saves.  The cache can only pay for a dear per-counts table
+/// with high reuse (of the shipped tables, only j-Majority's table-patched
+/// law for `j ≥ 4` is dear); hence the adaptive default.  The mode never
+/// affects *results* — only wall-clock — because shared tables are pure
+/// functions of the counts and consume no randomness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SharedCacheMode {
     /// Windowed self-tuning (the default): cache while the measured reuse

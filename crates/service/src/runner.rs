@@ -604,7 +604,10 @@ fn run_sampling_ensemble<D: SamplingDynamics + Clone + Send>(
 /// fields the determinism contract covers (no wall-clock times, no worker
 /// counts), so the same scenario always yields the same bytes — the payload
 /// `pp_serve` stores and `usd_run --scenario` prints are compared verbatim
-/// in `tests/service_equivalence.rs`.
+/// in `tests/service_equivalence.rs`.  Ensemble scheduling bookkeeping
+/// (lockstep rounds, cache counters) stays out too: it depends on how the
+/// run was sliced into `run_windows` calls and on resume points, so it is
+/// reported through the metrics snapshot instead.
 #[must_use]
 pub fn result_json(outcome: &ScenarioOutcome) -> String {
     use crate::json::{Json, ObjBuilder};
@@ -671,7 +674,6 @@ pub fn result_json(outcome: &ScenarioOutcome) -> String {
             .field("result", Json::U64(1))
             .field("mode", Json::Str("ensemble".to_string()))
             .field("replicas", Json::U64(outcome.len() as u64))
-            .field("rounds", Json::U64(outcome.rounds()))
             .field(
                 "total_interactions",
                 // u128 in-core; a real total always fits u64 (budgets are u64
@@ -955,6 +957,61 @@ mod tests {
             Some("single")
         );
         assert!(doc.get("run").is_some());
+    }
+
+    #[test]
+    fn ensemble_documents_do_not_depend_on_window_slicing_or_resume() {
+        // The lockstep round count differs between one `run()` call, a
+        // one-window-at-a-time loop and a capture -> restore -> finish leg;
+        // the canonical document must not.
+        let scenario = ScenarioConfig::new(20_000, 2)
+            .with_seed(4)
+            .with_replicas(4)
+            .with_bias(pp_workloads::BiasSpec::Multiplicative(4.0));
+        let stop = StopCondition::consensus().or_max_interactions(scenario.interaction_budget());
+        let doc = |outcome: EnsembleRunResult| result_json(&ScenarioOutcome::Ensemble(outcome));
+        let RunVerdict::Finished(reference) =
+            run_scenario(&scenario, RunControl::default()).unwrap()
+        else {
+            panic!("reference run must finish");
+        };
+        let reference = result_json(&reference);
+        for threads in [1, 2] {
+            let scenario = scenario.with_threads(threads);
+            let seed = SimSeed::from_u64(scenario.seed);
+            let (config, choice) = scenario.to_initial_config().build_ensemble(seed).unwrap();
+            let fresh =
+                || usd_core::UsdEnsemble::try_new(config.clone(), seed.child(1), choice).unwrap();
+            let whole = fresh().run(stop);
+            let mut windowed = fresh();
+            let windowed = loop {
+                if let Some(outcome) = windowed.run_windows(stop, 1) {
+                    break outcome;
+                }
+            };
+            assert_ne!(
+                whole.rounds(),
+                windowed.rounds(),
+                "the scenario must exercise slicing-dependent bookkeeping"
+            );
+            let mut paused = fresh();
+            assert!(paused.run_windows(stop, 2).is_none(), "must pause mid-run");
+            let checkpoint = Checkpoint::from_json(&paused.capture().to_json()).unwrap();
+            let resumed = usd_core::UsdEnsemble::restore(&checkpoint, choice)
+                .unwrap()
+                .run(stop);
+            for (leg, outcome) in [
+                ("run()", whole),
+                ("run_windows(1)", windowed),
+                ("resume", resumed),
+            ] {
+                assert_eq!(
+                    doc(outcome),
+                    reference,
+                    "threads = {threads}: the {leg} document diverged"
+                );
+            }
+        }
     }
 
     #[test]
