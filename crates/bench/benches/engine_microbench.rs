@@ -259,18 +259,14 @@ fn sampling_dynamics_skip_ahead(c: &mut Criterion) {
 }
 
 /// The ensemble-layer acceptance benchmark: R = 32 same-seed replicas at
-/// n = 10⁶ run through the lockstep `EnsembleEngine` single-threaded
-/// (`ensemble`), through the worker-parallel pool at the machine's
-/// available parallelism (`ensemble-mt`), and as a plain loop of
-/// standalone batched runs (`replica-loop`).  The replicas are
-/// bit-identical across all three modes, so the wall-clock ratios are the
-/// aggregate interactions/sec speedups of the lockstep sharing and of the
-/// worker pool stacked on it (on a single-core box `ensemble-mt` resolves
-/// to one worker and measures pure scheduling overhead).  3-Majority is
-/// the high-reuse row (the two-opinion count space keeps the reuse
-/// fraction high, and every cached activation-law hit skips the `O(k)`
-/// closed-form law); the USD row measures the same for its `O(k)` row
-/// table.
+/// n = 10⁶ run through the `EnsembleEngine` single-threaded (`ensemble`),
+/// through the worker-parallel pool at the machine's available
+/// parallelism (`ensemble-mt`), and as a plain loop of standalone batched
+/// runs (`replica-loop`).  The replicas are bit-identical across all three
+/// modes, so the wall-clock ratios are the ensemble's scheduling overhead
+/// and the worker pool's speedup (on a single-core box `ensemble-mt`
+/// resolves to one worker and measures pure scheduling overhead), for
+/// 3-Majority and for the USD.
 fn ensemble_lockstep_comparison(c: &mut Criterion) {
     let n = 1_000_000u64;
     let replicas = 32usize;

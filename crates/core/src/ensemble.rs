@@ -1,9 +1,8 @@
-//! The lockstep replica ensemble specialized to the USD.
+//! The replica ensemble specialized to the USD.
 //!
 //! [`UsdEnsemble`] wraps `pp_core::ensemble::EnsembleEngine` over batched
-//! USD replicas: `R` independent copies of one initial configuration advance
-//! in lockstep, sharing their per-counts productive-row tables and batching
-//! their geometric-skip/event draws, with every replica bit-identical to a
+//! USD replicas: `R` independent copies of one initial configuration
+//! advance window by window, with every replica bit-identical to a
 //! standalone [`crate::UsdSimulator`] run on the batched backend with seed
 //! `master.child(i)`.
 
@@ -12,7 +11,7 @@ use pp_core::checkpoint::{Checkpoint, EngineState};
 use pp_core::ensemble::{EnsembleChoice, EnsembleEngine, EnsembleRunResult};
 use pp_core::{BatchedEngine, Configuration, PpError, SimSeed, StopCondition};
 
-/// A lockstep ensemble of batched USD replicas (see [`crate::UsdSimulator`]
+/// An ensemble of batched USD replicas (see [`crate::UsdSimulator`]
 /// for single runs; construct through [`UsdEnsemble::try_new`] or
 /// [`crate::UsdSimulator::ensemble`]).
 ///
@@ -90,14 +89,6 @@ impl UsdEnsemble {
         self.inner.is_empty()
     }
 
-    /// Bounds the counts-keyed shared-table cache (see
-    /// `pp_core::ensemble::EnsembleEngine::with_cache_capacity`).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.inner = self.inner.with_cache_capacity(capacity);
-        self
-    }
-
     /// Attaches a telemetry handle (window spans, worker tracks, `ensemble.*`
     /// counters — see `pp_core::ensemble::EnsembleEngine::set_telemetry`).
     /// Never affects results.
@@ -105,8 +96,8 @@ impl UsdEnsemble {
         self.inner.set_telemetry(tel);
     }
 
-    /// Runs every replica until the stop condition is met (lockstep rounds;
-    /// per-replica results identical to standalone batched runs).
+    /// Runs every replica until the stop condition is met (per-replica
+    /// results identical to standalone batched runs).
     ///
     /// # Panics
     ///
@@ -308,6 +299,6 @@ mod tests {
         assert_eq!(ensemble.choice().replicas(), 3);
         let outcome = ensemble.run_to_consensus(10_000_000);
         assert_eq!(outcome.len(), 3);
-        assert!(outcome.shared_hits() + outcome.shared_misses() > 0);
+        assert!(outcome.rounds() > 0);
     }
 }

@@ -22,8 +22,8 @@
 //!   recommended policy steps Phase 1 exactly and batches the null-dominated
 //!   Phases 2–5.  For Monte Carlo estimates over many runs,
 //!   [`UsdEnsemble`] ([`UsdSimulator::ensemble`]) advances `R` batched
-//!   replicas in lockstep with counts-deduplicated row tables, each replica
-//!   bit-identical to a standalone same-seed run.
+//!   replicas over a pool of worker threads, each replica bit-identical to
+//!   a standalone same-seed run.
 //! * [`phases`] — the five-phase structure of the paper's analysis
 //!   (Section 2.1) with a [`phases::PhaseTracker`] that measures the hitting
 //!   times `T1..T5` of a run.

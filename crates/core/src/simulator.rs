@@ -530,8 +530,7 @@ impl UsdSimulator {
 
     /// Builds a lockstep replica ensemble over `config` — the Monte Carlo
     /// counterpart of [`UsdSimulator::with_engine`]: `choice.replicas()`
-    /// batched USD copies advance together, sharing per-counts row tables,
-    /// with replica `i` bit-identical to a standalone batched run seeded
+    /// batched USD copies advance together, with replica `i` bit-identical to a standalone batched run seeded
     /// `master.child(i)` (see [`crate::UsdEnsemble`]).
     ///
     /// # Errors

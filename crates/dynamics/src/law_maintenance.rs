@@ -34,7 +34,12 @@
 //!   [`new_run_generation`] and announces it via [`set_active_generation`]
 //!   before touching a law; memos record the generation that warmed them
 //!   and treat a mismatch as a cold miss (full rebuild, no cross-run
-//!   patch).
+//!   patch).  The announcement also carries whether the run has evaluated
+//!   a law before (`active_run_warm`): closed-form laws read nothing from
+//!   a memo, so they count a run's first evaluation as the rebuild and
+//!   every later one as a patch, whichever thread serves it — replicas
+//!   interleaved on shared worker threads report what standalone runs
+//!   do.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +53,9 @@ thread_local! {
     /// now.  `0` is the "no run announced" generation fresh threads (and
     /// direct law calls outside any engine) evaluate under.
     static ACTIVE_GENERATION: Cell<u64> = const { Cell::new(0) };
+    /// Whether the active run has evaluated a law before: cleared by every
+    /// run announcement, set by every noted law evaluation.
+    static ACTIVE_RUN_WARM: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Process-wide source of run-generation tokens (see [`new_run_generation`]).
@@ -80,12 +88,14 @@ pub fn law_events_since(before: (u64, u64, u64)) -> (u64, u64, u64) {
 /// Notes one in-place activation-law patch on this thread.
 pub(crate) fn note_law_patch() {
     LAW_PATCHES.with(|c| c.set(c.get() + 1));
+    ACTIVE_RUN_WARM.set(true);
 }
 
 /// Notes one intentional from-scratch activation-law computation on this
 /// thread (first use, parameter change, or patching disabled).
 pub(crate) fn note_law_rebuild() {
     LAW_REBUILDS.with(|c| c.set(c.get() + 1));
+    ACTIVE_RUN_WARM.set(true);
 }
 
 /// Notes one *fallback* law computation on this thread: the law exceeded the
@@ -93,6 +103,7 @@ pub(crate) fn note_law_rebuild() {
 /// program — a per-event cost the headroom caveat makes visible.
 pub(crate) fn note_law_fallback_rebuild() {
     LAW_FALLBACK_REBUILDS.with(|c| c.set(c.get() + 1));
+    ACTIVE_RUN_WARM.set(true);
 }
 
 /// Enables or disables incremental law patching on the current thread
@@ -119,11 +130,24 @@ pub fn new_run_generation() -> u64 {
 }
 
 /// Announces the run generation subsequent law evaluations on this thread
-/// belong to.  Memos warmed under a different generation treat their next
-/// refresh as a cold miss (full rebuild) instead of patching from the
-/// previous run's counts.
+/// belong to, as a run that has not evaluated a law yet (see the module
+/// docs).  Memos warmed under a different generation treat
+/// their next refresh as a cold miss (full rebuild) instead of patching
+/// from the previous run's counts.
 pub fn set_active_generation(generation: u64) {
     ACTIVE_GENERATION.with(|c| c.set(generation));
+    ACTIVE_RUN_WARM.set(false);
+}
+
+/// Marks the announced run as one that has evaluated a law before — on
+/// another thread, or before another run's evaluations took this thread.
+pub(crate) fn mark_active_run_warm() {
+    ACTIVE_RUN_WARM.set(true);
+}
+
+/// Whether the announced run has evaluated a law before.
+pub(crate) fn active_run_warm() -> bool {
+    ACTIVE_RUN_WARM.get()
 }
 
 /// The run generation law evaluations on this thread currently belong to

@@ -66,10 +66,8 @@
 //!
 //! Monte Carlo sweeps over many same-configuration runs go through
 //! [`sampler_ensemble`], which builds a `pp_core::ensemble::EnsembleEngine`
-//! of lockstep [`SequentialSampler`] replicas: replicas whose counts
-//! coincide share one [`ActivationLaw`] — for the j-Majority family the
-//! full adoption law rides along, so a cached law skips the dynamic
-//! program entirely — while per-replica RNG streams keep every replica
+//! of [`SequentialSampler`] replicas: each replica advances through its own
+//! skip-ahead path on its own RNG stream, so every replica is
 //! bit-identical to a standalone same-seed run
 //! (`tests/ensemble_equivalence.rs` pins all five dynamics).
 //!
@@ -102,7 +100,7 @@ pub use law_maintenance::{
 pub use majority::{JMajority, ThreeMajority};
 pub use median::MedianRule;
 pub use sampling::{
-    sampler_ensemble, ActivationLaw, SamplingDynamics, SequentialSampler, SynchronousRunner,
+    sampler_ensemble, SamplingDynamics, SequentialSampler, SynchronousRunner,
     SEQUENTIAL_ACTIVATION_SCHEDULER_NAME,
 };
 pub use sync_usd::SynchronizedUsd;

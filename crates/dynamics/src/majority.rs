@@ -91,8 +91,9 @@
 //! `Q_o / (L·n^j)` conversion is bit-identical.  (`E = 0` for `k ≤ 2`,
 //! where `L/3` would be `0` anyway.)  The closed form serves every
 //! refresh under the headroom gate while incremental laws are enabled:
-//! the memo's first refresh per run generation or parameter set is
-//! counted as a rebuild, the rest as patches.  With incremental laws
+//! a run's first refresh is counted as a rebuild, the rest as patches —
+//! on whichever thread they land, since the closed form reads nothing
+//! from the memo (see [`crate::law_maintenance`]).  With incremental laws
 //! disabled the dynamic program is rebuilt instead, which is what lets the
 //! law-twin equivalence suites pin the closed form against the DP
 //! trajectory for trajectory; the sampled debug cross-check (every
@@ -102,26 +103,16 @@
 //! memoizes the most recent `(parameters, counts, law)` triple in a
 //! single-entry *thread-local* cache: per state-changing event the law is
 //! refreshed (closed form, patch or rebuild) once — the null-probability
-//! evaluation refreshes the memo, the conditional event draw hits it — and
-//! under the lockstep ensemble, which shares whole
-//! [`crate::sampling::ActivationLaw`]s across replicas by counts, a cached
-//! law skips even the refresh.  An ensemble
-//! counts-key *miss* lands back here, where the memo acts as the nearest
-//! cached neighbour: the new law derives from the previous counts by delta
-//! replay instead of a full rebuild.  The memo is invisible to callers
-//! (pure-function semantics, values identical bit for bit).  It lives in
-//! thread-local storage rather than inside the dynamic precisely so that
-//! `JMajority` stays a plain `Copy + Send + Sync` value: the parallel
-//! ensemble moves replicas (and the dynamics they own) across worker
-//! threads, and an interior-mutability memo field would poison every
-//! `SamplingDynamics` consumer's auto traits.  Each worker thread simply
-//! warms its own memo — worth it, since a worker advances its replica chunk
-//! round by round and consecutive events cluster in counts space (the delta
-//! replay handles arbitrary count jumps, so a replica migrating between
-//! workers patches from whatever counts its new worker saw last).
+//! evaluation refreshes the memo, the conditional event draw hits it.  The
+//! memo is invisible to callers (pure-function semantics, values identical
+//! bit for bit).  It lives in thread-local storage rather than inside the
+//! dynamic precisely so that `JMajority` stays a plain `Copy + Send + Sync`
+//! value: the parallel ensemble moves replicas (and the dynamics they own)
+//! across worker threads, and an interior-mutability memo field would
+//! poison every `SamplingDynamics` consumer's auto traits.
 
 use crate::law_maintenance;
-use crate::sampling::{ActivationLaw, SamplingDynamics};
+use crate::sampling::SamplingDynamics;
 use pp_core::engine::uniform_u128_below;
 use pp_core::{AgentState, Configuration};
 use rand::Rng;
@@ -554,7 +545,7 @@ impl AdoptionMemo {
                         .map(|&c| law.adoption_integer(c) as f64 / denom),
                 );
                 self.dp = None;
-                if params_match {
+                if law_maintenance::active_run_warm() {
                     law_maintenance::note_law_patch();
                 } else {
                     law_maintenance::note_law_rebuild();
@@ -800,8 +791,7 @@ impl JMajority {
     }
 
     /// The null-activation probability derived from an adoption law `q`:
-    /// `π_⊥^j + Σ_o π_o·q_o` (both hooks and the ensemble law computation
-    /// share this helper so their values agree bit for bit).
+    /// `π_⊥^j + Σ_o π_o·q_o`.
     fn null_from_q(&self, config: &Configuration, q: &[f64]) -> f64 {
         let n = config.population() as f64;
         #[allow(clippy::cast_possible_wrap)]
@@ -928,25 +918,6 @@ impl SamplingDynamics for JMajority {
     ) -> Option<(AgentState, AgentState)> {
         self.with_adoption_probabilities(config, |q| self.draw_move_from_adoption(config, q, rng))
     }
-
-    /// The ensemble-shared law carries the full adoption vector, so a
-    /// cached law skips the adoption-law computation entirely.
-    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
-        Some(self.with_adoption_probabilities(config, |q| ActivationLaw {
-            p_null: self.null_from_q(config, q),
-            weights: q.to_vec(),
-        }))
-    }
-
-    fn sample_from_law<R: Rng + ?Sized>(
-        &self,
-        config: &Configuration,
-        law: &ActivationLaw,
-        rng: &mut R,
-    ) -> Option<(AgentState, AgentState)> {
-        debug_assert_eq!(law.weights.len(), self.opinions);
-        self.draw_move_from_adoption(config, &law.weights, rng)
-    }
 }
 
 /// The 3-Majority dynamic (`j = 3`), analyzed by Becchetti et al. and
@@ -1002,19 +973,6 @@ impl SamplingDynamics for ThreeMajority {
         rng: &mut R,
     ) -> Option<(AgentState, AgentState)> {
         self.inner.sample_productive_move(config, rng)
-    }
-
-    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
-        self.inner.activation_law(config)
-    }
-
-    fn sample_from_law<R: Rng + ?Sized>(
-        &self,
-        config: &Configuration,
-        law: &ActivationLaw,
-        rng: &mut R,
-    ) -> Option<(AgentState, AgentState)> {
-        self.inner.sample_from_law(config, law, rng)
     }
 }
 

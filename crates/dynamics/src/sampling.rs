@@ -3,33 +3,13 @@
 use crate::law_maintenance;
 use pp_core::checkpoint::{EngineSnapshot, ReplicaCheckpoint};
 use pp_core::engine::{Advance, StepEngine};
-use pp_core::ensemble::{EnsembleChoice, EnsembleEngine, EnsembleReplica};
+use pp_core::ensemble::{EnsembleChoice, EnsembleEngine};
 use pp_core::{
     AgentState, Configuration, FenwickTree, MaintenanceStats, PpError, Recorder, RunOutcome,
     RunResult, SimSeed, StopCondition,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// The per-counts law of one activation, shared between lockstep ensemble
-/// replicas whose counts coincide (the sampling-dynamics counterpart of
-/// `pp_core::ensemble::RowTable`).
-///
-/// `p_null` always carries the exact null-activation probability; `weights`
-/// is a dynamic-interpreted table backing
-/// [`SamplingDynamics::sample_from_law`] — the j-Majority dynamics store
-/// their adoption law `q` here so a cached law skips its evaluation (an
-/// `O(k)` closed form for `j ≤ 3`, a table patch beyond), while dynamics
-/// whose conditional draw is already cheap (Voter, TwoChoices, MedianRule)
-/// leave it empty and fall through to
-/// [`SamplingDynamics::sample_productive_move`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivationLaw {
-    /// Probability that one activation leaves the activated agent unchanged.
-    pub p_null: f64,
-    /// Dynamic-interpreted per-counts weights (empty when unused).
-    pub weights: Vec<f64>,
-}
 
 /// A consensus dynamic in which an activated agent updates its opinion based
 /// on the opinions of `sample_size` uniformly random population members.
@@ -101,38 +81,6 @@ pub trait SamplingDynamics {
     /// silently falling back to per-activation stepping.
     fn supports_skip_ahead(&self, config: &Configuration) -> bool {
         self.null_activation_probability(config).is_some()
-    }
-
-    /// The full per-counts activation law, for the lockstep ensemble's
-    /// counts-keyed sharing.  The default wraps
-    /// [`null_activation_probability`](SamplingDynamics::null_activation_probability)
-    /// with empty weights; dynamics whose conditional event draw needs an
-    /// expensive per-counts table (j-Majority's adoption law) override it so
-    /// cached laws skip that computation too.  Must be a pure function of
-    /// the counts, and `p_null` must equal the value
-    /// `null_activation_probability` returns, bit for bit.
-    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
-        self.null_activation_probability(config)
-            .map(|p_null| ActivationLaw {
-                p_null,
-                weights: Vec::new(),
-            })
-    }
-
-    /// Draws the `(current, new)` transition of a state-changing activation
-    /// from a previously computed [`ActivationLaw`].  Must consume the RNG
-    /// exactly as
-    /// [`sample_productive_move`](SamplingDynamics::sample_productive_move)
-    /// does — the default simply delegates to it — so ensemble replicas stay
-    /// bit-identical to standalone runs.
-    fn sample_from_law<R: Rng + ?Sized>(
-        &self,
-        config: &Configuration,
-        law: &ActivationLaw,
-        rng: &mut R,
-    ) -> Option<(AgentState, AgentState)> {
-        let _ = law;
-        self.sample_productive_move(config, rng)
     }
 }
 
@@ -483,9 +431,14 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
     /// Runs `work` and attributes the activation-law patches/rebuilds it
     /// triggered (on this thread, synchronously) to this sampler's
     /// maintenance counters.  Announces this sampler's run generation first,
-    /// so the thread-local memos treat entries from other runs as cold.
+    /// so the thread-local memos treat entries from other runs as cold, and
+    /// whether this run has evaluated a law before, so closed-form laws
+    /// count its first evaluation as the rebuild wherever it ran.
     fn attributing_law_events<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> T {
         law_maintenance::set_active_generation(self.generation);
+        if self.law_stats != MaintenanceStats::default() {
+            law_maintenance::mark_active_run_warm();
+        }
         let before = law_maintenance::law_event_snapshot();
         let out = work(self);
         let (patches, rebuilds, fallbacks) = law_maintenance::law_events_since(before);
@@ -545,11 +498,8 @@ impl<D: SamplingDynamics> StepEngine for SequentialSampler<D> {
     }
 
     /// Activation-law maintenance attributed to this sampler's own
-    /// `advance`/`apply_event` calls.  Under the lockstep ensemble the
-    /// shared `compute_shared` law evaluations happen *outside* any
-    /// per-replica call and are not attributed here (only dormant-window
-    /// work lands in replica counters), which is why run-result equality
-    /// deliberately ignores these counters.
+    /// `advance` calls.  Every law evaluation of a run happens inside one,
+    /// so an ensemble replica reports what a standalone same-seed run does.
     fn maintenance(&self) -> Option<MaintenanceStats> {
         Some(self.law_stats)
     }
@@ -610,53 +560,6 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
     }
 }
 
-impl<D: SamplingDynamics> EnsembleReplica for SequentialSampler<D> {
-    type Shared = ActivationLaw;
-
-    fn compute_shared(&self) -> Result<ActivationLaw, PpError> {
-        self.dynamics
-            .activation_law(&self.config)
-            .ok_or(PpError::UnsupportedEngine {
-                requested: "ensemble",
-            })
-    }
-
-    fn event_probability(&self, shared: &ActivationLaw) -> f64 {
-        debug_assert!(
-            (0.0..=1.0).contains(&shared.p_null),
-            "null probability {} out of range",
-            shared.p_null
-        );
-        1.0 - shared.p_null
-    }
-
-    fn draw_skip(&mut self, p: f64, headroom: u64) -> Option<u64> {
-        pp_core::engine::geometric_skip(&mut self.rng, p, headroom)
-    }
-
-    fn apply_event(&mut self, shared: &ActivationLaw, skip: u64) {
-        self.attributing_law_events(|sim| {
-            sim.steps += skip + 1;
-            let (from, to) = match sim
-                .dynamics
-                .sample_from_law(&sim.config, shared, &mut sim.rng)
-            {
-                Some(transition) => transition,
-                None => {
-                    sim.rejection_fallbacks += 1;
-                    sim.rejection_sample_move()
-                }
-            };
-            debug_assert_ne!(from, to, "sampled event must change the agent's state");
-            sim.apply_transition(from, to);
-        });
-    }
-
-    fn forward_to_limit(&mut self, limit: u64) {
-        self.steps = limit;
-    }
-}
-
 impl<D: SamplingDynamics + Clone> ReplicaCheckpoint for SequentialSampler<D> {
     type Context = D;
 
@@ -664,8 +567,9 @@ impl<D: SamplingDynamics + Clone> ReplicaCheckpoint for SequentialSampler<D> {
     /// counter and RNG state, plus the reporting counters.  The Fenwick
     /// weights are a pure function of the counts and the law-memo
     /// generation is deliberately *not* captured — a restored sampler gets
-    /// a fresh generation, so its first law refresh is a cold rebuild with
-    /// bit-identical results (memos never consume randomness).
+    /// a fresh generation, so its first memo-backed law refresh is a cold
+    /// rebuild with bit-identical results (memos never consume
+    /// randomness).
     fn capture_replica(&self) -> EngineSnapshot {
         EngineSnapshot {
             supports: self.config.supports().to_vec(),
@@ -700,12 +604,11 @@ impl<D: SamplingDynamics + Clone> ReplicaCheckpoint for SequentialSampler<D> {
     }
 }
 
-/// Builds a lockstep [`EnsembleEngine`] of `choice.replicas()` sequential
-/// samplers of `dynamics`, all starting from `config`, with the standard
+/// Builds an [`EnsembleEngine`] of `choice.replicas()` sequential samplers
+/// of `dynamics`, all starting from `config`, with the standard
 /// per-replica seed derivation (`master.child(i)` — see
 /// [`EnsembleChoice::seeds`]) and the choice's worker parallelism.  Works
-/// for every shipped sampling dynamic; replicas whose counts coincide share
-/// one activation-law computation, and the live replicas spread over
+/// for every shipped sampling dynamic; the live replicas spread over
 /// `choice.parallelism()` worker threads (every shipped dynamic is
 /// `Send + Sync`, so samplers move freely between workers; results are
 /// bit-identical at every thread count).
@@ -728,6 +631,11 @@ pub fn sampler_ensemble<D: SamplingDynamics + Clone>(
         .into_iter()
         .map(|seed| SequentialSampler::try_new(dynamics.clone(), config.clone(), seed))
         .collect::<Result<Vec<_>, _>>()?;
+    if !dynamics.supports_skip_ahead(config) {
+        return Err(PpError::UnsupportedEngine {
+            requested: "ensemble",
+        });
+    }
     Ok(EnsembleEngine::try_new(replicas)?.with_parallelism(choice.parallelism()))
 }
 
@@ -1022,14 +930,16 @@ mod tests {
         // second sampler's first law refresh *patched* from the first
         // sampler's memoized counts (cross-run state leakage, reported as a
         // patch); it must be a cold rebuild attributed to the second run.
+        // `j = 4` keeps the law on the memo-backed integer tables (`j ≤ 3`
+        // is a closed form that reads nothing from the memo).
         use crate::majority::JMajority;
         let mut a = SequentialSampler::new(
-            JMajority::new(3, 3),
+            JMajority::new(3, 4),
             Configuration::from_counts(vec![400, 300, 200], 100).unwrap(),
             SimSeed::from_u64(41),
         );
         let mut b = SequentialSampler::new(
-            JMajority::new(3, 3),
+            JMajority::new(3, 4),
             Configuration::from_counts(vec![50, 800, 50], 100).unwrap(),
             SimSeed::from_u64(42),
         );
@@ -1048,6 +958,27 @@ mod tests {
         let (a_stats, b_stats) = (a.maintenance().unwrap(), b.maintenance().unwrap());
         assert_eq!(a_stats.law_rebuilds, 2, "generation flips rebuild cold");
         assert_eq!(b_stats.law_rebuilds, 2, "generation flips rebuild cold");
+
+        // The closed form has no memo to go cold: interleaved runs count
+        // one rebuild each (their first evaluation), then patches — what a
+        // standalone run reports.
+        let mut c = SequentialSampler::new(
+            JMajority::new(3, 3),
+            Configuration::from_counts(vec![400, 300, 200], 100).unwrap(),
+            SimSeed::from_u64(43),
+        );
+        let mut d = SequentialSampler::new(
+            JMajority::new(3, 3),
+            Configuration::from_counts(vec![50, 800, 50], 100).unwrap(),
+            SimSeed::from_u64(44),
+        );
+        for _ in 0..3 {
+            assert_eq!(c.advance(u64::MAX), Advance::Event);
+            assert_eq!(d.advance(u64::MAX), Advance::Event);
+        }
+        for stats in [c.maintenance().unwrap(), d.maintenance().unwrap()] {
+            assert_eq!((stats.law_rebuilds, stats.law_patches), (1, 2));
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   metrics object must be present and non-empty.
 //! * `--run` — a run/ensemble summary JSON (the `--output` document of an
 //!   ensemble run) that must embed a non-empty `"metrics"` object, and
-//!   whose deprecated flat aliases (`shared_*`, `maintenance`) must equal
-//!   the snapshot's canonical values — the aliases are derived from the
-//!   snapshot, so a disagreement is a reporting bug, not formatting drift.
+//!   whose deprecated flat `maintenance` alias must equal the snapshot's
+//!   canonical values — the alias is derived from the snapshot, so a
+//!   disagreement is a reporting bug, not formatting drift.
 //!
 //! Exits 0 when every given artifact passes, 1 with a diagnostic per
 //! failure otherwise.  At least one artifact flag is required.
@@ -180,10 +180,9 @@ fn check_metrics_object(doc: &Json) -> Result<String, String> {
 }
 
 /// Validates a run/ensemble summary document: the embedded `"metrics"`
-/// snapshot must be non-empty, and every deprecated flat alias present in
-/// the document (`shared_hits`, `shared_misses`, `shared_derived`,
-/// `shared_reuse`, the `maintenance` object) must equal the canonical
-/// value inside the snapshot.  An absent snapshot counter reads as 0, the
+/// snapshot must be non-empty, and every key of the deprecated flat
+/// `maintenance` alias object must equal the canonical value inside the
+/// snapshot.  An absent snapshot counter reads as 0, the
 /// same default the alias writer uses.
 fn check_run_document(doc: &Json) -> Result<String, String> {
     let detail = check_metrics_object(doc)?;
@@ -193,23 +192,6 @@ fn check_run_document(doc: &Json) -> Result<String, String> {
             .and_then(Json::as_f64)
     };
     let mut aliases = 0usize;
-    for (flat, canonical) in [
-        ("shared_hits", "ensemble.shared_hits"),
-        ("shared_misses", "ensemble.shared_misses"),
-        ("shared_derived", "ensemble.shared_derived"),
-        ("shared_reuse", "ensemble.shared_reuse_fraction"),
-    ] {
-        let Some(value) = doc.get(flat).and_then(Json::as_f64) else {
-            continue;
-        };
-        let snapshot = metric(canonical).unwrap_or(0.0);
-        if value != snapshot {
-            return Err(format!(
-                "flat alias {flat:?} = {value} disagrees with metrics {canonical:?} = {snapshot}"
-            ));
-        }
-        aliases += 1;
-    }
     if let Some(Json::Obj(pairs)) = doc.get("maintenance") {
         for (key, value) in pairs {
             let Some(value) = value.as_f64() else {
@@ -353,15 +335,13 @@ mod tests {
     #[test]
     fn matching_flat_aliases_pass_the_run_check() {
         let doc = parse_json(
-            r#"{"metrics":{"ensemble.shared_hits":7,"ensemble.shared_misses":3,
-                "ensemble.shared_reuse_fraction":0.7,"maintenance.rows_patched":12,
+            r#"{"metrics":{"maintenance.rows_patched":12,
                 "maintenance.law_fallback_rebuilds":2},
-                "shared_hits":7,"shared_misses":3,"shared_reuse":0.7,"shared_derived":0,
                 "maintenance":{"rows_patched":12,"law_fallback_rebuilds":2,"law_rebuilds":0}}"#,
         )
         .unwrap();
         let detail = check_run_document(&doc).unwrap();
-        assert!(detail.contains("7 flat aliases match"), "{detail}");
+        assert!(detail.contains("3 flat aliases match"), "{detail}");
         // A document without aliases (single-run summaries) still passes —
         // only aliases that are present must agree.
         let plain = parse_json(r#"{"metrics":{"shard.epochs":3}}"#).unwrap();
@@ -372,13 +352,6 @@ mod tests {
 
     #[test]
     fn drifting_flat_aliases_fail_the_run_check() {
-        let shared =
-            parse_json(r#"{"metrics":{"ensemble.shared_hits":7},"shared_hits":8}"#).unwrap();
-        let err = check_run_document(&shared).unwrap_err();
-        assert!(
-            err.contains("shared_hits") && err.contains("disagrees"),
-            "{err}"
-        );
         // The maintenance object is compared key by key against the
         // dotted counters, including the fallback-rebuild split.
         let maintenance = parse_json(
@@ -387,9 +360,13 @@ mod tests {
         )
         .unwrap();
         let err = check_run_document(&maintenance).unwrap_err();
-        assert!(err.contains("law_fallback_rebuilds"), "{err}");
+        assert!(
+            err.contains("law_fallback_rebuilds") && err.contains("disagrees"),
+            "{err}"
+        );
         // An alias with no snapshot counterpart must be zero, not dropped.
-        let phantom = parse_json(r#"{"metrics":{"x":1},"shared_derived":5}"#).unwrap();
+        let phantom =
+            parse_json(r#"{"metrics":{"x":1},"maintenance":{"law_rebuilds":5}}"#).unwrap();
         assert!(check_run_document(&phantom).is_err());
     }
 }

@@ -55,7 +55,7 @@
 //! * `--metrics` prints the run's flat metrics snapshot as a one-line
 //!   `{"metrics":{...}}` JSON object on stdout — the same object the
 //!   ensemble `--output` document embeds under `"metrics"` (skip/draw
-//!   counts, law-maintenance patch rates, shared-table cache statistics).
+//!   counts, law-maintenance patch rates, scheduling-window counts).
 //!   Human-readable summaries go to stderr in both modes, so stdout stays
 //!   machine-parseable.
 //!
@@ -479,7 +479,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             .validate()
             .map_err(|e| {
                 format!(
-                    "{e}: the replica ensemble shares skip-ahead row computations, so only \
+                    "{e}: the replica ensemble runs skip-ahead replicas, so only \
                      the batched base engine can run inside it — use --engine batched (or \
                      drop --replicas)"
                 )
@@ -550,10 +550,10 @@ fn ensemble_summary_json(outcome: &EnsembleRunResult, elapsed: f64, opts: &Optio
     };
     let total = outcome.total_interactions();
     // The canonical per-run metrics object (same names as `--metrics` and
-    // the printed summaries).  The flat `maintenance`/`shared_*` fields
-    // below duplicate it and are deprecated aliases, kept for one release
-    // so existing consumers keep parsing — they are read back from the
-    // snapshot itself, so the aliases can never drift from the canonical
+    // the printed summaries).  The flat `maintenance` field below
+    // duplicates it and is a deprecated alias, kept for one release
+    // so existing consumers keep parsing — it is read back from the
+    // snapshot itself, so the alias can never drift from the canonical
     // values (telemetry_check asserts the equality).
     let snap = outcome.metrics_snapshot();
     let metrics_json = snap.to_json();
@@ -585,8 +585,6 @@ fn ensemble_summary_json(outcome: &EnsembleRunResult, elapsed: f64, opts: &Optio
         "{{\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":{},\"k\":{},\"seed\":{},\
          \"replicas\":{},\"workers\":{},\"rounds\":{},\
          \"metrics\":{metrics_json},\
-         \"shared_reuse\":{},\"shared_hits\":{},\"shared_misses\":{},\
-         \"shared_derived\":{},\
          \"maintenance\":{maintenance_json},\
          \"consensus\":{{\"reached\":{},\"proportion\":{},\"wilson95\":[{},{}]}},\
          \"hitting_time\":{hitting_json},\
@@ -598,10 +596,6 @@ fn ensemble_summary_json(outcome: &EnsembleRunResult, elapsed: f64, opts: &Optio
         outcome.len(),
         outcome.workers(),
         outcome.rounds(),
-        json_f64(snap.gauge("ensemble.shared_reuse_fraction").unwrap_or(0.0)),
-        snap.counter("ensemble.shared_hits").unwrap_or(0),
-        snap.counter("ensemble.shared_misses").unwrap_or(0),
-        snap.counter("ensemble.shared_derived").unwrap_or(0),
         summary.goal_reached,
         json_f64(goal),
         json_f64(wilson_lo),
@@ -687,29 +681,17 @@ fn emit_telemetry(tel: &Telemetry, opts: &Options, snap: &MetricsSnapshot) -> Re
 }
 
 /// Prints the streaming ensemble summary (satisfies `--replicas`): hitting
-/// time statistics, goal proportion, shared-table reuse and aggregate
-/// throughput.  Everything goes to stderr, matching the single-run summary,
+/// time statistics, goal proportion and aggregate throughput.  Everything goes to stderr, matching the single-run summary,
 /// so stdout carries machine output (`--metrics`) only.
 fn print_ensemble_summary(outcome: &EnsembleRunResult, elapsed: f64) {
     let summary = summarize_ensemble(outcome);
     let (goal, lo, hi) = summary.goal_proportion();
     eprintln!(
-        "ensemble: {} replicas over {} worker threads, {} lockstep rounds, \
-         shared-table reuse {:.1}% ({} hits / {} misses)",
+        "ensemble: {} replicas over {} worker threads, {} scheduling windows",
         summary.replicas,
         outcome.workers(),
         outcome.rounds(),
-        100.0 * outcome.shared_reuse_fraction(),
-        outcome.shared_hits(),
-        outcome.shared_misses(),
     );
-    if outcome.shared_derived() > 0 {
-        eprintln!(
-            "shared-table derivation: {} of {} misses served by neighbour-delta replay",
-            outcome.shared_derived(),
-            outcome.shared_misses(),
-        );
-    }
     eprintln!(
         "consensus: {}/{} replicas ({:.1}%, Wilson 95% [{:.3}, {:.3}])",
         summary.goal_reached,

@@ -1,37 +1,30 @@
-//! E15 (extension) — throughput of the lockstep replica ensemble.
+//! E15 (extension) — throughput of the replica ensemble.
 //!
 //! Monte Carlo experiments average over independent replicas; the
-//! `pp_core::ensemble` layer promises that advancing those replicas in
-//! lockstep — sharing per-counts tables across replicas whose counts
-//! coincide and batching the skip/event draws — is substantially faster
-//! than running the same replicas one at a time, while staying *bit-exact*:
-//! replica `i` of the ensemble and standalone run `i` of the loop see the
-//! same seed and produce the same trajectory.  This experiment measures it:
-//! for each `(workload, n, R)` cell it runs the identical replica set once
-//! through [`usd_core::UsdEnsemble`] / `sampler_ensemble` and once as a
-//! plain loop of standalone batched runs, and reports the aggregate
-//! interactions/sec of both arms, the ensemble-over-loop speedup, the
-//! shared-table reuse fraction, and the 95% CI half-width of the hitting
-//! time (via the streaming accumulators in `pp_analysis::streaming`).
-//! Because the arms are bit-identical, their total interaction counts are
-//! asserted equal — the speedup is pure wall-clock.
-//!
-//! The 3-Majority rows measure sharing in the effectively one-dimensional
-//! two-opinion regime, where the shared-table reuse fraction is well above
-//! 90%; a cached `ActivationLaw` skips the adoption-law evaluation, which
-//! is an `O(k)` closed form for `j ≤ 3`, so what is left to win is the
-//! per-event law refresh and draw bookkeeping.  The USD rows measure the
-//! same for a dynamic whose per-event table is an `O(k)` row table.
+//! `pp_core::ensemble` layer runs those replicas as one job — each
+//! replica advancing through its own skip-ahead path, window by window,
+//! over a pool of worker threads — while staying *bit-exact*: replica `i`
+//! of the ensemble and standalone run `i` of the loop see the same seed and
+//! produce the same trajectory.  This experiment prices it: for each
+//! `(workload, n, R)` cell it runs the identical replica set through
+//! [`usd_core::UsdEnsemble`] / `sampler_ensemble` and as a plain loop of
+//! standalone batched runs, and reports the aggregate interactions/sec of
+//! every arm, the ensemble-over-loop ratio, and the 95% CI half-width of
+//! the hitting time (via the streaming accumulators in
+//! `pp_analysis::streaming`).  Because the arms are bit-identical, their
+//! total interaction counts are asserted equal — the ratio is pure
+//! wall-clock.
 //!
 //! Each cell runs three arms over the identical replica set: the
-//! `replica-loop` baseline, the single-threaded lockstep `ensemble`
-//! (threads pinned to 1 — the sharing win in isolation), and the
+//! `replica-loop` baseline, the single-threaded `ensemble` (threads pinned
+//! to 1 — the scheduling overhead in isolation), and the
 //! `parallel-ensemble` (automatic worker parallelism through
-//! `pp_core::parallel` — the sharing win stacked on core count).  All three
-//! arms are asserted bit-equal per replica, so both speedup columns are
-//! pure wall-clock.  On a single-core box the parallel arm resolves to one
-//! worker and measures pure scheduling overhead; the `threads` column
-//! records what it resolved to.
+//! `pp_core::parallel`).  On a single-core box the parallel arm resolves to
+//! one worker and measures pure scheduling overhead; the `threads` column
+//! records what it resolved to.  Every arm is timed as the median of
+//! [`EnsembleThroughputExperiment::runs`] repetitions: the quick cells are
+//! millisecond-scale, where a single shot swings by more than the trend
+//! gate's tolerance.
 //!
 //! `engine_bench` stamps each cell into `BENCH_engines.json` as
 //! `E15`/`E15/3-majority` entries (replica count in the `shards` column;
@@ -53,14 +46,12 @@ use std::time::Instant;
 use usd_core::UsdEnsemble;
 
 /// A workload the ensemble sweep measures (both in the two-opinion
-/// deep-bias regime, where the count space is effectively one-dimensional
-/// and shared-table reuse is maximal).
+/// deep-bias regime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnsembleWorkload {
     /// The USD at `k = 2`, multiplicative bias 4.
     Usd,
-    /// 3-Majority at `k = 2`, multiplicative bias 4 (the shared
-    /// adoption-law rows, in the high-reuse two-opinion regime).
+    /// 3-Majority at `k = 2`, multiplicative bias 4.
     ThreeMajority,
 }
 
@@ -88,15 +79,13 @@ impl EnsembleWorkload {
     const BIAS: f64 = 4.0;
 }
 
-/// One measured arm of a cell: the per-replica results plus the wall time,
-/// the worker threads the arm resolved to, and (for the ensemble arms) the
-/// shared-table reuse fraction.
+/// One measured arm of a cell: the per-replica results plus the wall time
+/// and the worker threads the arm resolved to.
 #[derive(Debug)]
 struct ArmSample {
     results: Vec<RunResult>,
     seconds: f64,
     workers: u64,
-    reuse: Option<f64>,
 }
 
 impl ArmSample {
@@ -117,7 +106,7 @@ impl ArmSample {
 pub struct EnsembleThroughputExperiment {
     /// Measured cells as `(workload, population, replica count)`.
     pub cells: Vec<(EnsembleWorkload, u64, usize)>,
-    /// Runs per cell and arm; the fastest run is reported.
+    /// Runs per cell and arm; the median run time is reported.
     pub runs: u64,
     /// Scale preset used for budgets.
     pub scale: Scale,
@@ -147,10 +136,10 @@ impl EnsembleThroughputExperiment {
         };
         EnsembleThroughputExperiment {
             cells,
-            // Quick cells are millisecond-scale: best-of-4 stabilizes the
-            // speedup the CI trend gate guards (mirrors E13).
+            // Quick cells are millisecond-scale: the median of 5 steadies
+            // the speedup the CI trend gate guards.
             runs: match scale {
-                Scale::Quick => 4,
+                Scale::Quick => 5,
                 Scale::Full => 1,
             },
             scale,
@@ -166,7 +155,7 @@ impl EnsembleThroughputExperiment {
             .expect("throughput workload is valid")
     }
 
-    /// Times one lockstep-ensemble arm of one cell (single-threaded when
+    /// Times one ensemble arm of one cell (single-threaded when
     /// `parallelism` is [`Parallelism::single`], worker-parallel otherwise).
     fn timed_ensemble(
         &self,
@@ -203,7 +192,6 @@ impl EnsembleThroughputExperiment {
             config.population()
         );
         ArmSample {
-            reuse: Some(outcome.shared_reuse_fraction()),
             workers: outcome.workers(),
             results: outcome.results().to_vec(),
             seconds,
@@ -254,7 +242,6 @@ impl EnsembleThroughputExperiment {
             results,
             seconds,
             workers: 1,
-            reuse: None,
         }
     }
 
@@ -277,8 +264,8 @@ impl EnsembleThroughputExperiment {
         let mut entries = Vec::new();
         let mut report = ExperimentReport::new(
             "E15",
-            "lockstep replica-ensemble throughput: ensemble (single- and multi-thread) vs loop of standalone runs",
-            "advancing R same-seed replicas in lockstep with counts-deduplicated shared tables beats running them one at a time, at bit-identical per-replica results; the parallel arm stacks worker threads on the sharing win",
+            "replica-ensemble throughput: ensemble (single- and multi-thread) vs loop of standalone runs",
+            "running R same-seed replicas as one ensemble costs about what running them one at a time costs, at bit-identical per-replica results; the parallel arm spreads the replicas over worker threads",
             vec![
                 "workload".into(),
                 "n".into(),
@@ -292,17 +279,16 @@ impl EnsembleThroughputExperiment {
                 "agg interactions/sec".into(),
                 "speedup vs loop".into(),
                 "hit-time CI95 ±".into(),
-                "shared reuse".into(),
             ],
         );
 
         for (ci, &(workload, n, replicas)) in self.cells.iter().enumerate() {
             let budget = self.scale.interaction_budget(n, EnsembleWorkload::K);
-            let mut best: [Option<ArmSample>; 3] = [None, None, None];
+            let mut timed: [Vec<ArmSample>; 3] = Default::default();
             // One seed per cell, shared by every timing repetition and all
             // arms: all `runs` repeats simulate the *identical* replica
-            // set, so best-of selection still compares bit-equal work and
-            // the grouped rows report one set of results.
+            // set, so the median selection compares bit-equal work and the
+            // grouped rows report one set of results.
             let cell_seed = seed.child(0xE15_0000_0000 | (ci as u64) << 16);
             let config = Self::cell_config(workload, n, cell_seed);
             for _ in 0..self.runs {
@@ -337,13 +323,11 @@ impl EnsembleThroughputExperiment {
                         workload.name()
                     );
                 }
-                for (slot, arm) in best.iter_mut().zip(arms) {
-                    if slot.as_ref().is_none_or(|b| arm.seconds < b.seconds) {
-                        *slot = Some(arm);
-                    }
+                for (samples, arm) in timed.iter_mut().zip(arms) {
+                    samples.push(arm);
                 }
             }
-            let [looped, ensembled, parallel] = best.map(|b| b.expect("at least one run"));
+            let [looped, ensembled, parallel] = timed.map(median_arm);
             let loop_ips = looped.aggregate_ips();
 
             for (mode, arm) in [
@@ -385,13 +369,11 @@ impl EnsembleThroughputExperiment {
                     fmt_f64(arm.aggregate_ips()),
                     fmt_f64(speedup_value),
                     fmt_f64(hit_times.ci_half_width(1.96)),
-                    arm.reuse
-                        .map_or_else(|| "-".to_string(), |x| format!("{:.1}%", 100.0 * x)),
                 ]);
             }
         }
         report.push_note(format!(
-            "all three arms run the identical replica set (seeds master.child(i)); per-replica results are asserted bit-equal, so the speedup columns are pure wall-clock; each cell reports the fastest of {} runs",
+            "all three arms run the identical replica set (seeds master.child(i)); per-replica results are asserted bit-equal, so the speedup columns are pure wall-clock; each cell reports the median of {} runs",
             self.runs
         ));
         report.push_note(format!(
@@ -399,13 +381,18 @@ impl EnsembleThroughputExperiment {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         ));
         report.push_note(
-            "the ensemble's edge tracks the shared-table reuse fraction and the per-counts table cost: both the 3-majority adoption law (closed form for j <= 3) and the USD row table are O(k) per counts, so a cache hit saves little more than the map traffic it costs".to_string(),
-        );
-        report.push_note(
             "CI95 column: half-width of the normal-approximation confidence interval of the mean hitting time, from the streaming Welford accumulator — identical across arms by bit-exactness".to_string(),
         );
         (report, entries)
     }
+}
+
+/// The arm sample with the median wall time (the upper median for an even
+/// count).  Every sample holds the same bit-equal results.
+fn median_arm(mut samples: Vec<ArmSample>) -> ArmSample {
+    assert!(!samples.is_empty(), "at least one run per arm");
+    samples.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
+    samples.swap_remove(samples.len() / 2)
 }
 
 impl super::Experiment for EnsembleThroughputExperiment {
@@ -446,10 +433,6 @@ mod tests {
             // Bit-exact arms advance the same interactions.
             assert_eq!(arms[0][7], arms[1][7]);
             assert_eq!(arms[0][7], arms[2][7]);
-            // The loop arm reports no reuse fraction, the ensemble arms do.
-            assert_eq!(arms[0][12], "-");
-            assert!(arms[1][12].ends_with('%'));
-            assert!(arms[2][12].ends_with('%'));
         }
         for (entry, row) in entries.iter().zip(&report.rows) {
             assert_eq!(entry.engine, row[5]);

@@ -52,11 +52,6 @@
 //! * the sharded engine's merged configuration, pair weights, and per-epoch
 //!   quota/scratch buffers (dead between `advance` calls — captures land on
 //!   epoch boundaries),
-//! * the ensemble's shared-table cache, per-replica neighbor tables, and
-//!   adaptive-cache statistics — performance state only; shared tables are
-//!   pure functions of counts and consume no randomness, so a cold cache
-//!   cannot change any replica's draws (cache hit/round *statistics* may
-//!   differ between legs; per-replica results never do),
 //! * thread-local activation-law memos in `consensus-dynamics` — restored
 //!   samplers announce a fresh run generation, so the first refresh is a
 //!   cold rebuild with bit-identical values.
@@ -164,16 +159,13 @@ pub struct ShardedSnapshot {
 }
 
 /// Snapshot of an [`EnsembleEngine`](crate::EnsembleEngine): every replica
-/// plus the lifetime lockstep counters.  The shared-table cache is *not*
-/// captured (see the module docs).
+/// plus the run's scheduling-window count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleSnapshot {
     /// Per-replica state, in construction order.
     pub replicas: Vec<EngineSnapshot>,
-    /// Lifetime lockstep rounds.
+    /// Scheduling windows run since the run started.
     pub rounds: u64,
-    /// Lifetime dormant-window events.
-    pub dormant_events: u64,
 }
 
 /// Snapshot of a mean-field (fluid-limit) engine.  The ODE state is `f64`,
@@ -547,11 +539,7 @@ fn write_ensemble(out: &mut String, s: &EnsembleSnapshot) {
         }
         write_snapshot(out, replica);
     }
-    let _ = write!(
-        out,
-        "],\"rounds\":{},\"dormant_events\":{}}}",
-        s.rounds, s.dormant_events
-    );
+    let _ = write!(out, "],\"rounds\":{}}}", s.rounds);
 }
 
 fn write_mean_field(out: &mut String, s: &MeanFieldSnapshot) {
@@ -883,7 +871,6 @@ fn read_ensemble(value: &Json) -> Result<EnsembleSnapshot, PpError> {
             .map(read_snapshot)
             .collect::<Result<Vec<_>, PpError>>()?,
         rounds: get(obj, "rounds")?.as_u64("rounds")?,
-        dormant_events: get(obj, "dormant_events")?.as_u64("dormant_events")?,
     })
 }
 
@@ -943,7 +930,6 @@ mod tests {
             EngineState::Ensemble(EnsembleSnapshot {
                 replicas: vec![sample_snapshot(); 3],
                 rounds: 17,
-                dormant_events: 5,
             }),
             EngineState::MeanField(MeanFieldSnapshot {
                 fraction_bits: vec![

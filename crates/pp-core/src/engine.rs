@@ -233,8 +233,7 @@ pub trait StepEngine {
     /// The engine's unified observability surface: one flat
     /// [`MetricsSnapshot`] covering everything the bespoke accessors
     /// ([`rejection_misses`](StepEngine::rejection_misses),
-    /// [`maintenance`](StepEngine::maintenance), the ensemble's shared-table
-    /// counters) expose, under the canonical registry names
+    /// [`maintenance`](StepEngine::maintenance)) expose, under the canonical registry names
     /// (`engine.rejection_misses`, `maintenance.rows_patched`, …).  The
     /// provided drivers record it into every [`RunResult`]; engines with
     /// richer instrumentation (batched skip/draw counts, shard epochs)
@@ -468,7 +467,7 @@ pub struct BatchedEngine<P> {
     /// Refreshes served so far, for the sampled debug cross-check.
     refreshes: u64,
     stats: MaintenanceStats,
-    /// State-changing events drawn so far (standalone and lockstep paths).
+    /// State-changing events drawn so far.
     events_drawn: u64,
     /// Null interactions jumped over by geometric skips (and limit
     /// forwarding) so far.
@@ -578,11 +577,8 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     }
 
     /// Fills `rows` with the per-category productive weights for the current
-    /// counts and returns their sum.  A pure function of the configuration —
-    /// the standalone `advance` fills its scratch buffer with it, and the
-    /// ensemble layer fills cache-shared [`crate::ensemble::RowTable`]s, so
-    /// both paths see bit-identical weights.
-    pub(crate) fn fill_rows(&self, rows: &mut Vec<u128>) -> u128 {
+    /// counts and returns their sum.  A pure function of the configuration.
+    fn fill_rows(&self, rows: &mut Vec<u128>) -> u128 {
         let k = self.config.num_opinions();
         rows.clear();
         rows.resize(k + 1, 0);
@@ -721,63 +717,21 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         }
     }
 
-    /// A freshly allocated row table for the current counts, as
-    /// `(rows, total)` (the ensemble layer caches these per counts key).
-    pub(crate) fn enumerate_rows(&self) -> (Vec<u128>, u128) {
-        let mut rows = Vec::new();
-        let total = self.fill_rows(&mut rows);
-        (rows, total)
-    }
-
-    /// The protocol's productivity table, when it opted into the delta rule.
-    pub(crate) fn productivity_matrix_ref(&self) -> Option<&[bool]> {
-        self.matrix.as_deref()
-    }
-
-    /// Freshly computed per-category productive initiator sums `S_cat` for
-    /// the current counts (empty when the protocol opted out of the delta
-    /// rule) — the payload that lets the ensemble layer derive a neighbor's
-    /// row table by replaying a count delta.
-    pub(crate) fn initiator_sums(&self) -> Vec<u128> {
-        let Some(matrix) = &self.matrix else {
-            return Vec::new();
-        };
-        let k = self.config.num_opinions();
-        (0..=k)
-            .map(|cat| {
-                let mut s = 0u128;
-                for i in 0..=k {
-                    if matrix[cat * (k + 1) + i] {
-                        s += u128::from(self.config.category_count(i));
-                    }
-                }
-                s
-            })
-            .collect()
-    }
-
-    /// The engine's RNG (the ensemble layer draws skips from it so lockstep
-    /// replicas consume randomness exactly as standalone runs do).
-    pub(crate) fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// Records `skip` null interactions plus the event interaction itself.
-    pub(crate) fn record_event_interactions(&mut self, skip: u64) {
+    fn record_event_interactions(&mut self, skip: u64) {
         self.interactions += skip + 1;
         self.nulls_skipped += skip;
         self.events_drawn += 1;
     }
 
     /// Forwards the interaction counter to `limit` without an event.
-    pub(crate) fn forward_to(&mut self, limit: u64) {
+    fn forward_to(&mut self, limit: u64) {
         self.nulls_skipped += limit.saturating_sub(self.interactions);
         self.interactions = limit;
     }
 
     /// Draws the category pair of the next state-changing event from the
-    /// given row table and applies it — the shared tail of the standalone
-    /// and lockstep advance paths.  One draw picks the whole event: a unit
+    /// given row table and applies it.  One draw picks the whole event: a unit
     /// below `total` decomposes as (responder category, responder identity
     /// within the category, initiator unit); the row scan finds the
     /// category, and because `row = c_r · S_r` factors into independent
@@ -787,11 +741,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Returns the applied `(from, to)` responder move and invalidates the
     /// maintained row table (callers on the incremental path re-validate it
     /// by patching).
-    pub(crate) fn draw_and_apply_event(
-        &mut self,
-        rows: &[u128],
-        total: u128,
-    ) -> (AgentState, AgentState) {
+    fn draw_and_apply_event(&mut self, rows: &[u128], total: u128) -> (AgentState, AgentState) {
         let k = self.config.num_opinions();
         let mut target = uniform_u128_below(&mut self.rng, total);
         let mut responder_cat = k;

@@ -42,14 +42,12 @@
 //!
 //! Monte Carlo estimates over many independent runs go through the
 //! [`ensemble::EnsembleEngine`], which advances `R` replicas of one
-//! protocol/configuration in lockstep rounds: per-counts tables (row
-//! weights, activation laws) are computed once and shared across replicas
-//! whose counts coincide through an [`std::sync::Arc`]-shared map that
-//! freezes per scheduling window, and the live replicas spread over the
-//! worker threads of the shared [`parallel`] layer.  Per-replica RNG
-//! streams and the layer's deterministic partition keep every replica
-//! *bit-identical* to a standalone same-seed run at every thread count —
-//! see [`ensemble`] for the exactness argument.
+//! protocol/configuration in scheduling windows: each window, every live
+//! replica runs a chunk of events through its own [`StepEngine::advance`],
+//! and the live replicas spread over the worker threads of the shared
+//! [`parallel`] layer.  Per-replica RNG streams and the layer's deterministic partition
+//! keep every replica *bit-identical* to a standalone same-seed run at
+//! every thread count — see [`ensemble`] for the exactness argument.
 //!
 //! Both parallel engines (sharded, ensemble) draw their workers from
 //! [`parallel`]: a [`Parallelism`] knob plus scoped fork/join execution
@@ -128,9 +126,7 @@ pub use checkpoint::{
 pub use config::Configuration;
 pub use count_sim::CountSimulator;
 pub use engine::{Advance, BatchedEngine, CountEngine, EngineChoice, ExactEngine, StepEngine};
-pub use ensemble::{
-    EnsembleChoice, EnsembleEngine, EnsembleReplica, EnsembleRunResult, SharedCacheMode,
-};
+pub use ensemble::{EnsembleChoice, EnsembleEngine, EnsembleRunResult};
 pub use error::{ConfigError, PpError};
 pub use fenwick::FenwickTree;
 pub use hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
@@ -154,9 +150,7 @@ pub mod prelude {
     pub use crate::engine::{
         Advance, BatchedEngine, CountEngine, EngineChoice, ExactEngine, StepEngine,
     };
-    pub use crate::ensemble::{
-        EnsembleChoice, EnsembleEngine, EnsembleReplica, EnsembleRunResult, SharedCacheMode,
-    };
+    pub use crate::ensemble::{EnsembleChoice, EnsembleEngine, EnsembleRunResult};
     pub use crate::error::{ConfigError, PpError};
     pub use crate::hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
     pub use crate::opinion::{AgentState, Opinion};

@@ -4,7 +4,7 @@
 //! Two engines in this workspace advance many independent pieces of
 //! simulation state side by side — [`crate::shard::ShardedEngine`] spreads
 //! shards over workers within one run, and
-//! [`crate::ensemble::EnsembleEngine`] spreads lockstep replicas over
+//! [`crate::ensemble::EnsembleEngine`] spreads replicas over
 //! workers across runs.  Both used to carry their own threading story (the
 //! shard module owned a private `std::thread::scope` loop; the ensemble was
 //! pinned to one core by `Rc`-shared tables).  This module is the single

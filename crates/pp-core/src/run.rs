@@ -115,9 +115,9 @@ pub struct RunResult {
 /// ignores the [`MaintenanceStats`] and the telemetry snapshot:
 /// patch-vs-rebuild counts, cache statistics and timings describe how an
 /// engine kept its tables in sync and may legitimately differ between
-/// bit-identical runs (a lockstep ensemble replica and its standalone twin,
-/// or the same ensemble at two thread counts, produce the same trajectory
-/// with different maintenance schedules and wall times).
+/// bit-identical runs (a restored run rebuilds the tables its checkpoint
+/// left out, and memo-backed sampling laws rebuild cold when interleaved
+/// runs take turns on a thread; timings differ on every run).
 impl PartialEq for RunResult {
     fn eq(&self, other: &Self) -> bool {
         self.outcome == other.outcome
@@ -330,9 +330,9 @@ mod tests {
 
     #[test]
     fn equality_ignores_maintenance_counters() {
-        // A lockstep replica and its standalone twin produce bit-identical
-        // trajectories under different maintenance schedules; equality must
-        // not distinguish them.
+        // Bit-identical trajectories can run under different maintenance
+        // schedules (a restored run, interleaved memo-backed laws);
+        // equality must not distinguish them.
         let cfg = Configuration::from_counts(vec![10, 0], 0).unwrap();
         let bare = RunResult::new(RunOutcome::Consensus, 5, cfg);
         let counted = bare.clone().with_maintenance(Some(MaintenanceStats {

@@ -419,7 +419,7 @@ impl ScenarioConfig {
         if self.replicas > 1 {
             self.ensemble_choice().validate().map_err(|e| {
                 format!(
-                    "{e}: the replica ensemble shares skip-ahead row computations, so only \
+                    "{e}: the replica ensemble runs skip-ahead replicas, so only \
                      the batched base engine can run inside it — use --engine batched (or \
                      drop --replicas)"
                 )

@@ -284,7 +284,7 @@ impl InitialConfig {
         let choice = self.ensemble_choice();
         choice.validate().map_err(|e| {
             WorkloadError::InvalidParameter(format!(
-                "{e}: the lockstep ensemble shares skip-ahead row computations, \
+                "{e}: the replica ensemble runs skip-ahead replicas, \
                  so only the batched base engine is supported"
             ))
         })?;

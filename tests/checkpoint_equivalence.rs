@@ -260,6 +260,37 @@ fn ensembles_resume_bit_identically_at_two_thread_counts() {
     );
 }
 
+#[test]
+fn parent_format_ensemble_checkpoints_still_restore() {
+    // Ensemble checkpoints used to carry a `dormant_events` counter next to
+    // `rounds`.  The key is no longer written, and a document that still
+    // has it must restore and finish exactly like the uninterrupted run.
+    let spec = InitialConfig::new(1_200, 3).multiplicative_bias(1.5);
+    let master = SimSeed::from_u64(6);
+    let config = spec.build(master).unwrap();
+    let stop = StopCondition::consensus().or_max_interactions(BUDGET);
+    let choice = EnsembleChoice::new(4);
+    let expected = UsdEnsemble::try_new(config.clone(), master.child(1), choice)
+        .unwrap()
+        .run(stop);
+
+    let mut paused = UsdEnsemble::try_new(config, master.child(1), choice).unwrap();
+    assert!(paused.run_windows(stop, 2).is_none(), "must pause mid-run");
+    let json = paused.capture().to_json();
+    assert!(!json.contains("dormant_events"), "{json}");
+    let rounds = "\"rounds\":2}";
+    assert!(json.contains(rounds), "{json}");
+    let parent_format = json.replace(rounds, "\"rounds\":2,\"dormant_events\":1024}");
+
+    let restored = Checkpoint::from_json(&parent_format).unwrap();
+    let outcome = UsdEnsemble::restore(&restored, choice)
+        .unwrap()
+        .run_windows(stop, u64::MAX)
+        .expect("an unbounded window budget cannot pause");
+    assert_eq!(outcome.results(), expected.results());
+    assert_eq!(outcome.rounds(), expected.rounds());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

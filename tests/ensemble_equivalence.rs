@@ -4,15 +4,15 @@
 //! equivalence: replica `i` of an [`EnsembleEngine`] run must be
 //! *bit-identical* to a standalone engine seeded `master.child(i)` — same
 //! trajectory, same interaction counter, same final configuration, same
-//! [`RunResult`] metadata — because the shared per-counts tables consume no
-//! randomness and each replica owns its RNG stream.  This suite pins that
-//! claim:
+//! [`RunResult`] metadata — because each replica advances through its own
+//! standalone `advance` on its own RNG stream.  This suite pins that claim:
 //!
 //! * **Per-replica bit-exactness** — for the USD (batched backend) and for
 //!   all five sampling dynamics (Voter, TwoChoices, 3-Majority, j-Majority,
 //!   MedianRule through [`SequentialSampler`]), ensemble results are
 //!   compared `==` against standalone same-seed runs, including full
-//!   recorded trajectories for the USD, under every [`SharedCacheMode`].
+//!   recorded trajectories for the USD, and each replica's maintenance and
+//!   telemetry counters against the standalone run's.
 //! * **Thread-count invariance** — the parallel worker pool
 //!   (`pp_core::parallel`) must be a pure wall-clock dial: `threads = 1`
 //!   and `threads = T` runs are compared `==` per replica for the USD and
@@ -36,7 +36,7 @@ use consensus_dynamics::{
 };
 use pp_analysis::conformance::Conformance;
 use pp_core::engine::StepEngine;
-use pp_core::ensemble::{EnsembleChoice, EnsembleEngine, SharedCacheMode};
+use pp_core::ensemble::{EnsembleChoice, EnsembleEngine};
 use pp_core::parallel::Parallelism;
 use pp_core::{
     BatchedEngine, Configuration, EngineChoice, PpError, RunResult, SimSeed, StopCondition,
@@ -241,33 +241,63 @@ fn usd_ensemble_is_thread_count_invariant() {
     }
 }
 
+/// Pins every replica's `maintenance()` and telemetry counters — which
+/// `RunResult` equality ignores — to the standalone same-seed run's.
+fn assert_counters_match(outcome: &[RunResult], expected: &[RunResult], label: &str) {
+    assert_eq!(outcome.len(), expected.len());
+    for (i, (got, want)) in outcome.iter().zip(expected).enumerate() {
+        assert!(
+            want.maintenance().is_some(),
+            "{label} reports no maintenance"
+        );
+        assert_eq!(
+            got.maintenance(),
+            want.maintenance(),
+            "{label} replica {i} maintenance diverged"
+        );
+        assert_eq!(
+            got.telemetry(),
+            want.telemetry(),
+            "{label} replica {i} telemetry diverged"
+        );
+    }
+}
+
 #[test]
-fn cache_modes_and_capacities_never_change_results() {
-    let config = Configuration::from_counts(vec![600, 250], 150).unwrap();
+fn replica_counters_match_standalone_runs() {
     let master = SimSeed::from_u64(MASTER ^ 2);
-    let dynamics = ThreeMajority::new(2);
-    let reference: Vec<RunResult> = EnsembleChoice::new(4)
+    let usd_config = Configuration::from_counts(vec![600, 250, 100], 50).unwrap();
+    let usd_expected: Vec<RunResult> = EnsembleChoice::new(5)
         .seeds(master)
         .into_iter()
-        .map(|seed| standalone_sampler(&dynamics, &config, seed, 5_000_000))
+        .map(|seed| {
+            BatchedEngine::new(UndecidedStateDynamics::new(3), usd_config.clone(), seed)
+                .run_engine(stop(50_000_000))
+        })
         .collect();
-    for mode in [
-        SharedCacheMode::Adaptive,
-        SharedCacheMode::Always,
-        SharedCacheMode::Never,
-    ] {
-        for capacity in [2usize, 1 << 20] {
-            let mut ensemble = sampler_ensemble(&dynamics, &config, master, EnsembleChoice::new(4))
-                .unwrap()
-                .with_cache_mode(mode)
-                .with_cache_capacity(capacity);
-            let outcome = ensemble.run(stop(5_000_000));
-            assert_eq!(
-                outcome.results(),
-                &reference[..],
-                "{mode:?}/capacity {capacity} diverged"
-            );
-        }
+    let maj_config = Configuration::from_counts(vec![600, 250], 150).unwrap();
+    let dynamics = ThreeMajority::new(2);
+    let maj_expected: Vec<RunResult> = EnsembleChoice::new(5)
+        .seeds(master)
+        .into_iter()
+        .map(|seed| standalone_sampler(&dynamics, &maj_config, seed, 5_000_000))
+        .collect();
+    for threads in [1usize, 3] {
+        let choice = EnsembleChoice::new(5).threads(threads);
+        let usd = UsdEnsemble::try_new(usd_config.clone(), master, choice)
+            .unwrap()
+            .run(stop(50_000_000));
+        assert_eq!(usd.results(), &usd_expected[..]);
+        assert_counters_match(usd.results(), &usd_expected, &format!("usd/{threads}t"));
+        let maj = sampler_ensemble(&dynamics, &maj_config, master, choice)
+            .unwrap()
+            .run(stop(5_000_000));
+        assert_eq!(maj.results(), &maj_expected[..]);
+        assert_counters_match(
+            maj.results(),
+            &maj_expected,
+            &format!("3-majority/{threads}t"),
+        );
     }
 }
 

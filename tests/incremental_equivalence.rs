@@ -3,8 +3,7 @@
 //! PR 6 put an `O(delta)` update path under every per-event law computation:
 //! `BatchedEngine` patches its productive-row table across each applied
 //! event, the j-Majority and MedianRule activation laws are patched in their
-//! thread-local memos, and the lockstep ensemble derives missed shared
-//! tables from cached neighbours by delta replay.  All of it claims exact
+//! thread-local memos.  All of it claims exact
 //! equality — every maintained weight is an integer, so a patched law is
 //! *bit-identical* to a rebuilt one.  This suite drives that claim with
 //! random event sequences:
@@ -18,9 +17,9 @@
 //!   each twin starts from a cold memo and cannot mask the other's bugs by
 //!   sharing it) must produce equal results and identical recorded
 //!   trajectories.
-//! * **Ensemble neighbour-delta** — shared-table derivation from cached
-//!   neighbours at random replica/thread counts must leave every replica
-//!   bit-identical to its standalone same-seed run.
+//! * **Ensembles** — replicas interleaved at random replica/thread counts
+//!   (each maintaining its own table or law between scheduling windows)
+//!   must stay bit-identical to their standalone same-seed runs.
 //!
 //! The CI incremental-equivalence step re-runs this suite with
 //! `--features exhaustive-checks`, which additionally rebuilds and compares
@@ -164,10 +163,10 @@ proptest! {
         assert_law_twins_agree(MedianRule::new(k), &config, seed ^ 4, budget)?;
     }
 
-    /// Ensemble shared-table neighbour-delta derivation at random replica
-    /// and thread counts: every replica stays bit-identical to its
-    /// standalone same-seed run, for both the USD (row tables) and the
-    /// 3-Majority (activation laws, derived through the sampler memo).
+    /// Ensembles at random replica and thread counts: every replica stays
+    /// bit-identical to its standalone same-seed run, for both the USD (row
+    /// tables) and the 3-Majority (activation laws through the sampler
+    /// memo, which interleaved replicas take turns warming).
     #[test]
     fn ensemble_neighbour_delta_keeps_replicas_standalone_exact(
         replicas in 2usize..6,
