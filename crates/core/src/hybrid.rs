@@ -14,6 +14,11 @@
 //! [`pp_analysis::fluctuation`] — and switches backends at `advance`
 //! boundaries, the same pause points where checkpoints are exact.
 //!
+//! The detector runs at every `advance` entry, so it is kept cheap: the
+//! signal is computed in one allocation-free pass over the counts, and it is
+//! not computed at all inside the controller's minimum-dwell window, where
+//! the decision cannot change.
+//!
 //! State transfer between the fidelities goes through the same snapshot
 //! vehicle checkpoints use: integer counts become `f64` fractions exactly on
 //! promotion, and the mean-field engine's largest-remainder quantization
@@ -38,9 +43,9 @@
 //! outcomes, and a pure stochastic backend when the fluctuation statistics
 //! themselves are the measurement (see `tests/hybrid_equivalence.rs`).
 
-use crate::mean_field::{MeanFieldEngine, MeanFieldState};
+use crate::mean_field::MeanFieldEngine;
 use crate::protocol::UndecidedStateDynamics;
-use pp_analysis::fluctuation::{gap_to_absorption, min_drift_noise_ratio, min_live_mass};
+use pp_analysis::fluctuation::drift_noise_ratio;
 use pp_core::checkpoint::{Checkpoint, EngineState};
 use pp_core::engine::{Advance, StepEngine, UNIFORM_PAIR_SCHEDULER_NAME};
 use pp_core::hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
@@ -168,22 +173,48 @@ impl HybridEngine {
     }
 
     /// The deterministic detector signal at the current counts (consumes no
-    /// randomness; see [`pp_core::hybrid`] for the derivation).
+    /// randomness; see [`pp_core::hybrid`] for the derivation).  Computed
+    /// without allocating: one pass over the supports for the mean-field
+    /// undecided drift `d_u = Σ a_i(1 − w − a_i) − w(1 − w)`, then one pass
+    /// that takes the minimum drift/noise ratio, the minimum live mass and
+    /// the largest support, with the undecided pool last.
     #[must_use]
     pub fn signal(&self) -> FidelitySignal {
         let config = self.backend_configuration();
         let n = config.population();
-        let d = MeanFieldState::from_configuration(config).derivative();
+        let population = n as f64;
+        let undecided = config.undecided();
+        let w = undecided as f64 / population;
+        let d_undecided = config
+            .supports()
+            .iter()
+            .map(|&x| {
+                let a = x as f64 / population;
+                a * (1.0 - w - a)
+            })
+            .sum::<f64>()
+            - w * (1.0 - w);
         // Live categories are the supports plus the undecided pool: any of
         // them can fluctuate against its drift.
-        let mut masses = config.supports().to_vec();
-        masses.push(config.undecided());
-        let mut drifts = d.d_fractions;
-        drifts.push(d.d_undecided);
+        let mut noise_ratio = f64::INFINITY;
+        let mut min_live_mass = u64::MAX;
+        let mut max_support = 0;
+        for &x in config.supports() {
+            max_support = max_support.max(x);
+            if x > 0 {
+                let a = x as f64 / population;
+                noise_ratio = noise_ratio.min(drift_noise_ratio(n, x, a * (2.0 * w + a - 1.0)));
+                min_live_mass = min_live_mass.min(x);
+            }
+        }
+        if undecided > 0 {
+            noise_ratio = noise_ratio.min(drift_noise_ratio(n, undecided, d_undecided));
+            min_live_mass = min_live_mass.min(undecided);
+        }
         FidelitySignal {
-            noise_ratio: min_drift_noise_ratio(n, &masses, &drifts),
-            min_live_mass: min_live_mass(&masses),
-            gap_to_absorption: gap_to_absorption(n, config.supports()),
+            noise_ratio,
+            min_live_mass,
+            gap_to_absorption: n - max_support,
             population: n,
         }
     }
@@ -386,10 +417,15 @@ impl StepEngine for HybridEngine {
         }
         // Every `advance` entry is a pause boundary: evaluate the detector
         // on the current counts (deterministic, no RNG) and switch the
-        // backend if the controller asks for the other fidelity.
-        let desired = self.controller.evaluate(&self.signal(), total);
-        if desired != self.backend.fidelity() {
-            self.switch_to(desired);
+        // backend if the controller asks for the other fidelity.  Inside the
+        // minimum-dwell window the controller keeps the current fidelity
+        // whatever the signal, so the signal is not built there.
+        let population = self.backend_configuration().population();
+        if !self.controller.dwelling(total, population) {
+            let desired = self.controller.evaluate(&self.signal(), total);
+            if desired != self.backend.fidelity() {
+                self.switch_to(desired);
+            }
         }
         let before = self.backend_interactions();
         let local_limit = limit.saturating_sub(self.consumed);

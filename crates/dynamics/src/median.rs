@@ -110,7 +110,9 @@ impl MedianRule {
     }
 
     /// Total weight of productive activation triples (module docs) out of
-    /// `n³`.
+    /// `n³`.  The reference the patched law is checked against, so it only
+    /// exists where those checks do.
+    #[cfg(any(test, debug_assertions, feature = "exhaustive-checks"))]
     fn productive_weight(config: &Configuration) -> u128 {
         let (below, above) = Self::prefix_suffix(config);
         Self::weight_from(config, &below, &above)

@@ -148,6 +148,16 @@ impl SynchronizedUsd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_core::engine::{check_transition_table, transition_table};
+
+    #[test]
+    fn transition_table_matches_respond() {
+        for k in 1..=8 {
+            let protocol = UndecidedStateDynamics::new(k);
+            let table = transition_table(&protocol).expect("the USD opts into the table");
+            assert_eq!(check_transition_table(&protocol, &table), Ok(()));
+        }
+    }
 
     #[test]
     fn population_is_conserved_per_round() {

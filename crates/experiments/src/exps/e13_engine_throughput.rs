@@ -91,8 +91,8 @@ pub struct EngineThroughputExperiment {
     /// mild-bias regime and the paper's two-opinion (approximate-majority)
     /// deep-bias regime.
     pub workloads: Vec<(usize, f64)>,
-    /// Runs per (population, engine) cell; the fastest run is reported
-    /// (standard practice for throughput numbers).
+    /// Runs per (population, engine) cell; the run with the median
+    /// interactions/sec is reported.
     pub runs: u64,
     /// Scale preset used for budgets.
     pub scale: Scale,
@@ -130,11 +130,10 @@ impl EngineThroughputExperiment {
                 Scale::Full => vec![100_000, 1_000_000, 10_000_000],
             },
             workloads: vec![(8, 2.0), (2, 4.0)],
-            // Quick cells are millisecond-scale, so the best-of maximum
-            // needs more samples to stabilize the speedup the CI trend
-            // check gates on.
+            // Quick cells are millisecond-scale: the median of 5 steadies
+            // the speedup the CI trend check gates on.
             runs: match scale {
-                Scale::Quick => 4,
+                Scale::Quick => 5,
                 Scale::Full => 3,
             },
             scale,
@@ -346,21 +345,15 @@ impl EngineThroughputExperiment {
                     .into_iter()
                     .enumerate()
                 {
-                    let mut best: Option<(u64, f64)> = None;
-                    for r in 0..self.runs {
-                        let cell_seed = seed
-                            .child((wi as u64) << 48 | (ni as u64) << 32 | (ei as u64) << 16 | r);
-                        let (interactions, secs) =
-                            self.timed_run(n, opinions, bias, engine, cell_seed);
-                        let better = match best {
-                            Some((bi, bs)) => interactions as f64 / secs > bi as f64 / bs,
-                            None => true,
-                        };
-                        if better {
-                            best = Some((interactions, secs));
-                        }
-                    }
-                    let (interactions, secs) = best.expect("at least one run");
+                    let samples = (0..self.runs)
+                        .map(|r| {
+                            let cell_seed = seed.child(
+                                (wi as u64) << 48 | (ni as u64) << 32 | (ei as u64) << 16 | r,
+                            );
+                            self.timed_run(n, opinions, bias, engine, cell_seed)
+                        })
+                        .collect();
+                    let (interactions, secs) = median_by_rate(samples, |&(i, s)| i as f64 / s);
                     let ips = interactions as f64 / secs;
                     ips_by_engine[ei] = ips;
                     let speedup_value = if ei == 1 && ips_by_engine[0] > 0.0 {
@@ -406,26 +399,19 @@ impl EngineThroughputExperiment {
             for (ni, &n) in self.sampling_populations.iter().enumerate() {
                 let mut ips_by_mode = [0.0f64; 2];
                 for (ei, batched) in [false, true].into_iter().enumerate() {
-                    let mut best: Option<(u64, f64)> = None;
-                    for r in 0..self.runs {
-                        let cell_seed = seed.child(
-                            0xD0_0000_0000_0000
-                                | (wi as u64) << 48
-                                | (ni as u64) << 32
-                                | (ei as u64) << 16
-                                | r,
-                        );
-                        let (interactions, secs) = self
-                            .timed_sampling_run(workload, n, opinions, bias, batched, cell_seed);
-                        let better = match best {
-                            Some((bi, bs)) => interactions as f64 / secs > bi as f64 / bs,
-                            None => true,
-                        };
-                        if better {
-                            best = Some((interactions, secs));
-                        }
-                    }
-                    let (interactions, secs) = best.expect("at least one run");
+                    let samples = (0..self.runs)
+                        .map(|r| {
+                            let cell_seed = seed.child(
+                                0xD0_0000_0000_0000
+                                    | (wi as u64) << 48
+                                    | (ni as u64) << 32
+                                    | (ei as u64) << 16
+                                    | r,
+                            );
+                            self.timed_sampling_run(workload, n, opinions, bias, batched, cell_seed)
+                        })
+                        .collect();
+                    let (interactions, secs) = median_by_rate(samples, |&(i, s)| i as f64 / s);
                     let ips = interactions as f64 / secs;
                     ips_by_mode[ei] = ips;
                     let speedup_value = if ei == 1 && ips_by_mode[0] > 0.0 {
@@ -474,24 +460,20 @@ impl EngineThroughputExperiment {
             for (ni, &n) in self.maintenance_populations.iter().enumerate() {
                 let mut ips_by_mode = [0.0f64; 2];
                 for (ei, patched) in [false, true].into_iter().enumerate() {
-                    let mut best: Option<(u64, f64)> = None;
-                    for r in 0..self.runs {
-                        // Unlike the engine sweeps, both arms share the seed:
-                        // patched and rebuild runs are bit-identical, so the
-                        // comparison is exactly like-for-like per trajectory.
-                        let cell_seed = seed
-                            .child(0xE0_0000_0000_0000 | (wi as u64) << 48 | (ni as u64) << 32 | r);
-                        let (interactions, secs) = self
-                            .timed_maintenance_run(workload, n, opinions, bias, patched, cell_seed);
-                        let better = match best {
-                            Some((bi, bs)) => interactions as f64 / secs > bi as f64 / bs,
-                            None => true,
-                        };
-                        if better {
-                            best = Some((interactions, secs));
-                        }
-                    }
-                    let (interactions, secs) = best.expect("at least one run");
+                    let samples = (0..self.runs)
+                        .map(|r| {
+                            // Unlike the engine sweeps, both arms share the
+                            // seed: patched and rebuild runs are bit-identical,
+                            // so the comparison is like-for-like per trajectory.
+                            let cell_seed = seed.child(
+                                0xE0_0000_0000_0000 | (wi as u64) << 48 | (ni as u64) << 32 | r,
+                            );
+                            self.timed_maintenance_run(
+                                workload, n, opinions, bias, patched, cell_seed,
+                            )
+                        })
+                        .collect();
+                    let (interactions, secs) = median_by_rate(samples, |&(i, s)| i as f64 / s);
                     let ips = interactions as f64 / secs;
                     ips_by_mode[ei] = ips;
                     let speedup_value = if ei == 1 && ips_by_mode[0] > 0.0 {
@@ -542,20 +524,14 @@ impl EngineThroughputExperiment {
             let (opinions, bias) = (2usize, 4.0f64);
             let mut ips_by_mode = [0.0f64; 2];
             for (ei, enabled) in [false, true].into_iter().enumerate() {
-                let mut best: Option<TelemetrySample> = None;
-                for r in 0..self.runs {
-                    let cell_seed = seed.child(0xF0_0000_0000_0000 | (ni as u64) << 32 | r);
-                    let (interactions, secs, payload) =
-                        self.timed_telemetry_run(n, opinions, bias, enabled, cell_seed);
-                    let better = match &best {
-                        Some((bi, bs, _)) => interactions as f64 / secs > *bi as f64 / bs,
-                        None => true,
-                    };
-                    if better {
-                        best = Some((interactions, secs, payload));
-                    }
-                }
-                let (interactions, secs, telemetry) = best.expect("at least one run");
+                let samples = (0..self.runs)
+                    .map(|r| {
+                        let cell_seed = seed.child(0xF0_0000_0000_0000 | (ni as u64) << 32 | r);
+                        self.timed_telemetry_run(n, opinions, bias, enabled, cell_seed)
+                    })
+                    .collect();
+                let (interactions, secs, telemetry): TelemetrySample =
+                    median_by_rate(samples, |(i, s, _)| *i as f64 / s);
                 let ips = interactions as f64 / secs;
                 ips_by_mode[ei] = ips;
                 let speedup_value = if ei == 1 && ips_by_mode[0] > 0.0 {
@@ -603,7 +579,7 @@ impl EngineThroughputExperiment {
         }
 
         report.push_note(format!(
-            "USD consensus runs from a multiplicative-bias start; each cell reports the fastest of {} runs; both engines induce the same trajectory distribution (verified by the equivalence test suite)",
+            "USD consensus runs from a multiplicative-bias start; each cell reports the median-interactions/sec run of {} runs; both engines induce the same trajectory distribution (verified by the equivalence test suite)",
             self.runs
         ));
         report.push_note(
@@ -620,6 +596,13 @@ impl EngineThroughputExperiment {
         );
         (report, entries)
     }
+}
+
+/// The sample with the median `rate` (the upper median for an even count).
+fn median_by_rate<S>(mut samples: Vec<S>, rate: impl Fn(&S) -> f64) -> S {
+    assert!(!samples.is_empty(), "at least one run per cell");
+    samples.sort_by(|a, b| rate(a).total_cmp(&rate(b)));
+    samples.swap_remove(samples.len() / 2)
 }
 
 /// Times one sampling-dynamics consensus run.  Skip-ahead mode asserts the

@@ -124,6 +124,16 @@ impl UsdGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_core::engine::{check_transition_table, transition_table};
+
+    #[test]
+    fn transition_table_matches_respond() {
+        for k in 1..=8 {
+            let protocol = GossipUsdProtocol { k };
+            let table = transition_table(&protocol).expect("the USD opts into the table");
+            assert_eq!(check_transition_table(&protocol, &table), Ok(()));
+        }
+    }
 
     #[test]
     fn becchetti_bound_uses_monochromatic_distance() {

@@ -405,6 +405,31 @@ impl Configuration {
         Ok(())
     }
 
+    /// Moves one agent from category `from` to category `to` (categories
+    /// `0..k` are the opinions, `k` is `⊥`) without re-validating the move —
+    /// the batched engine's per-event update, whose categories come from a
+    /// checked transition table and a draw weighted by `from`'s count.
+    pub(crate) fn move_category(&mut self, from: usize, to: usize) {
+        debug_assert!(
+            from != to && to <= self.counts.len(),
+            "invalid category move {from} → {to}"
+        );
+        debug_assert!(
+            self.category_count(from) > 0,
+            "category {from} has no agent to move"
+        );
+        *self.category_slot(from) -= 1;
+        *self.category_slot(to) += 1;
+    }
+
+    fn category_slot(&mut self, category: usize) -> &mut u64 {
+        if category == self.counts.len() {
+            &mut self.undecided
+        } else {
+            &mut self.counts[category]
+        }
+    }
+
     /// Sorts a *copy* of the support vector in non-increasing order and
     /// returns it.  Useful for reporting and for the paper's convention
     /// `x_1(0) ≥ x_2(0) ≥ … ≥ x_k(0)`.

@@ -37,20 +37,29 @@
 //! On top of the hooks, [`BatchedEngine`] maintains its row table *across*
 //! events instead of recomputing it before each one.  The invariants:
 //!
-//! * Productivity is a pure function of the (responder, initiator) category
-//!   pair ([`OpinionProtocol::productivity_matrix`]), so each row factors as
-//!   `row_cat = c_cat · S_cat` with `S_cat` the count-weighted sum of
-//!   productive initiator categories.
+//! * The responder's next state is a pure function of the (responder,
+//!   initiator) category pair, so the engine tabulates it once, at
+//!   construction, as a flat `(k+1)²` **transition table**
+//!   `next[r·(k+1) + i] = respond(r, i)` (as a category; see
+//!   [`transition_table`]).  A pair is productive exactly when
+//!   `next[r][i] ≠ r`, so each row factors as `row_cat = c_cat · S_cat` with
+//!   `S_cat` the count-weighted sum of productive initiator categories.
 //! * A state-changing event moves exactly one agent `from → to`; every
-//!   `S_cat` shifts by `[matrix[cat][to]] − [matrix[cat][from]]`, and the
-//!   table is re-derived as `c_cat · S_cat` — `O(k)` exact integer adds per
-//!   event, no protocol calls.
+//!   `S_cat` shifts by `[next[cat][to] ≠ cat] − [next[cat][from] ≠ cat]`,
+//!   and the table is re-derived as `c_cat · S_cat` — `O(k)` exact integer
+//!   adds per event.
+//! * The event draw itself works on categories only: the initiator is
+//!   resolved by scanning the responder's table row against the counts, its
+//!   total is the maintained `S_r`, and the move is read off the same row.
+//!   Nothing on the per-event path calls the protocol.
 //! * All weights are exact `u128` integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
 //!   whether maintenance was on.
 //!
-//! The engine falls back to a full rebuild when the protocol opts out of the
-//! matrix, when maintenance is disabled via
+//! A protocol whose [`OpinionProtocol::productivity_matrix`] is `None` has
+//! no transition table: its events resolve through `respond` and its rows
+//! are rebuilt before every event.  The engine also falls back to a full
+//! rebuild when maintenance is disabled via
 //! [`BatchedEngine::set_incremental_rows`] (the benchmark baseline), and
 //! after external count edits (the shard reconciler's cross-shard updates
 //! invalidate the maintained state).  Patch/rebuild counts are reported
@@ -425,6 +434,112 @@ pub fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, p: f64, max_skip: u64) -> Op
     }
 }
 
+/// `target mod modulus` on the 64-bit fast path when both fit `u64` (any
+/// population ≤ ~4·10⁹), avoiding the 128-bit division intrinsics.
+fn remainder(target: u128, modulus: u128) -> u128 {
+    match (u64::try_from(target), u64::try_from(modulus)) {
+        (Ok(t), Ok(m)) => u128::from(t % m),
+        _ => target % modulus,
+    }
+}
+
+/// The per-interaction event probability `total / n²`.  A `total` that fits
+/// `u64` converts through `u64`: the same `f64` (both conversions round the
+/// exact integer to nearest), without the `u128 → f64` conversion routine.
+fn event_probability(total: u128, population: u64) -> f64 {
+    let n = population as f64;
+    let total = match u64::try_from(total) {
+        Ok(t) => t as f64,
+        Err(_) => total as f64,
+    };
+    total / (n * n)
+}
+
+/// The flat `(k+1)²` category transition table of `protocol`: entry
+/// `[r·(k+1) + i]` is the category that
+/// [`respond`](OpinionProtocol::respond) moves a category-`r` responder to
+/// when it meets a category-`i` initiator (categories `0..k` are the
+/// opinions, `k` is `⊥`).  The pair is productive exactly when the entry
+/// differs from `r`.  `None` when the protocol's
+/// [`productivity_matrix`](OpinionProtocol::productivity_matrix) is `None`
+/// (its transitions are not a pure function of the category pair).
+///
+/// Debug builds and the `exhaustive-checks` feature run
+/// [`check_transition_table`] on every table built.
+///
+/// # Panics
+///
+/// Panics if `respond` produces an opinion outside `0..k`.
+pub fn transition_table<P: OpinionProtocol + ?Sized>(protocol: &P) -> Option<Vec<u32>> {
+    protocol.productivity_matrix()?;
+    let k = protocol.num_opinions();
+    let mut table = Vec::with_capacity((k + 1) * (k + 1));
+    for r in 0..=k {
+        let responder = AgentState::from_category(r, k);
+        for i in 0..=k {
+            let next = protocol.respond(responder, AgentState::from_category(i, k));
+            if let AgentState::Decided(o) = next {
+                assert!(
+                    o.index() < k,
+                    "respond({responder}, category {i}) produced {next}, outside the {k} opinions"
+                );
+            }
+            table.push(u32::try_from(next.category(k)).expect("category count fits u32"));
+        }
+    }
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    if let Err(reason) = check_transition_table(protocol, &table) {
+        panic!("{reason}");
+    }
+    Some(table)
+}
+
+/// Checks `table` against `protocol` for every category pair: the entry must
+/// be the category [`respond`](OpinionProtocol::respond) yields, and its
+/// productivity (entry `≠ r`) must agree with the protocol's
+/// [`productivity_matrix`](OpinionProtocol::productivity_matrix).
+///
+/// # Errors
+///
+/// Names the first disagreeing pair, or a table or matrix that is not a flat
+/// `(k+1)²` table.
+pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
+    protocol: &P,
+    table: &[u32],
+) -> Result<(), String> {
+    let k = protocol.num_opinions();
+    let matrix = protocol
+        .productivity_matrix()
+        .ok_or("the protocol has no productivity matrix, so no transition table")?;
+    if table.len() != (k + 1) * (k + 1) || matrix.len() != table.len() {
+        return Err(format!(
+            "transition table ({}) and productivity matrix ({}) must be flat (k+1)² = {} tables",
+            table.len(),
+            matrix.len(),
+            (k + 1) * (k + 1)
+        ));
+    }
+    for (slot, (&dest, &productive)) in table.iter().zip(&matrix).enumerate() {
+        let (r, i) = (slot / (k + 1), slot % (k + 1));
+        let next = protocol.respond(
+            AgentState::from_category(r, k),
+            AgentState::from_category(i, k),
+        );
+        if dest as usize != next.category(k) {
+            return Err(format!(
+                "transition table says category {dest} at ({r}, {i}) but respond yields {next}"
+            ));
+        }
+        if (dest as usize != r) != productive {
+            return Err(format!(
+                "transition table and productivity_matrix disagree on whether ({r}, {i}) is \
+                 productive"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Exact-in-distribution skip-ahead engine.
 ///
 /// Instead of simulating interactions one by one, the engine works on the
@@ -438,11 +553,12 @@ pub fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, p: f64, max_skip: u64) -> Op
 /// interaction count) have the same law as under [`ExactEngine`] — this is
 /// verified statistically in the test suite.
 ///
-/// Cost: `O(k)` exact integer adds per state-changing event while the
-/// incremental delta rule holds (see the module docs) — with *no* protocol
-/// calls on the hot path; `O(k)` hook calls or `O(k²)` enumeration per
-/// rebuild otherwise — but never proportional to the number of skipped null
-/// interactions.
+/// Cost: `O(k)` exact integer adds and table lookups per state-changing
+/// event while the incremental delta rule holds (see the module docs) —
+/// with *no* protocol calls on the hot path: the category transition table
+/// built at construction resolves both the initiator and the responder's
+/// move.  `O(k)` hook calls or `O(k²)` enumeration per rebuild otherwise —
+/// but never proportional to the number of skipped null interactions.
 #[derive(Debug)]
 pub struct BatchedEngine<P> {
     protocol: P,
@@ -453,15 +569,16 @@ pub struct BatchedEngine<P> {
     /// maintained across events while `rows_valid`.
     rows: Vec<u128>,
     /// The per-category productive initiator sums `S_cat` behind `rows`;
-    /// meaningful only while `rows_valid` and `matrix` is present.
+    /// meaningful only while `rows_valid` and `next` is present.
     sums: Vec<u128>,
     /// Cached `Σ rows`, meaningful only while `rows_valid`.
     total: u128,
     /// Whether `rows`/`sums`/`total` describe the current counts.
     rows_valid: bool,
-    /// Flat `(k+1)²` productivity table (`None`: protocol opted out of the
-    /// delta rule, every event rebuilds).
-    matrix: Option<Vec<bool>>,
+    /// The flat `(k+1)²` category transition table (see
+    /// [`transition_table`]; `None`: the protocol opted out, every event
+    /// rebuilds and resolves through `respond`).
+    next: Option<Vec<u32>>,
     /// Runtime switch for the delta rule (off = the benchmark baseline).
     incremental: bool,
     /// Refreshes served so far, for the sampled debug cross-check.
@@ -501,14 +618,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             });
         }
         let k = config.num_opinions();
-        let matrix = protocol.productivity_matrix();
-        if let Some(m) = &matrix {
-            assert_eq!(
-                m.len(),
-                (k + 1) * (k + 1),
-                "productivity_matrix must be a flat (k+1)² table"
-            );
-        }
+        let next = transition_table(&protocol);
         Ok(BatchedEngine {
             protocol,
             config,
@@ -518,7 +628,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             sums: vec![0; k + 1],
             total: 0,
             rows_valid: false,
-            matrix,
+            next,
             incremental: true,
             refreshes: 0,
             stats: MaintenanceStats::default(),
@@ -639,12 +749,17 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         let mut rows = std::mem::take(&mut self.rows);
         let total = self.fill_rows(&mut rows);
         self.rows = rows;
-        if let Some(matrix) = &self.matrix {
+        if let Some(next) = &self.next {
             let k = self.config.num_opinions();
-            for (cat, sum_slot) in self.sums.iter_mut().enumerate() {
+            for (cat, (sum_slot, row)) in self
+                .sums
+                .iter_mut()
+                .zip(next.chunks_exact(k + 1))
+                .enumerate()
+            {
                 let mut s = 0u128;
-                for i in 0..=k {
-                    if matrix[cat * (k + 1) + i] {
+                for (i, &dest) in row.iter().enumerate() {
+                    if dest as usize != cat {
                         s += u128::from(self.config.category_count(i));
                     }
                 }
@@ -674,11 +789,12 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         }
     }
 
-    /// Patches `sums`, `rows` and `total` across an applied `from → to` move
-    /// (the delta rule; see the module docs), or invalidates the table when
-    /// the protocol opted out or maintenance is disabled.
-    fn apply_row_delta(&mut self, from: AgentState, to: AgentState) {
-        let Some(matrix) = &self.matrix else {
+    /// Patches `sums`, `rows` and `total` across an applied move of one agent
+    /// from category `from_cat` to `to_cat` (the delta rule; see the module
+    /// docs), or invalidates the table when the protocol opted out or
+    /// maintenance is disabled.
+    fn apply_row_delta(&mut self, from_cat: usize, to_cat: usize) {
+        let Some(next) = &self.next else {
             self.rows_valid = false;
             return;
         };
@@ -687,16 +803,13 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             return;
         }
         let k = self.config.num_opinions();
-        let from_cat = from.category(k);
-        let to_cat = to.category(k);
         let mut total = 0u128;
-        for cat in 0..=k {
-            let base = cat * (k + 1);
+        for (cat, row) in next.chunks_exact(k + 1).enumerate() {
             let mut s = self.sums[cat];
-            if matrix[base + to_cat] {
+            if row[to_cat] as usize != cat {
                 s += 1;
             }
-            if matrix[base + from_cat] {
+            if row[from_cat] as usize != cat {
                 debug_assert!(s > 0, "productive initiator sum underflow");
                 s -= 1;
             }
@@ -738,10 +851,14 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// responder-identity and initiator-weight parts, the remainder modulo
     /// `S_r` is an exact uniform draw of the initiator unit.
     ///
-    /// Returns the applied `(from, to)` responder move and invalidates the
-    /// maintained row table (callers on the incremental path re-validate it
-    /// by patching).
-    fn draw_and_apply_event(&mut self, rows: &[u128], total: u128) -> (AgentState, AgentState) {
+    /// With a transition table, `S_r` is the maintained `sums[r]` and the
+    /// initiator and the responder's new category are read off table row
+    /// `r`; without one, `S_r = row / c_r` and `respond` resolves both.
+    ///
+    /// Returns the applied `(from, to)` responder move as categories and
+    /// invalidates the maintained row table (callers on the incremental path
+    /// re-validate it by patching).
+    fn draw_and_apply_event(&mut self, rows: &[u128], total: u128) -> (usize, usize) {
         let k = self.config.num_opinions();
         let mut target = uniform_u128_below(&mut self.rng, total);
         let mut responder_cat = k;
@@ -752,23 +869,53 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             }
             target -= row;
         }
+        debug_assert!(self.config.category_count(responder_cat) > 0);
+        let Some(next) = &self.next else {
+            return self.draw_and_apply_by_respond(rows[responder_cat], responder_cat, target);
+        };
+        let mut itarget = remainder(target, self.sums[responder_cat]);
+
+        // Resolve the initiator unit to a category, restricted to categories
+        // whose interaction with this responder is productive.
+        let row = &next[responder_cat * (k + 1)..(responder_cat + 1) * (k + 1)];
+        let mut initiator_cat = k;
+        for (i, &dest) in row.iter().enumerate() {
+            if dest as usize == responder_cat {
+                continue;
+            }
+            let c_i = u128::from(self.config.category_count(i));
+            if itarget < c_i {
+                initiator_cat = i;
+                break;
+            }
+            itarget -= c_i;
+        }
+        let to_cat = row[initiator_cat] as usize;
+        debug_assert_ne!(to_cat, responder_cat, "sampled event must be productive");
+        self.config.move_category(responder_cat, to_cat);
+        self.rows_valid = false;
+        (responder_cat, to_cat)
+    }
+
+    /// The event draw's initiator resolution and move for a protocol without
+    /// a transition table: `S_r = row / c_r`, and `respond` decides both
+    /// productivity and the responder's new state.
+    fn draw_and_apply_by_respond(
+        &mut self,
+        row: u128,
+        responder_cat: usize,
+        target: u128,
+    ) -> (usize, usize) {
+        let k = self.config.num_opinions();
         let responder = AgentState::from_category(responder_cat, k);
         let c_responder = u128::from(self.config.category_count(responder_cat));
-        debug_assert!(c_responder > 0);
-        // 64-bit fast paths: the weights fit u64 for any population ≤ ~4·10⁹,
-        // avoiding the 128-bit division intrinsics on the hot path.
-        let row = rows[responder_cat];
+        // 64-bit fast path: the weights fit u64 for any population ≤ ~4·10⁹,
+        // avoiding the 128-bit division intrinsics.
         let initiator_total = match (u64::try_from(row), u64::try_from(c_responder)) {
             (Ok(r), Ok(c)) => u128::from(r / c),
             _ => row / c_responder,
         };
-        let mut itarget = match (u64::try_from(target), u64::try_from(initiator_total)) {
-            (Ok(t), Ok(s)) => u128::from(t % s),
-            _ => target % initiator_total,
-        };
-
-        // Resolve the initiator unit to a category, restricted to categories
-        // whose interaction with this responder is productive.
+        let mut itarget = remainder(target, initiator_total);
         let mut initiator = AgentState::Undecided;
         for i in 0..=k {
             let c_i = self.config.category_count(i);
@@ -792,7 +939,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             .apply_move(responder, new_responder)
             .expect("transition produced an inconsistent move");
         self.rows_valid = false;
-        (responder, new_responder)
+        (responder_cat, new_responder.category(k))
     }
 
     /// Captures this engine's resumable state.  The maintained row table is
@@ -867,9 +1014,8 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// from the current counts (used by tests and diagnostics).
     #[must_use]
     pub fn productive_probability(&mut self) -> f64 {
-        let n = self.config.population() as f64;
         let total = self.ensure_rows();
-        total as f64 / (n * n)
+        event_probability(total, self.config.population())
     }
 }
 
@@ -908,8 +1054,7 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
             self.forward_to(limit);
             return Advance::Absorbed;
         }
-        let n = self.config.population() as f64;
-        let p = total as f64 / (n * n);
+        let p = event_probability(total, self.config.population());
 
         // How many interactions may still elapse before the limit; the event
         // itself occupies one, so the skip must stay strictly below this.
@@ -920,9 +1065,9 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
         };
         self.record_event_interactions(skip);
         let rows = std::mem::take(&mut self.rows);
-        let (from, to) = self.draw_and_apply_event(&rows, total);
+        let (from_cat, to_cat) = self.draw_and_apply_event(&rows, total);
         self.rows = rows;
-        self.apply_row_delta(from, to);
+        self.apply_row_delta(from_cat, to_cat);
         Advance::Event
     }
 }
@@ -1165,6 +1310,74 @@ mod tests {
         let fallback = opted_out.maintenance_stats();
         assert_eq!(fallback.rows_patched, 0);
         assert!(fallback.rows_rebuilt >= events);
+    }
+
+    #[test]
+    fn transition_tables_follow_respond_and_the_opt_out() {
+        for table in [transition_table(&Usd2Plain), transition_table(&Usd2Hooked)] {
+            let table = table.expect("default productivity matrix opts in");
+            // Rows: opinion 0, opinion 1, undecided (category 2).
+            assert_eq!(table, vec![0, 2, 0, 2, 1, 1, 0, 1, 2]);
+            assert_eq!(check_transition_table(&Usd2Plain, &table), Ok(()));
+        }
+        assert_eq!(transition_table(&Usd2NoDelta), None);
+    }
+
+    /// A protocol that moves agents to an opinion it does not have.
+    #[derive(Debug)]
+    struct OutOfRange;
+
+    impl OpinionProtocol for OutOfRange {
+        fn num_opinions(&self) -> usize {
+            2
+        }
+        fn respond(&self, r: AgentState, _i: AgentState) -> AgentState {
+            match r {
+                AgentState::Undecided => AgentState::decided(2),
+                decided => decided,
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2 opinions")]
+    fn out_of_range_transitions_are_rejected_at_construction() {
+        let config = Configuration::from_counts(vec![5, 5], 5).unwrap();
+        let _ = BatchedEngine::new(OutOfRange, config, SimSeed::from_u64(1));
+    }
+
+    /// FNV-1a over every `(interactions, supports, undecided)` a run visits.
+    fn trajectory_fingerprint<E: StepEngine>(engine: &mut E) -> (u64, u64) {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        while !engine.configuration().is_consensus() {
+            assert_eq!(engine.advance(u64::MAX), Advance::Event);
+            mix(engine.interactions());
+            engine
+                .configuration()
+                .supports()
+                .iter()
+                .for_each(|&s| mix(s));
+            mix(engine.configuration().undecided());
+        }
+        (engine.interactions(), hash)
+    }
+
+    #[test]
+    fn opted_out_protocol_keeps_its_recorded_trajectory() {
+        // A protocol without a productivity matrix draws its events through
+        // the `respond` loop; this pins that path's trajectory across
+        // commits (recorded before the transition table existed).
+        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
+        let mut engine = BatchedEngine::new(Usd2NoDelta, config, SimSeed::from_u64(33));
+        assert_eq!(
+            trajectory_fingerprint(&mut engine),
+            (12_159, 11_896_979_895_830_745_647)
+        );
     }
 
     #[test]

@@ -72,7 +72,9 @@
 //! ([`FidelityConfig::min_dwell`] interactions, defaulting to `n` — one
 //! parallel-time unit) must elapse after a switch before the next one; the
 //! very first switch of a run is exempt, so a deeply biased start promotes
-//! immediately.
+//! immediately.  Inside that window the decision cannot change, so
+//! [`FidelityController::dwelling`] lets the host skip building the signal
+//! at all.
 //!
 //! # Rounding / conservation scheme
 //!
@@ -309,21 +311,33 @@ impl FidelityController {
         }
     }
 
+    /// Whether a pause boundary after `interactions` total interactions (of
+    /// a population of `population`) falls inside the minimum-dwell window:
+    /// a switch has happened and fewer than
+    /// [`resolved_dwell`](FidelityConfig::resolved_dwell) interactions have
+    /// elapsed since.  Inside the window
+    /// [`evaluate`](FidelityController::evaluate) returns the current
+    /// fidelity whatever the signal says, so a host may skip computing the
+    /// signal.  Always `false` before the first switch.
+    #[must_use]
+    pub fn dwelling(&self, interactions: u64, population: u64) -> bool {
+        self.last_switch_at.is_some_and(|at| {
+            interactions.saturating_sub(at) < self.config.resolved_dwell(population)
+        })
+    }
+
     /// Evaluates the signal at a pause boundary reached after
     /// `interactions` total interactions and returns the fidelity to run
     /// at next, applying hysteresis and the minimum-dwell guard (skipped
     /// before the first switch, so a strongly biased start can promote
     /// immediately).
     pub fn evaluate(&mut self, signal: &FidelitySignal, interactions: u64) -> Fidelity {
+        if self.dwelling(interactions, signal.population) {
+            return self.current;
+        }
         let desired = self.desired(signal);
         if desired == self.current {
             return self.current;
-        }
-        if let Some(at) = self.last_switch_at {
-            let dwell = self.config.resolved_dwell(signal.population);
-            if interactions.saturating_sub(at) < dwell {
-                return self.current;
-            }
         }
         self.current = desired;
         self.last_switch_at = Some(interactions);

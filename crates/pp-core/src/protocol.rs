@@ -130,12 +130,17 @@ pub trait OpinionProtocol {
     /// row table in `O(k)` exact integer adds per event, with no protocol
     /// calls, and the patched table is bit-identical to a full rebuild.
     ///
+    /// A `Some` matrix is also the batched engine's licence to tabulate
+    /// `respond` once, as its category transition table
+    /// ([`crate::engine::transition_table`]); debug builds check the table's
+    /// productivity against this matrix.
+    ///
     /// The default derives the matrix from `respond` once per engine, so
     /// every `OpinionProtocol` opts into incremental maintenance
     /// automatically.  Return `None` only if productivity is *not* a pure
     /// function of the category pair (e.g. a protocol whose `respond`
     /// consults interior mutability); the engine then rebuilds the rows from
-    /// the counts on every event, as before.
+    /// the counts and resolves every event through `respond`.
     fn productivity_matrix(&self) -> Option<Vec<bool>> {
         let k = self.num_opinions();
         let mut matrix = vec![false; (k + 1) * (k + 1)];
