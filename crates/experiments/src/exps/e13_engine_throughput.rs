@@ -94,6 +94,12 @@ pub struct EngineThroughputExperiment {
     /// Runs per (population, engine) cell; the run with the median
     /// interactions/sec is reported.
     pub runs: u64,
+    /// The least measured time per run: a run is repeated on its own seed
+    /// (the identical trajectory) until the repetitions add up to this many
+    /// seconds, and its time is the mean per repetition.  Keeps
+    /// millisecond-scale quick cells from flapping on timer and scheduler
+    /// noise; `0.0` times each run once.
+    pub min_sample_seconds: f64,
     /// Scale preset used for budgets.
     pub scale: Scale,
     /// Baseline sampling dynamics swept per-activation vs skip-ahead, as
@@ -135,6 +141,10 @@ impl EngineThroughputExperiment {
             runs: match scale {
                 Scale::Quick => 5,
                 Scale::Full => 3,
+            },
+            min_sample_seconds: match scale {
+                Scale::Quick => 0.1,
+                Scale::Full => 0.0,
             },
             scale,
             sampling_workloads: vec![
@@ -350,7 +360,9 @@ impl EngineThroughputExperiment {
                             let cell_seed = seed.child(
                                 (wi as u64) << 48 | (ni as u64) << 32 | (ei as u64) << 16 | r,
                             );
-                            self.timed_run(n, opinions, bias, engine, cell_seed)
+                            at_least(self.min_sample_seconds, || {
+                                self.timed_run(n, opinions, bias, engine, cell_seed)
+                            })
                         })
                         .collect();
                     let (interactions, secs) = median_by_rate(samples, |&(i, s)| i as f64 / s);
@@ -408,7 +420,11 @@ impl EngineThroughputExperiment {
                                     | (ei as u64) << 16
                                     | r,
                             );
-                            self.timed_sampling_run(workload, n, opinions, bias, batched, cell_seed)
+                            at_least(self.min_sample_seconds, || {
+                                self.timed_sampling_run(
+                                    workload, n, opinions, bias, batched, cell_seed,
+                                )
+                            })
                         })
                         .collect();
                     let (interactions, secs) = median_by_rate(samples, |&(i, s)| i as f64 / s);
@@ -468,9 +484,11 @@ impl EngineThroughputExperiment {
                             let cell_seed = seed.child(
                                 0xE0_0000_0000_0000 | (wi as u64) << 48 | (ni as u64) << 32 | r,
                             );
-                            self.timed_maintenance_run(
-                                workload, n, opinions, bias, patched, cell_seed,
-                            )
+                            at_least(self.min_sample_seconds, || {
+                                self.timed_maintenance_run(
+                                    workload, n, opinions, bias, patched, cell_seed,
+                                )
+                            })
                         })
                         .collect();
                     let (interactions, secs) = median_by_rate(samples, |&(i, s)| i as f64 / s);
@@ -527,7 +545,9 @@ impl EngineThroughputExperiment {
                 let samples = (0..self.runs)
                     .map(|r| {
                         let cell_seed = seed.child(0xF0_0000_0000_0000 | (ni as u64) << 32 | r);
-                        self.timed_telemetry_run(n, opinions, bias, enabled, cell_seed)
+                        at_least(self.min_sample_seconds, || {
+                            self.timed_telemetry_run(n, opinions, bias, enabled, cell_seed)
+                        })
                     })
                     .collect();
                 let (interactions, secs, telemetry): TelemetrySample =
@@ -582,6 +602,12 @@ impl EngineThroughputExperiment {
             "USD consensus runs from a multiplicative-bias start; each cell reports the median-interactions/sec run of {} runs; both engines induce the same trajectory distribution (verified by the equivalence test suite)",
             self.runs
         ));
+        if self.min_sample_seconds > 0.0 {
+            report.push_note(format!(
+                "every run is repeated on its own seed until at least {} s are measured; the seconds column is the mean per repetition",
+                self.min_sample_seconds
+            ));
+        }
         report.push_note(
             "the batched engine's edge scales with the null-interaction fraction: modest in the many-opinion mild-bias regime, large in the two-opinion deep-bias (approximate-majority) regime and in every endgame".to_string(),
         );
@@ -596,6 +622,39 @@ impl EngineThroughputExperiment {
         );
         (report, entries)
     }
+}
+
+/// A timed sample whose seconds [`at_least`] can average.
+trait Timed {
+    fn seconds_mut(&mut self) -> &mut f64;
+}
+
+impl Timed for (u64, f64) {
+    fn seconds_mut(&mut self) -> &mut f64 {
+        &mut self.1
+    }
+}
+
+impl Timed for TelemetrySample {
+    fn seconds_mut(&mut self) -> &mut f64 {
+        &mut self.1
+    }
+}
+
+/// Times `run` repeatedly until the repetitions add up to `floor` seconds
+/// and returns the first sample with its seconds replaced by the mean per
+/// repetition.  Every repetition runs the same seed, so the rest of the
+/// sample is the same in each.
+fn at_least<S: Timed>(floor: f64, mut run: impl FnMut() -> S) -> S {
+    let mut sample = run();
+    let mut total = *sample.seconds_mut();
+    let mut repetitions = 1u32;
+    while total < floor {
+        total += *run().seconds_mut();
+        repetitions += 1;
+    }
+    *sample.seconds_mut() = total / f64::from(repetitions);
+    sample
 }
 
 /// The sample with the median `rate` (the upper median for an even count).
@@ -660,6 +719,7 @@ mod tests {
             populations: vec![2_000],
             workloads: vec![(4, 2.0), (2, 4.0)],
             runs: 1,
+            min_sample_seconds: 0.0,
             scale: Scale::Quick,
             sampling_workloads: vec![],
             sampling_populations: vec![],
@@ -695,6 +755,7 @@ mod tests {
             populations: vec![],
             workloads: vec![],
             runs: 1,
+            min_sample_seconds: 0.0,
             scale: Scale::Quick,
             sampling_workloads: vec![
                 (SamplingWorkload::ThreeMajority, 2, 4.0),
@@ -727,6 +788,7 @@ mod tests {
             populations: vec![],
             workloads: vec![],
             runs: 1,
+            min_sample_seconds: 0.0,
             scale: Scale::Quick,
             sampling_workloads: vec![],
             sampling_populations: vec![],
@@ -761,11 +823,33 @@ mod tests {
     }
 
     #[test]
+    fn at_least_repeats_short_runs_up_to_the_floor() {
+        let mut calls = 0;
+        let (interactions, secs) = at_least(0.1, || {
+            calls += 1;
+            (7, [0.04, 0.02, 0.05][calls - 1])
+        });
+        assert_eq!(calls, 3, "0.04 + 0.02 < 0.1 ≤ 0.04 + 0.02 + 0.05");
+        assert_eq!(interactions, 7);
+        assert!((secs - 0.11 / 3.0).abs() < 1e-12);
+        let mut once = 0;
+        assert_eq!(
+            at_least(0.0, || {
+                once += 1;
+                (1, 0.5)
+            }),
+            (1, 0.5)
+        );
+        assert_eq!(once, 1);
+    }
+
+    #[test]
     fn telemetry_rows_are_stamped_with_the_run_counters() {
         let exp = EngineThroughputExperiment {
             populations: vec![],
             workloads: vec![],
             runs: 1,
+            min_sample_seconds: 0.0,
             scale: Scale::Quick,
             sampling_workloads: vec![],
             sampling_populations: vec![],

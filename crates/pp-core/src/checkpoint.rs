@@ -68,6 +68,9 @@
 //! [`CHECKPOINT_FORMAT_VERSION`] is bumped on any incompatible layout
 //! change; [`Checkpoint::from_json`] rejects unknown versions with a named
 //! [`PpError::Checkpoint`] diagnostic instead of misreading newer state.
+//! The reader refuses documents nested deeper than
+//! [`CHECKPOINT_MAX_NESTING`]
+//! arrays/objects, so a hostile file cannot overflow its stack.
 //!
 //! [`CountSimulator::restore`]: crate::CountSimulator::restore
 //! [`BatchedEngine::restore`]: crate::BatchedEngine::restore
@@ -82,6 +85,11 @@ use std::path::Path;
 /// The current checkpoint layout version.  Bumped on any incompatible
 /// change; loaders reject versions they do not understand.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+
+/// The deepest array/object nesting [`Checkpoint::from_json`] accepts.  The
+/// deepest checkpoint the workspace writes has 6 levels: a sharded
+/// checkpoint, down to one shard engine's `supports` array.
+pub const CHECKPOINT_MAX_NESTING: usize = 64;
 
 /// Snapshot of one single-stream count engine: an exact simulator, a
 /// standalone batched engine, one shard's engine, or one ensemble replica.
@@ -614,6 +622,8 @@ fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, PpError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -649,8 +659,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, PpError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b'n' => {
                 if self.bytes[self.pos..].starts_with(b"null") {
@@ -666,6 +676,21 @@ impl<'a> Parser<'a> {
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, PpError>) -> Result<Json, PpError> {
+        if self.depth >= CHECKPOINT_MAX_NESTING {
+            return Err(bad(&format!(
+                "checkpoint document nests deeper than the limit of {CHECKPOINT_MAX_NESTING} \
+                 arrays/objects at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, PpError> {
@@ -792,6 +817,7 @@ fn parse_json(text: &str) -> Result<Json, PpError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -1007,6 +1033,25 @@ mod tests {
             };
             assert!(reason.contains(needle), "{doc:?} gave {reason:?}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_fails_with_the_named_limit() {
+        let brackets = "[".repeat(300_000);
+        let objects = "{\"a\":".repeat(300_000 / 5);
+        for doc in [brackets, objects] {
+            let err = Checkpoint::from_json(&doc).unwrap_err().to_string();
+            assert!(err.contains("nests deeper than the limit"), "{err}");
+        }
+        // The limit itself is within the reader's reach (and then fails on
+        // content, not depth).
+        let at_limit = format!(
+            "{}{}",
+            "[".repeat(CHECKPOINT_MAX_NESTING),
+            "]".repeat(CHECKPOINT_MAX_NESTING)
+        );
+        let err = Checkpoint::from_json(&at_limit).unwrap_err().to_string();
+        assert!(!err.contains("nests deeper"), "{err}");
     }
 
     #[test]

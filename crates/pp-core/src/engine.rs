@@ -52,9 +52,24 @@
 //!   resolved by scanning the responder's table row against the counts, its
 //!   total is the maintained `S_r`, and the move is read off the same row.
 //!   Nothing on the per-event path calls the protocol.
-//! * All weights are exact `u128` integers, so the patched table is
+//! * All weights are exact integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
 //!   whether maintenance was on.
+//!
+//! # Weight width
+//!
+//! Every weight in the table is bounded by `n²`: `S_cat ≤ n` (it counts
+//! agents), so `row_cat = c_cat · S_cat ≤ c_cat · n` and the total
+//! `Σ c_cat · S_cat ≤ n · n`.  For `n ≤ 2³² − 1` that is below `2⁶⁴`, so
+//! the engine keeps the table in `u64` and pays for no 128-bit multiplies,
+//! adds, compares or divisions; larger populations keep it in `u128`.  The
+//! width is re-chosen from the population at every full rebuild (and so
+//! after every external count edit).  Both widths hold the same exact
+//! integers, draw through the same RNG words ([`uniform_u64_below`] is the
+//! `u64` branch of [`uniform_u128_below`]) and convert to the same `f64`,
+//! so the trajectory does not depend on the width.  The protocol hooks and
+//! the debug cross-checks stay in `u128`; the `u64` table narrows the hook
+//! results, which the bound above makes infallible.
 //!
 //! A protocol whose [`OpinionProtocol::productivity_matrix`] is `None` has
 //! no transition table: its events resolve through `respond` and its rows
@@ -108,6 +123,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::{AddAssign, Mul, SubAssign};
 use std::str::FromStr;
 
 /// Which stepping backend a consumer wants.
@@ -379,10 +395,30 @@ impl<P: OpinionProtocol> StepEngine for CountSimulator<P> {
     }
 }
 
+/// Draws a uniform `u64` below `bound` by Lemire's widening multiply-shift
+/// with rejection of the biased overhang (exactly uniform; one RNG word per
+/// attempt).
+///
+/// # Panics
+///
+/// Panics in debug builds if `bound == 0`.
+pub fn uniform_u64_below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+    debug_assert!(bound > 0);
+    let mut m = u128::from(rng.next_u64()) * u128::from(bound);
+    if (m as u64) < bound {
+        let t = bound.wrapping_neg() % bound;
+        while (m as u64) < t {
+            m = u128::from(rng.next_u64()) * u128::from(bound);
+        }
+    }
+    (m >> 64) as u64
+}
+
 /// Draws a uniform `u128` below `bound` (exactly uniform in both paths).
-/// Count-pair weights exceed `u64` only for populations beyond ~4·10⁹, so
-/// the common case takes a cheap 64-bit Lemire widening-multiply; larger
-/// bounds fall back to 128-bit rejection.
+/// A bound that fits `u64` is drawn by [`uniform_u64_below`], so it returns
+/// the same value and consumes the same RNG words as that function; larger
+/// bounds (count-pair weights of populations of 2³² or more) fall back to
+/// 128-bit rejection.
 ///
 /// # Panics
 ///
@@ -390,15 +426,7 @@ impl<P: OpinionProtocol> StepEngine for CountSimulator<P> {
 pub fn uniform_u128_below<R: Rng + ?Sized>(rng: &mut R, bound: u128) -> u128 {
     debug_assert!(bound > 0);
     if let Ok(b) = u64::try_from(bound) {
-        // Lemire's multiply-shift with rejection of the biased overhang.
-        let mut m = u128::from(rng.next_u64()) * u128::from(b);
-        if (m as u64) < b {
-            let t = b.wrapping_neg() % b;
-            while (m as u64) < t {
-                m = u128::from(rng.next_u64()) * u128::from(b);
-            }
-        }
-        return m >> 64;
+        return u128::from(uniform_u64_below(rng, b));
     }
     // 2^128 mod bound: values below this threshold are the biased overhang.
     let threshold = bound.wrapping_neg() % bound;
@@ -434,25 +462,133 @@ pub fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, p: f64, max_skip: u64) -> Op
     }
 }
 
-/// `target mod modulus` on the 64-bit fast path when both fit `u64` (any
-/// population ≤ ~4·10⁹), avoiding the 128-bit division intrinsics.
-fn remainder(target: u128, modulus: u128) -> u128 {
-    match (u64::try_from(target), u64::try_from(modulus)) {
-        (Ok(t), Ok(m)) => u128::from(t % m),
-        _ => target % modulus,
+/// An exact unsigned integer type for the batched engine's row table: `u64`
+/// for populations up to `2³² − 1`, `u128` above (see the module docs).
+/// Each operation returns the same integer, RNG draw and `f64` in both
+/// widths.
+trait Weight:
+    Copy
+    + Default
+    + Ord
+    + From<u64>
+    + Into<u128>
+    + TryFrom<u128>
+    + Mul<Output = Self>
+    + AddAssign
+    + SubAssign
+{
+    /// A uniform draw below `bound`.
+    fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: Self) -> Self;
+
+    /// `self mod modulus`.
+    fn modulo(self, modulus: Self) -> Self;
+
+    /// The nearest `f64`.
+    fn to_f64(self) -> f64;
+
+    /// `wide` in this width; the width rule guarantees it fits.
+    fn narrow(wide: u128) -> Self {
+        Self::try_from(wide)
+            .ok()
+            .expect("a row weight exceeds n², the bound the table width is chosen for")
     }
 }
 
-/// The per-interaction event probability `total / n²`.  A `total` that fits
-/// `u64` converts through `u64`: the same `f64` (both conversions round the
-/// exact integer to nearest), without the `u128 → f64` conversion routine.
-fn event_probability(total: u128, population: u64) -> f64 {
+impl Weight for u64 {
+    fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+        uniform_u64_below(rng, bound)
+    }
+
+    fn modulo(self, modulus: u64) -> u64 {
+        self % modulus
+    }
+
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Weight for u128 {
+    fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: u128) -> u128 {
+        uniform_u128_below(rng, bound)
+    }
+
+    /// On the 64-bit fast path when both fit `u64`, avoiding the 128-bit
+    /// division intrinsics.
+    fn modulo(self, modulus: u128) -> u128 {
+        match (u64::try_from(self), u64::try_from(modulus)) {
+            (Ok(t), Ok(m)) => u128::from(t % m),
+            _ => self % modulus,
+        }
+    }
+
+    /// A value that fits `u64` converts through `u64`: the same `f64` (both
+    /// conversions round the exact integer to nearest), without the
+    /// `u128 → f64` conversion routine.
+    fn to_f64(self) -> f64 {
+        match u64::try_from(self) {
+            Ok(t) => t as f64,
+            Err(_) => self as f64,
+        }
+    }
+}
+
+/// The per-interaction event probability `total / n²`.
+fn event_probability<W: Weight>(total: W, population: u64) -> f64 {
     let n = population as f64;
-    let total = match u64::try_from(total) {
-        Ok(t) => t as f64,
-        Err(_) => total as f64,
-    };
-    total / (n * n)
+    total.to_f64() / (n * n)
+}
+
+/// Whether a population's row weights need `u128` (see the module docs).
+fn needs_wide_weights(population: u64) -> bool {
+    population > u64::from(u32::MAX)
+}
+
+/// The batched engine's row state in one weight width.
+#[derive(Debug, Default)]
+struct RowTable<W> {
+    /// Productive weight per responder category (`row_cat = c_cat · S_cat`).
+    rows: Vec<W>,
+    /// The per-category productive initiator sums `S_cat` behind `rows`;
+    /// meaningful only with a transition table.
+    sums: Vec<W>,
+    /// `Σ rows`.
+    total: W,
+}
+
+impl<W: Weight> RowTable<W> {
+    /// An all-zero table for `k` opinions.
+    fn new(k: usize) -> Self {
+        RowTable {
+            rows: vec![W::default(); k + 1],
+            sums: vec![W::default(); k + 1],
+            total: W::default(),
+        }
+    }
+}
+
+/// The row table in the width the population needs.
+#[derive(Debug)]
+enum WeightTable {
+    /// Populations up to `2³² − 1`.
+    Narrow(RowTable<u64>),
+    /// Larger populations.
+    Wide(RowTable<u128>),
+}
+
+impl WeightTable {
+    /// An all-zero table for `k` opinions in the chosen width.
+    fn new(k: usize, wide: bool) -> Self {
+        if wide {
+            WeightTable::Wide(RowTable::new(k))
+        } else {
+            WeightTable::Narrow(RowTable::new(k))
+        }
+    }
+
+    fn is_wide(&self) -> bool {
+        matches!(self, WeightTable::Wide(_))
+    }
 }
 
 /// The flat `(k+1)²` category transition table of `protocol`: entry
@@ -558,23 +694,24 @@ pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
 /// with *no* protocol calls on the hot path: the category transition table
 /// built at construction resolves both the initiator and the responder's
 /// move.  `O(k)` hook calls or `O(k²)` enumeration per rebuild otherwise —
-/// but never proportional to the number of skipped null interactions.
+/// but never proportional to the number of skipped null interactions.  The
+/// integers are `u64` for populations up to `2³² − 1` and `u128` beyond
+/// (the width rule in the module docs); one generic kernel serves both, so
+/// the common case pays for no 128-bit arithmetic.
 #[derive(Debug)]
 pub struct BatchedEngine<P> {
     protocol: P,
     config: Configuration,
     interactions: u64,
     rng: SmallRng,
-    /// Productive weight per responder category (`row_cat = c_cat · S_cat`),
-    /// maintained across events while `rows_valid`.
-    rows: Vec<u128>,
-    /// The per-category productive initiator sums `S_cat` behind `rows`;
-    /// meaningful only while `rows_valid` and `next` is present.
-    sums: Vec<u128>,
-    /// Cached `Σ rows`, meaningful only while `rows_valid`.
-    total: u128,
-    /// Whether `rows`/`sums`/`total` describe the current counts.
+    /// The row table, maintained across events while `rows_valid`.
+    table: WeightTable,
+    /// Whether `table` describes the current counts.
     rows_valid: bool,
+    /// Keep the table in `u128` whatever the population (tests only: the
+    /// wide path must walk the narrow path's trajectory).
+    #[cfg(test)]
+    force_wide: bool,
     /// The flat `(k+1)²` category transition table (see
     /// [`transition_table`]; `None`: the protocol opted out, every event
     /// rebuilds and resolves through `respond`).
@@ -617,17 +754,20 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
                 configuration: config.num_opinions(),
             });
         }
-        let k = config.num_opinions();
         let next = transition_table(&protocol);
+        let table = WeightTable::new(
+            config.num_opinions(),
+            needs_wide_weights(config.population()),
+        );
         Ok(BatchedEngine {
             protocol,
             config,
             interactions: 0,
             rng: seed.rng(),
-            rows: vec![0; k + 1],
-            sums: vec![0; k + 1],
-            total: 0,
+            table,
             rows_valid: false,
+            #[cfg(test)]
+            force_wide: false,
             next,
             incremental: true,
             refreshes: 0,
@@ -635,6 +775,15 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             events_drawn: 0,
             nulls_skipped: 0,
         })
+    }
+
+    /// An engine whose row table stays `u128` at every population.
+    #[cfg(test)]
+    fn new_wide(protocol: P, config: Configuration, seed: SimSeed) -> Self {
+        let mut engine = Self::new(protocol, config, seed);
+        engine.force_wide = true;
+        engine.table = WeightTable::new(engine.config.num_opinions(), true);
+        engine
     }
 
     /// Enables or disables incremental row maintenance at runtime.  Disabled,
@@ -688,16 +837,17 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
 
     /// Fills `rows` with the per-category productive weights for the current
     /// counts and returns their sum.  A pure function of the configuration.
-    fn fill_rows(&self, rows: &mut Vec<u128>) -> u128 {
+    fn fill_rows<W: Weight>(&self, rows: &mut Vec<W>) -> W {
         let k = self.config.num_opinions();
         rows.clear();
-        rows.resize(k + 1, 0);
-        let mut total: u128 = 0;
+        rows.resize(k + 1, W::default());
+        let mut total = W::default();
         for (cat, row_slot) in rows.iter_mut().enumerate() {
-            let row = self
-                .protocol
-                .productive_responder_weight(&self.config, cat)
-                .unwrap_or_else(|| self.enumerated_row(cat));
+            let row = W::narrow(
+                self.protocol
+                    .productive_responder_weight(&self.config, cat)
+                    .unwrap_or_else(|| self.enumerated_row(cat)),
+            );
             *row_slot = row;
             total += row;
         }
@@ -711,7 +861,8 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// incremental patch.  `O(k²)`: debug builds run it on a sample of
     /// refreshes (every 64th); the `exhaustive-checks` feature on every one.
     #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-    fn cross_check_rows(&self, rows: &[u128], total: u128) {
+    fn cross_check_rows<W: Weight>(&self, rows: &[W], total: W) {
+        let total: u128 = total.into();
         if let Some(null) = self.protocol.null_interaction_weight(&self.config) {
             let n = u128::from(self.config.population());
             assert_eq!(
@@ -725,7 +876,8 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         for (cat, &row) in rows.iter().enumerate() {
             let enumerated = self.enumerated_row(cat);
             assert_eq!(
-                row, enumerated,
+                row.into(),
+                enumerated,
                 "row weight disagrees with enumeration for category {cat} at {}",
                 self.config
             );
@@ -744,48 +896,59 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         cfg!(feature = "exhaustive-checks") || self.refreshes.is_multiple_of(64)
     }
 
+    /// Takes the row table out of the engine for one generic pass, first
+    /// re-choosing its width from the population when the table is about to
+    /// be rebuilt anyway.  The caller hands it back by assigning `table`.
+    fn take_table(&mut self) -> WeightTable {
+        if !self.rows_valid {
+            let wide = needs_wide_weights(self.config.population());
+            #[cfg(test)]
+            let wide = wide || self.force_wide;
+            if wide != self.table.is_wide() {
+                self.table = WeightTable::new(self.config.num_opinions(), wide);
+            }
+        }
+        std::mem::replace(&mut self.table, WeightTable::Narrow(RowTable::default()))
+    }
+
     /// Rebuilds `rows`, `sums` and `total` from the full counts.
-    fn rebuild_rows(&mut self) -> u128 {
-        let mut rows = std::mem::take(&mut self.rows);
-        let total = self.fill_rows(&mut rows);
-        self.rows = rows;
+    fn rebuild_rows<W: Weight>(&mut self, table: &mut RowTable<W>) -> W {
+        let total = self.fill_rows(&mut table.rows);
         if let Some(next) = &self.next {
             let k = self.config.num_opinions();
-            for (cat, (sum_slot, row)) in self
+            for (cat, (sum_slot, row)) in table
                 .sums
                 .iter_mut()
                 .zip(next.chunks_exact(k + 1))
                 .enumerate()
             {
-                let mut s = 0u128;
+                let mut s = W::default();
                 for (i, &dest) in row.iter().enumerate() {
                     if dest as usize != cat {
-                        s += u128::from(self.config.category_count(i));
+                        s += W::from(self.config.category_count(i));
                     }
                 }
                 *sum_slot = s;
             }
         }
-        self.total = total;
+        table.total = total;
         self.rows_valid = true;
         self.refreshes += 1;
         self.stats.rows_rebuilt += 1;
         #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
         if self.should_cross_check() {
-            let rows = std::mem::take(&mut self.rows);
-            self.cross_check_rows(&rows, total);
-            self.rows = rows;
+            self.cross_check_rows(&table.rows, total);
         }
         total
     }
 
     /// The row total for the current counts, from the maintained table when
     /// it is valid and from a full rebuild otherwise.
-    fn ensure_rows(&mut self) -> u128 {
+    fn ensure_rows<W: Weight>(&mut self, table: &mut RowTable<W>) -> W {
         if self.rows_valid {
-            self.total
+            table.total
         } else {
-            self.rebuild_rows()
+            self.rebuild_rows(table)
         }
     }
 
@@ -793,7 +956,12 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// from category `from_cat` to `to_cat` (the delta rule; see the module
     /// docs), or invalidates the table when the protocol opted out or
     /// maintenance is disabled.
-    fn apply_row_delta(&mut self, from_cat: usize, to_cat: usize) {
+    fn apply_row_delta<W: Weight>(
+        &mut self,
+        table: &mut RowTable<W>,
+        from_cat: usize,
+        to_cat: usize,
+    ) {
         let Some(next) = &self.next else {
             self.rows_valid = false;
             return;
@@ -803,30 +971,29 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             return;
         }
         let k = self.config.num_opinions();
-        let mut total = 0u128;
+        let one = W::from(1);
+        let mut total = W::default();
         for (cat, row) in next.chunks_exact(k + 1).enumerate() {
-            let mut s = self.sums[cat];
+            let mut s = table.sums[cat];
             if row[to_cat] as usize != cat {
-                s += 1;
+                s += one;
             }
             if row[from_cat] as usize != cat {
-                debug_assert!(s > 0, "productive initiator sum underflow");
-                s -= 1;
+                debug_assert!(s > W::default(), "productive initiator sum underflow");
+                s -= one;
             }
-            self.sums[cat] = s;
-            let row = u128::from(self.config.category_count(cat)) * s;
-            self.rows[cat] = row;
+            table.sums[cat] = s;
+            let row = W::from(self.config.category_count(cat)) * s;
+            table.rows[cat] = row;
             total += row;
         }
-        self.total = total;
+        table.total = total;
         self.rows_valid = true;
         self.refreshes += 1;
         self.stats.rows_patched += 1;
         #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
         if self.should_cross_check() {
-            let rows = std::mem::take(&mut self.rows);
-            self.cross_check_rows(&rows, total);
-            self.rows = rows;
+            self.cross_check_rows(&table.rows, total);
         }
     }
 
@@ -858,11 +1025,11 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Returns the applied `(from, to)` responder move as categories and
     /// invalidates the maintained row table (callers on the incremental path
     /// re-validate it by patching).
-    fn draw_and_apply_event(&mut self, rows: &[u128], total: u128) -> (usize, usize) {
+    fn draw_and_apply_event<W: Weight>(&mut self, table: &RowTable<W>) -> (usize, usize) {
         let k = self.config.num_opinions();
-        let mut target = uniform_u128_below(&mut self.rng, total);
+        let mut target = W::uniform_below(&mut self.rng, table.total);
         let mut responder_cat = k;
-        for (cat, &row) in rows.iter().enumerate() {
+        for (cat, &row) in table.rows.iter().enumerate() {
             if target < row {
                 responder_cat = cat;
                 break;
@@ -871,9 +1038,13 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         }
         debug_assert!(self.config.category_count(responder_cat) > 0);
         let Some(next) = &self.next else {
-            return self.draw_and_apply_by_respond(rows[responder_cat], responder_cat, target);
+            return self.draw_and_apply_by_respond(
+                table.rows[responder_cat].into(),
+                responder_cat,
+                target.into(),
+            );
         };
-        let mut itarget = remainder(target, self.sums[responder_cat]);
+        let mut itarget = target.modulo(table.sums[responder_cat]);
 
         // Resolve the initiator unit to a category, restricted to categories
         // whose interaction with this responder is productive.
@@ -883,7 +1054,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             if dest as usize == responder_cat {
                 continue;
             }
-            let c_i = u128::from(self.config.category_count(i));
+            let c_i = W::from(self.config.category_count(i));
             if itarget < c_i {
                 initiator_cat = i;
                 break;
@@ -915,7 +1086,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             (Ok(r), Ok(c)) => u128::from(r / c),
             _ => row / c_responder,
         };
-        let mut itarget = remainder(target, initiator_total);
+        let mut itarget = target.modulo(initiator_total);
         let mut initiator = AgentState::Undecided;
         for i in 0..=k {
             let c_i = self.config.category_count(i);
@@ -1014,8 +1185,40 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// from the current counts (used by tests and diagnostics).
     #[must_use]
     pub fn productive_probability(&mut self) -> f64 {
-        let total = self.ensure_rows();
+        let mut table = self.take_table();
+        let p = match &mut table {
+            WeightTable::Narrow(t) => self.probability_on(t),
+            WeightTable::Wide(t) => self.probability_on(t),
+        };
+        self.table = table;
+        p
+    }
+
+    fn probability_on<W: Weight>(&mut self, table: &mut RowTable<W>) -> f64 {
+        let total = self.ensure_rows(table);
         event_probability(total, self.config.population())
+    }
+
+    /// [`StepEngine::advance`] on a row table of one width.
+    fn advance_on<W: Weight>(&mut self, table: &mut RowTable<W>, limit: u64) -> Advance {
+        let total = self.ensure_rows(table);
+        if total == W::default() {
+            self.forward_to(limit);
+            return Advance::Absorbed;
+        }
+        let p = event_probability(total, self.config.population());
+
+        // How many interactions may still elapse before the limit; the event
+        // itself occupies one, so the skip must stay strictly below this.
+        let headroom = limit - self.interactions;
+        let Some(skip) = geometric_skip(&mut self.rng, p, headroom) else {
+            self.forward_to(limit);
+            return Advance::LimitReached;
+        };
+        self.record_event_interactions(skip);
+        let (from_cat, to_cat) = self.draw_and_apply_event(table);
+        self.apply_row_delta(table, from_cat, to_cat);
+        Advance::Event
     }
 }
 
@@ -1049,26 +1252,13 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
         if self.interactions >= limit {
             return Advance::LimitReached;
         }
-        let total = self.ensure_rows();
-        if total == 0 {
-            self.forward_to(limit);
-            return Advance::Absorbed;
-        }
-        let p = event_probability(total, self.config.population());
-
-        // How many interactions may still elapse before the limit; the event
-        // itself occupies one, so the skip must stay strictly below this.
-        let headroom = limit - self.interactions;
-        let Some(skip) = geometric_skip(&mut self.rng, p, headroom) else {
-            self.forward_to(limit);
-            return Advance::LimitReached;
+        let mut table = self.take_table();
+        let advance = match &mut table {
+            WeightTable::Narrow(t) => self.advance_on(t, limit),
+            WeightTable::Wide(t) => self.advance_on(t, limit),
         };
-        self.record_event_interactions(skip);
-        let rows = std::mem::take(&mut self.rows);
-        let (from_cat, to_cat) = self.draw_and_apply_event(&rows, total);
-        self.rows = rows;
-        self.apply_row_delta(from_cat, to_cat);
-        Advance::Event
+        self.table = table;
+        advance
     }
 }
 
@@ -1587,6 +1777,138 @@ mod tests {
             seen.iter().all(|&s| s),
             "some residues never sampled: {seen:?}"
         );
+    }
+
+    /// The k-opinion USD without batching hooks, for random-k properties;
+    /// `opted_out` drops its productivity matrix (no transition table).
+    #[derive(Debug)]
+    struct UsdK {
+        k: usize,
+        opted_out: bool,
+    }
+
+    impl OpinionProtocol for UsdK {
+        fn num_opinions(&self) -> usize {
+            self.k
+        }
+        fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
+            Usd2Plain.respond(r, i)
+        }
+        fn productivity_matrix(&self) -> Option<Vec<bool>> {
+            let k = self.k;
+            (!self.opted_out).then(|| {
+                (0..(k + 1) * (k + 1))
+                    .map(|slot| {
+                        let (r, i) = (slot / (k + 1), slot % (k + 1));
+                        let responder = AgentState::from_category(r, k);
+                        self.respond(responder, AgentState::from_category(i, k)) != responder
+                    })
+                    .collect()
+            })
+        }
+    }
+
+    #[test]
+    fn uniform_u64_below_handles_the_extreme_bounds() {
+        for bound in [
+            1,
+            2,
+            3,
+            u64::MAX / 2,
+            u64::MAX / 2 + 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut narrow = SimSeed::from_u64(bound).rng();
+            let mut wide = SimSeed::from_u64(bound).rng();
+            for _ in 0..64 {
+                let x = uniform_u64_below(&mut narrow, bound);
+                assert!(x < bound);
+                assert_eq!(
+                    u128::from(x),
+                    uniform_u128_below(&mut wide, u128::from(bound))
+                );
+            }
+            assert_eq!(narrow.state(), wide.state());
+        }
+    }
+
+    #[test]
+    fn the_table_width_follows_the_population_across_count_edits() {
+        let small = Configuration::from_counts(vec![600, 300], 100).unwrap();
+        let large = u64::from(u32::MAX);
+        let mut engine = BatchedEngine::new(Usd2Plain, small.clone(), SimSeed::from_u64(2));
+        assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        assert!(!engine.table.is_wide());
+        *engine.parts_mut().1 = Configuration::from_counts(vec![large, 1], 1).unwrap();
+        assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        assert!(engine.table.is_wide(), "n = 2³² + 1 needs u128 weights");
+        *engine.parts_mut().1 = Configuration::from_counts(vec![large - 1, 1], 0).unwrap();
+        assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        assert!(!engine.table.is_wide(), "n = 2³² − 1 fits u64 weights");
+        *engine.parts_mut().1 = small;
+        assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        assert!(!engine.table.is_wide());
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn uniform_u64_below_draws_like_uniform_u128_below(
+                seed in 0u64..u64::MAX,
+                raw in 0u64..u64::MAX,
+                bits in 1u32..65,
+            ) {
+                // Bounds of every magnitude in 1..2⁶⁴.
+                let bound = (raw >> (64 - bits)).max(1);
+                let mut narrow = SimSeed::from_u64(seed).rng();
+                let mut wide = SimSeed::from_u64(seed).rng();
+                for _ in 0..16 {
+                    let x = uniform_u64_below(&mut narrow, bound);
+                    prop_assert!(x < bound);
+                    prop_assert_eq!(u128::from(x), uniform_u128_below(&mut wide, u128::from(bound)));
+                }
+                prop_assert_eq!(narrow.state(), wide.state());
+            }
+
+            #[test]
+            fn a_wide_table_walks_the_narrow_trajectory(
+                supports in proptest::collection::vec(0u64..300, 1..9),
+                undecided in 0u64..300,
+                seed in 0u64..u64::MAX,
+                mode in 0u8..3,
+            ) {
+                prop_assume!(supports.iter().sum::<u64>() + undecided > 0);
+                let k = supports.len();
+                let config = Configuration::from_counts(supports, undecided).unwrap();
+                // Mode 0: patched rows; 1: rebuilt rows; 2: no transition
+                // table (the `respond` path).
+                let protocol = || UsdK { k, opted_out: mode == 2 };
+                let mut narrow = BatchedEngine::new(protocol(), config.clone(), SimSeed::from_u64(seed));
+                let mut wide = BatchedEngine::new_wide(protocol(), config, SimSeed::from_u64(seed));
+                narrow.set_incremental_rows(mode == 0);
+                wide.set_incremental_rows(mode == 0);
+                prop_assert!(!narrow.table.is_wide() && wide.table.is_wide());
+                // Uneven limits exercise the limit-reached path as well.
+                let mut limit = 0u64;
+                for step in 0..2_000u64 {
+                    limit += 1 + step % 7;
+                    let a = narrow.advance(limit);
+                    prop_assert_eq!(a, wide.advance(limit));
+                    prop_assert_eq!(narrow.configuration(), wide.configuration());
+                    prop_assert_eq!(narrow.interactions(), wide.interactions());
+                    if a == Advance::Absorbed {
+                        break;
+                    }
+                }
+                prop_assert_eq!(narrow.telemetry(), wide.telemetry());
+            }
+        }
     }
 
     #[test]

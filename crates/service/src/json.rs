@@ -17,8 +17,18 @@
 //!   between `pp_serve` results and `usd_run --scenario` stand on this.
 //! * **Integer exactness.**  Interaction counts exceed 2^53, so integers
 //!   parse into `u64`/`i64` variants and never detour through `f64`.
+//!
+//! The parser recurses once per nested array or object, so it refuses
+//! documents nested deeper than [`MAX_NESTING`] levels with a named error
+//! instead of overflowing the stack on hostile input.
 
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.  The deepest
+/// document the workspace writes has 6 levels: a `done` event (or `result`
+/// reply) embedding an ensemble result document, down to a replica's final
+/// `supports` array.
+pub const MAX_NESTING: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,11 +174,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a position-stamped message on malformed input.
+    /// Returns a position-stamped message on malformed input, including
+    /// nesting deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -221,11 +232,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than the limit of {MAX_NESTING} arrays/objects at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -250,7 +268,7 @@ fn parse_literal(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -263,7 +281,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -277,7 +295,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -286,7 +304,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -486,6 +504,21 @@ mod tests {
         for doc in ["{", "[1,]", "\"abc", "{\"a\":}", "12 34", "nul"] {
             assert!(Json::parse(doc).is_err(), "{doc} should fail");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_fails_with_the_named_limit() {
+        let brackets = "[".repeat(300_000);
+        let objects = "{\"a\":".repeat(300_000 / 5);
+        for doc in [brackets.as_str(), objects.as_str()] {
+            let err = Json::parse(doc).unwrap_err();
+            assert!(err.contains("nesting deeper than the limit"), "{err}");
+        }
+        // The limit itself parses; one level more does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).unwrap_err().contains("at byte 64"));
     }
 
     #[test]

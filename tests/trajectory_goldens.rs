@@ -9,12 +9,20 @@
 //! The table covers the batched USD at k ∈ {2, 3, 8} under no, additive and
 //! multiplicative bias, two hybrid runs (one switching at least twice), one
 //! exact run and one 4-replica USD ensemble, all at n ≤ 2·10⁵.
+//!
+//! A second table pins the batched USD at the population sizes where its
+//! exact integer weights change width: n = 2³² − 1 (the largest population
+//! whose weights `c·S ≤ n²` fit `u64`), n = 2³² and n = 10¹⁰.  Each entry is
+//! the final counts, interaction count and drawn events after a fixed
+//! interaction budget.
 
-use k_opinion_usd::core::EngineChoice;
+use k_opinion_usd::core::engine::{BatchedEngine, StepEngine};
+use k_opinion_usd::core::{Configuration, EngineChoice, SimSeed, StopCondition};
 use k_opinion_usd::service::runner::{
     result_json, run_scenario, RunControl, RunVerdict, ScenarioOutcome,
 };
 use k_opinion_usd::service::scenario::ScenarioConfig;
+use k_opinion_usd::usd::UndecidedStateDynamics;
 
 /// `(scenario document, expected result document)`.
 const GOLDENS: &[(&str, &str)] = &[
@@ -111,4 +119,134 @@ fn a_hybrid_golden_switches_fidelity_at_least_twice() {
         .max()
         .expect("the table holds hybrid goldens");
     assert!(most >= 2, "no hybrid golden switched twice (max {most})");
+}
+
+/// Interactions each width-boundary run may take.
+const BOUNDARY_BUDGET: u64 = 20_000;
+
+/// `(k, n, final supports, final undecided, interactions, events drawn)`
+/// for a batched USD run seeded `n ^ k` from `boundary_start(k, n)`.
+type Fingerprint = (usize, u64, &'static [u64], u64, u64, u64);
+
+const BOUNDARY_FINGERPRINTS: &[Fingerprint] = &[
+    (
+        2,
+        4_294_967_295,
+        &[1_879_045_427, 1_879_045_383],
+        536_876_485,
+        20_000,
+        9_902,
+    ),
+    (
+        2,
+        4_294_967_296,
+        &[1_879_045_534, 1_879_045_444],
+        536_876_318,
+        20_000,
+        9_682,
+    ),
+    (
+        2,
+        10_000_000_000,
+        &[4_374_997_221, 4_374_997_422],
+        1_250_005_357,
+        20_000,
+        9_695,
+    ),
+    (
+        8,
+        4_294_967_295,
+        &[
+            469_760_767,
+            469_760_673,
+            469_760_609,
+            469_760_674,
+            469_760_680,
+            469_760_622,
+            469_760_637,
+            469_760_607,
+        ],
+        536_882_026,
+        20_000,
+        15_601,
+    ),
+    (
+        8,
+        4_294_967_296,
+        &[
+            469_760_634,
+            469_760_626,
+            469_760_691,
+            469_760_585,
+            469_760_557,
+            469_760_621,
+            469_760_663,
+            469_760_699,
+        ],
+        536_882_220,
+        20_000,
+        15_658,
+    ),
+    (
+        8,
+        10_000_000_000,
+        &[
+            1_093_748_576,
+            1_093_748_527,
+            1_093_748_654,
+            1_093_748_604,
+            1_093_748_550,
+            1_093_748_603,
+            1_093_748_666,
+            1_093_748_629,
+        ],
+        1_250_011_191,
+        20_000,
+        15_649,
+    ),
+];
+
+/// One eighth of the population undecided, the rest split evenly over the
+/// `k` opinions with the remainder on opinion 0: every row weight is within
+/// a small factor of `n²`.
+fn boundary_start(k: usize, n: u64) -> Configuration {
+    let undecided = n / 8;
+    let decided = n - undecided;
+    let mut supports = vec![decided / k as u64; k];
+    supports[0] += decided % k as u64;
+    Configuration::from_counts(supports, undecided).expect("valid boundary configuration")
+}
+
+#[test]
+fn width_boundary_runs_reproduce_their_fingerprints() {
+    let mut observed = Vec::new();
+    for k in [2usize, 8] {
+        for n in [u64::from(u32::MAX), u64::from(u32::MAX) + 1, 10_000_000_000] {
+            let mut engine = BatchedEngine::new(
+                UndecidedStateDynamics::new(k),
+                boundary_start(k, n),
+                SimSeed::from_u64(n ^ k as u64),
+            );
+            let result =
+                engine.run_engine(StopCondition::consensus().or_max_interactions(BOUNDARY_BUDGET));
+            let events = result
+                .telemetry()
+                .and_then(|t| t.counter("batched.events_drawn"))
+                .expect("batched runs count their events");
+            let end = result.final_configuration();
+            observed.push((
+                k,
+                n,
+                end.supports().to_vec(),
+                end.undecided(),
+                result.interactions(),
+                events,
+            ));
+        }
+    }
+    let expected: Vec<_> = BOUNDARY_FINGERPRINTS
+        .iter()
+        .map(|&(k, n, supports, u, t, e)| (k, n, supports.to_vec(), u, t, e))
+        .collect();
+    assert_eq!(observed, expected);
 }
