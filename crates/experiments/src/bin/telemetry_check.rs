@@ -25,8 +25,8 @@
 //! Exits 0 when every given artifact passes, 1 with a diagnostic per
 //! failure otherwise.  At least one artifact flag is required.
 
+use pp_service::json::Json;
 use std::process::ExitCode;
-use usd_experiments::trend::{parse_json, Json};
 
 struct Options {
     trace: Option<String>,
@@ -86,7 +86,7 @@ struct CompleteEvent {
 /// Validates a chrome-trace document: required fields on every complete
 /// event, at least `min_tids` distinct tracks, and proper nesting per track.
 fn check_trace(text: &str, min_tids: usize) -> Result<String, String> {
-    let doc = parse_json(text)?;
+    let doc = Json::parse(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)
@@ -221,7 +221,7 @@ fn check_metrics_file(text: &str) -> Result<String, String> {
         .rev()
         .find(|l| !l.trim().is_empty())
         .ok_or("metrics file is empty")?;
-    check_metrics_object(&parse_json(line)?)
+    check_metrics_object(&Json::parse(line)?)
 }
 
 fn main() -> ExitCode {
@@ -261,7 +261,7 @@ fn main() -> ExitCode {
         check(
             "run",
             path,
-            read(path).and_then(|text| check_run_document(&parse_json(&text)?)),
+            read(path).and_then(|text| check_run_document(&Json::parse(&text)?)),
         );
     }
     if failures > 0 {
@@ -326,15 +326,15 @@ mod tests {
         assert!(check_metrics_file("{\"metrics\":{\"a\":1}}\nnoise\n").is_err());
         assert!(check_metrics_file("{\"metrics\":{}}").is_err());
         assert!(check_metrics_file("").is_err());
-        let run = parse_json(r#"{"tool":"usd_run","metrics":{"shard.epochs":3}}"#).unwrap();
+        let run = Json::parse(r#"{"tool":"usd_run","metrics":{"shard.epochs":3}}"#).unwrap();
         assert!(check_metrics_object(&run).is_ok());
-        let bare = parse_json(r#"{"tool":"usd_run"}"#).unwrap();
+        let bare = Json::parse(r#"{"tool":"usd_run"}"#).unwrap();
         assert!(check_metrics_object(&bare).is_err());
     }
 
     #[test]
     fn matching_flat_aliases_pass_the_run_check() {
-        let doc = parse_json(
+        let doc = Json::parse(
             r#"{"metrics":{"maintenance.rows_patched":12,
                 "maintenance.law_fallback_rebuilds":2},
                 "maintenance":{"rows_patched":12,"law_fallback_rebuilds":2,"law_rebuilds":0}}"#,
@@ -344,7 +344,7 @@ mod tests {
         assert!(detail.contains("3 flat aliases match"), "{detail}");
         // A document without aliases (single-run summaries) still passes —
         // only aliases that are present must agree.
-        let plain = parse_json(r#"{"metrics":{"shard.epochs":3}}"#).unwrap();
+        let plain = Json::parse(r#"{"metrics":{"shard.epochs":3}}"#).unwrap();
         assert!(check_run_document(&plain)
             .unwrap()
             .contains("0 flat aliases"));
@@ -354,7 +354,7 @@ mod tests {
     fn drifting_flat_aliases_fail_the_run_check() {
         // The maintenance object is compared key by key against the
         // dotted counters, including the fallback-rebuild split.
-        let maintenance = parse_json(
+        let maintenance = Json::parse(
             r#"{"metrics":{"maintenance.law_fallback_rebuilds":2},
                 "maintenance":{"law_fallback_rebuilds":1}}"#,
         )
@@ -366,7 +366,7 @@ mod tests {
         );
         // An alias with no snapshot counterpart must be zero, not dropped.
         let phantom =
-            parse_json(r#"{"metrics":{"x":1},"maintenance":{"law_rebuilds":5}}"#).unwrap();
+            Json::parse(r#"{"metrics":{"x":1},"maintenance":{"law_rebuilds":5}}"#).unwrap();
         assert!(check_run_document(&phantom).is_err());
     }
 }

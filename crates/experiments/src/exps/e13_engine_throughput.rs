@@ -15,6 +15,7 @@
 //! `E13/<dynamic>` so their batched rows are regression-gated alongside the
 //! USD's), establishing the performance trajectory PR over PR.
 
+use super::{at_least, Timed};
 use crate::report::{fmt_f64, ExperimentReport};
 use crate::trend::BenchEntry;
 use crate::Scale;
@@ -624,37 +625,10 @@ impl EngineThroughputExperiment {
     }
 }
 
-/// A timed sample whose seconds [`at_least`] can average.
-trait Timed {
-    fn seconds_mut(&mut self) -> &mut f64;
-}
-
-impl Timed for (u64, f64) {
-    fn seconds_mut(&mut self) -> &mut f64 {
-        &mut self.1
-    }
-}
-
 impl Timed for TelemetrySample {
     fn seconds_mut(&mut self) -> &mut f64 {
         &mut self.1
     }
-}
-
-/// Times `run` repeatedly until the repetitions add up to `floor` seconds
-/// and returns the first sample with its seconds replaced by the mean per
-/// repetition.  Every repetition runs the same seed, so the rest of the
-/// sample is the same in each.
-fn at_least<S: Timed>(floor: f64, mut run: impl FnMut() -> S) -> S {
-    let mut sample = run();
-    let mut total = *sample.seconds_mut();
-    let mut repetitions = 1u32;
-    while total < floor {
-        total += *run().seconds_mut();
-        repetitions += 1;
-    }
-    *sample.seconds_mut() = total / f64::from(repetitions);
-    sample
 }
 
 /// The sample with the median `rate` (the upper median for an even count).

@@ -22,8 +22,9 @@
 //! `pp_core::parallel`).  On a single-core box the parallel arm resolves to
 //! one worker and measures pure scheduling overhead; the `threads` column
 //! records what it resolved to.  Every arm is timed as the median of
-//! [`EnsembleThroughputExperiment::runs`] repetitions: the quick cells are
-//! millisecond-scale, where a single shot swings by more than the trend
+//! [`EnsembleThroughputExperiment::runs`] repetitions, each repeated up to
+//! [`EnsembleThroughputExperiment::min_sample_seconds`]: the quick cells
+//! are millisecond-scale, where a single shot swings by more than the trend
 //! gate's tolerance.
 //!
 //! `engine_bench` stamps each cell into `BENCH_engines.json` as
@@ -32,6 +33,7 @@
 //! CI `bench_trend` gate guards the ensemble and parallel-ensemble rows'
 //! speedup like the batched and sharded engines'.
 
+use super::{at_least, Timed};
 use crate::report::{fmt_f64, ExperimentReport};
 use crate::trend::BenchEntry;
 use crate::Scale;
@@ -101,6 +103,12 @@ impl ArmSample {
     }
 }
 
+impl Timed for ArmSample {
+    fn seconds_mut(&mut self) -> &mut f64 {
+        &mut self.seconds
+    }
+}
+
 /// Parameters of the ensemble-throughput experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleThroughputExperiment {
@@ -108,6 +116,10 @@ pub struct EnsembleThroughputExperiment {
     pub cells: Vec<(EnsembleWorkload, u64, usize)>,
     /// Runs per cell and arm; the median run time is reported.
     pub runs: u64,
+    /// The least measured time per run: a run is repeated (the identical
+    /// replica set) until the repetitions add up to this many seconds, and
+    /// its time is the mean per repetition.  `0.0` times each run once.
+    pub min_sample_seconds: f64,
     /// Scale preset used for budgets.
     pub scale: Scale,
 }
@@ -141,6 +153,10 @@ impl EnsembleThroughputExperiment {
             runs: match scale {
                 Scale::Quick => 5,
                 Scale::Full => 1,
+            },
+            min_sample_seconds: match scale {
+                Scale::Quick => 0.1,
+                Scale::Full => 0.0,
             },
             scale,
         }
@@ -292,24 +308,25 @@ impl EnsembleThroughputExperiment {
             let cell_seed = seed.child(0xE15_0000_0000 | (ci as u64) << 16);
             let config = Self::cell_config(workload, n, cell_seed);
             for _ in 0..self.runs {
+                let floor = self.min_sample_seconds;
+                let ensemble = |parallelism| {
+                    at_least(floor, || {
+                        self.timed_ensemble(
+                            workload,
+                            &config,
+                            replicas,
+                            parallelism,
+                            cell_seed,
+                            budget,
+                        )
+                    })
+                };
                 let arms = [
-                    self.timed_loop(workload, &config, replicas, cell_seed, budget),
-                    self.timed_ensemble(
-                        workload,
-                        &config,
-                        replicas,
-                        Parallelism::single(),
-                        cell_seed,
-                        budget,
-                    ),
-                    self.timed_ensemble(
-                        workload,
-                        &config,
-                        replicas,
-                        Parallelism::auto(),
-                        cell_seed,
-                        budget,
-                    ),
+                    at_least(floor, || {
+                        self.timed_loop(workload, &config, replicas, cell_seed, budget)
+                    }),
+                    ensemble(Parallelism::single()),
+                    ensemble(Parallelism::auto()),
                 ];
                 // The bit-exactness contract: identical replicas, identical
                 // results across every arm and thread count, so the speedup
@@ -376,6 +393,12 @@ impl EnsembleThroughputExperiment {
             "all three arms run the identical replica set (seeds master.child(i)); per-replica results are asserted bit-equal, so the speedup columns are pure wall-clock; each cell reports the median of {} runs",
             self.runs
         ));
+        if self.min_sample_seconds > 0.0 {
+            report.push_note(format!(
+                "every run is repeated on its own seed until at least {} s are measured; the seconds column is the mean per repetition",
+                self.min_sample_seconds
+            ));
+        }
         report.push_note(format!(
             "the parallel-ensemble arm resolves Parallelism::auto on the measuring box (available parallelism here: {}); on a single-core box it degenerates to the single-threaded ensemble plus scheduling overhead, so its scaling column is only meaningful on multi-core hardware",
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -416,6 +439,7 @@ mod tests {
                 (EnsembleWorkload::ThreeMajority, 2_000, 3),
             ],
             runs: 1,
+            min_sample_seconds: 0.0,
             scale: Scale::Quick,
         };
         let (report, entries) = exp.run_with_samples(SimSeed::from_u64(5));

@@ -22,6 +22,35 @@ pub mod e9_winner_probability;
 use crate::report::ExperimentReport;
 use pp_core::SimSeed;
 
+/// A timed sample whose seconds [`at_least`] can average.
+pub(crate) trait Timed {
+    fn seconds_mut(&mut self) -> &mut f64;
+}
+
+impl Timed for (u64, f64) {
+    fn seconds_mut(&mut self) -> &mut f64 {
+        &mut self.1
+    }
+}
+
+/// Times `run` repeatedly until the repetitions add up to `floor` seconds
+/// and returns the first sample with its seconds replaced by the mean per
+/// repetition.  Every repetition runs the same seed, so the rest of the
+/// sample is the same in each.  The throughput experiments (E13, E15) use
+/// it to keep millisecond-scale quick cells from flapping on timer and
+/// scheduler noise.
+pub(crate) fn at_least<S: Timed>(floor: f64, mut run: impl FnMut() -> S) -> S {
+    let mut sample = run();
+    let mut total = *sample.seconds_mut();
+    let mut repetitions = 1u32;
+    while total < floor {
+        total += *run().seconds_mut();
+        repetitions += 1;
+    }
+    *sample.seconds_mut() = total / f64::from(repetitions);
+    sample
+}
+
 /// Common interface implemented by every experiment, used by the
 /// `run_experiments` binary.
 pub trait Experiment {

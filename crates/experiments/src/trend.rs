@@ -10,11 +10,12 @@
 //! non-positive) measurements or has vanished from the current record,
 //! both of which previously passed silently.
 //!
-//! The offline build vendors `serde` as annotation-only, so this module
-//! carries its own minimal JSON reader — just enough for the documents this
-//! workspace emits (objects, arrays, strings, numbers, booleans, null).
+//! Records are read back through the workspace's one JSON parser,
+//! [`pp_service::json::Json`], whose nesting limit turns hostile input into
+//! a named error instead of a stack overflow.
 
 use crate::report::fmt_f64;
+pub use pp_service::json::Json;
 use std::fmt::Write as _;
 
 /// One benchmark measurement, keyed by `(engine, shards, n, k, bias)`.
@@ -119,272 +120,24 @@ pub fn render_stamped_document(
     )
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader.
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (read as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion-ordered key/value pairs).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or("unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("invalid escape \\{}", char::from(other))),
-                    }
-                }
-                other => {
-                    // Re-assemble multi-byte UTF-8 sequences verbatim.
-                    let start = self.pos - 1;
-                    let len = match other {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xF0 => 4,
-                        b if b >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence".to_string())?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("invalid number {text:?}: {e}"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => {
-                self.expect(b'{')?;
-                let mut pairs = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    pairs.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected ',' or '}}', got {:?}",
-                                char::from(other)
-                            ))
-                        }
-                    }
-                }
-            }
-            b'[' => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => {
-                            return Err(format!("expected ',' or ']', got {:?}", char::from(other)))
-                        }
-                    }
-                }
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-}
-
-/// Parses a JSON document.
+/// Parses a JSON document with [`Json::parse`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
+/// Returns [`Json::parse`]'s position-stamped diagnostic.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", parser.pos));
-    }
-    Ok(value)
+    Json::parse(text)
 }
 
 /// Reads the `entries` array of a stamped benchmark document.
 ///
 /// # Errors
 ///
-/// Returns an error when the document does not parse or lacks the expected
+/// Returns an error when the document does not parse (including nesting
+/// deeper than [`pp_service::json::MAX_NESTING`]) or lacks the expected
 /// fields.
 pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let doc = parse_json(text)?;
+    let doc = Json::parse(text)?;
     let entries = doc
         .get("entries")
         .and_then(Json::as_array)
@@ -665,7 +418,7 @@ mod tests {
 
     #[test]
     fn json_parser_handles_the_document_shapes_we_emit() {
-        let doc = parse_json(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": true}, "e": null}"#)
+        let doc = Json::parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": true}, "e": null}"#)
             .unwrap();
         assert_eq!(doc.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(
@@ -678,14 +431,29 @@ mod tests {
         );
         assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("e"), Some(&Json::Null));
-        assert!(parse_json("{\"open\":").is_err());
-        assert!(parse_json("[1, 2] junk").is_err());
+        assert!(Json::parse("{\"open\":").is_err());
+        assert!(Json::parse("[1, 2] junk").is_err());
     }
 
     #[test]
     fn json_parser_preserves_unicode() {
-        let doc = parse_json(r#"{"s": "10⁶ agents — fast"}"#).unwrap();
+        let doc = Json::parse(r#"{"s": "10⁶ agents — fast"}"#).unwrap();
         assert_eq!(doc.get("s").unwrap().as_str(), Some("10⁶ agents — fast"));
+    }
+
+    #[test]
+    fn deeply_nested_records_fail_with_the_nesting_error() {
+        // 300 KB of `[` once overflowed the stack of a depth-unlimited
+        // reader; it must be a named diagnostic instead.
+        let hostile = "[".repeat(300 * 1024);
+        let err = parse_entries(&hostile).unwrap_err();
+        assert!(
+            err.starts_with(&format!(
+                "nesting deeper than the limit of {} arrays/objects",
+                pp_service::json::MAX_NESTING
+            )),
+            "{err}"
+        );
     }
 
     #[test]
@@ -697,7 +465,7 @@ mod tests {
         let doc = render_stamped_document("0.1.0", "full", 7, &entries, &[]);
         let parsed = parse_entries(&doc).unwrap();
         assert_eq!(parsed, entries);
-        let json = parse_json(&doc).unwrap();
+        let json = Json::parse(&doc).unwrap();
         assert_eq!(
             json.get("workspace_version").unwrap().as_str(),
             Some("0.1.0")

@@ -10,9 +10,10 @@
 //!   parallelism plan, the stop budget, and the progress-sampling knobs.
 //!   See the module docs for the full schema reference.
 //! * [`runner`] — [`run_scenario`], the single code path that executes a
-//!   scenario, shared by the server's workers and `usd_run --scenario`.
-//!   [`RunControl`] threads in progress, interrupt, checkpoint and resume
-//!   hooks; none of them consumes randomness.
+//!   scenario, shared by the server's workers, `usd_run --scenario` and
+//!   `usd_run`'s flags.  [`RunControl`] threads in progress, interrupt,
+//!   checkpoint, resume, recorder and telemetry hooks; none of them
+//!   consumes randomness.
 //! * [`job`] + [`server`] — a [`JobId`]-keyed priority FIFO with a bounded
 //!   worker pool, lifecycle tracking (`Queued → Running → Done / Failed /
 //!   Cancelled`), sequence-numbered streamed progress events, cancellation,
@@ -27,10 +28,10 @@
 //!
 //! Submitting a scenario to a server yields a result **bit-identical** to
 //! running the same scenario standalone (`usd_run --scenario`, or the
-//! equivalent hand-typed flags): same `SimSeed` derivations, same budget
-//! formula, same builder calls, and service machinery (recorders,
-//! telemetry, progress pauses, checkpoints) that never touches the RNG
-//! stream.  The contract is independent of queue order, priority, worker
+//! equivalent hand-typed flags).  This holds by construction: the flags
+//! are a syntax for a [`ScenarioConfig`], every front-end runs it through
+//! [`run_scenario`], and the service machinery (recorders, telemetry,
+//! progress pauses, checkpoints) never touches the RNG stream.  The contract is independent of queue order, priority, worker
 //! pool size and whatever other jobs run concurrently — each job owns its
 //! engines and RNG streams outright.  `tests/service_equivalence.rs` pins
 //! it with concurrent-job and socket round trips.

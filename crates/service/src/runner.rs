@@ -1,21 +1,27 @@
 //! The one place a [`ScenarioConfig`] turns into a running simulation.
 //!
-//! Both front-ends call [`run_scenario`] — `pp_serve`'s worker threads and
-//! `usd_run --scenario` — so "submit a job" and "run it by hand" are the
-//! same code path, and the determinism contract (same scenario + seed ⇒
-//! bit-identical result, regardless of queueing, concurrency, pauses or
-//! crash/resume cycles) reduces to the engine-layer contracts already
-//! pinned in `pp_core`/`usd_core`.
+//! Every front-end calls [`run_scenario`] — `pp_serve`'s worker threads,
+//! `usd_run --scenario` and `usd_run`'s flags — so "submit a job" and "run
+//! it by hand" are the same code path, and the determinism contract (same
+//! scenario + seed ⇒ bit-identical result, regardless of queueing,
+//! concurrency, pauses or crash/resume cycles) reduces to the engine-layer
+//! contracts already pinned in `pp_core`/`usd_core`.
 //!
-//! ## Equivalence with `usd_run`
+//! ## One description, one path
 //!
-//! The runner reproduces the CLI's exact derivations: configurations come
-//! from the same [`InitialConfig`](pp_workloads::InitialConfig) builder
-//! calls, the run seed is `SimSeed::from_u64(seed).child(1)` on every path,
-//! the replica ensemble seeds replica `i` with `master.child(i)`, and the
-//! stop condition is consensus-or-budget with the CLI's budget formula.
+//! `usd_run`'s hand-typed flags are a syntax for a [`ScenarioConfig`]: the
+//! binary builds one and calls [`run_scenario`] exactly once, attaching its
+//! trajectory CSV and phase tracker as the [`RunControl::recorder`] and its
+//! `--trace`/`--metrics` registry as [`RunControl::telemetry`].  Flags,
+//! scenario files and server jobs therefore share every derivation by
+//! construction — the configuration from the scenario's
+//! [`InitialConfig`](pp_workloads::InitialConfig), the run seed
+//! `SimSeed::from_u64(seed).child(1)` (replica `i` of an ensemble seeded
+//! `master.child(i)`), and the consensus-or-budget stop condition.
 //! Attaching recorders, telemetry, checkpoints or pause hooks consumes no
 //! randomness, so none of the service machinery can move a trajectory.
+//! A run with neither a progress nor an interrupt hook never pauses, so
+//! its telemetry spans and counters are those of one uninterrupted drive.
 //!
 //! ## Interrupts
 //!
@@ -30,7 +36,9 @@
 //! checkpoints carry the replica snapshot in the `exact` engine slot,
 //! stamped with `sampler.format`/`sampler.dynamic` meta so feeding one to
 //! a USD scenario (or vice versa, or to the wrong dynamic) fails loudly
-//! instead of silently diverging.  Sampling *ensembles* remain the one
+//! instead of silently diverging, and a checkpoint captured from another
+//! population, opinion count or named engine is refused with a
+//! `checkpoint mismatch` error on every resume path.  Sampling *ensembles* remain the one
 //! seam-free path: they run to completion and re-run from scratch after a
 //! crash (determinism makes the re-run's result identical — it just costs
 //! wall time).
@@ -40,11 +48,11 @@ use consensus_dynamics::{
     sampler_ensemble, JMajority, MedianRule, SamplingDynamics, SequentialSampler, ThreeMajority,
     TwoChoices, Voter,
 };
-use pp_core::checkpoint::ReplicaCheckpoint;
+use pp_core::checkpoint::{EngineState, ReplicaCheckpoint};
 use pp_core::ensemble::EnsembleRunResult;
 use pp_core::{
-    Checkpoint, Configuration, EngineChoice, MetricsSnapshot, RunOutcome, RunResult, SimSeed,
-    StopCondition, Telemetry,
+    Checkpoint, Configuration, EngineChoice, MetricsSnapshot, NullRecorder, Recorder, RunOutcome,
+    RunResult, SimSeed, StopCondition, Telemetry,
 };
 use std::path::Path;
 
@@ -100,7 +108,7 @@ pub struct ProgressEvent {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Hooks the service layer threads through a run.  `RunControl::default()`
+/// Hooks the front-ends thread through a run.  `RunControl::default()`
 /// runs to completion silently — exactly what `usd_run --scenario` wants.
 #[derive(Default)]
 pub struct RunControl<'a> {
@@ -116,8 +124,16 @@ pub struct RunControl<'a> {
     pub checkpoint: Option<(&'a Path, u64)>,
     /// Resume from this capture instead of building the initial state
     /// (single USD, USD-ensemble, and single sampling-dynamic
-    /// checkpoints).
+    /// checkpoints).  It must come from a run with the scenario's `n` and
+    /// `k` (and its engine, when the scenario names one).
     pub resume: Option<&'a Checkpoint>,
+    /// Per-event observer of a single run (replica ensembles ignore it):
+    /// it sees the starting configuration once, then every state change.
+    pub recorder: Option<&'a mut dyn Recorder>,
+    /// The metrics registry the run reports into.  `None` keeps the
+    /// runner's own, which is enabled exactly when a progress hook is
+    /// attached (progress events carry its counters).
+    pub telemetry: Option<Telemetry>,
 }
 
 impl std::fmt::Debug for RunControl<'_> {
@@ -128,6 +144,8 @@ impl std::fmt::Debug for RunControl<'_> {
             .field("interrupt", &self.interrupt.is_some())
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume.map(Checkpoint::kind))
+            .field("recorder", &self.recorder.is_some())
+            .field("telemetry", &self.telemetry.is_some())
             .finish()
     }
 }
@@ -136,62 +154,110 @@ impl RunControl<'_> {
     fn poll(&self) -> Option<Interrupt> {
         self.interrupt.and_then(|f| f())
     }
+
+    /// Whether a progress or interrupt hook listens at pause boundaries;
+    /// a run without one drives straight through, so its telemetry spans
+    /// and counters are those of one uninterrupted drive.
+    fn pauses(&self) -> bool {
+        self.progress.is_some() || self.interrupt.is_some()
+    }
+
+    /// Interactions between pause boundaries for a population of `n`.
+    fn pause_every(&self, n: u64) -> u64 {
+        match (self.pauses(), self.progress_every) {
+            (false, _) => u64::MAX,
+            (true, 0) => n.max(1),
+            (true, every) => every,
+        }
+    }
 }
 
-/// Runs a scenario to its stop condition (or first interrupt), mirroring
-/// `usd_run` exactly — see the module docs for the equivalence argument.
+/// Runs a scenario to its stop condition (or first interrupt).  Every
+/// front-end — `pp_serve` workers, `usd_run --scenario` and `usd_run`'s
+/// flags — goes through here; see the module docs.
 ///
 /// # Errors
 ///
-/// Returns the CLI's diagnostics for invalid scenarios, impossible
-/// configurations, unsupported engine/dynamic combinations and broken
-/// resume checkpoints.
+/// Returns the named diagnostics for invalid scenarios, impossible
+/// configurations, unsupported engine/dynamic combinations, and resume
+/// checkpoints that are broken or belong to a different run.
 pub fn run_scenario(
     scenario: &ScenarioConfig,
     mut control: RunControl<'_>,
 ) -> Result<RunVerdict, String> {
     scenario.validate()?;
+    // The recorder is dispatched once per run: without one, every drive
+    // loop stays monomorphised on the no-op recorder.
+    match control.recorder.take() {
+        Some(recorder) => run_recorded(
+            scenario,
+            &mut control,
+            |interactions: u64, config: &Configuration| recorder.record(interactions, config),
+        ),
+        None => run_recorded(scenario, &mut control, NullRecorder),
+    }
+}
+
+fn run_recorded<R: Recorder>(
+    scenario: &ScenarioConfig,
+    control: &mut RunControl<'_>,
+    mut recorder: R,
+) -> Result<RunVerdict, String> {
     let spec = scenario.to_initial_config();
     let seed = SimSeed::from_u64(scenario.seed);
-    let budget = scenario.interaction_budget();
-    let stop = StopCondition::consensus().or_max_interactions(budget);
-    let tel = if control.progress.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let stop = StopCondition::consensus().or_max_interactions(scenario.interaction_budget());
+    let tel = control.telemetry.clone().unwrap_or_else(|| {
+        if control.progress.is_some() {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        }
+    });
 
     if scenario.replicas > 1 {
-        let (config, choice) = spec.build_ensemble(seed).map_err(|e| e.to_string())?;
+        let (config, choice) = spec
+            .build_ensemble(seed)
+            .map_err(|e| format!("invalid configuration: {e}"))?;
         let run_seed = seed.child(1);
         if scenario.dynamic == Dynamic::Usd {
             let mut ensemble = match control.resume {
-                Some(checkpoint) => usd_core::UsdEnsemble::restore(checkpoint, choice)
-                    .map_err(|e| format!("cannot resume: {e}"))?,
+                Some(checkpoint) => {
+                    if let EngineState::Ensemble(snapshot) = checkpoint.engine() {
+                        if let Some(replica) = snapshot.replicas.first() {
+                            let captured = replica
+                                .configuration()
+                                .map_err(|e| format!("cannot resume: {e}"))?;
+                            check_resume_matches(scenario, &captured, None)?;
+                        }
+                    }
+                    usd_core::UsdEnsemble::restore(checkpoint, choice)
+                        .map_err(|e| format!("cannot resume: {e}"))?
+                }
                 None => usd_core::UsdEnsemble::try_new(config, run_seed, choice)
                     .map_err(|e| e.to_string())?,
             };
             ensemble.set_telemetry(tel.clone());
+            let windows = if control.pauses() {
+                ENSEMBLE_WINDOWS_PER_SLICE
+            } else {
+                u64::MAX
+            };
             loop {
-                match ensemble.run_windows(stop, ENSEMBLE_WINDOWS_PER_SLICE) {
-                    Some(outcome) => {
-                        return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)))
-                    }
-                    None => {
-                        if let Some(kind) = control.poll() {
-                            if kind == Interrupt::Halted {
-                                if let Some((path, _)) = control.checkpoint {
-                                    ensemble
-                                        .capture()
-                                        .save(path)
-                                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                                }
-                            }
-                            return Ok(RunVerdict::Interrupted(kind));
-                        }
-                        emit(&mut control.progress, &tel, None, None);
-                    }
+                if let Some(outcome) = ensemble.run_windows(stop, windows) {
+                    return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)));
                 }
+                if let Some(kind) = control.poll() {
+                    if kind == Interrupt::Halted {
+                        if let Some((path, _)) = control.checkpoint {
+                            ensemble
+                                .capture()
+                                .save(path)
+                                .map_err(|e| format!("cannot checkpoint: {e}"))?;
+                        }
+                    }
+                    return Ok(RunVerdict::Interrupted(kind));
+                }
+                emit(&mut control.progress, &tel, None, None);
             }
         }
         let outcome = match scenario.dynamic {
@@ -241,7 +307,7 @@ pub fn run_scenario(
     }
 
     if scenario.dynamic == Dynamic::Usd {
-        return run_single_usd(scenario, &spec, seed, stop, &tel, &mut control);
+        return run_single_usd(scenario, &spec, seed, stop, &tel, control, &mut recorder);
     }
 
     // Single sampling dynamic: pauses between activations (exact) or
@@ -254,71 +320,76 @@ pub fn run_scenario(
                 .map_err(|e| format!("invalid configuration: {e}"))?,
         ),
     };
-    let run_seed = seed.child(1);
-    let engine = scenario.effective_engine();
+    let sampler = SamplerRun {
+        scenario,
+        config,
+        seed: seed.child(1),
+        stop,
+        tel: &tel,
+    };
     match scenario.dynamic {
-        Dynamic::Voter => run_sampling_dynamic(
-            Voter::new(scenario.opinions),
-            Dynamic::Voter,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
-        Dynamic::TwoChoices => run_sampling_dynamic(
-            TwoChoices::new(scenario.opinions),
-            Dynamic::TwoChoices,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
-        Dynamic::ThreeMajority => run_sampling_dynamic(
+        Dynamic::Voter => sampler.run(Voter::new(scenario.opinions), control, &mut recorder),
+        Dynamic::TwoChoices => {
+            sampler.run(TwoChoices::new(scenario.opinions), control, &mut recorder)
+        }
+        Dynamic::ThreeMajority => sampler.run(
             ThreeMajority::new(scenario.opinions),
-            Dynamic::ThreeMajority,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
+            control,
+            &mut recorder,
         ),
-        Dynamic::JMajority => run_sampling_dynamic(
+        Dynamic::JMajority => sampler.run(
             JMajority::new(scenario.opinions, scenario.majority_samples),
-            Dynamic::JMajority,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
+            control,
+            &mut recorder,
         ),
-        Dynamic::Median => run_sampling_dynamic(
-            MedianRule::new(scenario.opinions),
-            Dynamic::Median,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
+        Dynamic::Median => sampler.run(MedianRule::new(scenario.opinions), control, &mut recorder),
         Dynamic::Usd => unreachable!("handled above"),
     }
 }
 
+/// Refuses a resume checkpoint captured from another run: a different
+/// population or opinion count than the scenario's (the budget derives from
+/// `n` and `k`, so the run would chase the wrong budget and the result
+/// would be served as this scenario's), or a different backend than the
+/// one the scenario names.
+fn check_resume_matches(
+    scenario: &ScenarioConfig,
+    captured: &Configuration,
+    captured_engine: Option<EngineChoice>,
+) -> Result<(), String> {
+    let (n, k) = (captured.population(), captured.num_opinions());
+    if n != scenario.population || k != scenario.opinions {
+        return Err(format!(
+            "cannot resume: checkpoint mismatch: the checkpoint was captured from a run with \
+             n={n}, k={k}, but the scenario says n={}, k={}: the interaction budget derives \
+             from n and k, and resuming toward a different budget breaks bit-exactness — pass \
+             the original values",
+            scenario.population, scenario.opinions
+        ));
+    }
+    if let (Some(held), Some(named)) = (captured_engine, scenario.engine) {
+        if held != named {
+            return Err(format!(
+                "cannot resume: checkpoint mismatch: the checkpoint holds {held} engine state \
+                 but the scenario says engine {named}: the backend rides in the checkpoint, so \
+                 drop the engine or pass the matching one"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// A single USD run through the cooperative pause seam.
-fn run_single_usd(
+fn run_single_usd<R: Recorder>(
     scenario: &ScenarioConfig,
     spec: &pp_workloads::InitialConfig,
     seed: SimSeed,
     stop: StopCondition,
     tel: &Telemetry,
     control: &mut RunControl<'_>,
+    recorder: &mut R,
 ) -> Result<RunVerdict, String> {
-    let mut plan = spec.shard_plan();
-    if let Some(epoch) = scenario.epoch {
-        plan = plan.epoch_interactions(epoch);
-    }
+    let plan = scenario.shard_plan();
     let mut sim = match control.resume {
         Some(checkpoint) => {
             if checkpoint.meta(SAMPLER_FORMAT_META).is_some() {
@@ -328,8 +399,14 @@ fn run_single_usd(
                         .to_string(),
                 );
             }
-            usd_core::UsdSimulator::restore(checkpoint, plan)
-                .map_err(|e| format!("cannot resume: {e}"))?
+            let sim = usd_core::UsdSimulator::restore(checkpoint, plan)
+                .map_err(|e| format!("cannot resume: {e}"))?;
+            check_resume_matches(
+                scenario,
+                sim.initial_configuration(),
+                Some(sim.engine_choice()),
+            )?;
+            sim
         }
         None => {
             let config = spec
@@ -348,49 +425,43 @@ fn run_single_usd(
     if let Some((path, every)) = control.checkpoint {
         sim.set_checkpoint_sink(path, every);
     }
-    let progress_every = if control.progress_every == 0 {
-        scenario.population.max(1)
-    } else {
-        control.progress_every
-    };
-    let mut recorder = pp_core::NullRecorder;
-    let mut next_progress = sim.interactions().saturating_add(progress_every);
+    let pause_every = control.pause_every(scenario.population);
+    recorder.record(sim.interactions(), sim.configuration());
+    let mut next_pause = sim.interactions().saturating_add(pause_every);
     loop {
         // The hook polls the interrupt exactly once per pause boundary and
         // parks the verdict, so one-shot interrupt closures are honoured.
         // Pausing consumes no RNG.
         let want_interrupt = control.interrupt;
         let mut pending: Option<Interrupt> = None;
-        let result = sim.run_interruptible(stop, &mut recorder, &mut |i| {
+        let result = sim.run_interruptible(stop, recorder, &mut |i| {
             if let Some(kind) = want_interrupt.and_then(|f| f()) {
                 pending = Some(kind);
                 return true;
             }
-            i >= next_progress
+            i >= next_pause
         });
-        match result {
-            Some(result) => return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result))),
-            None => {
-                if let Some(kind) = pending {
-                    if kind == Interrupt::Halted {
-                        if let Some((path, _)) = control.checkpoint {
-                            sim.capture()
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?
-                                .save(path)
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                        }
-                    }
-                    return Ok(RunVerdict::Interrupted(kind));
-                }
-                emit(
-                    &mut control.progress,
-                    tel,
-                    Some(sim.interactions()),
-                    Some(sim.configuration()),
-                );
-                next_progress = sim.interactions().saturating_add(progress_every);
-            }
+        if let Some(result) = result {
+            return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
         }
+        if let Some(kind) = pending {
+            if kind == Interrupt::Halted {
+                if let Some((path, _)) = control.checkpoint {
+                    sim.capture()
+                        .map_err(|e| format!("cannot checkpoint: {e}"))?
+                        .save(path)
+                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
+                }
+            }
+            return Ok(RunVerdict::Interrupted(kind));
+        }
+        emit(
+            &mut control.progress,
+            tel,
+            Some(sim.interactions()),
+            Some(sim.configuration()),
+        );
+        next_pause = sim.interactions().saturating_add(pause_every);
     }
 }
 
@@ -477,110 +548,122 @@ fn restore_sampler<D: SamplingDynamics + Clone>(
         .map_err(|e| format!("cannot resume: {e}"))
 }
 
-/// Mirrors `usd_run`'s single sampling-dynamic path (same engine gating
-/// and diagnostics), threading the cooperative pause seam through
-/// [`SequentialSampler::run_interruptible`] (exact) or
-/// [`SequentialSampler::run_engine_interruptible`] (batched): interrupts,
-/// progress events and checkpoint captures all happen at activation or
-/// `advance`-call boundaries, where the replica snapshot is exact.
-fn run_sampling_dynamic<D: SamplingDynamics + Clone>(
-    dynamics: D,
-    dynamic: Dynamic,
+/// What a single sampling-dynamic run needs besides the dynamic itself.
+struct SamplerRun<'s> {
+    scenario: &'s ScenarioConfig,
+    /// The initial configuration; `None` when resuming.
     config: Option<Configuration>,
     seed: SimSeed,
-    engine: EngineChoice,
     stop: StopCondition,
-    control: &mut RunControl<'_>,
-) -> Result<RunVerdict, String> {
-    let name = dynamics.name().to_string();
-    let mut sim = match (control.resume, config) {
-        (Some(checkpoint), _) => restore_sampler(&dynamics, dynamic, checkpoint)?,
-        (None, Some(config)) => {
-            SequentialSampler::try_new(dynamics, config, seed).map_err(|e| e.to_string())?
+    tel: &'s Telemetry,
+}
+
+impl SamplerRun<'_> {
+    /// Drives one sampling dynamic through
+    /// [`SequentialSampler::run_interruptible`] (exact) or
+    /// [`SequentialSampler::run_engine_interruptible`] (batched):
+    /// interrupts, progress events and checkpoint captures all happen at
+    /// activation or `advance`-call boundaries, where the replica snapshot
+    /// is exact.
+    fn run<D: SamplingDynamics + Clone, R: Recorder>(
+        self,
+        dynamics: D,
+        control: &mut RunControl<'_>,
+        recorder: &mut R,
+    ) -> Result<RunVerdict, String> {
+        let dynamic = self.scenario.dynamic;
+        let engine = self.scenario.effective_engine();
+        let name = dynamics.name().to_string();
+        let mut sim = match (control.resume, self.config) {
+            (Some(checkpoint), _) => {
+                let sim = restore_sampler(&dynamics, dynamic, checkpoint)?;
+                check_resume_matches(self.scenario, sim.configuration(), None)?;
+                sim
+            }
+            (None, Some(config)) => SequentialSampler::try_new(dynamics, config, self.seed)
+                .map_err(|e| e.to_string())?,
+            (None, None) => unreachable!("run_scenario builds a configuration when not resuming"),
+        };
+        if engine == EngineChoice::Batched {
+            sim.require_skip_ahead().map_err(|e| {
+                format!(
+                    "{e}: the {name} dynamic provides no closed-form skip-ahead hooks \
+                     — use --engine exact"
+                )
+            })?;
         }
-        (None, None) => unreachable!("run_scenario builds a configuration when not resuming"),
-    };
-    if engine == EngineChoice::Batched {
-        sim.require_skip_ahead().map_err(|e| {
-            format!(
-                "{e}: the {name} dynamic provides no closed-form skip-ahead hooks \
-                 — use --engine exact"
-            )
-        })?;
-    }
-    let every = if control.progress_every == 0 {
-        sim.configuration().population().max(1)
-    } else {
-        control.progress_every
-    };
-    let checkpoint_every = control
-        .checkpoint
-        .map(|(_, cadence)| {
-            if cadence == 0 {
-                sim.configuration().population().max(1)
-            } else {
-                cadence
-            }
-        })
-        .unwrap_or(u64::MAX);
-    let tel = Telemetry::disabled();
-    let mut recorder = pp_core::NullRecorder;
-    let mut next_progress = sim.steps().saturating_add(every);
-    let mut next_checkpoint = sim.steps().saturating_add(checkpoint_every);
-    loop {
-        // Same one-shot interrupt contract as the USD seam: poll once per
-        // pause boundary and park the verdict.  Pausing consumes no RNG.
-        let want_interrupt = control.interrupt;
-        let mut pending: Option<Interrupt> = None;
-        let pause_at = next_progress.min(next_checkpoint);
-        let mut pause = |i: u64| {
-            if let Some(kind) = want_interrupt.and_then(|f| f()) {
-                pending = Some(kind);
-                return true;
-            }
-            i >= pause_at
-        };
-        let result = match engine {
-            EngineChoice::Exact => sim.run_interruptible(stop, &mut recorder, &mut pause),
-            EngineChoice::Batched => sim.run_engine_interruptible(stop, &mut recorder, &mut pause),
-            other => unreachable!("validate rejects {other} for sampling dynamics"),
-        };
-        match result {
-            Some(result) => return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result))),
-            None => {
-                if let Some(kind) = pending {
-                    if kind == Interrupt::Halted {
-                        if let Some((path, _)) = control.checkpoint {
-                            capture_sampler(&sim, dynamic)
-                                .save(path)
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                        }
-                    }
-                    return Ok(RunVerdict::Interrupted(kind));
+        let population = sim.configuration().population();
+        let every = control.pause_every(population);
+        let checkpoint_every = control
+            .checkpoint
+            .map(|(_, cadence)| {
+                if cadence == 0 {
+                    population.max(1)
+                } else {
+                    cadence
                 }
-                if sim.steps() >= next_checkpoint {
+            })
+            .unwrap_or(u64::MAX);
+        recorder.record(sim.steps(), sim.configuration());
+        let mut next_progress = sim.steps().saturating_add(every);
+        let mut next_checkpoint = sim.steps().saturating_add(checkpoint_every);
+        loop {
+            // Same one-shot interrupt contract as the USD seam: poll once
+            // per pause boundary and park the verdict.  Pausing consumes no
+            // RNG.
+            let want_interrupt = control.interrupt;
+            let mut pending: Option<Interrupt> = None;
+            let pause_at = next_progress.min(next_checkpoint);
+            let mut pause = |i: u64| {
+                if let Some(kind) = want_interrupt.and_then(|f| f()) {
+                    pending = Some(kind);
+                    return true;
+                }
+                i >= pause_at
+            };
+            let result = match engine {
+                EngineChoice::Exact => sim.run_interruptible(self.stop, recorder, &mut pause),
+                EngineChoice::Batched => {
+                    sim.run_engine_interruptible(self.stop, recorder, &mut pause)
+                }
+                other => unreachable!("validate rejects {other} for sampling dynamics"),
+            };
+            if let Some(result) = result {
+                return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
+            }
+            if let Some(kind) = pending {
+                if kind == Interrupt::Halted {
                     if let Some((path, _)) = control.checkpoint {
                         capture_sampler(&sim, dynamic)
                             .save(path)
                             .map_err(|e| format!("cannot checkpoint: {e}"))?;
                     }
-                    next_checkpoint = sim.steps().saturating_add(checkpoint_every);
                 }
-                if sim.steps() >= next_progress {
-                    emit(
-                        &mut control.progress,
-                        &tel,
-                        Some(sim.steps()),
-                        Some(sim.configuration()),
-                    );
-                    next_progress = sim.steps().saturating_add(every);
+                return Ok(RunVerdict::Interrupted(kind));
+            }
+            if sim.steps() >= next_checkpoint {
+                if let Some((path, _)) = control.checkpoint {
+                    capture_sampler(&sim, dynamic)
+                        .save(path)
+                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
                 }
+                next_checkpoint = sim.steps().saturating_add(checkpoint_every);
+            }
+            if sim.steps() >= next_progress {
+                emit(
+                    &mut control.progress,
+                    self.tel,
+                    Some(sim.steps()),
+                    Some(sim.configuration()),
+                );
+                next_progress = sim.steps().saturating_add(every);
             }
         }
     }
 }
 
-/// Mirrors `usd_run`'s sampling-ensemble path (same diagnostics).
+/// Runs a baseline sampling dynamic as a lockstep replica ensemble
+/// (`Send` because the ensemble spreads replicas over worker threads).
 fn run_sampling_ensemble<D: SamplingDynamics + Clone + Send>(
     dynamics: D,
     config: Configuration,
@@ -868,39 +951,42 @@ mod tests {
         assert_eq!(events[0].supports.as_ref().map(Vec::len), Some(3));
     }
 
+    /// Runs `scenario` until its first pause boundary, halts it there and
+    /// returns the checkpoint the halt captured.
+    fn capture_halted(scenario: &ScenarioConfig, file: &str) -> Checkpoint {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = std::env::temp_dir().join("pp_service_runner_capture_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        let fired = AtomicBool::new(false);
+        let halt = move || {
+            if fired.swap(true, Ordering::Relaxed) {
+                None
+            } else {
+                Some(Interrupt::Halted)
+            }
+        };
+        let verdict = run_scenario(
+            scenario,
+            RunControl {
+                interrupt: Some(&halt),
+                checkpoint: Some((&path, u64::MAX)),
+                ..RunControl::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(verdict, RunVerdict::Interrupted(Interrupt::Halted));
+        let checkpoint = Checkpoint::load(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        checkpoint
+    }
+
     #[test]
     fn cross_restores_between_usd_and_sampler_checkpoints_fail_loudly() {
-        let dir = std::env::temp_dir().join("pp_service_runner_cross_restore_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let capture = |scenario: &ScenarioConfig, file: &str| -> Checkpoint {
-            let path = dir.join(file);
-            let fired = AtomicBool::new(false);
-            let halt = move || {
-                if fired.swap(true, Ordering::Relaxed) {
-                    None
-                } else {
-                    Some(Interrupt::Halted)
-                }
-            };
-            let verdict = run_scenario(
-                scenario,
-                RunControl {
-                    interrupt: Some(&halt),
-                    checkpoint: Some((&path, u64::MAX)),
-                    ..RunControl::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(verdict, RunVerdict::Interrupted(Interrupt::Halted));
-            let checkpoint = Checkpoint::load(&path).unwrap();
-            let _ = std::fs::remove_file(path);
-            checkpoint
-        };
         let usd = small();
         let voter = small().with_dynamic(Dynamic::Voter);
-        let usd_ckpt = capture(&usd, "usd.ckpt.json");
-        let voter_ckpt = capture(&voter, "voter.ckpt.json");
+        let usd_ckpt = capture_halted(&usd, "usd.ckpt.json");
+        let voter_ckpt = capture_halted(&voter, "voter.ckpt.json");
         // USD checkpoint into a sampler scenario: missing sampler stamp.
         let err = run_scenario(
             &voter,
@@ -940,6 +1026,115 @@ mod tests {
             err.contains("captured from voter, not median"),
             "diagnostic must name both dynamics: {err}"
         );
+    }
+
+    #[test]
+    fn resume_refuses_checkpoints_from_another_run() {
+        let resume = |scenario: &ScenarioConfig, checkpoint: &Checkpoint| {
+            run_scenario(
+                scenario,
+                RunControl {
+                    resume: Some(checkpoint),
+                    ..RunControl::default()
+                },
+            )
+        };
+        // One capture per resume path: single USD, replica ensemble and
+        // single sampling dynamic, each resumed under a scenario of
+        // another population (and, for one, another opinion count).
+        let ensemble = ScenarioConfig::new(2_000, 3).with_seed(5).with_replicas(3);
+        let voter = small().with_dynamic(Dynamic::Voter);
+        for (captured, file, other) in [
+            (
+                small(),
+                "usd.ckpt.json",
+                ScenarioConfig::new(601, 3).with_seed(5),
+            ),
+            (
+                small(),
+                "usd-k.ckpt.json",
+                ScenarioConfig::new(600, 4).with_seed(5),
+            ),
+            (
+                ensemble,
+                "ensemble.ckpt.json",
+                ScenarioConfig::new(2_001, 3).with_seed(5).with_replicas(3),
+            ),
+            (
+                voter,
+                "voter.ckpt.json",
+                ScenarioConfig::new(601, 3)
+                    .with_seed(5)
+                    .with_dynamic(Dynamic::Voter),
+            ),
+        ] {
+            let checkpoint = capture_halted(&captured, file);
+            let err = resume(&other, &checkpoint).unwrap_err();
+            assert!(
+                err.starts_with(
+                    "cannot resume: checkpoint mismatch: the checkpoint was captured \
+                     from a run with"
+                ),
+                "{file}: {err}"
+            );
+            assert!(
+                err.contains(&format!(
+                    "but the scenario says n={}, k={}",
+                    other.population, other.opinions
+                )),
+                "{file}: the diagnostic must name both runs: {err}"
+            );
+            // The matching scenario still resumes.
+            assert!(matches!(
+                resume(&captured, &checkpoint),
+                Ok(RunVerdict::Finished(_))
+            ));
+        }
+        // An engine the scenario names must be the one the checkpoint holds.
+        let exact = capture_halted(&small(), "exact.ckpt.json");
+        let err = resume(&small().with_engine(EngineChoice::Batched), &exact).unwrap_err();
+        assert!(
+            err.starts_with(
+                "cannot resume: checkpoint mismatch: the checkpoint holds exact engine state but \
+                 the scenario says engine batched"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn recorder_and_telemetry_hooks_observe_without_moving_the_run() {
+        let scenario = small().with_engine(EngineChoice::Batched);
+        let RunVerdict::Finished(reference) =
+            run_scenario(&scenario, RunControl::default()).unwrap()
+        else {
+            panic!("reference run must finish");
+        };
+        let mut seen: Vec<u64> = Vec::new();
+        let mut recorder = |interactions: u64, _: &Configuration| seen.push(interactions);
+        let tel = Telemetry::enabled();
+        let RunVerdict::Finished(observed) = run_scenario(
+            &scenario,
+            RunControl {
+                recorder: Some(&mut recorder),
+                telemetry: Some(tel.clone()),
+                ..RunControl::default()
+            },
+        )
+        .unwrap() else {
+            panic!("observed run must finish");
+        };
+        let ScenarioOutcome::Single(result) = &observed else {
+            panic!("a single run");
+        };
+        // The starting configuration once, then one record per event.
+        assert_eq!(seen.first(), Some(&0));
+        assert_eq!(seen.last(), Some(&result.interactions()));
+        assert!(
+            tel.chrome_trace_json().contains("usd.run"),
+            "the handed-in registry receives the run's spans"
+        );
+        assert_eq!(result_json(&observed), result_json(&reference));
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Versioned, serializable descriptions of a complete simulation run.
 //!
-//! A [`ScenarioConfig`] captures everything `usd_run`'s command line can
-//! say — population and opinion count, initial bias and undecided seeding,
-//! the dynamic, the step-engine backend with its shard/ensemble/parallelism
-//! plan, the stop budget and the master seed — as one JSON document that a
-//! job server can queue, persist and replay.  The contract that makes the
-//! service trustworthy is *equivalence*: running a scenario through
-//! [`crate::runner::run_scenario`] (which both `pp_serve` workers and
-//! `usd_run --scenario` call) produces a result bit-identical to typing the
-//! corresponding flags into `usd_run` by hand, because the scenario maps
-//! 1:1 onto the same [`InitialConfig`] builder and the same seed-derivation
-//! and budget formulas.
+//! A [`ScenarioConfig`] is the one description of a run — population and
+//! opinion count, initial bias and undecided seeding, the dynamic, the
+//! step-engine backend with its shard/ensemble/parallelism plan, the stop
+//! budget and the master seed — and serializes as one JSON document that a
+//! job server can queue, persist and replay.  Every front-end executes it
+//! through [`crate::runner::run_scenario`]: `pp_serve` workers,
+//! `usd_run --scenario`, and `usd_run`'s hand-typed flags, which are only a
+//! syntax that builds a `ScenarioConfig`.  A flag set and the equivalent
+//! document are therefore the same run by construction, not by mirrored
+//! code (`crates/experiments/tests/scenario_cli.rs` checks a table of
+//! them).
 //!
 //! ## Schema (version 1)
 //!
@@ -59,13 +59,13 @@
 //!   `⌊400·k·n·ln n⌋ + 10⁷`; leave it unset for CLI equivalence.
 //! * Unknown fields are rejected by name, so schema drift fails loudly.
 //!
-//! Validation reuses the CLI's diagnostics verbatim (field ↔ flag names map
-//! 1:1), so a config rejected here is rejected with the same sentence
-//! `usd_run` would print.
+//! [`ScenarioConfig::validate`] owns every cross-field rule.  Its
+//! diagnostics name the `usd_run` flags (field ↔ flag names map 1:1), and
+//! `usd_run` prints them as they are.
 
 use crate::json::{Json, ObjBuilder};
 use pp_core::ensemble::EnsembleChoice;
-use pp_core::{EngineChoice, FidelityConfig, Parallelism};
+use pp_core::{EngineChoice, FidelityConfig, Parallelism, ShardPlan};
 use pp_workloads::{BiasSpec, InitialConfig, UndecidedSpec};
 
 /// The scenario format version this build writes and reads.
@@ -144,7 +144,7 @@ impl std::fmt::Display for Dynamic {
 ///
 /// Build with [`ScenarioConfig::new`] plus the `with_*` setters, or parse a
 /// JSON document with [`ScenarioConfig::from_json`]; [`validate`] applies
-/// the CLI's cross-field rules, [`to_initial_config`] hands the workload
+/// the cross-field rules, [`to_initial_config`] hands the workload
 /// half to [`InitialConfig`].
 ///
 /// [`validate`]: ScenarioConfig::validate
@@ -353,13 +353,13 @@ impl ScenarioConfig {
             .min(self.population.max(1))
     }
 
-    /// Applies the CLI's cross-field rules, with its diagnostics verbatim
-    /// (scenario fields map 1:1 onto the flags the messages name).
+    /// Applies the cross-field rules (scenario fields map 1:1 onto the
+    /// flags the messages name).
     ///
     /// # Errors
     ///
-    /// Returns the same lowercase sentence `usd_run` prints for the
-    /// equivalent flag combination.
+    /// Returns the lowercase sentence `usd_run` prints for the equivalent
+    /// flag combination.
     pub fn validate(&self) -> Result<(), String> {
         if self.samples == 0 {
             return Err("--samples must be positive".to_string());
@@ -428,10 +428,8 @@ impl ScenarioConfig {
         Ok(())
     }
 
-    /// The workload spec this scenario builds — the exact sequence of
-    /// [`InitialConfig`] builder calls `usd_run` makes for the equivalent
-    /// flags, so configurations (and therefore trajectories) match the CLI
-    /// bit-for-bit.
+    /// The workload spec this scenario builds: every front-end's
+    /// configuration (and therefore trajectory) comes from it.
     #[must_use]
     pub fn to_initial_config(&self) -> InitialConfig {
         let mut spec = InitialConfig::new(self.population, self.opinions)
@@ -487,6 +485,17 @@ impl ScenarioConfig {
         EnsembleChoice::new(self.replicas)
             .with_base(self.effective_engine())
             .with_parallelism(self.parallelism())
+    }
+
+    /// The shard plan a single USD run uses: the workload's shard count
+    /// and worker-thread knob, plus the epoch override.
+    #[must_use]
+    pub fn shard_plan(&self) -> ShardPlan {
+        let plan = self.to_initial_config().shard_plan();
+        match self.epoch {
+            Some(epoch) => plan.epoch_interactions(epoch),
+            None => plan,
+        }
     }
 
     /// The parallelism knob the scenario resolves to.

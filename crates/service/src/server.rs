@@ -528,6 +528,7 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
             .as_deref()
             .map(|path| (path, checkpoint_every)),
         resume: resume_checkpoint.as_ref(),
+        ..RunControl::default()
     };
     let verdict = runner::run_scenario(&scenario, control);
 
