@@ -45,13 +45,20 @@
 //!   `next[r][i] ≠ r`, so each row factors as `row_cat = c_cat · S_cat` with
 //!   `S_cat` the count-weighted sum of productive initiator categories.
 //! * A state-changing event moves exactly one agent `from → to`; every
-//!   `S_cat` shifts by `[next[cat][to] ≠ cat] − [next[cat][from] ≠ cat]`,
-//!   and the table is re-derived as `c_cat · S_cat` — `O(k)` exact integer
-//!   adds per event.
-//! * The event draw itself works on categories only: the initiator is
-//!   resolved by scanning the responder's table row against the counts, its
-//!   total is the maintained `S_r`, and the move is read off the same row.
-//!   Nothing on the per-event path calls the protocol.
+//!   `S_cat` shifts by `gain[to][cat] − gain[from][cat]`, where the
+//!   transposed `(k+1)²` byte table `gain[c][cat] = [next[cat][c] ≠ cat]`
+//!   is built beside `next` at construction, and the table is re-derived as
+//!   `c_cat · S_cat` — `O(k)` exact integer adds per event, read from two
+//!   contiguous `gain` rows.
+//! * The event draw itself works on categories only.  One uniform unit
+//!   below the total picks the responder category as the number of row
+//!   prefix sums `≤` the unit; the unit's offset past the last of them,
+//!   modulo the maintained `S_r`, picks the initiator as the number of
+//!   prefix sums of `c_i · [next[r][i] ≠ r]` `≤` it; and the move is read
+//!   off table row `r`.  Prefix sums never decrease, so these counts are
+//!   the categories a stop-at-first scan would find, without its
+//!   data-dependent exits.  Nothing on the per-event path calls the
+//!   protocol or branches on the counts.
 //! * All weights are exact integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
 //!   whether maintenance was on.
@@ -73,9 +80,10 @@
 //!
 //! A protocol whose [`OpinionProtocol::productivity_matrix`] is `None` has
 //! no transition table: its events resolve through `respond` and its rows
-//! are rebuilt before every event.  The engine also falls back to a full
-//! rebuild when maintenance is disabled via
-//! [`BatchedEngine::set_incremental_rows`] (the benchmark baseline), and
+//! are rebuilt before every event (its responder is still picked by the
+//! prefix-count rule).  The engine also falls back to a full rebuild when
+//! maintenance is disabled via [`BatchedEngine::set_incremental_rows`] (the
+//! baseline that E13 and `engine_microbench` measure the patch against), and
 //! after external count edits (the shard reconciler's cross-shard updates
 //! invalidate the maintained state).  Patch/rebuild counts are reported
 //! through [`StepEngine::maintenance`] into [`RunResult`].  Debug builds
@@ -544,6 +552,53 @@ fn needs_wide_weights(population: u64) -> bool {
     population > u64::from(u32::MAX)
 }
 
+/// The category a uniform unit `target < Σ weights` falls in, and its offset
+/// within that category: the number of prefix sums `weights[0] + … +
+/// weights[j]` that are `≤ target`, and `target` minus the last of them.
+/// The prefix sums never decrease, so this is the category a scan that
+/// skips `target < weight` would stop at, found without a data-dependent
+/// exit.  The last prefix is the whole sum, which exceeds `target`, so the
+/// last weight is never read.
+fn select_unit<W: Weight>(weights: &[W], target: W) -> (usize, W) {
+    let init = &weights[..weights.len().saturating_sub(1)];
+    let mut prefix = W::default();
+    let mut below = W::default();
+    let mut cat = 0;
+    for &weight in init {
+        prefix += weight;
+        let passed = prefix <= target;
+        cat += usize::from(passed);
+        below = if passed { prefix } else { below };
+    }
+    let mut offset = target;
+    offset -= below;
+    (cat, offset)
+}
+
+/// The initiator category of a unit `itarget < S_r` of responder
+/// category `responder`'s productive initiator weight: the number of prefix
+/// sums of `c_i · [dests[i] ≠ responder]` that are `≤ itarget` (the rule of
+/// [`select_unit`]), over the opinions' `supports`.  The undecided
+/// category's prefix is `S_r` itself, which exceeds `itarget`, so its count
+/// is never read.
+fn select_initiator<W: Weight>(
+    dests: &[u32],
+    supports: &[u64],
+    responder: usize,
+    itarget: W,
+) -> usize {
+    let responder = responder as u32;
+    let mut prefix = W::default();
+    let mut cat = 0;
+    for (&dest, &count) in dests.iter().zip(supports) {
+        // All ones when the pair is productive, zero otherwise.
+        let mask = u64::from(dest != responder).wrapping_neg();
+        prefix += W::from(count & mask);
+        cat += usize::from(prefix <= itarget);
+    }
+    cat
+}
+
 /// The batched engine's row state in one weight width.
 #[derive(Debug, Default)]
 struct RowTable<W> {
@@ -676,6 +731,35 @@ pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
     Ok(())
 }
 
+/// A protocol's category transitions in the two layouts the batched kernel
+/// reads.
+#[derive(Debug)]
+struct Transitions {
+    /// The flat `(k+1)²` transition table (see [`transition_table`]), row
+    /// `r` for a category-`r` responder.
+    next: Vec<u32>,
+    /// The transposed productivity table: `gain[c·(k+1) + cat]` is 1 when a
+    /// category-`c` initiator is productive for a category-`cat` responder
+    /// (`next[cat][c] ≠ cat`), so an agent entering category `c` raises
+    /// `S_cat` by it and one leaving lowers `S_cat` by it.
+    gain: Vec<u8>,
+}
+
+impl Transitions {
+    /// Both layouts of `protocol`'s transitions, or `None` when it opted out.
+    fn new<P: OpinionProtocol + ?Sized>(protocol: &P) -> Option<Self> {
+        let next = transition_table(protocol)?;
+        let width = protocol.num_opinions() + 1;
+        let gain = (0..width * width)
+            .map(|slot| {
+                let (c, cat) = (slot / width, slot % width);
+                u8::from(next[cat * width + c] as usize != cat)
+            })
+            .collect();
+        Some(Transitions { next, gain })
+    }
+}
+
 /// Exact-in-distribution skip-ahead engine.
 ///
 /// Instead of simulating interactions one by one, the engine works on the
@@ -689,15 +773,17 @@ pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
 /// interaction count) have the same law as under [`ExactEngine`] — this is
 /// verified statistically in the test suite.
 ///
-/// Cost: `O(k)` exact integer adds and table lookups per state-changing
-/// event while the incremental delta rule holds (see the module docs) —
-/// with *no* protocol calls on the hot path: the category transition table
-/// built at construction resolves both the initiator and the responder's
-/// move.  `O(k)` hook calls or `O(k²)` enumeration per rebuild otherwise —
-/// but never proportional to the number of skipped null interactions.  The
-/// integers are `u64` for populations up to `2³² − 1` and `u128` beyond
-/// (the width rule in the module docs); one generic kernel serves both, so
-/// the common case pays for no 128-bit arithmetic.
+/// Cost: `O(k)` exact integer adds, compares and table lookups per
+/// state-changing event while the incremental delta rule holds (see the
+/// module docs) — with *no* protocol calls and no data-dependent branches
+/// on the hot path: prefix counts over the row table and over the counts
+/// pick the responder and the initiator, and the category transition and
+/// productivity tables built at construction give the responder's move and
+/// the row patch.  `O(k)` hook calls or `O(k²)` enumeration per rebuild
+/// otherwise — but never proportional to the number of skipped null
+/// interactions.  The integers are `u64` for populations up to `2³² − 1`
+/// and `u128` beyond (the width rule in the module docs); one generic
+/// kernel serves both, so the common case pays for no 128-bit arithmetic.
 #[derive(Debug)]
 pub struct BatchedEngine<P> {
     protocol: P,
@@ -712,11 +798,11 @@ pub struct BatchedEngine<P> {
     /// wide path must walk the narrow path's trajectory).
     #[cfg(test)]
     force_wide: bool,
-    /// The flat `(k+1)²` category transition table (see
-    /// [`transition_table`]; `None`: the protocol opted out, every event
-    /// rebuilds and resolves through `respond`).
-    next: Option<Vec<u32>>,
-    /// Runtime switch for the delta rule (off = the benchmark baseline).
+    /// The category transitions (`None`: the protocol opted out, every
+    /// event rebuilds and resolves through `respond`).
+    transitions: Option<Transitions>,
+    /// Runtime switch for the delta rule (off = the rebuild-every-event
+    /// baseline that E13 and `engine_microbench` measure against).
     incremental: bool,
     /// Refreshes served so far, for the sampled debug cross-check.
     refreshes: u64,
@@ -754,7 +840,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
                 configuration: config.num_opinions(),
             });
         }
-        let next = transition_table(&protocol);
+        let transitions = Transitions::new(&protocol);
         let table = WeightTable::new(
             config.num_opinions(),
             needs_wide_weights(config.population()),
@@ -768,7 +854,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             rows_valid: false,
             #[cfg(test)]
             force_wide: false,
-            next,
+            transitions,
             incremental: true,
             refreshes: 0,
             stats: MaintenanceStats::default(),
@@ -788,8 +874,9 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
 
     /// Enables or disables incremental row maintenance at runtime.  Disabled,
     /// the engine rebuilds the full row table before every event — exactly
-    /// the pre-incremental behaviour, used as the measured baseline by
-    /// `engine_microbench`.  Trajectories are bit-identical either way.
+    /// the pre-incremental behaviour, used as the measured baseline by E13
+    /// and `engine_microbench` (the repository benchmark keeps it on).
+    /// Trajectories are bit-identical either way.
     pub fn set_incremental_rows(&mut self, enabled: bool) {
         self.incremental = enabled;
         if !enabled {
@@ -914,7 +1001,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Rebuilds `rows`, `sums` and `total` from the full counts.
     fn rebuild_rows<W: Weight>(&mut self, table: &mut RowTable<W>) -> W {
         let total = self.fill_rows(&mut table.rows);
-        if let Some(next) = &self.next {
+        if let Some(Transitions { next, .. }) = &self.transitions {
             let k = self.config.num_opinions();
             for (cat, (sum_slot, row)) in table
                 .sums
@@ -955,14 +1042,17 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Patches `sums`, `rows` and `total` across an applied move of one agent
     /// from category `from_cat` to `to_cat` (the delta rule; see the module
     /// docs), or invalidates the table when the protocol opted out or
-    /// maintenance is disabled.
+    /// maintenance is disabled.  Every `S_cat` gains `gain[to][cat] −
+    /// gain[from][cat]` without a per-category branch; the undecided
+    /// category, whose count is not in `supports()`, is patched after the
+    /// opinions.
     fn apply_row_delta<W: Weight>(
         &mut self,
         table: &mut RowTable<W>,
         from_cat: usize,
         to_cat: usize,
     ) {
-        let Some(next) = &self.next else {
+        let Some(Transitions { gain, .. }) = &self.transitions else {
             self.rows_valid = false;
             return;
         };
@@ -970,23 +1060,34 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             self.rows_valid = false;
             return;
         }
-        let k = self.config.num_opinions();
-        let one = W::from(1);
+        let width = self.config.num_opinions() + 1;
+        let gain_to = &gain[to_cat * width..][..width];
+        let gain_from = &gain[from_cat * width..][..width];
+        let shift = |s: &mut W, up: u8, down: u8| {
+            *s += W::from(u64::from(up));
+            debug_assert!(
+                *s >= W::from(u64::from(down)),
+                "productive initiator sum underflow"
+            );
+            *s -= W::from(u64::from(down));
+        };
         let mut total = W::default();
-        for (cat, row) in next.chunks_exact(k + 1).enumerate() {
-            let mut s = table.sums[cat];
-            if row[to_cat] as usize != cat {
-                s += one;
-            }
-            if row[from_cat] as usize != cat {
-                debug_assert!(s > W::default(), "productive initiator sum underflow");
-                s -= one;
-            }
-            table.sums[cat] = s;
-            let row = W::from(self.config.category_count(cat)) * s;
-            table.rows[cat] = row;
-            total += row;
+        let (undecided_sum, sums) = table.sums.split_last_mut().expect("k + 1 categories");
+        let (undecided_row, rows) = table.rows.split_last_mut().expect("k + 1 categories");
+        for ((((s, row), &count), &up), &down) in sums
+            .iter_mut()
+            .zip(rows.iter_mut())
+            .zip(self.config.supports())
+            .zip(gain_to)
+            .zip(gain_from)
+        {
+            shift(s, up, down);
+            *row = W::from(count) * *s;
+            total += *row;
         }
+        shift(undecided_sum, gain_to[width - 1], gain_from[width - 1]);
+        *undecided_row = W::from(self.config.undecided()) * *undecided_sum;
+        total += *undecided_row;
         table.total = total;
         self.rows_valid = true;
         self.refreshes += 1;
@@ -1013,54 +1114,37 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Draws the category pair of the next state-changing event from the
     /// given row table and applies it.  One draw picks the whole event: a unit
     /// below `total` decomposes as (responder category, responder identity
-    /// within the category, initiator unit); the row scan finds the
-    /// category, and because `row = c_r · S_r` factors into independent
-    /// responder-identity and initiator-weight parts, the remainder modulo
-    /// `S_r` is an exact uniform draw of the initiator unit.
+    /// within the category, initiator unit).  The responder category is the
+    /// number of row prefix sums `≤` the unit, and the unit's offset past the
+    /// last of them is its remainder ([`select_unit`]); because `row = c_r ·
+    /// S_r` factors into independent responder-identity and initiator-weight
+    /// parts, the remainder modulo `S_r` is an exact uniform draw of the
+    /// initiator unit.
     ///
-    /// With a transition table, `S_r` is the maintained `sums[r]` and the
-    /// initiator and the responder's new category are read off table row
-    /// `r`; without one, `S_r = row / c_r` and `respond` resolves both.
+    /// With a transition table, `S_r` is the maintained `sums[r]`, the
+    /// initiator is the number of prefix sums of `c_i · [next[r][i] ≠ r]`
+    /// `≤` that unit ([`select_initiator`]), and the responder's new category
+    /// is read off table row `r` — no data-dependent branch on the way.
+    /// Without one, `S_r = row / c_r` and `respond` resolves both.
     ///
     /// Returns the applied `(from, to)` responder move as categories and
     /// invalidates the maintained row table (callers on the incremental path
     /// re-validate it by patching).
     fn draw_and_apply_event<W: Weight>(&mut self, table: &RowTable<W>) -> (usize, usize) {
-        let k = self.config.num_opinions();
-        let mut target = W::uniform_below(&mut self.rng, table.total);
-        let mut responder_cat = k;
-        for (cat, &row) in table.rows.iter().enumerate() {
-            if target < row {
-                responder_cat = cat;
-                break;
-            }
-            target -= row;
-        }
+        let target = W::uniform_below(&mut self.rng, table.total);
+        let (responder_cat, remainder) = select_unit(&table.rows, target);
         debug_assert!(self.config.category_count(responder_cat) > 0);
-        let Some(next) = &self.next else {
+        let Some(Transitions { next, .. }) = &self.transitions else {
             return self.draw_and_apply_by_respond(
                 table.rows[responder_cat].into(),
                 responder_cat,
-                target.into(),
+                remainder.into(),
             );
         };
-        let mut itarget = target.modulo(table.sums[responder_cat]);
-
-        // Resolve the initiator unit to a category, restricted to categories
-        // whose interaction with this responder is productive.
-        let row = &next[responder_cat * (k + 1)..(responder_cat + 1) * (k + 1)];
-        let mut initiator_cat = k;
-        for (i, &dest) in row.iter().enumerate() {
-            if dest as usize == responder_cat {
-                continue;
-            }
-            let c_i = W::from(self.config.category_count(i));
-            if itarget < c_i {
-                initiator_cat = i;
-                break;
-            }
-            itarget -= c_i;
-        }
+        let width = self.config.num_opinions() + 1;
+        let row = &next[responder_cat * width..][..width];
+        let itarget = remainder.modulo(table.sums[responder_cat]);
+        let initiator_cat = select_initiator(row, self.config.supports(), responder_cat, itarget);
         let to_cat = row[initiator_cat] as usize;
         debug_assert_ne!(to_cat, responder_cat, "sampled event must be productive");
         self.config.move_category(responder_cat, to_cat);
@@ -1851,12 +1935,151 @@ mod tests {
         assert!(!engine.table.is_wide());
     }
 
+    /// The responder scan [`select_unit`] replaced: walk the rows, stop at
+    /// the first one the remaining target falls below.
+    fn scan_responder<W: Weight>(rows: &[W], mut target: W) -> (usize, W) {
+        let mut responder_cat = rows.len() - 1;
+        for (cat, &row) in rows.iter().enumerate() {
+            if target < row {
+                responder_cat = cat;
+                break;
+            }
+            target -= row;
+        }
+        (responder_cat, target)
+    }
+
+    /// The initiator scan [`select_initiator`] replaced, over all `k + 1`
+    /// category counts: skip unproductive categories, stop at the first
+    /// count the remaining target falls below.
+    fn scan_initiator<W: Weight>(
+        dests: &[u32],
+        counts: &[u64],
+        responder: usize,
+        mut itarget: W,
+    ) -> usize {
+        let mut initiator_cat = dests.len() - 1;
+        for (i, &dest) in dests.iter().enumerate() {
+            if dest as usize == responder {
+                continue;
+            }
+            let c_i = W::from(counts[i]);
+            if itarget < c_i {
+                initiator_cat = i;
+                break;
+            }
+            itarget -= c_i;
+        }
+        initiator_cat
+    }
+
+    /// Targets below `total` at 0, `total − 1` and every prefix boundary of
+    /// `weights` ±1.
+    fn boundary_targets(weights: &[u64]) -> Vec<u64> {
+        let total: u64 = weights.iter().sum();
+        let mut targets = vec![0, total - 1];
+        let mut prefix = 0;
+        for &w in weights {
+            prefix += w;
+            targets.extend([prefix.saturating_sub(1), prefix, prefix + 1]);
+        }
+        targets.retain(|&t| t < total);
+        targets
+    }
+
+    /// Checks both selections against their scans at every boundary target,
+    /// in `u64` and in `u128` (there also scaled past `2⁶⁴`).
+    fn assert_selections_match_scans(rows: &[u64], dests: &[u32], counts: &[u64], r: usize) {
+        let k = counts.len() - 1;
+        if rows.iter().sum::<u64>() > 0 {
+            for t in boundary_targets(rows) {
+                assert_eq!(
+                    select_unit(rows, t),
+                    scan_responder(rows, t),
+                    "{rows:?} at {t}"
+                );
+                for shift in [0, 40, 64] {
+                    let wide: Vec<u128> = rows.iter().map(|&w| u128::from(w) << shift).collect();
+                    for t in [u128::from(t) << shift, (u128::from(t) << shift) + 1] {
+                        let t = t.min((u128::from(rows.iter().sum::<u64>()) << shift) - 1);
+                        assert_eq!(select_unit(&wide, t), scan_responder(&wide, t));
+                    }
+                }
+            }
+        }
+        let productive: Vec<u64> = counts
+            .iter()
+            .zip(dests)
+            .map(|(&c, &dest)| if dest as usize == r { 0 } else { c })
+            .collect();
+        if productive.iter().sum::<u64>() > 0 {
+            for t in boundary_targets(&productive) {
+                let expected = scan_initiator(dests, counts, r, t);
+                assert_eq!(select_initiator(dests, &counts[..k], r, t), expected);
+                let wide = u128::from(t);
+                assert_eq!(select_initiator(dests, &counts[..k], r, wide), expected);
+                assert_eq!(scan_initiator(dests, counts, r, wide), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn selections_find_a_lone_non_zero_last_category() {
+        for k in 1..9 {
+            let mut weights = vec![0; k + 1];
+            weights[k] = 5;
+            // Every initiator productive for responder 0 except itself.
+            let mut dests = vec![k as u32; k + 1];
+            dests[0] = 0;
+            assert_selections_match_scans(&weights, &dests, &weights, 0);
+            assert_eq!(select_unit(&weights, 4u64), (k, 4));
+            assert_eq!(select_initiator(&dests, &weights[..k], 0, 4u64), k);
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
+        /// `k + 1` weights from raw draws: those whose bit is set in
+        /// `zeros` are zero, and with `lone` all but the last are.
+        fn shape(raw: &[u64], k: usize, zeros: u64, lone: bool) -> Vec<u64> {
+            raw[..=k]
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| {
+                    let zero = zeros >> i & 1 == 1 || (lone && i < k);
+                    if zero {
+                        0
+                    } else {
+                        w
+                    }
+                })
+                .collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn prefix_selection_picks_what_the_scans_picked(
+                k in 1usize..10,
+                raw_rows in proptest::collection::vec(0u64..u64::from(u32::MAX), 10..11),
+                raw_counts in proptest::collection::vec(0u64..1_000, 10..11),
+                raw_dests in proptest::collection::vec(0u32..10, 10..11),
+                zeros in (0u64..1024, 0u64..1024),
+                lone in (0u8..4, 0u8..4),
+                small in 0u8..2,
+                r in 0usize..10,
+            ) {
+                let mut rows = shape(&raw_rows, k, zeros.0, lone.0 == 0);
+                if small == 1 {
+                    rows.iter_mut().for_each(|w| *w %= 8);
+                }
+                let counts = shape(&raw_counts, k, zeros.1, lone.1 == 0);
+                let dests: Vec<u32> = raw_dests[..=k].iter().map(|&d| d % (k as u32 + 1)).collect();
+                assert_selections_match_scans(&rows, &dests, &counts, r % (k + 1));
+            }
 
             #[test]
             fn uniform_u64_below_draws_like_uniform_u128_below(

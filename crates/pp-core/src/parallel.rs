@@ -5,10 +5,8 @@
 //! simulation state side by side — [`crate::shard::ShardedEngine`] spreads
 //! shards over workers within one run, and
 //! [`crate::ensemble::EnsembleEngine`] spreads replicas over
-//! workers across runs.  Both used to carry their own threading story (the
-//! shard module owned a private `std::thread::scope` loop; the ensemble was
-//! pinned to one core by `Rc`-shared tables).  This module is the single
-//! layer both build on:
+//! workers across runs, each replica advancing through its own engine.
+//! This module is the single layer both build on:
 //!
 //! * [`Parallelism`] — the worker-thread knob every parallel engine
 //!   exposes, resolving `auto` to the machine's available parallelism and
@@ -27,12 +25,12 @@
 //!    scheduling, load, or timing.
 //! 2. **No shared mutable state.**  A worker gets exclusive `&mut` access
 //!    to its chunk and (at most) shared `&` access to read-only data frozen
-//!    for the duration of the call (the ensemble's per-window table map,
-//!    the shard engine's boundary snapshots).  Anything a worker needs to
+//!    for the duration of the call (the ensemble's stop condition and
+//!    window limit, the shard engine's boundary snapshots).  Anything a worker needs to
 //!    mutate — RNG streams, scratch buffers, per-task accumulators — lives
 //!    *inside* its tasks.
 //! 3. **Ordered reduction.**  [`map_chunks`] returns per-chunk outputs in
-//!    chunk-index order, so any cross-worker reduction (cache merges,
+//!    chunk-index order, so any cross-worker reduction (event counts,
 //!    statistics) folds in a scheduling-independent order.
 //!
 //! Under these rules every task's trajectory depends only on its own state

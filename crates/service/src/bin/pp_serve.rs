@@ -14,6 +14,10 @@
 //!   request per line, until EOF or a `shutdown` op.
 //! * `--connect` is a built-in client: it sends one request to a running
 //!   server and prints the reply lines — what the CI smoke test drives.
+//! * Both transports read each request line as bytes, at most
+//!   [`MAX_REQUEST_BYTES`] of it.  A line that is not UTF-8, or is longer
+//!   than the limit, gets an `"ok":false` reply naming which; the rest of an
+//!   over-long line is read and dropped, and the server keeps serving.
 //!
 //! See `pp_service::protocol` for the message reference.  Determinism and
 //! crash-resume contracts are documented on the `pp_service` crate root.
@@ -21,11 +25,14 @@
 use pp_service::json::{Json, ObjBuilder};
 use pp_service::protocol::{error_reply, ok_reply, parse_request, Request};
 use pp_service::server::{JobStatus, Server, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// The longest request line either transport accepts, newline excluded.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 struct Options {
     socket: Option<PathBuf>,
@@ -195,17 +202,60 @@ fn handle(server: &Server, line: &str, out: &mut dyn Write) -> std::io::Result<b
     Ok(false)
 }
 
-fn serve_stdio(server: Server) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if handle(&server, &line, &mut stdout)? {
-            server.shutdown();
+/// Reads one request line: `None` at end of input, otherwise the line or
+/// the message of the error reply it gets (not UTF-8, or longer than
+/// [`MAX_REQUEST_BYTES`]; the rest of an over-long line is consumed).
+fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Result<String, String>>> {
+    let mut bytes = Vec::new();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', &mut bytes)? == 0 {
+        return Ok(None);
+    }
+    if bytes.len() > MAX_REQUEST_BYTES && bytes.last() != Some(&b'\n') {
+        skip_line(reader)?;
+        return Ok(Some(Err(format!(
+            "request line longer than the {MAX_REQUEST_BYTES}-byte limit"
+        ))));
+    }
+    Ok(Some(String::from_utf8(bytes).map_err(|e| {
+        format!(
+            "request is not valid UTF-8 (invalid byte at offset {})",
+            e.utf8_error().valid_up_to()
+        )
+    })))
+}
+
+/// Consumes input up to and including the next newline, or to the end.
+fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buffered = reader.fill_buf()?;
+        if buffered.is_empty() {
             return Ok(());
+        }
+        if let Some(end) = buffered.iter().position(|&b| b == b'\n') {
+            reader.consume(end + 1);
+            return Ok(());
+        }
+        let len = buffered.len();
+        reader.consume(len);
+    }
+}
+
+fn serve_stdio(server: Server) -> std::io::Result<()> {
+    let mut stdin = std::io::stdin().lock();
+    let mut stdout = std::io::stdout().lock();
+    while let Some(request) = read_request(&mut stdin)? {
+        let stop = match request {
+            Ok(line) if line.trim().is_empty() => false,
+            Ok(line) => handle(&server, &line, &mut stdout)?,
+            Err(message) => {
+                writeln!(stdout, "{}", error_reply(&message))?;
+                stdout.flush()?;
+                false
+            }
+        };
+        if stop {
+            break;
         }
     }
     server.shutdown();
@@ -231,15 +281,20 @@ fn serve_socket(server: Server, path: &PathBuf) -> Result<(), String> {
                     return;
                 };
                 let mut reader = BufReader::new(read_half);
-                let mut line = String::new();
                 let mut stream = stream;
-                if reader.read_line(&mut line).is_ok() && !line.trim().is_empty() {
-                    if let Ok(true) = handle(server, &line, &mut stream) {
-                        stop.store(true, Ordering::SeqCst);
-                        // Unblock the accept loop with a throwaway
-                        // connection so the listener notices the flag.
-                        let _ = UnixStream::connect(&path);
+                match read_request(&mut reader) {
+                    Ok(Some(Ok(line))) if !line.trim().is_empty() => {
+                        if let Ok(true) = handle(server, &line, &mut stream) {
+                            stop.store(true, Ordering::SeqCst);
+                            // Unblock the accept loop with a throwaway
+                            // connection so the listener notices the flag.
+                            let _ = UnixStream::connect(&path);
+                        }
                     }
+                    Ok(Some(Err(message))) => {
+                        let _ = writeln!(stream, "{}", error_reply(&message));
+                    }
+                    _ => {}
                 }
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             });

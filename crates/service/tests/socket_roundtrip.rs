@@ -1,6 +1,7 @@
 //! Drives the real `pp_serve` binary over its Unix domain socket: submit,
-//! watch (schema-validated event stream), result, shutdown — and the
-//! stored result is bit-identical to the standalone runner.
+//! watch (schema-validated event stream), result, a non-UTF-8 request,
+//! shutdown — and the stored result is bit-identical to the standalone
+//! runner.
 
 use pp_service::json::Json;
 use pp_service::protocol;
@@ -93,6 +94,21 @@ fn socket_round_trip_matches_standalone() {
     let missing = request("{\"op\":\"result\",\"job\":999}".to_string());
     let reply = Json::parse(&missing[0]).expect("error reply parses");
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+
+    // So do request bytes that are not UTF-8; the server keeps serving.
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.write_all(b"\xff\xfe\n").expect("send");
+    let garbled: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("read reply"))
+        .collect();
+    let reply = Json::parse(&garbled[0]).expect("error reply parses");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(error.contains("not valid UTF-8"), "{error}");
 
     let bye = request("{\"op\":\"shutdown\"}".to_string());
     assert_eq!(
