@@ -63,6 +63,20 @@
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
 //!   whether maintenance was on.
 //!
+//! # The null skip
+//!
+//! Every skip-ahead engine (the batched engine, the sequential sampler in
+//! `consensus-dynamics`, shard reconciliation) draws the number of null
+//! interactions before each event through [`geometric_skip`]:
+//! `floor(ln U / ln(1−p))` from one RNG word.  The two logs were the
+//! dearest step of a batched event, so the function first decides skips
+//! below 8 by comparing `U` with the powers `(1−p)^1 … (1−p)^8` — nine
+//! multiplications and sixteen compares, no branches — and calls the logs
+//! only for larger skips or a `U` within `10⁻⁶` relative of a power (about
+//! 1–3% of draws in the paper's k = 8 regimes).  Both paths give the same
+//! integer and consume the same word, so trajectories do not depend on
+//! which one ran.
+//!
 //! # Weight width
 //!
 //! Every weight in the table is bounded by `n²`: `S_cat ≤ n` (it counts
@@ -453,8 +467,39 @@ pub fn uniform_u128_below<R: Rng + ?Sized>(rng: &mut R, bound: u128) -> u128 {
 /// callers can treat `None` as "the limit arrives first".
 ///
 /// Shared by every skip-ahead engine ([`BatchedEngine`], the sequential
-/// sampler in `consensus-dynamics`), so the edge-case handling — `p ≥ 1`,
-/// `p` rounding toward 0, overshoot — lives in exactly one place.
+/// sampler in `consensus-dynamics`, shard reconciliation), so the edge-case
+/// handling — `p ≥ 1`, `p` rounding toward 0, overshoot — lives in exactly
+/// one place.
+///
+/// # Cost and exactness
+///
+/// The skip is `floor(ln U / ln(1−p))` — two libm calls, the dearest step of
+/// a batched event.  Most skips are small, and `floor(ln U / ln(1−p)) = m`
+/// exactly when `(1−p)^{m+1} < U ≤ (1−p)^m`, so the function first counts
+/// the powers `(1−p)^1 … (1−p)^K`, `K = 8`, that are `≥ U`: a branch-free
+/// product tree of seven multiplications, and sixteen compares of the
+/// powers with `U·(1+η)` and `U·(1−η)`, `η = 10⁻⁶`.  When both counts agree,
+/// `U` is at least `η` (relative) away from every power, and their common
+/// value `m < K` is returned through the same `max_skip` rule; otherwise
+/// the logs are evaluated exactly as before.  The result is the one the
+/// logs give, provided libm's `ln`/`ln_1p` are accurate to `2⁻⁴⁰` relative
+/// (glibc, musl and Apple's libm are within about `2⁻⁵²`):
+///
+/// * the computed quotient is then `q·(1+θ)` with `|θ| < 2⁻³⁸`, where
+///   `q = ln U / ln(1−p)`, so it is within `K·2⁻³⁸` of `q` when `q < K`;
+/// * each computed power is within `2⁻⁴⁸` (relative) of `(1−p)^j`,
+///   counting the rounding of `1 − p`, and every `f64` `p < 1` has
+///   `|ln(1−p)| ≤ 36.8`, so `U` clear of power `j` by `η` puts `q` at
+///   least `η / 36.8 ≈ 2.7·10⁻⁸` away from `j` — on the same side as the
+///   computed quotient;
+/// * hence both floors equal `m`.  The argument needs `η ≳ 2·10⁻⁹`;
+///   `10⁻⁶` leaves a factor of ~500.
+///
+/// `p` rounding `1−p` to 1 and `U = MIN_POSITIVE` give `m = K`, and a `NaN`
+/// `p` is excluded by name, so all three take the logs.  The uniform is
+/// drawn before either path, one RNG word per call as before, so the RNG
+/// stream and every trajectory are unchanged.  `tests/hot_path_oracles.rs`
+/// pins the function against the log formula on boundary-hugging words.
 pub fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, p: f64, max_skip: u64) -> Option<u64> {
     debug_assert!(p > 0.0, "event probability must be positive");
     if p >= 1.0 {
@@ -462,12 +507,47 @@ pub fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, p: f64, max_skip: u64) -> Op
     }
     // Inversion: floor(ln U / ln(1-p)), U uniform in (0, 1).
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    if let Some(m) = small_skip(u, p) {
+        debug_assert_eq!((u.ln() / (-p).ln_1p()) as u64, m, "u = {u:e}, p = {p:e}");
+        // `m < K` converts to `f64` exactly: this is the rule below.
+        return (m < max_skip).then_some(m);
+    }
     let skip = u.ln() / (-p).ln_1p();
     if !skip.is_finite() || skip >= max_skip as f64 {
         None
     } else {
         Some(skip as u64)
     }
+}
+
+/// `K`: how many powers of `1 − p` [`small_skip`] compares `U` with.
+const SKIP_POWERS: u64 = 8;
+
+/// `η`: how far (relative) `U` must be from every power for [`small_skip`]
+/// to decide without the logs.
+const SKIP_BAND: f64 = 1e-6;
+
+/// `floor(ln u / ln(1−p))` without logs when it is below [`SKIP_POWERS`] and
+/// `u` is [`SKIP_BAND`]-clear of every power; `None` sends the caller to the
+/// logs (see [`geometric_skip`] for why the two agree).
+#[inline]
+fn small_skip(u: f64, p: f64) -> Option<u64> {
+    let q1 = 1.0 - p;
+    let q2 = q1 * q1;
+    let q3 = q2 * q1;
+    let q4 = q2 * q2;
+    let powers = [q1, q2, q3, q4, q4 * q1, q4 * q2, q4 * q3, q4 * q4];
+    // `u` is clear of every band exactly when `u·(1+η)` and `u·(1−η)` sit
+    // on the same side of every power: then both counts equal
+    // `#{j : u ≤ (1−p)^j}`.  A NaN `p` would make both counts 0, so it is
+    // sent to the logs explicitly.
+    let (high, low) = (u * (1.0 + SKIP_BAND), u * (1.0 - SKIP_BAND));
+    let (mut m_high, mut m_low) = (0, 0);
+    for q in powers {
+        m_high += u64::from(high <= q);
+        m_low += u64::from(low <= q);
+    }
+    (m_high == m_low && m_high < SKIP_POWERS && !p.is_nan()).then_some(m_high)
 }
 
 /// An exact unsigned integer type for the batched engine's row table: `u64`
@@ -779,11 +859,14 @@ impl Transitions {
 /// on the hot path: prefix counts over the row table and over the counts
 /// pick the responder and the initiator, and the category transition and
 /// productivity tables built at construction give the responder's move and
-/// the row patch.  `O(k)` hook calls or `O(k²)` enumeration per rebuild
-/// otherwise — but never proportional to the number of skipped null
-/// interactions.  The integers are `u64` for populations up to `2³² − 1`
-/// and `u128` beyond (the width rule in the module docs); one generic
-/// kernel serves both, so the common case pays for no 128-bit arithmetic.
+/// the row patch.  Each event also pays one [`geometric_skip`]: a few
+/// multiplications and compares for the common small skip, two libm logs
+/// for the rest (see the module docs).  `O(k)` hook calls or `O(k²)`
+/// enumeration per rebuild otherwise — but never proportional to the
+/// number of skipped null interactions.  The integers are `u64` for
+/// populations up to `2³² − 1` and `u128` beyond (the width rule in the
+/// module docs); one generic kernel serves both, so the common case pays
+/// for no 128-bit arithmetic.
 #[derive(Debug)]
 pub struct BatchedEngine<P> {
     protocol: P,

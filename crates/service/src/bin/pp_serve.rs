@@ -352,6 +352,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    for skipped in server.quarantined() {
+        eprintln!(
+            "skipped {}: {} (moved to {}.corrupt)",
+            skipped.file, skipped.reason, skipped.file
+        );
+    }
     let outcome = match &opts.socket {
         Some(path) => serve_socket(server, path),
         None => serve_stdio(server).map_err(|e| format!("stdio transport failed: {e}")),

@@ -64,4 +64,4 @@ pub use runner::{
     result_json, run_scenario, Interrupt, ProgressEvent, RunControl, RunVerdict, ScenarioOutcome,
 };
 pub use scenario::{Dynamic, ScenarioConfig, SCENARIO_FORMAT_VERSION};
-pub use server::{JobStatus, Server, ServerConfig};
+pub use server::{JobStatus, QuarantinedRecord, Server, ServerConfig};

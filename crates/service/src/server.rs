@@ -20,6 +20,14 @@
 //! dynamics) restart from scratch instead; determinism makes the re-run's
 //! result equal, it just repays the wall time.
 //!
+//! Every file is written to `<file>.tmp` and renamed over its target
+//! ([`pp_core::checkpoint::write_atomic`]), so a kill at any byte leaves
+//! the old or the new version.  A rewritten file keeps its previous version
+//! as `<file>.tmp`; a finished job's checkpoint is deleted with its spare.
+//! A job record that still cannot be read or parsed is set aside as
+//! `job-N.json.corrupt` and reported by [`Server::quarantined`]; the rest
+//! of the directory opens normally.
+//!
 //! ## Streaming progress
 //!
 //! Workers append JSON progress events (sequence-numbered, see
@@ -31,6 +39,7 @@ use crate::job::{JobId, JobRecord, JobState};
 use crate::protocol;
 use crate::runner::{self, Interrupt, RunControl, RunVerdict};
 use crate::scenario::ScenarioConfig;
+use pp_core::checkpoint::{remove_atomic, write_atomic};
 use pp_core::{Checkpoint, Parallelism};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -100,11 +109,22 @@ struct ServerInner {
     kill: AtomicBool,
 }
 
+/// A job record [`Server::open`] could not load and moved aside.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuarantinedRecord {
+    /// The record's file name (`job-N.json`); the file now carries an
+    /// extra `.corrupt` suffix.
+    pub file: String,
+    /// Why the record was skipped.
+    pub reason: String,
+}
+
 /// The job server.  Dropping it without [`Server::shutdown`] or
 /// [`Server::kill`] kills it (workers are halted, not detached).
 pub struct Server {
     inner: Arc<ServerInner>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    quarantined: Vec<QuarantinedRecord>,
 }
 
 impl std::fmt::Debug for Server {
@@ -119,11 +139,14 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Opens a server: restores persisted jobs from the state directory
     /// (if any), re-queues unfinished ones, and starts the worker pool.
+    /// An unreadable or corrupt `job-N.json` is renamed to
+    /// `job-N.json.corrupt` and listed by [`Server::quarantined`]; new jobs
+    /// still get ids above `N`, so none reuses its files.
     ///
     /// # Errors
     ///
     /// Returns a named diagnostic when the state directory cannot be
-    /// created or scanned, or holds a corrupt job record.
+    /// created or scanned.
     pub fn open(cfg: ServerConfig) -> Result<Self, String> {
         let mut state = ServerState {
             next_id: 1,
@@ -131,6 +154,7 @@ impl Server {
             queue: Vec::new(),
             shutdown: false,
         };
+        let mut quarantined = Vec::new();
         if let Some(dir) = &cfg.state_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create state directory {}: {e}", dir.display()))?;
@@ -141,19 +165,39 @@ impl Server {
                 let entry = entry.map_err(|e| format!("cannot scan state directory: {e}"))?;
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                if !name.starts_with("job-") || !name.ends_with(".json") {
+                let Some(id) = name
+                    .strip_prefix("job-")
+                    .and_then(|rest| rest.strip_suffix(".json"))
+                else {
                     continue;
+                };
+                if let Ok(id) = id.parse::<u64>() {
+                    state.next_id = state.next_id.max(id.saturating_add(1));
                 }
-                let text = std::fs::read_to_string(entry.path())
-                    .map_err(|e| format!("cannot read {name}: {e}"))?;
-                let record =
-                    JobRecord::from_json(&text).map_err(|e| format!("corrupt {name}: {e}"))?;
-                records.push(record);
+                let loaded = std::fs::read_to_string(entry.path())
+                    .map_err(|e| format!("cannot read: {e}"))
+                    .and_then(|text| JobRecord::from_json(&text));
+                match loaded {
+                    Ok(record) => records.push(record),
+                    Err(reason) => {
+                        let mut aside = entry.path().into_os_string();
+                        aside.push(".corrupt");
+                        let reason = match std::fs::rename(entry.path(), &aside) {
+                            Ok(()) => reason,
+                            Err(e) => format!("{reason} (cannot move it aside: {e})"),
+                        };
+                        quarantined.push(QuarantinedRecord {
+                            file: name.into_owned(),
+                            reason,
+                        });
+                    }
+                }
             }
+            quarantined.sort_by(|a, b| a.file.cmp(&b.file));
             records.sort_by_key(|r| r.id);
             for mut record in records {
                 let id = record.id;
-                state.next_id = state.next_id.max(id.0 + 1);
+                state.next_id = state.next_id.max(id.0.saturating_add(1));
                 let result_path = JobRecord::result_path_in(dir, id);
                 let result = std::fs::read_to_string(&result_path).ok();
                 let resume = JobRecord::checkpoint_path_in(dir, id).exists();
@@ -198,7 +242,15 @@ impl Server {
         Ok(Server {
             inner,
             workers: handles,
+            quarantined,
         })
+    }
+
+    /// The job records [`Server::open`] skipped, with their reasons, in
+    /// file-name order.
+    #[must_use]
+    pub fn quarantined(&self) -> &[QuarantinedRecord] {
+        &self.quarantined
     }
 
     /// Submits a scenario with a priority (higher runs first; ties run in
@@ -274,7 +326,7 @@ impl Server {
                 let record = job.record.clone();
                 push_terminal_event(job, &record, None);
                 if let Some(dir) = &dir {
-                    let _ = std::fs::remove_file(JobRecord::checkpoint_path_in(dir, id));
+                    let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, id));
                 }
                 self.inner.persist_record(&record);
                 state.queue.retain(|&q| q != id.0);
@@ -413,18 +465,21 @@ impl ServerInner {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Best-effort persistence; an unwritable state directory degrades to
-    /// in-memory operation rather than failing the job.
+    /// Best-effort, atomic persistence; an unwritable state directory
+    /// degrades to in-memory operation rather than failing the job.
     fn persist_record(&self, record: &JobRecord) {
         if let Some(dir) = &self.cfg.state_dir {
-            let _ = std::fs::write(JobRecord::path_in(dir, record.id), record.to_json());
+            let _ = write_atomic(
+                &JobRecord::path_in(dir, record.id),
+                record.to_json().as_bytes(),
+            );
         }
     }
 
     fn persist_result(&self, id: JobId, result: &str) {
         if let Some(dir) = &self.cfg.state_dir {
-            let _ = std::fs::write(JobRecord::result_path_in(dir, id), result);
-            let _ = std::fs::remove_file(JobRecord::checkpoint_path_in(dir, id));
+            let _ = write_atomic(&JobRecord::result_path_in(dir, id), result.as_bytes());
+            let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, id));
         }
     }
 }
@@ -554,7 +609,7 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
             push_terminal_event(job, &record, None);
             inner.persist_record(&record);
             if let Some(dir) = &inner.cfg.state_dir {
-                let _ = std::fs::remove_file(JobRecord::checkpoint_path_in(dir, job_id));
+                let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, job_id));
             }
         }
         Ok(RunVerdict::Interrupted(Interrupt::Halted)) => {
@@ -677,6 +732,83 @@ mod tests {
         let status = reopened.wait(id).unwrap();
         assert_eq!(status.state, JobState::Done);
         assert_eq!(status.result.as_deref(), Some(expected.as_str()));
+        reopened.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn fresh_state_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pp_service_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn a_corrupt_record_is_quarantined_and_the_rest_is_served() {
+        let dir = fresh_state_dir("server_corrupt_test");
+        let cfg = || ServerConfig {
+            workers: Some(1),
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let server = Server::open(cfg()).unwrap();
+        let first = server.submit(scenario(3), 0).unwrap();
+        let done = server.wait(first).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        let second = server.submit(scenario(4), 0).unwrap();
+        server.wait(second).unwrap();
+        server.shutdown();
+        // A torn job record, as a kill mid-write under plain writes left it.
+        let record = JobRecord::path_in(&dir, second);
+        let text = std::fs::read_to_string(&record).unwrap();
+        std::fs::write(&record, &text[..text.len() / 2]).unwrap();
+
+        let reopened = Server::open(cfg()).unwrap();
+        let skipped = reopened.quarantined();
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert_eq!(skipped[0].file, "job-2.json");
+        assert!(!skipped[0].reason.is_empty());
+        assert!(!record.exists());
+        assert!(dir.join("job-2.json.corrupt").exists());
+        let status = reopened.status(first).expect("job 1 is still known");
+        assert_eq!(status.result, done.result);
+        assert!(reopened.status(second).is_none());
+        let third = reopened.submit(scenario(5), 0).unwrap();
+        assert_eq!(third, JobId(3), "no new job reuses the quarantined id");
+        reopened.wait(third).unwrap();
+        reopened.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persisted_files_keep_one_spare_and_leftovers_are_ignored() {
+        let dir = fresh_state_dir("server_atomic_test");
+        let cfg = || ServerConfig {
+            workers: Some(1),
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let server = Server::open(cfg()).unwrap();
+        let id = server.submit(scenario(6), 0).unwrap();
+        let done = server.wait(id).unwrap();
+        server.shutdown();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        // The record was rewritten (queued, running, done) and keeps its
+        // previous version as a spare; the checkpoint left with its spare.
+        assert_eq!(names, ["job-1.json", "job-1.json.tmp", "result-1.json"]);
+
+        // A kill mid-write leaves a torn `.tmp` (or an `.old` link) behind;
+        // reopen must ignore them rather than treat them as records.
+        std::fs::write(dir.join("job-1.json.tmp"), "{\"torn").unwrap();
+        std::fs::write(dir.join("job-2.json.tmp"), "{\"torn").unwrap();
+        std::fs::write(dir.join("job-3.json.old"), "{\"torn").unwrap();
+        let reopened = Server::open(cfg()).unwrap();
+        assert!(reopened.quarantined().is_empty());
+        assert_eq!(reopened.list().len(), 1);
+        assert_eq!(reopened.status(id).unwrap().result, done.result);
         reopened.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,11 +9,15 @@
 //! * Inside the controller's minimum-dwell window `evaluate` must return
 //!   the current fidelity for any signal — the property that lets the
 //!   hybrid engine skip building the signal there.
+//! * `geometric_skip` decides small skips by comparing `U` with powers of
+//!   `1 − p` before it calls any log; on every input it must return what
+//!   `floor(ln U / ln(1−p))` returns and consume the same RNG words, most
+//!   of all when `U` sits within a few grid steps of a power.
 
 use k_opinion_usd::analysis::fluctuation::{
     gap_to_absorption, min_drift_noise_ratio, min_live_mass,
 };
-use k_opinion_usd::core::engine::{check_transition_table, transition_table};
+use k_opinion_usd::core::engine::{check_transition_table, geometric_skip, transition_table};
 use k_opinion_usd::core::{
     AgentState, Configuration, FidelityConfig, FidelityController, FidelitySignal, OpinionProtocol,
     SimSeed,
@@ -21,6 +25,7 @@ use k_opinion_usd::core::{
 use k_opinion_usd::dynamics::PairwiseVoter;
 use k_opinion_usd::usd::{HybridEngine, MeanFieldState, UndecidedStateDynamics};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn assert_table_matches_respond<P: OpinionProtocol>(protocol: &P) {
     let k = protocol.num_opinions();
@@ -124,6 +129,167 @@ fn count(raw: u64, decades: u32, extinct: u8) -> u64 {
         0
     } else {
         raw % 10u64.pow(decades)
+    }
+}
+
+/// An RNG that returns one chosen word and counts how often it was asked.
+struct Words {
+    word: u64,
+    drawn: u32,
+}
+
+impl Rng for Words {
+    fn next_u64(&mut self) -> u64 {
+        self.drawn += 1;
+        self.word
+    }
+}
+
+/// `geometric_skip` as it was before the log-free path: the reference.
+fn reference_skip(rng: &mut Words, p: f64, max_skip: u64) -> Option<u64> {
+    if p >= 1.0 {
+        return Some(0);
+    }
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let skip = u.ln() / (-p).ln_1p();
+    if !skip.is_finite() || skip >= max_skip as f64 {
+        None
+    } else {
+        Some(skip as u64)
+    }
+}
+
+/// Runs both on one word; `Err` describes a mismatch in value or in RNG
+/// words consumed.
+fn compare_skip(word: u64, p: f64, max_skip: u64) -> Result<(), String> {
+    let (mut fast, mut slow) = (Words { word, drawn: 0 }, Words { word, drawn: 0 });
+    let observed = geometric_skip(&mut fast, p, max_skip);
+    let expected = reference_skip(&mut slow, p, max_skip);
+    if observed == expected && fast.drawn == slow.drawn {
+        Ok(())
+    } else {
+        Err(format!(
+            "word {word:#x}, p = {p:e}, max_skip = {max_skip}: {observed:?} ({} words) vs {expected:?} ({} words)",
+            fast.drawn, slow.drawn
+        ))
+    }
+}
+
+/// The word whose uniform is `offset` grid steps (`2⁻⁵³`) from `target` in
+/// `(0, 1]`; `low` fills the 11 bits the uniform ignores.
+fn word_near(target: f64, offset: i64, low: u64) -> u64 {
+    const GRID: f64 = (1u64 << 53) as f64;
+    let unit = ((target * GRID).round() as i64)
+        .saturating_add(offset)
+        .clamp(0, (1 << 53) - 1);
+    ((unit as u64) << 11) | (low & 0x7ff)
+}
+
+/// `(1 − p)^j` two ways, both within a few ulps of the exact boundary
+/// `ln U / ln(1−p) = j`: the computed power and `exp(j · ln(1−p))`.
+fn boundary(p: f64, j: u64, via_exp: bool) -> f64 {
+    if via_exp {
+        ((-p).ln_1p() * j as f64).exp()
+    } else {
+        (1.0 - p).powi(j as i32)
+    }
+}
+
+/// `max_skip` values: every small limit, a random one and no limit.
+fn max_skip_variant(index: u64, random: u64) -> u64 {
+    match index % 12 {
+        10 => random,
+        11 => u64::MAX,
+        small => small,
+    }
+}
+
+/// Event probabilities: log-uniform in `[10⁻¹⁸, 1)`, `1 − 10⁻ˣ` for
+/// `x ∈ (0, 16]`, or `≥ 1`, picked by `kind` from a uniform `x ∈ [0, 1)`.
+fn probability(kind: u64, x: f64) -> f64 {
+    match kind % 3 {
+        0 => 10f64.powf(-18.0 * x),
+        1 => 1.0 - 10f64.powf(-16.0 * (1.0 - x)),
+        _ => [1.0, 1.0 + f64::EPSILON, 2.0, f64::INFINITY][(x * 4.0) as usize],
+    }
+}
+
+/// SplitMix64's output function: deterministic pseudo-random sweep inputs.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn geometric_skip_equals_the_log_formula_on_boundary_words() {
+    let mut cases = 0u64;
+    let mut mismatches = Vec::new();
+    let mut check = |word: u64, p: f64, max_skip: u64| {
+        cases += 1;
+        if let Err(e) = compare_skip(word, p, max_skip) {
+            mismatches.push(e);
+        }
+    };
+    for i in 0..12_000u64 {
+        let r = mix(i);
+        let x = (mix(r) >> 11) as f64 / (1u64 << 53) as f64;
+        // Mostly log-uniform p, a sixth near 1, a few ≥ 1.
+        let kind = match i % 60 {
+            0 => 2,
+            1..=10 => 1,
+            _ => 0,
+        };
+        let p = probability(kind, x);
+        for j in 1..=9u64 {
+            for slot in 0..10u64 {
+                let s = mix(r ^ (j << 40) ^ (slot << 48));
+                let word = if slot == 9 {
+                    s
+                } else {
+                    word_near(boundary(p, j, s & 1 == 1), slot as i64 - 4, s >> 1)
+                };
+                check(word, p, max_skip_variant(s >> 20, mix(s)));
+            }
+        }
+    }
+    // The extreme words: `U = MIN_POSITIVE` and `U = 1 − 2⁻⁵³`.  Release
+    // builds also take the probabilities the debug precondition `p > 0`
+    // rejects.
+    let invalid: &[f64] = if cfg!(debug_assertions) {
+        &[]
+    } else {
+        &[f64::NAN, 0.0, -0.5, f64::NEG_INFINITY]
+    };
+    for &p in [1e-18, 1e-9, 0.25, 0.5, 1.0 - 1e-16].iter().chain(invalid) {
+        for max_skip in [0, 1, 8, u64::MAX] {
+            check(0, p, max_skip);
+            check(u64::MAX, p, max_skip);
+        }
+    }
+    assert!(cases >= 1_000_000, "{cases} cases");
+    assert!(
+        mismatches.is_empty(),
+        "{} of {cases} cases differ, first: {:?}",
+        mismatches.len(),
+        &mismatches[..mismatches.len().min(5)]
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn geometric_skip_equals_the_log_formula(
+        (kind, x) in (0u64..3, 0f64..1.0),
+        (j, offset, low) in (1u64..10, 0u64..9, 0u64..2048),
+        (limit, random) in (0u64..12, 0u64..u64::MAX),
+    ) {
+        let p = probability(kind, x);
+        let word = word_near(boundary(p, j, low & 1 == 1), offset as i64 - 4, low);
+        let checked = compare_skip(word, p, max_skip_variant(limit, random));
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }
 
