@@ -12,7 +12,7 @@ use crate::hybrid::HybridEngine;
 use crate::mean_field::MeanFieldEngine;
 use crate::phases::{EnginePolicy, Phase, PhaseTimes, PhaseTracker};
 use crate::protocol::UndecidedStateDynamics;
-use pp_core::checkpoint::{Checkpoint, EngineState};
+use pp_core::checkpoint::{Checkpoint, CheckpointJournal, EngineState};
 use pp_core::engine::{Advance, StepEngine};
 use pp_core::run::MaintenanceStats;
 use pp_core::{
@@ -230,7 +230,7 @@ pub struct UsdSimulator {
 /// Where and how often the drive loop writes periodic checkpoints.
 #[derive(Debug)]
 struct CheckpointSink {
-    path: PathBuf,
+    journal: CheckpointJournal,
     every: u64,
     /// Interaction count at the last capture (cadence anchor).
     last_capture: u64,
@@ -486,8 +486,9 @@ impl UsdSimulator {
     /// interactions (checked between `advance` boundaries, so actual
     /// spacing is quantized to event batches) and at every phase boundary
     /// of a phase-aware run, the drive loop captures a checkpoint and
-    /// (over)writes it at `path`.  When telemetry is attached, each write
-    /// bumps `checkpoint.captures` and adds the document size to
+    /// appends it to the [`CheckpointJournal`] at `path`, whose last whole
+    /// line is then the newest capture.  When telemetry is attached, each
+    /// write bumps `checkpoint.captures` and adds the document size to
     /// `checkpoint.bytes`.
     ///
     /// Runs that never advance past `every_interactions` write only the
@@ -500,7 +501,7 @@ impl UsdSimulator {
     /// fails loudly rather than silently dropping captures.
     pub fn set_checkpoint_sink(&mut self, path: impl Into<PathBuf>, every_interactions: u64) {
         self.sink = Some(CheckpointSink {
-            path: path.into(),
+            journal: CheckpointJournal::new(path),
             every: every_interactions.max(1),
             last_capture: self.interactions(),
         });
@@ -514,18 +515,34 @@ impl UsdSimulator {
         if respect_cadence && self.interactions().saturating_sub(sink.last_capture) < sink.every {
             return;
         }
-        let path = sink.path.clone();
-        let checkpoint = self.capture().expect("every backend captures");
-        let bytes = checkpoint
-            .save(&path)
+        self.checkpoint_now()
             .unwrap_or_else(|e| panic!("periodic checkpoint failed: {e}"));
-        if let Some(sink) = &mut self.sink {
-            sink.last_capture = self.consumed + StepEngine::interactions(&self.engine);
+    }
+
+    /// Appends a capture to the checkpoint sink now, off its cadence — the
+    /// final capture of a run that is being halted, so the sink stays the
+    /// only writer of its file.  Call between `advance` calls only.
+    /// Returns `false` when no sink is configured.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpError::Checkpoint`] when the capture cannot be written.
+    pub fn checkpoint_now(&mut self) -> Result<bool, PpError> {
+        if self.sink.is_none() {
+            return Ok(false);
         }
+        let checkpoint = self.capture()?;
+        let at = self.interactions();
+        let Some(sink) = &mut self.sink else {
+            return Ok(false);
+        };
+        let bytes = sink.journal.append(&checkpoint)?;
+        sink.last_capture = at;
         if self.tel.is_enabled() {
             self.tel.counter("checkpoint.captures").add(1);
             self.tel.counter("checkpoint.bytes").add(bytes);
         }
+        Ok(true)
     }
 
     /// Builds a lockstep replica ensemble over `config` — the Monte Carlo

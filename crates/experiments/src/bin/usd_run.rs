@@ -46,12 +46,17 @@
 //! Crash recovery (single USD runs only; the library API checkpoints the
 //! rest):
 //!
-//! * `--checkpoint ckpt.json [--checkpoint-every N]` writes a resumable
+//! * `--checkpoint ckpt.json [--checkpoint-every N]` captures a resumable
 //!   snapshot of the complete engine state every `N` interactions
 //!   (default: `n`, one parallel-time unit) and at every phase boundary of
-//!   phase-aware runs.  Captures never perturb the trajectory.
-//! * `--resume ckpt.json` restores the snapshot and drives it to the run's
-//!   usual stop condition.  Pass the original `--n`/`--k`: the interaction
+//!   phase-aware runs.  Captures never perturb the trajectory.  The file
+//!   is a journal: each capture appends one JSON line (the capture after
+//!   the 64th line starts the file over), its last whole line is the
+//!   resume point — a kill mid-append leaves the previous capture
+//!   readable — and any single line is a standalone checkpoint.
+//! * `--resume ckpt.json` restores the snapshot (a journal's last whole
+//!   line) and drives it to the run's usual stop condition.  Pass the
+//!   original `--n`/`--k`: the interaction
 //!   budget derives from them, so the runner refuses a checkpoint captured
 //!   from a different population, opinion count or (when `--engine` is
 //!   given) backend.  The resumed trajectory tail is bit-identical to the

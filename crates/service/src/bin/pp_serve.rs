@@ -353,10 +353,7 @@ fn main() -> ExitCode {
         }
     };
     for skipped in server.quarantined() {
-        eprintln!(
-            "skipped {}: {} (moved to {}.corrupt)",
-            skipped.file, skipped.reason, skipped.file
-        );
+        eprintln!("skipped {}: {}", skipped.file, skipped.reason);
     }
     let outcome = match &opts.socket {
         Some(path) => serve_socket(server, path),

@@ -48,7 +48,7 @@ use consensus_dynamics::{
     sampler_ensemble, JMajority, MedianRule, SamplingDynamics, SequentialSampler, ThreeMajority,
     TwoChoices, Voter,
 };
-use pp_core::checkpoint::{EngineState, ReplicaCheckpoint};
+use pp_core::checkpoint::{CheckpointJournal, EngineState, ReplicaCheckpoint};
 use pp_core::ensemble::EnsembleRunResult;
 use pp_core::{
     Checkpoint, Configuration, EngineChoice, MetricsSnapshot, NullRecorder, Recorder, RunOutcome,
@@ -119,8 +119,10 @@ pub struct RunControl<'a> {
     pub progress_every: u64,
     /// Polled at pause boundaries; returning `Some` stops the run.
     pub interrupt: Option<&'a dyn Fn() -> Option<Interrupt>>,
-    /// Periodic checkpoint sink `(path, cadence)`; also captured once on a
-    /// `Halted` interrupt so the resume point is never stale.
+    /// Periodic checkpoint sink `(path, cadence)`: a
+    /// [`CheckpointJournal`] each capture appends a line to.  A `Halted`
+    /// interrupt appends one more capture, so the resume point is never
+    /// stale.
     pub checkpoint: Option<(&'a Path, u64)>,
     /// Resume from this capture instead of building the initial state
     /// (single USD, USD-ensemble, and single sampling-dynamic
@@ -446,12 +448,8 @@ fn run_single_usd<R: Recorder>(
         }
         if let Some(kind) = pending {
             if kind == Interrupt::Halted {
-                if let Some((path, _)) = control.checkpoint {
-                    sim.capture()
-                        .map_err(|e| format!("cannot checkpoint: {e}"))?
-                        .save(path)
-                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                }
+                sim.checkpoint_now()
+                    .map_err(|e| format!("cannot checkpoint: {e}"))?;
             }
             return Ok(RunVerdict::Interrupted(kind));
         }
@@ -604,6 +602,16 @@ impl SamplerRun<'_> {
                 }
             })
             .unwrap_or(u64::MAX);
+        let mut journal = control
+            .checkpoint
+            .map(|(path, _)| CheckpointJournal::new(path));
+        let mut write_checkpoint = |sim: &SequentialSampler<D>| match &mut journal {
+            Some(journal) => journal
+                .append(&capture_sampler(sim, dynamic))
+                .map(drop)
+                .map_err(|e| format!("cannot checkpoint: {e}")),
+            None => Ok(()),
+        };
         recorder.record(sim.steps(), sim.configuration());
         let mut next_progress = sim.steps().saturating_add(every);
         let mut next_checkpoint = sim.steps().saturating_add(checkpoint_every);
@@ -633,20 +641,12 @@ impl SamplerRun<'_> {
             }
             if let Some(kind) = pending {
                 if kind == Interrupt::Halted {
-                    if let Some((path, _)) = control.checkpoint {
-                        capture_sampler(&sim, dynamic)
-                            .save(path)
-                            .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                    }
+                    write_checkpoint(&sim)?;
                 }
                 return Ok(RunVerdict::Interrupted(kind));
             }
             if sim.steps() >= next_checkpoint {
-                if let Some((path, _)) = control.checkpoint {
-                    capture_sampler(&sim, dynamic)
-                        .save(path)
-                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                }
+                write_checkpoint(&sim)?;
                 next_checkpoint = sim.steps().saturating_add(checkpoint_every);
             }
             if sim.steps() >= next_progress {

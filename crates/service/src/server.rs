@@ -20,12 +20,21 @@
 //! dynamics) restart from scratch instead; determinism makes the re-run's
 //! result equal, it just repays the wall time.
 //!
-//! Every file is written to `<file>.tmp` and renamed over its target
-//! ([`pp_core::checkpoint::write_atomic`]), so a kill at any byte leaves
-//! the old or the new version.  A rewritten file keeps its previous version
-//! as `<file>.tmp`; a finished job's checkpoint is deleted with its spare.
-//! A job record that still cannot be read or parsed is set aside as
-//! `job-N.json.corrupt` and reported by [`Server::quarantined`]; the rest
+//! Job records and results are written to `<file>.tmp` and renamed over
+//! their target ([`pp_core::checkpoint::write_atomic`]), so a kill at any
+//! byte leaves the old or the new version; a rewritten file keeps its
+//! previous version as `<file>.tmp`.  A job's checkpoint `ckpt-N.json` is
+//! a [`pp_core::checkpoint::CheckpointJournal`]: each capture appends one
+//! line, and a kill at any byte leaves the previous capture as the last
+//! whole line, which is what the job resumes from.  A finished job's
+//! checkpoint is deleted with its spare.
+//!
+//! Reopening validates what it reads.  A job record that cannot be read or
+//! parsed is set aside as `job-N.json.corrupt` and the job is forgotten; a
+//! checkpoint that does not load is set aside as `ckpt-N.json.corrupt` and
+//! its job restarts from scratch; a done job's result that is missing or
+//! not JSON is set aside as `result-N.json.corrupt` and its job runs
+//! again.  [`Server::quarantined`] names each with its reason, and the rest
 //! of the directory opens normally.
 //!
 //! ## Streaming progress
@@ -42,7 +51,7 @@ use crate::scenario::ScenarioConfig;
 use pp_core::checkpoint::{remove_atomic, write_atomic};
 use pp_core::{Checkpoint, Parallelism};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -85,7 +94,8 @@ struct Job {
     result: Option<String>,
     events: Vec<String>,
     cancel: Arc<AtomicBool>,
-    resume: bool,
+    /// The capture a re-queued job resumes from (loaded at open).
+    resume: Option<Checkpoint>,
 }
 
 struct ServerState {
@@ -109,14 +119,31 @@ struct ServerInner {
     kill: AtomicBool,
 }
 
-/// A job record [`Server::open`] could not load and moved aside.
+/// A state file [`Server::open`] could not use and moved aside: a job
+/// record, a checkpoint, or a done job's result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedRecord {
-    /// The record's file name (`job-N.json`); the file now carries an
-    /// extra `.corrupt` suffix.
+    /// The file's name (`job-N.json`, `ckpt-N.json` or `result-N.json`);
+    /// the file, if it existed, now carries an extra `.corrupt` suffix.
     pub file: String,
-    /// Why the record was skipped.
+    /// Why the file was skipped, and where it went.
     pub reason: String,
+}
+
+/// Moves `path` aside as `<path>.corrupt` (when it exists) and names it
+/// with `reason`.
+fn quarantine(path: &Path, reason: &str) -> QuarantinedRecord {
+    let file = path
+        .file_name()
+        .map_or_else(String::new, |name| name.to_string_lossy().into_owned());
+    let mut aside = path.as_os_str().to_owned();
+    aside.push(".corrupt");
+    let reason = match std::fs::rename(path, &aside) {
+        Ok(()) => format!("{reason} (moved to {file}.corrupt)"),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => reason.to_string(),
+        Err(e) => format!("{reason} (cannot move it aside: {e})"),
+    };
+    QuarantinedRecord { file, reason }
 }
 
 /// The job server.  Dropping it without [`Server::shutdown`] or
@@ -141,7 +168,11 @@ impl Server {
     /// (if any), re-queues unfinished ones, and starts the worker pool.
     /// An unreadable or corrupt `job-N.json` is renamed to
     /// `job-N.json.corrupt` and listed by [`Server::quarantined`]; new jobs
-    /// still get ids above `N`, so none reuses its files.
+    /// still get ids above `N`, so none reuses its files.  An unreadable
+    /// `ckpt-N.json` is set aside the same way and its job restarts from
+    /// scratch; a done job whose `result-N.json` is missing or not JSON
+    /// loses it the same way and runs again (determinism makes the re-run
+    /// store the identical document).
     ///
     /// # Errors
     ///
@@ -179,35 +210,41 @@ impl Server {
                     .and_then(|text| JobRecord::from_json(&text));
                 match loaded {
                     Ok(record) => records.push(record),
-                    Err(reason) => {
-                        let mut aside = entry.path().into_os_string();
-                        aside.push(".corrupt");
-                        let reason = match std::fs::rename(entry.path(), &aside) {
-                            Ok(()) => reason,
-                            Err(e) => format!("{reason} (cannot move it aside: {e})"),
-                        };
-                        quarantined.push(QuarantinedRecord {
-                            file: name.into_owned(),
-                            reason,
-                        });
-                    }
+                    Err(reason) => quarantined.push(quarantine(&entry.path(), &reason)),
                 }
             }
-            quarantined.sort_by(|a, b| a.file.cmp(&b.file));
             records.sort_by_key(|r| r.id);
             for mut record in records {
                 let id = record.id;
                 state.next_id = state.next_id.max(id.0.saturating_add(1));
-                let result_path = JobRecord::result_path_in(dir, id);
-                let result = std::fs::read_to_string(&result_path).ok();
-                let resume = JobRecord::checkpoint_path_in(dir, id).exists();
-                let requeue = !record.state.is_terminal();
-                if requeue {
+                let mut result = None;
+                let mut resume = None;
+                if record.state == JobState::Done {
+                    let path = JobRecord::result_path_in(dir, id);
+                    let loaded = std::fs::read_to_string(&path)
+                        .map_err(|e| format!("cannot read: {e}"))
+                        .and_then(|text| crate::json::Json::parse(&text).map(|_| text));
+                    match loaded {
+                        Ok(text) => result = Some(text),
+                        Err(reason) => {
+                            quarantined.push(quarantine(&path, &reason));
+                            record.state = JobState::Queued;
+                        }
+                    }
+                } else if !record.state.is_terminal() {
                     // A `running` job was interrupted by a kill or crash;
-                    // it goes back on the queue (resuming from its
-                    // checkpoint when one exists).
+                    // it goes back on the queue, resuming from its
+                    // checkpoint when one loads.
                     record.state = JobState::Queued;
+                    let path = JobRecord::checkpoint_path_in(dir, id);
+                    if path.exists() {
+                        match Checkpoint::load(&path) {
+                            Ok(checkpoint) => resume = Some(checkpoint),
+                            Err(e) => quarantined.push(quarantine(&path, &e.to_string())),
+                        }
+                    }
                 }
+                let requeue = record.state == JobState::Queued;
                 let job = Job {
                     record,
                     result,
@@ -220,6 +257,7 @@ impl Server {
                     state.queue.push(id.0);
                 }
             }
+            quarantined.sort_by(|a, b| a.file.cmp(&b.file));
         }
         let workers = cfg
             .workers
@@ -246,7 +284,7 @@ impl Server {
         })
     }
 
-    /// The job records [`Server::open`] skipped, with their reasons, in
+    /// The state files [`Server::open`] set aside, with their reasons, in
     /// file-name order.
     #[must_use]
     pub fn quarantined(&self) -> &[QuarantinedRecord] {
@@ -283,7 +321,7 @@ impl Server {
                 result: None,
                 events: Vec::new(),
                 cancel: Arc::new(AtomicBool::new(false)),
-                resume: false,
+                resume: None,
             },
         );
         state.queue.push(id.0);
@@ -515,7 +553,7 @@ fn worker_loop(inner: &ServerInner) {
                     job.record.state = JobState::Running;
                     let record = job.record.clone();
                     inner.persist_record(&record);
-                    break Some((id, record, Arc::clone(&job.cancel), job.resume));
+                    break Some((id, record, Arc::clone(&job.cancel), job.resume.take()));
                 }
                 if state.shutdown {
                     return;
@@ -535,7 +573,13 @@ fn worker_loop(inner: &ServerInner) {
 
 /// Drives one job through the shared scenario runner, wiring the server's
 /// interrupt, progress and checkpoint hooks.
-fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool, resume: bool) {
+fn run_job(
+    inner: &ServerInner,
+    id: u64,
+    record: &JobRecord,
+    cancel: &AtomicBool,
+    resume: Option<Checkpoint>,
+) {
     let job_id = JobId(id);
     let scenario = record.scenario;
     let checkpoint_path = inner
@@ -547,13 +591,6 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
         scenario.population.max(1)
     } else {
         inner.cfg.checkpoint_every
-    };
-    let resume_checkpoint = if resume {
-        checkpoint_path
-            .as_ref()
-            .and_then(|path| Checkpoint::load(path).ok())
-    } else {
-        None
     };
     let interrupt = || {
         if inner.kill.load(Ordering::SeqCst) {
@@ -582,7 +619,7 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
         checkpoint: checkpoint_path
             .as_deref()
             .map(|path| (path, checkpoint_every)),
-        resume: resume_checkpoint.as_ref(),
+        resume: resume.as_ref(),
         ..RunControl::default()
     };
     let verdict = runner::run_scenario(&scenario, control);
@@ -596,7 +633,6 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
             let result = runner::result_json(&outcome);
             job.record.state = JobState::Done;
             job.result = Some(result.clone());
-            job.resume = false;
             let record = job.record.clone();
             push_terminal_event(job, &record, Some(&result));
             inner.persist_record(&record);
@@ -604,7 +640,6 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
         }
         Ok(RunVerdict::Interrupted(Interrupt::Cancelled)) => {
             job.record.state = JobState::Cancelled;
-            job.resume = false;
             let record = job.record.clone();
             push_terminal_event(job, &record, None);
             inner.persist_record(&record);
@@ -616,12 +651,10 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
             // The server is going down; the job stays `running` on disk
             // (with its checkpoint) so the next open re-queues it.  In
             // memory nothing more to do — the process is exiting.
-            job.resume = true;
         }
         Err(message) => {
             job.record.state = JobState::Failed;
             job.record.error = Some(message);
-            job.resume = false;
             let record = job.record.clone();
             push_terminal_event(job, &record, None);
             inner.persist_record(&record);
@@ -775,6 +808,106 @@ mod tests {
         let third = reopened.submit(scenario(5), 0).unwrap();
         assert_eq!(third, JobId(3), "no new job reuses the quarantined id");
         reopened.wait(third).unwrap();
+        reopened.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_checkpoint_is_quarantined_and_its_job_restarts() {
+        let dir = fresh_state_dir("server_torn_checkpoint_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = scenario(8);
+        let id = JobId(1);
+        // A job a crash left `running`, with the checkpoint its run sank
+        // before the crash.
+        let record = JobRecord {
+            id,
+            priority: 0,
+            state: JobState::Running,
+            scenario: config,
+            error: None,
+        };
+        write_atomic(&JobRecord::path_in(&dir, id), record.to_json().as_bytes()).unwrap();
+        let checkpoint = JobRecord::checkpoint_path_in(&dir, id);
+        let polls = std::cell::Cell::new(0);
+        let halt = || {
+            polls.set(polls.get() + 1);
+            (polls.get() > 2).then_some(Interrupt::Halted)
+        };
+        let verdict = run_scenario(
+            &config,
+            RunControl {
+                progress_every: 50,
+                interrupt: Some(&halt),
+                checkpoint: Some((&checkpoint, 50)),
+                ..RunControl::default()
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            verdict,
+            RunVerdict::Interrupted(Interrupt::Halted)
+        ));
+        // Torn inside its first line.
+        let text = std::fs::read_to_string(&checkpoint).unwrap();
+        let first_line = text.find('\n').expect("the journal has a whole line");
+        std::fs::write(&checkpoint, &text[..first_line / 2]).unwrap();
+
+        let server = Server::open(ServerConfig {
+            workers: Some(1),
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let skipped = server.quarantined();
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert_eq!(skipped[0].file, "ckpt-1.json");
+        assert!(skipped[0].reason.contains("checkpoint"), "{skipped:?}");
+        assert!(dir.join("ckpt-1.json.corrupt").exists());
+        let status = server.wait(id).unwrap();
+        assert_eq!(status.state, JobState::Done);
+        assert_eq!(
+            status.result.as_deref(),
+            Some(standalone_json(&config).as_str())
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_or_torn_result_is_quarantined_and_its_job_reruns() {
+        let dir = fresh_state_dir("server_result_test");
+        let cfg = || ServerConfig {
+            workers: Some(1),
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let server = Server::open(cfg()).unwrap();
+        let missing = server.submit(scenario(11), 0).unwrap();
+        let torn = server.submit(scenario(12), 0).unwrap();
+        let served = [server.wait(missing).unwrap(), server.wait(torn).unwrap()];
+        server.shutdown();
+        std::fs::remove_file(JobRecord::result_path_in(&dir, missing)).unwrap();
+        let torn_path = JobRecord::result_path_in(&dir, torn);
+        let text = std::fs::read_to_string(&torn_path).unwrap();
+        std::fs::write(&torn_path, &text[..text.len() / 2]).unwrap();
+
+        let reopened = Server::open(cfg()).unwrap();
+        let files: Vec<&str> = reopened
+            .quarantined()
+            .iter()
+            .map(|q| q.file.as_str())
+            .collect();
+        assert_eq!(files, ["result-1.json", "result-2.json"]);
+        assert!(!dir.join("result-1.json.corrupt").exists());
+        assert!(dir.join("result-2.json.corrupt").exists());
+        for (id, done) in [missing, torn].into_iter().zip(served) {
+            let status = reopened.wait(id).unwrap();
+            assert_eq!(status.state, JobState::Done);
+            assert_eq!(status.result, done.result, "job {id} re-ran differently");
+            let stored = std::fs::read_to_string(JobRecord::result_path_in(&dir, id)).unwrap();
+            assert_eq!(Some(stored), done.result);
+        }
         reopened.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
