@@ -19,6 +19,11 @@
 //!   than the limit, gets an `"ok":false` reply naming which; the rest of an
 //!   over-long line is read and dropped, and the server keeps serving.
 //!
+//! * With `--state-dir`, start-up prints `skipped <what>: <reason>` to
+//!   stderr for each piece of state it could not use (see
+//!   `pp_service::server`).  Shutdown prints `persist failures: N`, the
+//!   state-directory writes that failed (always 0 without one).
+//!
 //! See `pp_service::protocol` for the message reference.  Determinism and
 //! crash-resume contracts are documented on the `pp_service` crate root.
 
@@ -241,6 +246,12 @@ fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
     }
 }
 
+/// Shuts the server down gracefully and prints how many state-directory
+/// writes failed over its life (each failed job went on in memory).
+fn shut_down(server: Server) {
+    eprintln!("persist failures: {}", server.shutdown());
+}
+
 fn serve_stdio(server: Server) -> std::io::Result<()> {
     let mut stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout().lock();
@@ -258,7 +269,7 @@ fn serve_stdio(server: Server) -> std::io::Result<()> {
             break;
         }
     }
-    server.shutdown();
+    shut_down(server);
     Ok(())
 }
 
@@ -300,7 +311,7 @@ fn serve_socket(server: Server, path: &PathBuf) -> Result<(), String> {
             });
         }
     });
-    server.shutdown();
+    shut_down(server);
     let _ = std::fs::remove_file(path);
     Ok(())
 }

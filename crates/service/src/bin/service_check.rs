@@ -13,8 +13,9 @@
 //!   be dense from 0, the stream must end in exactly one terminal `done`
 //!   event, and at least `--min-progress` progress snapshots must precede
 //!   it (default 1).
-//! * `--result` — a canonical result document (a `result-<id>.json` file,
-//!   a `result` reply's payload, or `usd_run --scenario` output), checked
+//! * `--result` — a canonical result document (a `result` reply's payload,
+//!   the document of a `jobs.log` result line, or `usd_run --scenario`
+//!   output), checked
 //!   with `pp_service::protocol::check_result_doc`.
 //!
 //! Exits 0 when every given artifact passes, 1 with a diagnostic per

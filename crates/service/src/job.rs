@@ -8,16 +8,25 @@
 //!
 //! Persistence layout (inside the server's state directory):
 //!
-//! * `job-<id>.json` — the [`JobRecord`]: version, id, priority, state,
-//!   scenario, and the failure message for failed jobs.
-//! * `result-<id>.json` — the canonical result document
+//! * `jobs.log` — the [`JobLog`], appended one line per persisted change:
+//!   a [`JobRecord`] (version, id, priority, state, scenario, and the
+//!   failure message for failed jobs) as its version-1 JSON document, or
+//!   `result <id> <document>` for a done job's canonical result
 //!   ([`crate::runner::result_json`] bytes, stored verbatim so replaying a
-//!   `result` request after a restart returns the identical bytes).
-//! * `ckpt-<id>.json` — a [`pp_core::Checkpoint`] for a job halted
-//!   mid-run, removed when the job reaches a terminal state.
+//!   `result` request after a restart returns the identical bytes).  The
+//!   last record line of a job is its state.  Opening the server rewrites
+//!   the log to its live lines through [`pp_core::checkpoint::write_atomic`]
+//!   (so `jobs.log.tmp` is its previous version), and keeps the lines it
+//!   could not parse in `jobs.log.corrupt`.
+//! * `ckpt-<id>.json` — a [`pp_core::checkpoint::CheckpointJournal`] for a
+//!   job halted mid-run, removed when the job reaches a terminal state.
 
 use crate::json::{Json, ObjBuilder};
 use crate::scenario::ScenarioConfig;
+use pp_core::checkpoint::write_atomic;
+use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The job-record format version.
@@ -174,18 +183,6 @@ impl JobRecord {
         })
     }
 
-    /// The record's file name inside a state directory.
-    #[must_use]
-    pub fn path_in(dir: &Path, id: JobId) -> PathBuf {
-        dir.join(format!("job-{}.json", id.0))
-    }
-
-    /// The canonical-result file for a job.
-    #[must_use]
-    pub fn result_path_in(dir: &Path, id: JobId) -> PathBuf {
-        dir.join(format!("result-{}.json", id.0))
-    }
-
     /// The resume-checkpoint file for a job.
     #[must_use]
     pub fn checkpoint_path_in(dir: &Path, id: JobId) -> PathBuf {
@@ -200,6 +197,199 @@ fn priority_json(priority: i64) -> Json {
     } else {
         Json::I64(priority)
     }
+}
+
+/// The job log's file name inside a state directory.
+pub const JOB_LOG: &str = "jobs.log";
+
+/// The prefix of a result line.
+const RESULT_PREFIX: &str = "result ";
+
+/// A record's log line, newline included.
+fn record_line(record: &JobRecord) -> String {
+    record.to_json() + "\n"
+}
+
+/// A done job's result line, newline included.
+fn result_line(id: JobId, result: &str) -> String {
+    format!("{RESULT_PREFIX}{id} {result}\n")
+}
+
+/// The append-only job log of a state directory (see the module docs).
+///
+/// Each append is one `write` of whole lines to a handle opened at the
+/// first append, so a kill at any byte leaves every earlier line whole
+/// and at most a torn last line, which [`replay`] ignores.
+#[derive(Debug)]
+pub(crate) struct JobLog {
+    path: PathBuf,
+    /// The append handle; `None` before the first append and after a
+    /// failed one.
+    file: Option<File>,
+    /// A failed write may have left part of a line: the next append
+    /// starts with a newline so that part never merges with its lines.
+    torn: bool,
+    /// Appends and rewrites that failed.
+    failures: u64,
+}
+
+impl JobLog {
+    /// The log of state directory `dir`; nothing is opened yet.
+    pub(crate) fn new(dir: &Path) -> Self {
+        JobLog {
+            path: dir.join(JOB_LOG),
+            file: None,
+            torn: false,
+            failures: 0,
+        }
+    }
+
+    /// The log file.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Persisted changes that failed to reach the file.
+    pub(crate) fn failures(&self) -> u64 {
+        self.failures
+    }
+
+    /// Appends a record line.
+    pub(crate) fn append_record(&mut self, record: &JobRecord) {
+        self.append(&record_line(record));
+    }
+
+    /// Appends a done record and its result line with one write.
+    pub(crate) fn append_done(&mut self, record: &JobRecord, result: &str) {
+        self.append(&(record_line(record) + &result_line(record.id, result)));
+    }
+
+    /// Best effort: a failure is counted and drops the handle, and the job
+    /// goes on in memory.
+    fn append(&mut self, lines: &str) {
+        let file = match self.file.take() {
+            Some(file) => Ok(file),
+            None => OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&self.path),
+        };
+        let Ok(mut file) = file else {
+            self.failures += 1;
+            return;
+        };
+        let written = if self.torn {
+            file.write_all(format!("\n{lines}").as_bytes())
+        } else {
+            file.write_all(lines.as_bytes())
+        };
+        if written.is_ok() {
+            self.file = Some(file);
+            self.torn = false;
+        } else {
+            self.failures += 1;
+            self.torn = true;
+        }
+    }
+
+    /// Replaces the log with `jobs`' live lines: each job's record, and
+    /// the result of a done one.  Called before the first append.
+    pub(crate) fn compact<'a>(
+        &mut self,
+        jobs: impl Iterator<Item = (&'a JobRecord, Option<&'a str>)>,
+    ) {
+        let mut text = String::new();
+        for (record, result) in jobs {
+            text.push_str(&record_line(record));
+            if let Some(result) = result {
+                text.push_str(&result_line(record.id, result));
+            }
+        }
+        if write_atomic(&self.path, text.as_bytes()).is_err() {
+            self.failures += 1;
+        }
+    }
+}
+
+/// A whole log line [`replay`] could not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BadLine {
+    /// The 1-based line number.
+    pub(crate) line: usize,
+    /// Why it did not parse.
+    pub(crate) reason: String,
+    /// The line's bytes, newline excluded.
+    pub(crate) bytes: Vec<u8>,
+}
+
+/// What a job log holds.
+#[derive(Debug, Default)]
+pub(crate) struct LogReplay {
+    /// Each job's last record line, by id.
+    pub(crate) records: BTreeMap<u64, JobRecord>,
+    /// Each job's last result line, by id.
+    pub(crate) results: BTreeMap<u64, String>,
+    /// The whole lines that did not parse, in file order.
+    pub(crate) bad: Vec<BadLine>,
+    /// One past the highest id a whole line names, parsed or not (`0` when
+    /// none does).
+    pub(crate) next_id: u64,
+}
+
+/// Reads a job log's bytes.  Bytes after the last newline are a torn
+/// append and are ignored; empty lines are skipped.
+pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
+    let mut out = LogReplay::default();
+    let Some(end) = bytes.iter().rposition(|&b| b == b'\n') else {
+        return out;
+    };
+    for (i, line) in bytes[..end].split(|&b| b == b'\n').enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(id) = named_id(line) {
+            out.next_id = out.next_id.max(id.saturating_add(1));
+        }
+        let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"));
+        let parsed = text.and_then(|text| match text.strip_prefix(RESULT_PREFIX) {
+            Some(rest) => parse_result(rest).map(|(id, doc)| {
+                out.results.insert(id, doc.to_string());
+            }),
+            None => JobRecord::from_json(text).map(|record| {
+                out.records.insert(record.id.0, record);
+            }),
+        });
+        if let Err(reason) = parsed {
+            out.bad.push(BadLine {
+                line: i + 1,
+                reason,
+                bytes: line.to_vec(),
+            });
+        }
+    }
+    out
+}
+
+/// Parses the `<id> <document>` rest of a result line.
+fn parse_result(rest: &str) -> Result<(u64, &str), String> {
+    let (id, doc) = rest
+        .split_once(' ')
+        .ok_or_else(|| "result line without a document".to_string())?;
+    let id = id
+        .parse::<u64>()
+        .map_err(|_| format!("result line with a bad job id {id:?}"))?;
+    Json::parse(doc).map_err(|e| format!("malformed result document: {e}"))?;
+    Ok((id, doc))
+}
+
+/// The job id a line names, read from its start even when the rest does
+/// not parse (a version-1 record line starts `{"job":1,"id":<id>`).
+fn named_id(line: &[u8]) -> Option<u64> {
+    let rest = line
+        .strip_prefix(RESULT_PREFIX.as_bytes())
+        .or_else(|| line.strip_prefix(br#"{"job":1,"id":"#))?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    std::str::from_utf8(&rest[..digits]).ok()?.parse().ok()
 }
 
 #[cfg(test)]
@@ -219,6 +409,64 @@ mod tests {
         let back = JobRecord::from_json(&json).unwrap();
         assert_eq!(back, record);
         assert_eq!(back.to_json(), json);
+    }
+
+    fn record(id: u64, state: JobState) -> JobRecord {
+        JobRecord {
+            id: JobId(id),
+            priority: 0,
+            state,
+            scenario: ScenarioConfig::new(100, 2).with_seed(id),
+            error: None,
+        }
+    }
+
+    #[test]
+    fn replay_keeps_each_jobs_last_lines_and_names_the_bad_ones() {
+        let text = [
+            record_line(&record(3, JobState::Queued)),
+            "\n".to_string(),
+            record_line(&record(3, JobState::Done)),
+            result_line(JobId(3), r#"{"a":1}"#),
+            "result x {}\n".to_string(),
+            "{\"job\":1,\"id\":9,\"pri\n".to_string(),
+            // A torn append: ignored, and names no id.
+            "{\"job\":1,\"id\":12".to_string(),
+        ]
+        .concat();
+        let replayed = replay(text.as_bytes());
+        assert_eq!(replayed.records.len(), 1);
+        assert_eq!(replayed.records[&3], record(3, JobState::Done));
+        assert_eq!(replayed.results[&3], r#"{"a":1}"#);
+        let bad: Vec<usize> = replayed.bad.iter().map(|b| b.line).collect();
+        assert_eq!(bad, [5, 6]);
+        assert_eq!(replayed.bad[1].bytes, b"{\"job\":1,\"id\":9,\"pri");
+        assert_eq!(replayed.next_id, 10, "a bad line still reserves its id");
+        assert_eq!(replay(b"{\"job\":1,\"id\":4").next_id, 0);
+    }
+
+    #[test]
+    fn an_append_after_a_failed_one_starts_on_a_new_line() {
+        let dir = std::env::temp_dir().join(format!("pp_service_job_log_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut log = JobLog::new(&dir);
+        // The log path is a directory: the append fails and is counted.
+        std::fs::create_dir(log.path()).unwrap();
+        log.append_record(&record(1, JobState::Queued));
+        assert_eq!(log.failures(), 1);
+        std::fs::remove_dir(log.path()).unwrap();
+        // A failed write that left part of its line behind.
+        let partial = &record_line(&record(1, JobState::Running))[..20];
+        std::fs::write(log.path(), partial).unwrap();
+        log.torn = true;
+        log.append_record(&record(1, JobState::Done));
+        assert_eq!(log.failures(), 1);
+        let replayed = replay(&std::fs::read(log.path()).unwrap());
+        assert_eq!(replayed.records[&1], record(1, JobState::Done));
+        assert_eq!(replayed.bad.len(), 1);
+        assert_eq!(replayed.bad[0].bytes, partial.as_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`job`] + [`server`] — a [`JobId`]-keyed priority FIFO with a bounded
 //!   worker pool, lifecycle tracking (`Queued → Running → Done / Failed /
 //!   Cancelled`), sequence-numbered streamed progress events, cancellation,
-//!   and crash-consistent persistence (job records, canonical results and
-//!   resume checkpoints in a state directory).
+//!   and crash-consistent persistence (an append-only log of job records
+//!   and canonical results, and resume checkpoints, in a state directory).
 //! * [`protocol`] — the NDJSON wire format the `pp_serve` binary speaks
 //!   over stdin/stdout and a Unix domain socket, with schema validators
 //!   (`service_check` runs them in CI).  See the module docs for the

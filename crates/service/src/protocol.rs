@@ -275,7 +275,8 @@ pub fn check_progress_line(line: &str) -> Result<(), String> {
 }
 
 /// Validates a canonical result document (the payload of `result` replies,
-/// `result-<id>.json` files, `done` events and `usd_run --scenario` output).
+/// `result <id>` lines of a state directory's `jobs.log`, `done` events and
+/// `usd_run --scenario` output).
 ///
 /// # Errors
 ///

@@ -437,11 +437,11 @@ fn run_single_usd<R: Recorder>(
         let want_interrupt = control.interrupt;
         let mut pending: Option<Interrupt> = None;
         let result = sim.run_interruptible(stop, recorder, &mut |i| {
-            if let Some(kind) = want_interrupt.and_then(|f| f()) {
-                pending = Some(kind);
-                return true;
+            if i < next_pause {
+                return false;
             }
-            i >= next_pause
+            pending = want_interrupt.and_then(|f| f());
+            true
         });
         if let Some(result) = result {
             return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
@@ -623,11 +623,11 @@ impl SamplerRun<'_> {
             let mut pending: Option<Interrupt> = None;
             let pause_at = next_progress.min(next_checkpoint);
             let mut pause = |i: u64| {
-                if let Some(kind) = want_interrupt.and_then(|f| f()) {
-                    pending = Some(kind);
-                    return true;
+                if i < pause_at {
+                    return false;
                 }
-                i >= pause_at
+                pending = want_interrupt.and_then(|f| f());
+                true
             };
             let result = match engine {
                 EngineChoice::Exact => sim.run_interruptible(self.stop, recorder, &mut pause),
@@ -816,6 +816,36 @@ mod tests {
             Some(3),
             "progress snapshots carry per-opinion counts"
         );
+    }
+
+    #[test]
+    fn the_interrupt_is_polled_once_per_pause_boundary() {
+        let voter = small()
+            .with_dynamic(Dynamic::Voter)
+            .with_engine(EngineChoice::Batched);
+        for scenario in [small(), voter] {
+            let polls = std::cell::Cell::new(0_u64);
+            let poll = || {
+                polls.set(polls.get() + 1);
+                None
+            };
+            let mut boundaries = 0_u64;
+            let mut on_progress = |_| boundaries += 1;
+            let verdict = run_scenario(
+                &scenario,
+                RunControl {
+                    progress: Some(&mut on_progress),
+                    progress_every: 100,
+                    interrupt: Some(&poll),
+                    ..RunControl::default()
+                },
+            )
+            .unwrap();
+            assert!(matches!(verdict, RunVerdict::Finished(_)));
+            // Every boundary crossed polls once and then emits its event.
+            assert!(boundaries > 1, "cadence 100 must pause");
+            assert_eq!(polls.get(), boundaries, "{}", scenario.to_json());
+        }
     }
 
     #[test]

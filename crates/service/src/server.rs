@@ -20,22 +20,29 @@
 //! dynamics) restart from scratch instead; determinism makes the re-run's
 //! result equal, it just repays the wall time.
 //!
-//! Job records and results are written to `<file>.tmp` and renamed over
-//! their target ([`pp_core::checkpoint::write_atomic`]), so a kill at any
-//! byte leaves the old or the new version; a rewritten file keeps its
-//! previous version as `<file>.tmp`.  A job's checkpoint `ckpt-N.json` is
-//! a [`pp_core::checkpoint::CheckpointJournal`]: each capture appends one
-//! line, and a kill at any byte leaves the previous capture as the last
-//! whole line, which is what the job resumes from.  A finished job's
-//! checkpoint is deleted with its spare.
+//! Job records and results are lines of one append-only `jobs.log` (see
+//! [`crate::job`]): each transition appends one line, and a done job
+//! appends its record and result together, with one `write` to a handle
+//! the server keeps open, so a kill at any byte leaves every earlier line
+//! whole and at most a torn last line.  A job's checkpoint `ckpt-N.json`
+//! is a [`pp_core::checkpoint::CheckpointJournal`]: each capture appends
+//! one line, and a kill at any byte leaves the previous capture as the
+//! last whole line, which is what the job resumes from.  A finished job's
+//! checkpoint is deleted with its spare.  A write that fails is counted
+//! ([`Server::persist_failures`]) and the job goes on in memory.
 //!
-//! Reopening validates what it reads.  A job record that cannot be read or
-//! parsed is set aside as `job-N.json.corrupt` and the job is forgotten; a
-//! checkpoint that does not load is set aside as `ckpt-N.json.corrupt` and
-//! its job restarts from scratch; a done job's result that is missing or
-//! not JSON is set aside as `result-N.json.corrupt` and its job runs
-//! again.  [`Server::quarantined`] names each with its reason, and the rest
-//! of the directory opens normally.
+//! Reopening replays the log: each job is in the state of its last whole
+//! record line, and a torn last line is ignored.  A whole line that does
+//! not parse is kept in `jobs.log.corrupt`; a job no parsed line names is
+//! forgotten, and new jobs still get ids above it.  A done job without a
+//! parsable result line runs again (determinism makes the re-run store
+//! the identical document).  A checkpoint that does not load is set aside
+//! as `ckpt-N.json.corrupt` and its job restarts from scratch.
+//! `job-N.json` and `result-N.json` files of an earlier per-job layout are
+//! not loaded.  [`Server::quarantined`] names each of these with its
+//! reason, and the rest of the directory opens normally.  Open then
+//! rewrites the log to its live lines ([`pp_core::checkpoint::write_atomic`]),
+//! the only time the log is rewritten.
 //!
 //! ## Streaming progress
 //!
@@ -44,13 +51,14 @@
 //! sequence range and [`Server::wait_events`] blocks for more — the
 //! primitive the front-ends' `watch` op streams from.
 
-use crate::job::{JobId, JobRecord, JobState};
+use crate::job::{self, JobId, JobLog, JobRecord, JobState, LogReplay, JOB_LOG};
 use crate::protocol;
 use crate::runner::{self, Interrupt, RunControl, RunVerdict};
 use crate::scenario::ScenarioConfig;
-use pp_core::checkpoint::{remove_atomic, write_atomic};
+use pp_core::checkpoint::remove_atomic;
 use pp_core::{Checkpoint, Parallelism};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -105,6 +113,8 @@ struct ServerState {
     /// id (submission order).
     queue: Vec<u64>,
     shutdown: bool,
+    /// The state directory's job log; `None` without one.
+    log: Option<JobLog>,
 }
 
 struct ServerInner {
@@ -114,19 +124,24 @@ struct ServerInner {
     work_cv: Condvar,
     /// Wakes watchers (new event, state change).
     watch_cv: Condvar,
+    /// Wakes [`Server::wait`] callers (a job became terminal).
+    done_cv: Condvar,
     /// Cooperative crash switch: workers halt at the next pause boundary,
     /// leaving running jobs resumable on disk.
     kill: AtomicBool,
 }
 
-/// A state file [`Server::open`] could not use and moved aside: a job
-/// record, a checkpoint, or a done job's result.
+/// State [`Server::open`] could not use: a log line, a checkpoint, or a
+/// file of an earlier layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedRecord {
-    /// The file's name (`job-N.json`, `ckpt-N.json` or `result-N.json`);
-    /// the file, if it existed, now carries an extra `.corrupt` suffix.
+    /// What was skipped: `jobs.log:<line>` for a whole log line that does
+    /// not parse (kept in `jobs.log.corrupt`), `jobs.log` for a log that
+    /// cannot be read, `ckpt-N.json` for a checkpoint that does not load
+    /// (moved aside with an extra `.corrupt` suffix), or `job-N.json` /
+    /// `result-N.json` from an earlier per-job layout (left in place).
     pub file: String,
-    /// Why the file was skipped, and where it went.
+    /// Why it was skipped, and where it went.
     pub reason: String,
 }
 
@@ -144,6 +159,57 @@ fn quarantine(path: &Path, reason: &str) -> QuarantinedRecord {
         Err(e) => format!("{reason} (cannot move it aside: {e})"),
     };
     QuarantinedRecord { file, reason }
+}
+
+/// Names the job log's unparsable lines and appends them to
+/// `jobs.log.corrupt`, since the compaction that follows drops them.
+fn keep_bad_lines(dir: &Path, bad: &[job::BadLine]) -> Vec<QuarantinedRecord> {
+    if bad.is_empty() {
+        return Vec::new();
+    }
+    let aside = format!("{JOB_LOG}.corrupt");
+    let mut bytes = Vec::new();
+    for line in bad {
+        bytes.extend_from_slice(&line.bytes);
+        bytes.push(b'\n');
+    }
+    let kept = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join(&aside))
+        .and_then(|mut file| file.write_all(&bytes));
+    let place = match kept {
+        Ok(()) => format!("kept in {aside}"),
+        Err(e) => format!("cannot keep it in {aside}: {e}"),
+    };
+    bad.iter()
+        .map(|line| QuarantinedRecord {
+            file: format!("{JOB_LOG}:{}", line.line),
+            reason: format!("{} ({place})", line.reason),
+        })
+        .collect()
+}
+
+/// The `job-N.json` and `result-N.json` files of the earlier per-job
+/// layout, with their ids, in name order.
+fn earlier_layout(dir: &Path) -> Result<Vec<(u64, String)>, String> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot scan state directory {}: {e}", dir.display()))?;
+    let mut found = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("cannot scan state directory: {e}"))?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let id = name
+            .strip_prefix("job-")
+            .or_else(|| name.strip_prefix("result-"))
+            .and_then(|rest| rest.strip_suffix(".json"))
+            .and_then(|id| id.parse::<u64>().ok());
+        if let Some(id) = id {
+            found.push((id, name));
+        }
+    }
+    found.sort_by(|a, b| a.1.cmp(&b.1));
+    Ok(found)
 }
 
 /// The job server.  Dropping it without [`Server::shutdown`] or
@@ -164,15 +230,12 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Opens a server: restores persisted jobs from the state directory
-    /// (if any), re-queues unfinished ones, and starts the worker pool.
-    /// An unreadable or corrupt `job-N.json` is renamed to
-    /// `job-N.json.corrupt` and listed by [`Server::quarantined`]; new jobs
-    /// still get ids above `N`, so none reuses its files.  An unreadable
-    /// `ckpt-N.json` is set aside the same way and its job restarts from
-    /// scratch; a done job whose `result-N.json` is missing or not JSON
-    /// loses it the same way and runs again (determinism makes the re-run
-    /// store the identical document).
+    /// Opens a server: restores persisted jobs from the state directory's
+    /// job log (if any), re-queues unfinished ones, rewrites the log to its
+    /// live lines, and starts the worker pool.  What it cannot use is
+    /// listed by [`Server::quarantined`] (see the module docs): new jobs
+    /// still get ids above every id the log names, so none reuses a
+    /// quarantined job's id or checkpoint.
     ///
     /// # Errors
     ///
@@ -184,59 +247,41 @@ impl Server {
             jobs: BTreeMap::new(),
             queue: Vec::new(),
             shutdown: false,
+            log: None,
         };
         let mut quarantined = Vec::new();
         if let Some(dir) = &cfg.state_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create state directory {}: {e}", dir.display()))?;
-            let mut records = Vec::new();
-            let entries = std::fs::read_dir(dir)
-                .map_err(|e| format!("cannot scan state directory {}: {e}", dir.display()))?;
-            for entry in entries {
-                let entry = entry.map_err(|e| format!("cannot scan state directory: {e}"))?;
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let Some(id) = name
-                    .strip_prefix("job-")
-                    .and_then(|rest| rest.strip_suffix(".json"))
-                else {
-                    continue;
-                };
-                if let Ok(id) = id.parse::<u64>() {
-                    state.next_id = state.next_id.max(id.saturating_add(1));
+            let mut log = JobLog::new(dir);
+            let (replay, compact) = match std::fs::read(log.path()) {
+                Ok(bytes) => (job::replay(&bytes), true),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => (LogReplay::default(), false),
+                Err(e) => {
+                    quarantined.push(QuarantinedRecord {
+                        file: JOB_LOG.to_string(),
+                        reason: format!("cannot read: {e}; no job was loaded from it"),
+                    });
+                    (LogReplay::default(), false)
                 }
-                let loaded = std::fs::read_to_string(entry.path())
-                    .map_err(|e| format!("cannot read: {e}"))
-                    .and_then(|text| JobRecord::from_json(&text));
-                match loaded {
-                    Ok(record) => records.push(record),
-                    Err(reason) => quarantined.push(quarantine(&entry.path(), &reason)),
-                }
-            }
-            records.sort_by_key(|r| r.id);
-            for mut record in records {
-                let id = record.id;
-                state.next_id = state.next_id.max(id.0.saturating_add(1));
+            };
+            state.next_id = state.next_id.max(replay.next_id);
+            quarantined.extend(keep_bad_lines(dir, &replay.bad));
+            let mut results = replay.results;
+            for (id, mut record) in replay.records {
                 let mut result = None;
                 let mut resume = None;
                 if record.state == JobState::Done {
-                    let path = JobRecord::result_path_in(dir, id);
-                    let loaded = std::fs::read_to_string(&path)
-                        .map_err(|e| format!("cannot read: {e}"))
-                        .and_then(|text| crate::json::Json::parse(&text).map(|_| text));
-                    match loaded {
-                        Ok(text) => result = Some(text),
-                        Err(reason) => {
-                            quarantined.push(quarantine(&path, &reason));
-                            record.state = JobState::Queued;
-                        }
+                    result = results.remove(&id);
+                    if result.is_none() {
+                        record.state = JobState::Queued;
                     }
                 } else if !record.state.is_terminal() {
                     // A `running` job was interrupted by a kill or crash;
                     // it goes back on the queue, resuming from its
                     // checkpoint when one loads.
                     record.state = JobState::Queued;
-                    let path = JobRecord::checkpoint_path_in(dir, id);
+                    let path = JobRecord::checkpoint_path_in(dir, record.id);
                     if path.exists() {
                         match Checkpoint::load(&path) {
                             Ok(checkpoint) => resume = Some(checkpoint),
@@ -244,7 +289,9 @@ impl Server {
                         }
                     }
                 }
-                let requeue = record.state == JobState::Queued;
+                if record.state == JobState::Queued {
+                    state.queue.push(id);
+                }
                 let job = Job {
                     record,
                     result,
@@ -252,12 +299,24 @@ impl Server {
                     cancel: Arc::new(AtomicBool::new(false)),
                     resume,
                 };
-                state.jobs.insert(id.0, job);
-                if requeue {
-                    state.queue.push(id.0);
-                }
+                state.jobs.insert(id, job);
             }
-            quarantined.sort_by(|a, b| a.file.cmp(&b.file));
+            for (id, file) in earlier_layout(dir)? {
+                state.next_id = state.next_id.max(id.saturating_add(1));
+                quarantined.push(QuarantinedRecord {
+                    file,
+                    reason: "per-job file from an earlier layout; not loaded".to_string(),
+                });
+            }
+            if compact {
+                log.compact(
+                    state
+                        .jobs
+                        .values()
+                        .map(|job| (&job.record, job.result.as_deref())),
+                );
+            }
+            state.log = Some(log);
         }
         let workers = cfg
             .workers
@@ -269,6 +328,7 @@ impl Server {
             state: Mutex::new(state),
             work_cv: Condvar::new(),
             watch_cv: Condvar::new(),
+            done_cv: Condvar::new(),
             kill: AtomicBool::new(false),
         });
         let handles = (0..workers)
@@ -284,11 +344,18 @@ impl Server {
         })
     }
 
-    /// The state files [`Server::open`] set aside, with their reasons, in
-    /// file-name order.
+    /// What [`Server::open`] could not use, with its reasons: log lines in
+    /// file order, then checkpoints, then files of an earlier layout.
     #[must_use]
     pub fn quarantined(&self) -> &[QuarantinedRecord] {
         &self.quarantined
+    }
+
+    /// How many job-log writes have failed since [`Server::open`]; each
+    /// failed job went on in memory.
+    #[must_use]
+    pub fn persist_failures(&self) -> u64 {
+        self.inner.lock().log.as_ref().map_or(0, JobLog::failures)
     }
 
     /// Submits a scenario with a priority (higher runs first; ties run in
@@ -313,7 +380,7 @@ impl Server {
             scenario,
             error: None,
         };
-        self.inner.persist_record(&record);
+        state.persist_record(&record);
         state.jobs.insert(
             id.0,
             Job {
@@ -353,7 +420,6 @@ impl Server {
     /// Returns a named diagnostic for unknown or already-terminal jobs.
     pub fn cancel(&self, id: JobId) -> Result<(), String> {
         let mut state = self.inner.lock();
-        let dir = self.inner.cfg.state_dir.clone();
         let job = state
             .jobs
             .get_mut(&id.0)
@@ -363,13 +429,12 @@ impl Server {
                 job.record.state = JobState::Cancelled;
                 let record = job.record.clone();
                 push_terminal_event(job, &record, None);
-                if let Some(dir) = &dir {
-                    let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, id));
-                }
-                self.inner.persist_record(&record);
+                remove_checkpoint(&self.inner, id);
+                state.persist_record(&record);
                 state.queue.retain(|&q| q != id.0);
                 drop(state);
                 self.inner.watch_cv.notify_all();
+                self.inner.done_cv.notify_all();
                 Ok(())
             }
             JobState::Running => {
@@ -441,21 +506,23 @@ impl Server {
             }
             state = self
                 .inner
-                .watch_cv
+                .done_cv
                 .wait(state)
                 .map_err(|e| format!("server state poisoned: {e}"))?;
         }
     }
 
     /// Graceful shutdown: stops accepting submissions, lets running jobs
-    /// finish, leaves queued jobs persisted for the next open.
-    pub fn shutdown(mut self) {
+    /// finish, leaves queued jobs persisted for the next open.  Returns
+    /// [`Server::persist_failures`] as of the last job's end.
+    pub fn shutdown(mut self) -> u64 {
         {
             let mut state = self.inner.lock();
             state.shutdown = true;
         }
         self.inner.work_cv.notify_all();
         self.join();
+        self.persist_failures()
     }
 
     /// Simulated crash: halts workers at their next pause boundary.
@@ -496,29 +563,22 @@ fn snapshot(job: &Job) -> JobStatus {
     }
 }
 
+impl ServerState {
+    /// Best-effort persistence; an unwritable state directory degrades to
+    /// in-memory operation (counted by the log) rather than failing the
+    /// job.
+    fn persist_record(&mut self, record: &JobRecord) {
+        if let Some(log) = &mut self.log {
+            log.append_record(record);
+        }
+    }
+}
+
 impl ServerInner {
     fn lock(&self) -> std::sync::MutexGuard<'_, ServerState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Best-effort, atomic persistence; an unwritable state directory
-    /// degrades to in-memory operation rather than failing the job.
-    fn persist_record(&self, record: &JobRecord) {
-        if let Some(dir) = &self.cfg.state_dir {
-            let _ = write_atomic(
-                &JobRecord::path_in(dir, record.id),
-                record.to_json().as_bytes(),
-            );
-        }
-    }
-
-    fn persist_result(&self, id: JobId, result: &str) {
-        if let Some(dir) = &self.cfg.state_dir {
-            let _ = write_atomic(&JobRecord::result_path_in(dir, id), result.as_bytes());
-            let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, id));
-        }
     }
 }
 
@@ -551,9 +611,14 @@ fn worker_loop(inner: &ServerInner) {
                 if let Some(id) = pop_next(&mut state) {
                     let job = state.jobs.get_mut(&id).expect("queued job exists");
                     job.record.state = JobState::Running;
-                    let record = job.record.clone();
-                    inner.persist_record(&record);
-                    break Some((id, record, Arc::clone(&job.cancel), job.resume.take()));
+                    let claimed = (
+                        id,
+                        job.record.clone(),
+                        Arc::clone(&job.cancel),
+                        job.resume.take(),
+                    );
+                    state.persist_record(&claimed.1);
+                    break Some(claimed);
                 }
                 if state.shutdown {
                     return;
@@ -624,7 +689,8 @@ fn run_job(
     };
     let verdict = runner::run_scenario(&scenario, control);
 
-    let mut state = inner.lock();
+    let mut guard = inner.lock();
+    let state = &mut *guard;
     let Some(job) = state.jobs.get_mut(&id) else {
         return;
     };
@@ -632,20 +698,20 @@ fn run_job(
         Ok(RunVerdict::Finished(outcome)) => {
             let result = runner::result_json(&outcome);
             job.record.state = JobState::Done;
-            job.result = Some(result.clone());
             let record = job.record.clone();
             push_terminal_event(job, &record, Some(&result));
-            inner.persist_record(&record);
-            inner.persist_result(job_id, &result);
+            if let Some(log) = &mut state.log {
+                log.append_done(&record, &result);
+            }
+            job.result = Some(result);
+            remove_checkpoint(inner, job_id);
         }
         Ok(RunVerdict::Interrupted(Interrupt::Cancelled)) => {
             job.record.state = JobState::Cancelled;
             let record = job.record.clone();
             push_terminal_event(job, &record, None);
-            inner.persist_record(&record);
-            if let Some(dir) = &inner.cfg.state_dir {
-                let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, job_id));
-            }
+            state.persist_record(&record);
+            remove_checkpoint(inner, job_id);
         }
         Ok(RunVerdict::Interrupted(Interrupt::Halted)) => {
             // The server is going down; the job stays `running` on disk
@@ -657,11 +723,19 @@ fn run_job(
             job.record.error = Some(message);
             let record = job.record.clone();
             push_terminal_event(job, &record, None);
-            inner.persist_record(&record);
+            state.persist_record(&record);
         }
     }
-    drop(state);
+    drop(guard);
     inner.watch_cv.notify_all();
+    inner.done_cv.notify_all();
+}
+
+/// Deletes a finished job's checkpoint with its spare.
+fn remove_checkpoint(inner: &ServerInner, id: JobId) {
+    if let Some(dir) = &inner.cfg.state_dir {
+        let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, id));
+    }
 }
 
 #[cfg(test)]
@@ -775,33 +849,80 @@ mod tests {
         dir
     }
 
+    fn one_worker(dir: &Path) -> ServerConfig {
+        ServerConfig {
+            workers: Some(1),
+            state_dir: Some(dir.to_path_buf()),
+            ..ServerConfig::default()
+        }
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Runs `config` until its `boundaries`-th pause boundary (cadence 50)
+    /// and halts it there, checkpointing into `path`.
+    fn halted_checkpoint(config: &ScenarioConfig, path: &Path, boundaries: u32) {
+        let polls = std::cell::Cell::new(0);
+        let halt = || {
+            polls.set(polls.get() + 1);
+            (polls.get() >= boundaries).then_some(Interrupt::Halted)
+        };
+        let verdict = run_scenario(
+            config,
+            RunControl {
+                progress_every: 50,
+                interrupt: Some(&halt),
+                checkpoint: Some((path, 50)),
+                ..RunControl::default()
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            verdict,
+            RunVerdict::Interrupted(Interrupt::Halted)
+        ));
+    }
+
     #[test]
     fn a_corrupt_record_is_quarantined_and_the_rest_is_served() {
         let dir = fresh_state_dir("server_corrupt_test");
-        let cfg = || ServerConfig {
-            workers: Some(1),
-            state_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        };
-        let server = Server::open(cfg()).unwrap();
+        let server = Server::open(one_worker(&dir)).unwrap();
         let first = server.submit(scenario(3), 0).unwrap();
         let done = server.wait(first).unwrap();
         assert_eq!(done.state, JobState::Done);
         let second = server.submit(scenario(4), 0).unwrap();
         server.wait(second).unwrap();
         server.shutdown();
-        // A torn job record, as a kill mid-write under plain writes left it.
-        let record = JobRecord::path_in(&dir, second);
-        let text = std::fs::read_to_string(&record).unwrap();
-        std::fs::write(&record, &text[..text.len() / 2]).unwrap();
+        // Job 2's first record line torn by a failed append, which the
+        // next append closed with a newline; its later lines never landed.
+        let log = dir.join(JOB_LOG);
+        let text = std::fs::read_to_string(&log).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[3].starts_with("result 1 "), "{text}");
+        assert!(lines[4].starts_with(r#"{"job":1,"id":2,"#), "{text}");
+        let torn = &lines[4][..lines[4].len() / 2];
+        std::fs::write(&log, format!("{}\n{torn}\n", lines[..4].join("\n"))).unwrap();
 
-        let reopened = Server::open(cfg()).unwrap();
+        let reopened = Server::open(one_worker(&dir)).unwrap();
         let skipped = reopened.quarantined();
         assert_eq!(skipped.len(), 1, "{skipped:?}");
-        assert_eq!(skipped[0].file, "job-2.json");
-        assert!(!skipped[0].reason.is_empty());
-        assert!(!record.exists());
-        assert!(dir.join("job-2.json.corrupt").exists());
+        assert_eq!(skipped[0].file, "jobs.log:5");
+        assert!(
+            skipped[0].reason.starts_with("malformed job record")
+                && skipped[0].reason.ends_with("(kept in jobs.log.corrupt)"),
+            "{skipped:?}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("jobs.log.corrupt")).unwrap(),
+            format!("{torn}\n")
+        );
         let status = reopened.status(first).expect("job 1 is still known");
         assert_eq!(status.result, done.result);
         assert!(reopened.status(second).is_none());
@@ -820,45 +941,21 @@ mod tests {
         let id = JobId(1);
         // A job a crash left `running`, with the checkpoint its run sank
         // before the crash.
-        let record = JobRecord {
+        JobLog::new(&dir).append_record(&JobRecord {
             id,
             priority: 0,
             state: JobState::Running,
             scenario: config,
             error: None,
-        };
-        write_atomic(&JobRecord::path_in(&dir, id), record.to_json().as_bytes()).unwrap();
+        });
         let checkpoint = JobRecord::checkpoint_path_in(&dir, id);
-        let polls = std::cell::Cell::new(0);
-        let halt = || {
-            polls.set(polls.get() + 1);
-            (polls.get() > 2).then_some(Interrupt::Halted)
-        };
-        let verdict = run_scenario(
-            &config,
-            RunControl {
-                progress_every: 50,
-                interrupt: Some(&halt),
-                checkpoint: Some((&checkpoint, 50)),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            verdict,
-            RunVerdict::Interrupted(Interrupt::Halted)
-        ));
+        halted_checkpoint(&config, &checkpoint, 3);
         // Torn inside its first line.
         let text = std::fs::read_to_string(&checkpoint).unwrap();
         let first_line = text.find('\n').expect("the journal has a whole line");
         std::fs::write(&checkpoint, &text[..first_line / 2]).unwrap();
 
-        let server = Server::open(ServerConfig {
-            workers: Some(1),
-            state_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let server = Server::open(one_worker(&dir)).unwrap();
         let skipped = server.quarantined();
         assert_eq!(skipped.len(), 1, "{skipped:?}");
         assert_eq!(skipped[0].file, "ckpt-1.json");
@@ -877,72 +974,217 @@ mod tests {
     #[test]
     fn a_missing_or_torn_result_is_quarantined_and_its_job_reruns() {
         let dir = fresh_state_dir("server_result_test");
-        let cfg = || ServerConfig {
-            workers: Some(1),
-            state_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        };
-        let server = Server::open(cfg()).unwrap();
+        let server = Server::open(one_worker(&dir)).unwrap();
         let missing = server.submit(scenario(11), 0).unwrap();
         let torn = server.submit(scenario(12), 0).unwrap();
         let served = [server.wait(missing).unwrap(), server.wait(torn).unwrap()];
         server.shutdown();
-        std::fs::remove_file(JobRecord::result_path_in(&dir, missing)).unwrap();
-        let torn_path = JobRecord::result_path_in(&dir, torn);
-        let text = std::fs::read_to_string(&torn_path).unwrap();
-        std::fs::write(&torn_path, &text[..text.len() / 2]).unwrap();
-
-        let reopened = Server::open(cfg()).unwrap();
-        let files: Vec<&str> = reopened
-            .quarantined()
-            .iter()
-            .map(|q| q.file.as_str())
+        // Job 1's result line is gone; job 2's was torn by a failed append
+        // that the next append closed with a newline.
+        let log = dir.join(JOB_LOG);
+        let text = std::fs::read_to_string(&log).unwrap();
+        let kept: Vec<&str> = text
+            .lines()
+            .filter(|line| !line.starts_with("result 1 "))
+            .map(|line| match line.strip_prefix("result 2 ") {
+                Some(_) => &line[..line.len() / 2],
+                None => line,
+            })
             .collect();
-        assert_eq!(files, ["result-1.json", "result-2.json"]);
-        assert!(!dir.join("result-1.json.corrupt").exists());
-        assert!(dir.join("result-2.json.corrupt").exists());
-        for (id, done) in [missing, torn].into_iter().zip(served) {
+        let torn_line = 1 + kept
+            .iter()
+            .position(|l| l.starts_with("result 2 "))
+            .unwrap();
+        std::fs::write(&log, kept.join("\n") + "\n").unwrap();
+
+        let reopened = Server::open(one_worker(&dir)).unwrap();
+        let skipped = reopened.quarantined();
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert_eq!(skipped[0].file, format!("jobs.log:{torn_line}"));
+        assert!(
+            skipped[0].reason.starts_with("malformed result document"),
+            "{skipped:?}"
+        );
+        for (id, done) in [missing, torn].into_iter().zip(&served) {
             let status = reopened.wait(id).unwrap();
             assert_eq!(status.state, JobState::Done);
             assert_eq!(status.result, done.result, "job {id} re-ran differently");
-            let stored = std::fs::read_to_string(JobRecord::result_path_in(&dir, id)).unwrap();
-            assert_eq!(Some(stored), done.result);
         }
         reopened.shutdown();
+        let stored = job::replay(&std::fs::read(&log).unwrap()).results;
+        for (id, done) in [missing, torn].into_iter().zip(&served) {
+            assert_eq!(stored.get(&id.0), done.result.as_ref());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn persisted_files_keep_one_spare_and_leftovers_are_ignored() {
-        let dir = fresh_state_dir("server_atomic_test");
-        let cfg = || ServerConfig {
-            workers: Some(1),
-            state_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        };
-        let server = Server::open(cfg()).unwrap();
+    fn persisted_state_is_one_log_and_leftovers_are_ignored() {
+        let dir = fresh_state_dir("server_log_test");
+        let server = Server::open(one_worker(&dir)).unwrap();
         let id = server.submit(scenario(6), 0).unwrap();
         let done = server.wait(id).unwrap();
         server.shutdown();
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        // The record was rewritten (queued, running, done) and keeps its
-        // previous version as a spare; the checkpoint left with its spare.
-        assert_eq!(names, ["job-1.json", "job-1.json.tmp", "result-1.json"]);
+        // No record or result file, and the checkpoint left with its spare.
+        assert_eq!(file_names(&dir), ["jobs.log"]);
 
-        // A kill mid-write leaves a torn `.tmp` (or an `.old` link) behind;
-        // reopen must ignore them rather than treat them as records.
-        std::fs::write(dir.join("job-1.json.tmp"), "{\"torn").unwrap();
-        std::fs::write(dir.join("job-2.json.tmp"), "{\"torn").unwrap();
-        std::fs::write(dir.join("job-3.json.old"), "{\"torn").unwrap();
-        let reopened = Server::open(cfg()).unwrap();
+        // A kill mid-compaction leaves a torn spare, and one mid-append a
+        // torn last line; reopen must ignore both.
+        std::fs::write(dir.join("jobs.log.tmp"), "{\"torn").unwrap();
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(JOB_LOG))
+            .unwrap();
+        log.write_all(br#"{"job":1,"id":2,"prio"#).unwrap();
+        drop(log);
+        let reopened = Server::open(one_worker(&dir)).unwrap();
         assert!(reopened.quarantined().is_empty());
         assert_eq!(reopened.list().len(), 1);
         assert_eq!(reopened.status(id).unwrap().result, done.result);
-        reopened.shutdown();
+        let next = reopened.submit(scenario(7), 0).unwrap();
+        let next_done = reopened.wait(next).unwrap();
+        assert_eq!(reopened.shutdown(), 0);
+        assert_eq!(file_names(&dir), ["jobs.log", "jobs.log.tmp"]);
+        let replayed = job::replay(&std::fs::read(dir.join(JOB_LOG)).unwrap());
+        assert!(replayed.bad.is_empty());
+        assert_eq!(replayed.results.get(&id.0), done.result.as_ref());
+        assert_eq!(replayed.results.get(&next.0), next_done.result.as_ref());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn earlier_layout_files_are_listed_and_not_loaded() {
+        let dir = fresh_state_dir("server_earlier_layout_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let record = JobRecord {
+            id: JobId(4),
+            priority: 0,
+            state: JobState::Queued,
+            scenario: scenario(2),
+            error: None,
+        };
+        std::fs::write(dir.join("job-4.json"), record.to_json()).unwrap();
+        std::fs::write(dir.join("result-4.json"), "{}").unwrap();
+        let server = Server::open(one_worker(&dir)).unwrap();
+        let skipped: Vec<(&str, &str)> = server
+            .quarantined()
+            .iter()
+            .map(|q| (q.file.as_str(), q.reason.as_str()))
+            .collect();
+        let reason = "per-job file from an earlier layout; not loaded";
+        assert_eq!(skipped, [("job-4.json", reason), ("result-4.json", reason)]);
+        assert!(server.list().is_empty());
+        assert_eq!(server.submit(scenario(2), 0).unwrap(), JobId(5));
+        server.shutdown();
+        assert!(dir.join("job-4.json").exists() && dir.join("result-4.json").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_log_writes_are_counted_and_jobs_finish_in_memory() {
+        let dir = fresh_state_dir("server_failed_write_test");
+        std::fs::create_dir_all(dir.join(JOB_LOG)).unwrap();
+        let server = Server::open(one_worker(&dir)).unwrap();
+        let skipped = server.quarantined();
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert_eq!(skipped[0].file, JOB_LOG);
+        let id = server.submit(scenario(9), 0).unwrap();
+        let status = server.wait(id).unwrap();
+        assert_eq!(status.state, JobState::Done);
+        assert_eq!(
+            status.result.as_deref(),
+            Some(standalone_json(&scenario(9)).as_str())
+        );
+        // Its queued, running and done appends all failed.
+        assert_eq!(server.persist_failures(), 3);
+        assert_eq!(server.shutdown(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_torn_at_any_byte_reopens_to_its_last_whole_lines() {
+        let dir = fresh_state_dir("server_torn_log_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let configs = [
+            ScenarioConfig::new(120, 3).with_seed(21),
+            ScenarioConfig::new(120, 3).with_seed(22),
+            ScenarioConfig::new(120, 3).with_seed(23),
+        ];
+        let docs: Vec<String> = configs.iter().map(standalone_json).collect();
+        let record = |id: u64, state| JobRecord {
+            id: JobId(id),
+            priority: 0,
+            state,
+            scenario: configs[id as usize - 1],
+            error: None,
+        };
+        // Job 1 done, job 2 running with a checkpoint, job 3 queued.
+        let mut log = JobLog::new(&dir);
+        log.append_record(&record(1, JobState::Queued));
+        log.append_record(&record(1, JobState::Running));
+        log.append_done(&record(1, JobState::Done), &docs[0]);
+        log.append_record(&record(2, JobState::Queued));
+        log.append_record(&record(3, JobState::Queued));
+        log.append_record(&record(2, JobState::Running));
+        drop(log);
+        let bytes = std::fs::read(dir.join(JOB_LOG)).unwrap();
+        let checkpoint = JobRecord::checkpoint_path_in(&dir, JobId(2));
+        halted_checkpoint(&configs[1], &checkpoint, 1);
+        let capture = std::fs::read(&checkpoint).unwrap();
+
+        for cut in 0..=bytes.len() {
+            let torn = &bytes[..cut];
+            // The state of each job's last whole record line, and whether
+            // job 1's result line is whole.
+            let whole = torn.iter().rposition(|&b| b == b'\n').map_or(0, |e| e + 1);
+            let whole = std::str::from_utf8(&torn[..whole]).unwrap();
+            let mut last = BTreeMap::new();
+            for line in whole.lines() {
+                if let Ok(r) = JobRecord::from_json(line) {
+                    last.insert(r.id.0, r.state);
+                }
+            }
+            let result_whole = whole.contains("\nresult 1 ");
+            let replayed = job::replay(torn);
+            let states: BTreeMap<u64, JobState> = replayed
+                .records
+                .iter()
+                .map(|(&id, r)| (id, r.state))
+                .collect();
+            assert_eq!(states, last, "cut {cut}");
+            assert!(replayed.bad.is_empty(), "cut {cut}");
+
+            std::fs::write(dir.join(JOB_LOG), torn).unwrap();
+            std::fs::write(&checkpoint, &capture).unwrap();
+            let server = Server::open(one_worker(&dir)).unwrap();
+            assert!(server.quarantined().is_empty(), "cut {cut}");
+            for status in server.list() {
+                let expected = &docs[status.id.0 as usize - 1];
+                assert!(
+                    status.result.is_none() || status.result.as_ref() == Some(expected),
+                    "cut {cut}: job {} served a torn result",
+                    status.id
+                );
+            }
+            if result_whole {
+                let status = server.status(JobId(1)).unwrap();
+                assert_eq!(status.state, JobState::Done, "cut {cut}");
+            }
+            for id in 1..=3_u64 {
+                if !last.contains_key(&id) {
+                    assert!(server.status(JobId(id)).is_none(), "cut {cut}");
+                    continue;
+                }
+                let status = server.wait(JobId(id)).unwrap();
+                assert_eq!(status.state, JobState::Done, "cut {cut}");
+                assert_eq!(
+                    status.result.as_deref(),
+                    Some(docs[id as usize - 1].as_str()),
+                    "cut {cut}: job {id}"
+                );
+            }
+            server.shutdown();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
