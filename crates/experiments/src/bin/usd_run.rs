@@ -68,12 +68,12 @@
 
 use pp_analysis::streaming::summarize_ensemble;
 use pp_core::ensemble::EnsembleRunResult;
+use pp_core::json::write_f64;
 use pp_core::recorder::PairRecorder;
 use pp_core::{
     Checkpoint, Configuration, EngineChoice, MetricsSnapshot, Recorder, RunOutcome, RunResult,
     Telemetry,
 };
-use pp_service::json::write_f64;
 use pp_service::{Dynamic, RunControl, RunVerdict, ScenarioConfig, ScenarioOutcome};
 use pp_workloads::{BiasSpec, UndecidedSpec};
 use std::path::Path;

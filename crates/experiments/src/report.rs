@@ -1,5 +1,6 @@
 //! Experiment reports: aligned text tables plus CSV export.
 
+use pp_core::json::{Json, ObjBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -81,40 +82,32 @@ impl ExperimentReport {
         out
     }
 
-    /// Renders the report as a self-contained JSON object (hand-rolled — the
-    /// offline build vendors serde as annotation-only, so emission is
-    /// explicit here).  Rows become arrays of strings under `"rows"`.
+    /// Renders the report as a self-contained JSON object through the
+    /// workspace codec (`pp_core::json`).  Rows become arrays of strings
+    /// under `"rows"`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
+        self.to_json_value().to_json()
+    }
+
+    /// The report as a JSON value (see [`ExperimentReport::to_json`]), for
+    /// embedding in a larger document.
+    #[must_use]
+    pub fn to_json_value(&self) -> Json {
+        fn strings(items: &[String]) -> Json {
+            Json::Arr(items.iter().cloned().map(Json::Str).collect())
         }
-        fn string_array(items: &[String]) -> String {
-            let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-            format!("[{}]", cells.join(","))
-        }
-        let rows: Vec<String> = self.rows.iter().map(|r| string_array(r)).collect();
-        format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"paper_claim\":\"{}\",\"headers\":{},\"rows\":[{}],\"notes\":{}}}",
-            esc(&self.id),
-            esc(&self.title),
-            esc(&self.paper_claim),
-            string_array(&self.headers),
-            rows.join(","),
-            string_array(&self.notes),
-        )
+        ObjBuilder::new()
+            .field("id", Json::Str(self.id.clone()))
+            .field("title", Json::Str(self.title.clone()))
+            .field("paper_claim", Json::Str(self.paper_claim.clone()))
+            .field("headers", strings(&self.headers))
+            .field(
+                "rows",
+                Json::Arr(self.rows.iter().map(|row| strings(row)).collect()),
+            )
+            .field("notes", strings(&self.notes))
+            .build()
     }
 
     /// Renders the table as CSV (headers first, RFC-4180-style quoting for

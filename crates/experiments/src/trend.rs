@@ -10,12 +10,14 @@
 //! non-positive) measurements or has vanished from the current record,
 //! both of which previously passed silently.
 //!
-//! Records are read back through the workspace's one JSON parser,
-//! [`pp_service::json::Json`], whose nesting limit turns hostile input into
-//! a named error instead of a stack overflow.
+//! Records are written and read back through the workspace's one JSON
+//! codec, [`pp_core::json`]: a non-finite measurement is written as `null`
+//! and reads back as NaN, so the trend check names the corrupt cell, and
+//! the parser's nesting limit turns hostile input into a named error
+//! instead of a stack overflow.
 
-use crate::report::fmt_f64;
-pub use pp_service::json::Json;
+use crate::report::{fmt_f64, ExperimentReport};
+use pp_core::json::{Json, ObjBuilder};
 use std::fmt::Write as _;
 
 /// One benchmark measurement, keyed by `(engine, shards, n, k, bias)`.
@@ -64,32 +66,28 @@ impl BenchEntry {
         )
     }
 
-    fn to_json(&self) -> String {
-        let telemetry = if self.telemetry.is_empty() {
-            String::new()
-        } else {
-            let pairs: Vec<String> = self
-                .telemetry
-                .iter()
-                .map(|(name, value)| format!("\"{name}\":{value}"))
-                .collect();
-            format!(",\"telemetry\":{{{}}}", pairs.join(","))
-        };
-        format!(
-            "{{\"experiment\":\"{}\",\"engine\":\"{}\",\"shards\":{},\"n\":{},\"k\":{},\"bias\":{},\
-             \"interactions\":{},\"seconds\":{},\"interactions_per_sec\":{},\"speedup\":{}{}}}",
-            self.experiment,
-            self.engine,
-            self.shards,
-            self.n,
-            self.k,
-            self.bias,
-            self.interactions,
-            self.seconds,
-            self.interactions_per_sec,
-            self.speedup,
-            telemetry,
-        )
+    fn to_json_value(&self) -> Json {
+        let telemetry = (!self.telemetry.is_empty()).then(|| {
+            Json::Obj(
+                self.telemetry
+                    .iter()
+                    .map(|(name, value)| (name.clone(), Json::F64(*value)))
+                    .collect(),
+            )
+        });
+        ObjBuilder::new()
+            .field("experiment", Json::Str(self.experiment.clone()))
+            .field("engine", Json::Str(self.engine.clone()))
+            .field("shards", Json::U64(self.shards))
+            .field("n", Json::U64(self.n))
+            .field("k", Json::U64(self.k))
+            .field("bias", Json::F64(self.bias))
+            .field("interactions", Json::U64(self.interactions))
+            .field("seconds", Json::F64(self.seconds))
+            .field("interactions_per_sec", Json::F64(self.interactions_per_sec))
+            .field("speedup", Json::F64(self.speedup))
+            .opt("telemetry", telemetry)
+            .build()
     }
 }
 
@@ -102,31 +100,31 @@ pub fn render_stamped_document(
     scale: &str,
     seed: u64,
     entries: &[BenchEntry],
-    reports: &[crate::report::ExperimentReport],
+    reports: &[ExperimentReport],
 ) -> String {
-    let entries_json: Vec<String> = entries.iter().map(BenchEntry::to_json).collect();
-    let reports_json: Vec<String> = reports
-        .iter()
-        .map(crate::report::ExperimentReport::to_json)
-        .collect();
-    format!(
-        "{{\"workspace_version\":\"{}\",\"tool\":\"engine_bench\",\"scale\":\"{}\",\"seed\":{},\
-         \"entries\":[{}],\"reports\":[{}]}}",
-        workspace_version,
-        scale,
-        seed,
-        entries_json.join(","),
-        reports_json.join(","),
-    )
-}
-
-/// Parses a JSON document with [`Json::parse`].
-///
-/// # Errors
-///
-/// Returns [`Json::parse`]'s position-stamped diagnostic.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    Json::parse(text)
+    ObjBuilder::new()
+        .field(
+            "workspace_version",
+            Json::Str(workspace_version.to_string()),
+        )
+        .field("tool", Json::Str("engine_bench".to_string()))
+        .field("scale", Json::Str(scale.to_string()))
+        .field("seed", Json::U64(seed))
+        .field(
+            "entries",
+            Json::Arr(entries.iter().map(BenchEntry::to_json_value).collect()),
+        )
+        .field(
+            "reports",
+            Json::Arr(
+                reports
+                    .iter()
+                    .map(ExperimentReport::to_json_value)
+                    .collect(),
+            ),
+        )
+        .build()
+        .to_json()
 }
 
 /// Reads the `entries` array of a stamped benchmark document.
@@ -134,8 +132,10 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// # Errors
 ///
 /// Returns an error when the document does not parse (including nesting
-/// deeper than [`pp_service::json::MAX_NESTING`]) or lacks the expected
-/// fields.
+/// deeper than [`pp_core::json::MAX_NESTING`]) or lacks the expected
+/// fields.  A measurement (`bias`, `seconds`, `interactions_per_sec`,
+/// `speedup`) written as `null` — a non-finite value — reads back as NaN,
+/// so [`compare_trend`] names the cell when it guards that measurement.
 pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
     let doc = Json::parse(text)?;
     let entries = doc
@@ -151,6 +151,10 @@ pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
                     .and_then(Json::as_f64)
                     .ok_or(format!("entry {i} lacks numeric field {key:?}"))
             };
+            let measured = |key: &str| match e.get(key) {
+                Some(Json::Null) => Ok(f64::NAN),
+                _ => f(key),
+            };
             Ok(BenchEntry {
                 experiment: e
                     .get("experiment")
@@ -165,11 +169,11 @@ pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
                 shards: f("shards")? as u64,
                 n: f("n")? as u64,
                 k: f("k")? as u64,
-                bias: f("bias")?,
+                bias: measured("bias")?,
                 interactions: f("interactions")? as u64,
-                seconds: f("seconds")?,
-                interactions_per_sec: f("interactions_per_sec")?,
-                speedup: f("speedup")?,
+                seconds: measured("seconds")?,
+                interactions_per_sec: measured("interactions_per_sec")?,
+                speedup: measured("speedup")?,
                 // Optional and lenient: absent in records written before the
                 // telemetry registry, and non-numeric values are skipped
                 // rather than failing the whole baseline.
@@ -497,6 +501,23 @@ mod tests {
             "interactions_per_sec":10.0,"speedup":1.0}]}"#;
         assert_eq!(parse_entries(legacy).unwrap()[0].telemetry, Vec::new());
         assert!(GUARDED_ENGINES.contains(&"telemetry-on"));
+    }
+
+    #[test]
+    fn a_non_finite_measurement_is_written_readably_and_named_by_the_trend_check() {
+        let baseline = entry("batched", 1, 1_000_000, 4.5e8);
+        let mut corrupt = baseline.clone();
+        corrupt.speedup = f64::NAN;
+        let doc = render_stamped_document("0.1.0", "quick", 3, &[corrupt], &[]);
+        assert!(doc.contains("\"speedup\":null"), "{doc}");
+        let current = parse_entries(&doc).unwrap();
+        assert!(current[0].speedup.is_nan());
+        let err = compare_trend(&[baseline], &current, 0.30, TrendMetric::Speedup).unwrap_err();
+        assert!(
+            err.contains("guarded current cell E13/batched shards=1 n=1000000 k=2 bias=4.00")
+                && err.contains("unusable speedup NaN — the measurement is corrupt"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -58,19 +58,25 @@
 //!
 //! # Format
 //!
-//! Checkpoints serialize as a small hand-rolled JSON document (the
-//! workspace's vendored `serde` facade is a no-op, so derives are not
-//! available): `{"format": 1, "kind": "<engine>", "engine": {…}}`, plus an
-//! optional `"meta": {…}` object of named `u64` values that wrappers above
-//! the engine layer (the `usd-core` simulator) use to stamp their own
-//! resumable state — seed, consumed interactions, initial counts — onto an
-//! engine checkpoint without a second file format.
+//! A checkpoint is one JSON document, `{"format": 1, "kind": "<engine>",
+//! "engine": {…}}`, plus an optional `"meta": {…}` object of named `u64`
+//! values that wrappers above the engine layer (the `usd-core` simulator)
+//! use to stamp their own resumable state — seed, consumed interactions,
+//! initial counts — onto an engine checkpoint without a second file format.
+//! Every value is an unsigned integer, an array or object of them, a
+//! string or `null`; floats travel as their bit patterns.
 //! [`CHECKPOINT_FORMAT_VERSION`] is bumped on any incompatible layout
 //! change; [`Checkpoint::from_json`] rejects unknown versions with a named
 //! [`PpError::Checkpoint`] diagnostic instead of misreading newer state.
-//! The reader refuses documents nested deeper than
-//! [`CHECKPOINT_MAX_NESTING`]
-//! arrays/objects, so a hostile file cannot overflow its stack.
+//!
+//! The document goes through the workspace's one JSON codec,
+//! [`crate::json`].  [`Checkpoint::from_json`] parses with [`Json::parse`]
+//! — whose nesting limit, [`json::MAX_NESTING`], keeps a hostile file from
+//! overflowing the stack — and only interprets the fields.
+//! [`Checkpoint::to_json`] streams the document instead of building a
+//! value tree (periodic captures sit on a running job's path), escaping
+//! names through the codec's [`json::write_json_string`]; its bytes are
+//! exactly what [`Json::to_json`] writes for the parsed document.
 //!
 //! On disk a checkpoint file is a [`CheckpointJournal`]: one document a
 //! line, the last whole line being the one [`Checkpoint::load`] returns.
@@ -84,6 +90,7 @@
 
 use crate::config::Configuration;
 use crate::error::PpError;
+use crate::json::{self, Json};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -92,11 +99,6 @@ use std::path::{Path, PathBuf};
 /// The current checkpoint layout version.  Bumped on any incompatible
 /// change; loaders reject versions they do not understand.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
-
-/// The deepest array/object nesting [`Checkpoint::from_json`] accepts.  The
-/// deepest checkpoint the workspace writes has 6 levels: a sharded
-/// checkpoint, down to one shard engine's `supports` array.
-pub const CHECKPOINT_MAX_NESTING: usize = 64;
 
 /// Snapshot of one single-stream count engine: an exact simulator, a
 /// standalone batched engine, one shard's engine, or one ensemble replica.
@@ -184,7 +186,7 @@ pub struct EnsembleSnapshot {
 }
 
 /// Snapshot of a mean-field (fluid-limit) engine.  The ODE state is `f64`,
-/// which the checkpoint format's unsigned-integer-only parser cannot carry
+/// which the checkpoint format's unsigned-integer fields cannot carry
 /// directly, so every float is stored as its exact IEEE-754 bit pattern
 /// ([`f64::to_bits`]) — the round trip is bit-exact, never a decimal
 /// approximation.  The quantized configuration rides along as plain counts
@@ -355,7 +357,7 @@ impl Checkpoint {
                 if i > 0 {
                     out.push(',');
                 }
-                write_string(&mut out, name);
+                json::write_json_string(name, &mut out);
                 let _ = write!(out, ":{value}");
             }
             out.push('}');
@@ -372,9 +374,10 @@ impl Checkpoint {
     /// misshaped field, an unknown `kind`, or a format version this build
     /// does not understand.
     pub fn from_json(text: &str) -> Result<Self, PpError> {
-        let value = parse_json(text)?;
-        let root = value.as_object("checkpoint root")?;
-        let version = get(root, "format")?.as_u64("format")?;
+        let value =
+            Json::parse(text).map_err(|e| bad(&format!("malformed checkpoint document: {e}")))?;
+        let root = value.object("checkpoint root")?;
+        let version = get(root, "format")?.uint("format")?;
         let version = u32::try_from(version).map_err(|_| bad("format version out of range"))?;
         if version != CHECKPOINT_FORMAT_VERSION {
             return Err(bad(&format!(
@@ -382,7 +385,7 @@ impl Checkpoint {
                  (this build reads version {CHECKPOINT_FORMAT_VERSION})"
             )));
         }
-        let kind = get(root, "kind")?.as_str("kind")?;
+        let kind = get(root, "kind")?.text("kind")?;
         let payload = get(root, "engine")?;
         let engine = match kind {
             "exact" => EngineState::Exact(read_snapshot(payload)?),
@@ -394,9 +397,9 @@ impl Checkpoint {
         };
         let meta = match root.iter().find(|(n, _)| n == "meta") {
             Some((_, v)) => v
-                .as_object("meta")?
+                .object("meta")?
                 .iter()
-                .map(|(name, v)| Ok((name.clone(), v.as_u64(name)?)))
+                .map(|(name, v)| Ok((name.clone(), v.uint(name)?)))
                 .collect::<Result<Vec<_>, PpError>>()?,
             None => Vec::new(),
         };
@@ -625,21 +628,6 @@ fn write_u64_array(out: &mut String, values: &[u64]) {
     out.push(']');
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_snapshot(out: &mut String, s: &EngineSnapshot) {
     out.push_str("{\"supports\":");
     write_u64_array(out, &s.supports);
@@ -654,7 +642,7 @@ fn write_snapshot(out: &mut String, s: &EngineSnapshot) {
         if i > 0 {
             out.push(',');
         }
-        write_string(out, name);
+        json::write_json_string(name, out);
         let _ = write!(out, ":{value}");
     }
     out.push_str("}}");
@@ -715,50 +703,41 @@ fn write_mean_field(out: &mut String, s: &MeanFieldSnapshot) {
     );
 }
 
-// --- JSON reader --------------------------------------------------------
+// --- Field interpretation ---------------------------------------------
 //
-// A minimal recursive-descent parser covering exactly the subset the writer
-// emits: objects, arrays, strings, unsigned integers, and `null`.  The
-// vendored `serde` facade is a no-op, so this is deliberate, not an
-// oversight.
+// The document is parsed by the workspace codec (`crate::json`); what
+// follows only reads fields out of the parsed value, naming the field in
+// every diagnostic.
 
-#[derive(Debug)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-    Null,
+/// Typed reads of a parsed value that name the field on a mismatch.
+trait Field {
+    fn uint(&self, what: &str) -> Result<u64, PpError>;
+    fn text(&self, what: &str) -> Result<&str, PpError>;
+    fn array(&self, what: &str) -> Result<&[Json], PpError>;
+    fn object(&self, what: &str) -> Result<&[(String, Json)], PpError>;
 }
 
-impl Json {
-    fn as_u64(&self, what: &str) -> Result<u64, PpError> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            _ => Err(bad(&format!("field {what:?} is not an unsigned integer"))),
-        }
+impl Field for Json {
+    fn uint(&self, what: &str) -> Result<u64, PpError> {
+        self.as_u64()
+            .ok_or_else(|| not_a(what, "an unsigned integer"))
     }
 
-    fn as_str(&self, what: &str) -> Result<&str, PpError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(bad(&format!("field {what:?} is not a string"))),
-        }
+    fn text(&self, what: &str) -> Result<&str, PpError> {
+        self.as_str().ok_or_else(|| not_a(what, "a string"))
     }
 
-    fn as_array(&self, what: &str) -> Result<&[Json], PpError> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(bad(&format!("field {what:?} is not an array"))),
-        }
+    fn array(&self, what: &str) -> Result<&[Json], PpError> {
+        self.as_array().ok_or_else(|| not_a(what, "an array"))
     }
 
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], PpError> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(bad(&format!("field {what:?} is not an object"))),
-        }
+    fn object(&self, what: &str) -> Result<&[(String, Json)], PpError> {
+        self.as_object().ok_or_else(|| not_a(what, "an object"))
     }
+}
+
+fn not_a(what: &str, shape: &str) -> PpError {
+    bad(&format!("field {what:?} is not {shape}"))
 }
 
 fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, PpError> {
@@ -768,223 +747,8 @@ fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, PpError> {
         .ok_or_else(|| bad(&format!("missing checkpoint field {name:?}")))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays/objects open around `pos`.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, PpError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| bad("unexpected end of checkpoint document"))
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), PpError> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(bad(&format!(
-                "expected {:?} at byte {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, PpError> {
-        match self.peek()? {
-            b'{' => self.nested(Self::object),
-            b'[' => self.nested(Self::array),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'n' => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(bad(&format!("unrecognized token at byte {}", self.pos)))
-                }
-            }
-            b'0'..=b'9' => self.number(),
-            other => Err(bad(&format!(
-                "unexpected {:?} at byte {}",
-                other as char, self.pos
-            ))),
-        }
-    }
-
-    /// Parses one array or object with `parse`, one level deeper.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, PpError>) -> Result<Json, PpError> {
-        if self.depth >= CHECKPOINT_MAX_NESTING {
-            return Err(bad(&format!(
-                "checkpoint document nests deeper than the limit of {CHECKPOINT_MAX_NESTING} \
-                 arrays/objects at byte {}",
-                self.pos
-            )));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn number(&mut self) -> Result<Json, PpError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are utf-8");
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| bad(&format!("number out of range at byte {start}")))
-    }
-
-    fn string(&mut self) -> Result<String, PpError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(bad("unterminated string in checkpoint document"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(bad("unterminated escape in checkpoint document"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| bad("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(hex);
-                        }
-                        other => {
-                            return Err(bad(&format!("unsupported escape \\{}", other as char)))
-                        }
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Re-sync on the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while self.bytes.get(end).is_some_and(|b| b & 0xC0 == 0x80) {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| bad("invalid utf-8 in checkpoint string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, PpError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(bad(&format!(
-                        "expected ',' or ']' but found {:?} at byte {}",
-                        other as char, self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, PpError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.expect(b':')?;
-            fields.push((name, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(bad(&format!(
-                        "expected ',' or '}}' but found {:?} at byte {}",
-                        other as char, self.pos
-                    )))
-                }
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, PpError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(bad(&format!(
-            "trailing garbage at byte {} of checkpoint document",
-            parser.pos
-        )));
-    }
-    Ok(value)
-}
-
 fn read_u64_array(value: &Json, what: &str) -> Result<Vec<u64>, PpError> {
-    value
-        .as_array(what)?
-        .iter()
-        .map(|v| v.as_u64(what))
-        .collect()
+    value.array(what)?.iter().map(|v| v.uint(what)).collect()
 }
 
 fn read_rng(value: &Json, what: &str) -> Result<[u64; 4], PpError> {
@@ -994,28 +758,28 @@ fn read_rng(value: &Json, what: &str) -> Result<[u64; 4], PpError> {
 }
 
 fn read_snapshot(value: &Json) -> Result<EngineSnapshot, PpError> {
-    let obj = value.as_object("engine snapshot")?;
+    let obj = value.object("engine snapshot")?;
     let counters = get(obj, "counters")?
-        .as_object("counters")?
+        .object("counters")?
         .iter()
-        .map(|(name, v)| Ok((name.clone(), v.as_u64(name)?)))
+        .map(|(name, v)| Ok((name.clone(), v.uint(name)?)))
         .collect::<Result<Vec<_>, PpError>>()?;
     Ok(EngineSnapshot {
         supports: read_u64_array(get(obj, "supports")?, "supports")?,
-        undecided: get(obj, "undecided")?.as_u64("undecided")?,
-        interactions: get(obj, "interactions")?.as_u64("interactions")?,
+        undecided: get(obj, "undecided")?.uint("undecided")?,
+        interactions: get(obj, "interactions")?.uint("interactions")?,
         rng: read_rng(get(obj, "rng")?, "rng")?,
         counters,
     })
 }
 
 fn read_sharded(value: &Json) -> Result<ShardedSnapshot, PpError> {
-    let obj = value.as_object("sharded state")?;
+    let obj = value.object("sharded state")?;
     let shards = get(obj, "shards")?
-        .as_array("shards")?
+        .array("shards")?
         .iter()
         .map(|shard| {
-            let s = shard.as_object("shard")?;
+            let s = shard.object("shard")?;
             Ok(ShardSnapshot {
                 engine: read_snapshot(get(s, "engine")?)?,
                 cross_rng: read_rng(get(s, "cross_rng")?, "cross_rng")?,
@@ -1024,41 +788,41 @@ fn read_sharded(value: &Json) -> Result<ShardedSnapshot, PpError> {
         .collect::<Result<Vec<_>, PpError>>()?;
     let rebalance_every = match get(obj, "rebalance_every")? {
         Json::Null => None,
-        v => Some(v.as_u64("rebalance_every")?),
+        v => Some(v.uint("rebalance_every")?),
     };
     Ok(ShardedSnapshot {
         shards,
         alloc_rng: read_rng(get(obj, "alloc_rng")?, "alloc_rng")?,
-        interactions: get(obj, "interactions")?.as_u64("interactions")?,
-        epochs: get(obj, "epochs")?.as_u64("epochs")?,
-        epoch_len: get(obj, "epoch_len")?.as_u64("epoch_len")?,
-        threads: get(obj, "threads")?.as_u64("threads")?,
+        interactions: get(obj, "interactions")?.uint("interactions")?,
+        epochs: get(obj, "epochs")?.uint("epochs")?,
+        epoch_len: get(obj, "epoch_len")?.uint("epoch_len")?,
+        threads: get(obj, "threads")?.uint("threads")?,
         rebalance_every,
     })
 }
 
 fn read_ensemble(value: &Json) -> Result<EnsembleSnapshot, PpError> {
-    let obj = value.as_object("ensemble state")?;
+    let obj = value.object("ensemble state")?;
     Ok(EnsembleSnapshot {
         replicas: get(obj, "replicas")?
-            .as_array("replicas")?
+            .array("replicas")?
             .iter()
             .map(read_snapshot)
             .collect::<Result<Vec<_>, PpError>>()?,
-        rounds: get(obj, "rounds")?.as_u64("rounds")?,
+        rounds: get(obj, "rounds")?.uint("rounds")?,
     })
 }
 
 fn read_mean_field(value: &Json) -> Result<MeanFieldSnapshot, PpError> {
-    let obj = value.as_object("mean-field state")?;
+    let obj = value.object("mean-field state")?;
     Ok(MeanFieldSnapshot {
         fraction_bits: read_u64_array(get(obj, "fraction_bits")?, "fraction_bits")?,
-        undecided_bits: get(obj, "undecided_bits")?.as_u64("undecided_bits")?,
+        undecided_bits: get(obj, "undecided_bits")?.uint("undecided_bits")?,
         supports: read_u64_array(get(obj, "supports")?, "supports")?,
-        undecided: get(obj, "undecided")?.as_u64("undecided")?,
-        population: get(obj, "population")?.as_u64("population")?,
-        interactions: get(obj, "interactions")?.as_u64("interactions")?,
-        dt_bits: get(obj, "dt_bits")?.as_u64("dt_bits")?,
+        undecided: get(obj, "undecided")?.uint("undecided")?,
+        population: get(obj, "population")?.uint("population")?,
+        interactions: get(obj, "interactions")?.uint("interactions")?,
+        dt_bits: get(obj, "dt_bits")?.uint("dt_bits")?,
     })
 }
 
@@ -1174,7 +938,7 @@ mod tests {
                 "{\"format\":1,\"kind\":\"warp\",\"engine\":{}}",
                 "unknown engine kind",
             ),
-            ("{\"format\":1} trailing", "trailing garbage"),
+            ("{\"format\":1} trailing", "trailing characters"),
         ] {
             let err = Checkpoint::from_json(doc).unwrap_err();
             let PpError::Checkpoint { reason } = &err else {
@@ -1190,17 +954,17 @@ mod tests {
         let objects = "{\"a\":".repeat(300_000 / 5);
         for doc in [brackets, objects] {
             let err = Checkpoint::from_json(&doc).unwrap_err().to_string();
-            assert!(err.contains("nests deeper than the limit"), "{err}");
+            assert!(err.contains("nesting deeper than the limit"), "{err}");
         }
         // The limit itself is within the reader's reach (and then fails on
         // content, not depth).
         let at_limit = format!(
             "{}{}",
-            "[".repeat(CHECKPOINT_MAX_NESTING),
-            "]".repeat(CHECKPOINT_MAX_NESTING)
+            "[".repeat(json::MAX_NESTING),
+            "]".repeat(json::MAX_NESTING)
         );
         let err = Checkpoint::from_json(&at_limit).unwrap_err().to_string();
-        assert!(!err.contains("nests deeper"), "{err}");
+        assert!(!err.contains("nesting deeper"), "{err}");
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! A small self-contained JSON value, writer and recursive-descent parser.
+//! The workspace's one JSON codec: a value type, a limit-checked
+//! recursive-descent parser and a canonical writer.
 //!
 //! The workspace's `serde` is a vendored no-op facade (no registry access),
-//! so every crate that speaks JSON rolls its own.  `pp_core::checkpoint`
-//! carries a private u64-only reader sized for engine snapshots; the service
-//! layer needs the full scalar set — floats for bias factors, booleans for
-//! protocol acks, negative numbers never (the domain is counts and
-//! fractions), but the parser accepts them anyway so foreign clients cannot
-//! wedge the server with well-formed JSON.
+//! so every document — checkpoints, results, scenarios, job records,
+//! protocol lines, metrics, traces, benchmark records — is read through
+//! [`Json::parse`] and written as a [`Json`] value or, where a value tree
+//! would cost (checkpoints), streamed through the same [`write_json_string`]
+//! and [`write_f64`].  The parser takes the full scalar set so foreign
+//! clients cannot wedge a reader with well-formed JSON.
 //!
-//! Two properties the service relies on:
+//! Two properties the workspace relies on:
 //!
 //! * **Deterministic output.**  Objects keep insertion order (a `Vec` of
 //!   pairs, not a hash map) and floats print through Rust's shortest
-//!   round-trip `Display`, so writing the same value twice yields the same
-//!   bytes — the scenario round-trip tests and the byte-equality contract
-//!   between `pp_serve` results and `usd_run --scenario` stand on this.
+//!   round-trip `Display` (non-finite ones as `null`), so writing the same
+//!   value twice yields the same bytes, and every document the workspace
+//!   writes re-serializes to itself (`tests/json_codec.rs`).
 //! * **Integer exactness.**  Interaction counts exceed 2^53, so integers
 //!   parse into `u64`/`i64` variants and never detour through `f64`.
 //!
@@ -189,7 +190,7 @@ impl Json {
 }
 
 /// A finite float in Rust's shortest round-trip form, `null` otherwise
-/// (JSON has no NaN/∞) — the same convention `usd_run` uses.
+/// (JSON has no NaN/∞) — the workspace's one float writer.
 #[must_use]
 pub fn write_f64(x: f64) -> String {
     if x.is_finite() {
@@ -199,7 +200,11 @@ pub fn write_f64(x: f64) -> String {
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\\` are
+/// backslash-escaped, newline, carriage return and tab use their short
+/// escapes, and the other control characters use `\u00XX`, so a written
+/// document never holds a raw line break.
+pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -344,9 +349,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs are not reassembled: the service's
-                        // own output never emits them (identifiers and
-                        // diagnostics are ASCII), foreign ones map to the
+                        // Surrogate pairs are not reassembled: the workspace's
+                        // own output never emits them (the writer escapes
+                        // only control characters), foreign ones map to the
                         // replacement character instead of an error.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
@@ -358,12 +363,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 scalar (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // A run of plain characters up to the next quote or
+                // backslash.  Both are ASCII, so the run ends on a char
+                // boundary of the input, which is a &str.
+                let len = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let run =
+                    std::str::from_utf8(&bytes[*pos..*pos + len]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -412,8 +422,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
-/// An insertion-ordered object builder — the writer the service's canonical
-/// documents go through.
+/// An insertion-ordered object builder — the writer the workspace's
+/// canonical documents go through.
 #[derive(Debug, Default)]
 pub struct ObjBuilder {
     pairs: Vec<(String, Json)>,

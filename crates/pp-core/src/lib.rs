@@ -62,6 +62,10 @@
 //! bias/support metrics), stopping rules, trace recorders and reproducible
 //! seed management.
 //!
+//! Every JSON document the workspace reads or writes — checkpoints, run
+//! results, scenarios, job records, protocol lines, metrics and benchmark
+//! records — goes through the one codec in [`json`].
+//!
 //! Observability goes through [`telemetry`]: a zero-dependency metrics
 //! registry (counters / gauges / log-bucket histograms) plus RAII timing
 //! spans with a chrome-trace export, attached to engines via a cloneable
@@ -107,6 +111,7 @@ pub mod ensemble;
 pub mod error;
 pub mod fenwick;
 pub mod hybrid;
+pub mod json;
 pub mod opinion;
 pub mod parallel;
 pub mod protocol;

@@ -54,6 +54,7 @@
 //! assert!(trace.contains("\"traceEvents\""));
 //! ```
 
+use crate::json;
 use crate::run::MaintenanceStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -289,11 +290,11 @@ impl Telemetry {
                 out.push(',');
             }
             first = false;
+            out.push_str("{\"name\":");
+            json::write_json_string(&e.name, &mut out);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"pp\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"dur\":{}}}",
-                escape_json(&e.name),
+                ",\"cat\":\"pp\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
                 e.tid,
                 e.start_us,
                 e.end_us - e.start_us,
@@ -669,14 +670,17 @@ impl MetricsSnapshot {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", escape_json(name), v);
+            json::write_json_string(name, &mut out);
+            let _ = write!(out, ":{v}");
         }
         for (name, v) in &self.gauges {
             if !first {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", escape_json(name), json_f64(*v));
+            json::write_json_string(name, &mut out);
+            out.push(':');
+            out.push_str(&json::write_f64(*v));
         }
         for (name, h) in &self.histograms {
             if !first {
@@ -688,10 +692,10 @@ impl MetricsSnapshot {
                 .iter()
                 .map(|b| format!("[{},{}]", b.upper, b.count))
                 .collect();
+            json::write_json_string(name, &mut out);
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                escape_json(name),
+                ":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
                 h.count,
                 h.sum,
                 buckets.join(","),
@@ -699,36 +703,6 @@ impl MetricsSnapshot {
         }
         out.push('}');
         out
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-#[must_use]
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// NaN/∞-safe JSON number rendering (mirrors `usd_run`'s convention).
-#[must_use]
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 

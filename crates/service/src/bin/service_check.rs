@@ -21,7 +21,7 @@
 //! Exits 0 when every given artifact passes, 1 with a diagnostic per
 //! failure otherwise.  At least one artifact flag is required.
 
-use pp_service::json::Json;
+use pp_core::json::Json;
 use pp_service::protocol::{check_progress_line, check_result_doc};
 use std::process::ExitCode;
 

@@ -17,7 +17,8 @@
 //!   last record line of a job is its state.  Opening the server rewrites
 //!   the log to its live lines through [`pp_core::checkpoint::write_atomic`]
 //!   (so `jobs.log.tmp` is its previous version), and keeps the lines it
-//!   could not parse in `jobs.log.corrupt`.
+//!   could not parse — and result lines whose document fails
+//!   [`crate::protocol::check_result_doc`] — in `jobs.log.corrupt`.
 //! * `ckpt-<id>.json` — a [`pp_core::checkpoint::CheckpointJournal`] for a
 //!   job halted mid-run, removed when the job reaches a terminal state.
 
@@ -329,6 +330,8 @@ pub(crate) struct LogReplay {
     pub(crate) records: BTreeMap<u64, JobRecord>,
     /// Each job's last result line, by id.
     pub(crate) results: BTreeMap<u64, String>,
+    /// The 1-based line number of each job's last result line, by id.
+    pub(crate) result_lines: BTreeMap<u64, usize>,
     /// The whole lines that did not parse, in file order.
     pub(crate) bad: Vec<BadLine>,
     /// One past the highest id a whole line names, parsed or not (`0` when
@@ -354,6 +357,7 @@ pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
         let parsed = text.and_then(|text| match text.strip_prefix(RESULT_PREFIX) {
             Some(rest) => parse_result(rest).map(|(id, doc)| {
                 out.results.insert(id, doc.to_string());
+                out.result_lines.insert(id, i + 1);
             }),
             None => JobRecord::from_json(text).map(|record| {
                 out.records.insert(record.id.0, record);

@@ -52,11 +52,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod job;
-pub mod json;
 pub mod protocol;
 pub mod runner;
 pub mod scenario;
 pub mod server;
+
+/// The workspace's JSON codec, re-exported under its earlier path.
+pub use pp_core::json;
 
 pub use job::{JobId, JobRecord, JobState, JOB_FORMAT_VERSION};
 pub use protocol::{check_progress_line, check_result_doc, parse_request, Request};

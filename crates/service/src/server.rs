@@ -33,11 +33,12 @@
 //!
 //! Reopening replays the log: each job is in the state of its last whole
 //! record line, and a torn last line is ignored.  A whole line that does
-//! not parse is kept in `jobs.log.corrupt`; a job no parsed line names is
-//! forgotten, and new jobs still get ids above it.  A done job without a
-//! parsable result line runs again (determinism makes the re-run store
-//! the identical document).  A checkpoint that does not load is set aside
-//! as `ckpt-N.json.corrupt` and its job restarts from scratch.
+//! not parse is kept in `jobs.log.corrupt`, and so is a result line whose
+//! document fails [`protocol::check_result_doc`]; a job no parsed line
+//! names is forgotten, and new jobs still get ids above it.  A done job
+//! without a valid result line runs again (determinism makes the re-run
+//! store the identical document).  A checkpoint that does not load is set
+//! aside as `ckpt-N.json.corrupt` and its job restarts from scratch.
 //! `job-N.json` and `result-N.json` files of an earlier per-job layout are
 //! not loaded.  [`Server::quarantined`] names each of these with its
 //! reason, and the rest of the directory opens normally.  Open then
@@ -190,6 +191,13 @@ fn keep_bad_lines(dir: &Path, bad: &[job::BadLine]) -> Vec<QuarantinedRecord> {
         .collect()
 }
 
+/// Whether a stored result document passes
+/// [`protocol::check_result_doc`], with the reason when it does not.
+fn valid_result(doc: &str) -> Result<(), String> {
+    let parsed = pp_core::json::Json::parse(doc).map_err(|e| format!("malformed result: {e}"))?;
+    protocol::check_result_doc(&parsed).map_err(|e| format!("invalid result document: {e}"))
+}
+
 /// The `job-N.json` and `result-N.json` files of the earlier per-job
 /// layout, with their ids, in name order.
 fn earlier_layout(dir: &Path) -> Result<Vec<(u64, String)>, String> {
@@ -266,8 +274,23 @@ impl Server {
                 }
             };
             state.next_id = state.next_id.max(replay.next_id);
-            quarantined.extend(keep_bad_lines(dir, &replay.bad));
-            let mut results = replay.results;
+            let (mut bad, mut results) = (replay.bad, replay.results);
+            // A result line that parses but is no result document is set
+            // aside like an unparsable line: a damaged result is never
+            // served, and its job runs again.
+            results.retain(|id, doc| match valid_result(doc) {
+                Ok(()) => true,
+                Err(reason) => {
+                    bad.push(job::BadLine {
+                        line: replay.result_lines[id],
+                        reason,
+                        bytes: format!("result {id} {doc}").into_bytes(),
+                    });
+                    false
+                }
+            });
+            bad.sort_by_key(|line| line.line);
+            quarantined.extend(keep_bad_lines(dir, &bad));
             for (id, mut record) in replay.records {
                 let mut result = None;
                 let mut resume = None;
@@ -530,7 +553,18 @@ impl Server {
     /// disk, so a later [`Server::open`] on the same state directory
     /// resumes them bit-exactly.
     pub fn kill(mut self) {
-        self.inner.kill.store(true, Ordering::SeqCst);
+        self.halt();
+    }
+
+    /// Sets the crash switch, wakes the workers and joins them.  The
+    /// switch is set under the state lock: an idle worker tests it under
+    /// that lock just before it waits, so the wake-up cannot fall between
+    /// its test and its wait and leave it asleep.
+    fn halt(&mut self) {
+        {
+            let _state = self.inner.lock();
+            self.inner.kill.store(true, Ordering::SeqCst);
+        }
         self.inner.work_cv.notify_all();
         self.join();
     }
@@ -545,9 +579,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if !self.workers.is_empty() {
-            self.inner.kill.store(true, Ordering::SeqCst);
-            self.inner.work_cv.notify_all();
-            self.join();
+            self.halt();
         }
     }
 }

@@ -26,13 +26,13 @@ use consensus_dynamics::{
     sampler_ensemble, JMajority, MedianRule, SamplingDynamics, ThreeMajority, TwoChoices, Voter,
 };
 use pp_core::ensemble::EnsembleChoice;
+use pp_core::json::Json;
 use pp_core::telemetry::{check_span_nesting, COORDINATOR_TID};
 use pp_core::{
     Configuration, EngineChoice, RunResult, ShardPlan, SimSeed, StopCondition, Telemetry,
 };
 use proptest::prelude::*;
 use usd_core::{EnginePolicy, UsdSimulator};
-use usd_experiments::trend::{parse_json, Json};
 
 const MASTER: u64 = 0x07E1_E0B5;
 
@@ -208,7 +208,7 @@ fn chrome_traces_parse_with_nested_per_track_spans() {
     // The exported chrome trace mirrors the registry: one "ph":"X" complete
     // event per span, each carrying the fields Perfetto requires, with
     // monotone non-negative timestamps.
-    let doc = parse_json(&tel.chrome_trace_json()).expect("chrome trace must be valid JSON");
+    let doc = Json::parse(&tel.chrome_trace_json()).expect("chrome trace must be valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)
