@@ -53,14 +53,14 @@
 //! `pp_analysis::conformance`).
 //!
 //! The expensive laws are *maintained*, not recomputed: the j-Majority
-//! adoption law and the MedianRule prefix/suffix sums live in counts-keyed
-//! single-entry thread-local memos that are **patched in `O(delta)`** across
-//! each event (exact-integer formulations, so patched and rebuilt laws are
-//! bit-identical — see [`majority`] and [`median`] for the delta rules) and
-//! rebuilt only on first use, parameter changes, or integer-headroom
-//! exhaustion.  The [`law_maintenance`] module holds the per-thread
-//! patch/rebuild counters (threaded into `pp_core::MaintenanceStats` by the
-//! sequential sampler) and the [`set_incremental_laws`] baseline switch.
+//! adoption law and the MedianRule prefix/suffix sums are an
+//! [`ActivationLaw`] the sequential sampler owns, **patched in `O(delta)`**
+//! from each applied move (exact-integer formulations, so patched and
+//! rebuilt laws are bit-identical — see [`majority`] and [`median`] for the
+//! delta rules) and rebuilt only on a run's first refresh or past the
+//! integer headroom.  The sampler counts each refresh into its
+//! `pp_core::MaintenanceStats`; [`law_maintenance`] holds the law and the
+//! [`set_incremental_laws`] baseline switch.
 //!
 //! ## Replica ensembles
 //!
@@ -94,9 +94,7 @@ pub mod sampling;
 pub mod sync_usd;
 pub mod voter;
 
-pub use law_maintenance::{
-    incremental_laws_enabled, law_event_snapshot, law_events_since, set_incremental_laws,
-};
+pub use law_maintenance::{incremental_laws_enabled, set_incremental_laws, ActivationLaw};
 pub use majority::{JMajority, ThreeMajority};
 pub use median::MedianRule;
 pub use sampling::{

@@ -36,7 +36,7 @@
 //! `m ≤ t` (rival counts above `t` are pruned; the undecided factor is
 //! uncapped and never ties).  The factor operators commute, have unit
 //! constant term, and are therefore **exactly invertible** by ascending-`s`
-//! back-substitution — which is the delta rule the single-entry memo uses:
+//! back-substitution — which is the delta rule the maintained law uses:
 //!
 //! * a `±1` change of one count *deconvolves* that category's old factor
 //!   and convolves the new one, an `O(k·j³)` patch instead of the
@@ -52,8 +52,8 @@
 //!   counts on every change (no patching — float deconvolution would not
 //!   round-trip bit-identically).
 //!
-//! Patches and rebuilds are noted through [`crate::law_maintenance`], which
-//! `SequentialSampler` folds into `pp_core::MaintenanceStats`.
+//! Patches and rebuilds are counted into the sampler's
+//! `pp_core::MaintenanceStats` (see [`crate::law_maintenance`]).
 //!
 //! # The closed form for `j ≤ 3`
 //!
@@ -91,33 +91,35 @@
 //! `Q_o / (L·n^j)` conversion is bit-identical.  (`E = 0` for `k ≤ 2`,
 //! where `L/3` would be `0` anyway.)  The closed form serves every
 //! refresh under the headroom gate while incremental laws are enabled:
-//! a run's first refresh is counted as a rebuild, the rest as patches —
-//! on whichever thread they land, since the closed form reads nothing
-//! from the memo (see [`crate::law_maintenance`]).  With incremental laws
-//! disabled the dynamic program is rebuilt instead, which is what lets the
-//! law-twin equivalence suites pin the closed form against the DP
-//! trajectory for trajectory; the sampled debug cross-check (every
-//! refresh under `exhaustive-checks`) compares its integers to a fresh DP.
+//! a run's first refresh is counted as a rebuild, the rest as patches.
+//! With incremental laws disabled the dynamic program is rebuilt instead,
+//! which is what lets the law-twin equivalence suites pin the closed form
+//! against the DP trajectory for trajectory; the sampled debug cross-check
+//! (every refresh under `exhaustive-checks`) compares its integers to a
+//! fresh DP.
 //!
-//! Both skip-ahead hooks consume the same adoption law, so [`JMajority`]
-//! memoizes the most recent `(parameters, counts, law)` triple in a
-//! single-entry *thread-local* cache: per state-changing event the law is
-//! refreshed (closed form, patch or rebuild) once — the null-probability
-//! evaluation refreshes the memo, the conditional event draw hits it.  The
-//! memo is invisible to callers (pure-function semantics, values identical
-//! bit for bit).  It lives in thread-local storage rather than inside the
-//! dynamic precisely so that `JMajority` stays a plain `Copy + Send + Sync`
-//! value: the parallel ensemble moves replicas (and the dynamics they own)
-//! across worker threads, and an interior-mutability memo field would
-//! poison every `SamplingDynamics` consumer's auto traits.
+//! # The law lives in the sampler
+//!
+//! Both skip-ahead hooks consume the same adoption law, and `k`, `j` and
+//! `n` are fixed for a run.  So the sequential sampler owns one
+//! `MajorityLaw` per run (through
+//! [`SamplingDynamics::activation_law`]): `L`, the headroom verdict and
+//! the `L·n^j` denominator are computed once at construction, `M`, `S2`
+//! and `u` follow each applied move in `O(1)`, and the law `q` is
+//! refreshed once per event — closed form, table patch or rebuild — and
+//! read by both the null probability and the event draw.  The closed form
+//! computes in `u64` while `L·(2n)^j` stays below `2⁶¹` and in `u128`
+//! above: the same integers either way.  The stateless hooks build a cold
+//! law from the counts through the same code.
+//! `JMajority` itself stays a plain `Copy + Send + Sync` value.
 
-use crate::law_maintenance;
+use crate::law_maintenance::{self, ActivationLaw, LawKind};
 use crate::sampling::SamplingDynamics;
 use pp_core::engine::uniform_u128_below;
-use pp_core::{AgentState, Configuration};
+use pp_core::{AgentState, Configuration, MaintenanceStats};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// `P(Binomial(n, p) = c)`, evaluated directly (exact for the tiny `n ≤ j`
 /// this module needs).
@@ -153,15 +155,23 @@ fn lcm_up_to(k: usize) -> Option<u128> {
     Some(l)
 }
 
+/// `bits(L) + j·bits(2n + 1)`: a bound on the bit length of `L·(2n)^j`,
+/// which bounds every integer the adoption law manipulates.
+fn law_bits(tie_lcm: u128, j: usize, n: u64) -> Option<u32> {
+    let l_bits = 128 - tie_lcm.leading_zeros();
+    let n_bits = 128 - (2 * u128::from(n) + 1).leading_zeros();
+    u32::try_from(j)
+        .ok()?
+        .checked_mul(n_bits)?
+        .checked_add(l_bits)
+}
+
 /// The `lcm(1..=k)` tie clearer when every integer the adoption law
-/// manipulates — all bounded by `L·(2n)^j` — fits comfortably in `u128`,
-/// `None` otherwise (the caller then uses the float dynamic program).
+/// manipulates fits comfortably in `u128`, `None` otherwise (the caller
+/// then uses the float dynamic program).
 fn integer_law_headroom(k: usize, j: usize, n: u64) -> Option<u128> {
     let l = lcm_up_to(k)?;
-    let l_bits = 128 - l.leading_zeros();
-    let n_bits = 128 - (2 * u128::from(n) + 1).leading_zeros();
-    let j_bits = u32::try_from(j).ok()?.checked_mul(n_bits)?;
-    (j_bits + l_bits < 126).then_some(l)
+    (law_bits(l, j, n)? < 126).then_some(l)
 }
 
 /// One category's factor in a tie-tracking convolution: its count `c`, the
@@ -178,47 +188,12 @@ struct CategoryFactor {
 /// Convolves one category factor into a tie-tracking table `D[s][T]`
 /// (row-major, `width` tie buckets): `D[s][T] += Σ_{m=1..cap}
 /// D[s−m][T−[m=tie]]·C(s,m)·c^m`.  Descending `s` makes the update in-place
-/// (`D[s]` only reads strictly smaller `s`).
-fn convolve_factor(
-    table: &mut [u128],
-    binom: &[u128],
-    stride: usize,
-    width: usize,
-    s_max: usize,
-    factor: CategoryFactor,
-) {
-    let c = u128::from(factor.count);
-    if c == 0 {
-        return;
-    }
-    for s in (1..=s_max).rev() {
-        for t_cur in 0..width {
-            let mut acc = table[s * width + t_cur];
-            let mut c_pow = 1u128;
-            for m in 1..=s.min(factor.cap) {
-                c_pow *= c;
-                let t_src = match factor.tie {
-                    Some(t) if m == t => {
-                        if t_cur == 0 {
-                            continue;
-                        }
-                        t_cur - 1
-                    }
-                    _ => t_cur,
-                };
-                acc += table[(s - m) * width + t_src] * binom[s * stride + m] * c_pow;
-            }
-            table[s * width + t_cur] = acc;
-        }
-    }
-}
-
-/// Exactly removes one category factor from a table built by
-/// [`convolve_factor`]: ascending-`s` back-substitution (the factor has unit
+/// (`D[s]` only reads strictly smaller `s`).  With `INVERT` the factor is
+/// removed instead, by ascending-`s` back-substitution (the factor has unit
 /// constant term, so `old[s][T] = new[s][T] − Σ_{m≥1} old[s−m][…]·C(s,m)·c^m`
-/// with the already-recovered smaller-`s` rows).  Integer-exact: the
-/// round-trip convolve-then-deconvolve is the identity, bit for bit.
-fn deconvolve_factor(
+/// with the already-recovered smaller-`s` rows).  Integer-exact: convolving
+/// a factor in and back out is the identity, bit for bit.
+fn convolve_factor<const INVERT: bool>(
     table: &mut [u128],
     binom: &[u128],
     stride: usize,
@@ -230,9 +205,10 @@ fn deconvolve_factor(
     if c == 0 {
         return;
     }
-    for s in 1..=s_max {
+    for i in 0..s_max {
+        let s = if INVERT { i + 1 } else { s_max - i };
         for t_cur in 0..width {
-            let mut acc = table[s * width + t_cur];
+            let mut sum = 0u128;
             let mut c_pow = 1u128;
             for m in 1..=s.min(factor.cap) {
                 c_pow *= c;
@@ -245,9 +221,10 @@ fn deconvolve_factor(
                     }
                     _ => t_cur,
                 };
-                acc -= table[(s - m) * width + t_src] * binom[s * stride + m] * c_pow;
+                sum += table[(s - m) * width + t_src] * binom[s * stride + m] * c_pow;
             }
-            table[s * width + t_cur] = acc;
+            let cell = &mut table[s * width + t_cur];
+            *cell = if INVERT { *cell - sum } else { *cell + sum };
         }
     }
 }
@@ -272,10 +249,18 @@ struct AdoptionDp {
 impl AdoptionDp {
     /// Builds the tables from scratch for `config`, or `None` when the
     /// `L·(2n)^j` bound does not fit `u128`.
+    #[cfg(any(test, debug_assertions, feature = "exhaustive-checks"))]
     fn build(dynamics: &JMajority, config: &Configuration) -> Option<AdoptionDp> {
+        let tie_lcm =
+            integer_law_headroom(dynamics.opinions, dynamics.samples, config.population())?;
+        Some(AdoptionDp::new(dynamics, config, tie_lcm))
+    }
+
+    /// Builds the tables from scratch for `config` with the tie clearer
+    /// `L` the headroom gate admitted.
+    fn new(dynamics: &JMajority, config: &Configuration, tie_lcm: u128) -> AdoptionDp {
         let k = dynamics.opinions;
         let j = dynamics.samples;
-        let tie_lcm = integer_law_headroom(k, j, config.population())?;
         let stride = j + 1;
         let mut binom = vec![0u128; stride * stride];
         for s in 0..=j {
@@ -297,12 +282,40 @@ impl AdoptionDp {
             counts,
             tables: vec![0u128; k * j * cells],
         };
-        for o in 0..k {
-            for t in 1..=j {
-                dp.rebuild_table(o, t);
+        // Every `(o, t)` table is the product of all `k + 1` factors with
+        // the candidate's own taken out, so per `t` the full product is
+        // convolved once and each candidate removed from a copy — exact, as
+        // in a patch, and `O(k)` convolutions per `t` instead of `O(k²)`.
+        // (The full product's bucket of `k` ties is dropped: no bucket
+        // below it reads it, either way.)
+        let mut all = vec![0u128; cells];
+        for t in 1..=j {
+            all.fill(0);
+            all[0] = 1;
+            for i in 0..=k {
+                let factor = dp.factor(i, t, dp.counts[i]);
+                convolve_factor::<false>(&mut all, &dp.binom, j + 1, k, j - t, factor);
+            }
+            for o in 0..k {
+                let (factor, range) = (dp.factor(o, t, dp.counts[o]), dp.table_range(o, t));
+                let table = &mut dp.tables[range];
+                table.copy_from_slice(&all);
+                convolve_factor::<true>(table, &dp.binom, j + 1, k, j - t, factor);
             }
         }
-        Some(dp)
+        dp
+    }
+
+    /// Category `i`'s factor in the `t` tables at count `count`: an opinion
+    /// may take at most `t` samples and ties at `t`, the undecided state is
+    /// uncapped and never ties.
+    fn factor(&self, i: usize, t: usize, count: u64) -> CategoryFactor {
+        let (cap, tie) = if i == self.opinions {
+            (self.samples, None)
+        } else {
+            (t, Some(t))
+        };
+        CategoryFactor { count, cap, tie }
     }
 
     /// The `(o, t)` table's cell range in the flat `tables` vector.
@@ -310,28 +323,6 @@ impl AdoptionDp {
         let cells = (self.samples + 1) * self.opinions;
         let start = (o * self.samples + (t - 1)) * cells;
         start..start + cells
-    }
-
-    /// Recomputes one `(o, t)` table by convolving every other category's
-    /// factor into the unit table.
-    fn rebuild_table(&mut self, o: usize, t: usize) {
-        let (k, j) = (self.opinions, self.samples);
-        let range = self.table_range(o, t);
-        let table = &mut self.tables[range];
-        table.fill(0);
-        table[0] = 1;
-        for i in 0..=k {
-            if i == o {
-                continue;
-            }
-            let (cap, tie) = if i == k { (j, None) } else { (t, Some(t)) };
-            let factor = CategoryFactor {
-                count: self.counts[i],
-                cap,
-                tie,
-            };
-            convolve_factor(table, &self.binom, j + 1, k, j - t, factor);
-        }
     }
 
     /// Replays the count delta between the maintained snapshot and `config`
@@ -352,21 +343,11 @@ impl AdoptionDp {
                     continue;
                 }
                 for t in 1..=j {
-                    let (cap, tie) = if i == k { (j, None) } else { (t, Some(t)) };
+                    let (old, new) = (self.factor(i, t, old), self.factor(i, t, new));
                     let range = self.table_range(o, t);
                     let table = &mut self.tables[range];
-                    let old = CategoryFactor {
-                        count: old,
-                        cap,
-                        tie,
-                    };
-                    let new = CategoryFactor {
-                        count: new,
-                        cap,
-                        tie,
-                    };
-                    deconvolve_factor(table, &self.binom, j + 1, k, j - t, old);
-                    convolve_factor(table, &self.binom, j + 1, k, j - t, new);
+                    convolve_factor::<true>(table, &self.binom, j + 1, k, j - t, old);
+                    convolve_factor::<false>(table, &self.binom, j + 1, k, j - t, new);
                 }
             }
             self.counts[i] = new;
@@ -396,15 +377,22 @@ impl AdoptionDp {
         big_q
     }
 
-    /// The adoption law `q_o = Q_o / (L·n^j)` from the maintained tables.
-    /// Pure integer arithmetic up to the final (correctly rounded) `f64`
-    /// conversions, so patched and rebuilt tables give bit-equal vectors.
+    /// Writes the adoption law `q_o = Q_o / denominator` from the
+    /// maintained tables into `q`, with `denominator = L·n^j`.  Pure integer
+    /// arithmetic up to the final (correctly rounded) `f64` conversions, so
+    /// patched and rebuilt tables give bit-equal vectors.
+    fn fill_law(&self, denominator: f64, q: &mut Vec<f64>) {
+        q.clear();
+        q.extend((0..self.opinions).map(|o| self.adoption_integer(o) as f64 / denominator));
+    }
+
+    /// The adoption law as a fresh vector.
+    #[cfg(test)]
     fn adoption_law(&self) -> Vec<f64> {
         let n: u128 = self.counts.iter().map(|&c| u128::from(c)).sum();
-        let denom = law_denominator(self.tie_lcm, n, self.samples);
-        (0..self.opinions)
-            .map(|o| self.adoption_integer(o) as f64 / denom)
-            .collect()
+        let mut q = Vec::new();
+        self.fill_law(law_denominator(self.tie_lcm, n, self.samples), &mut q);
+        q
     }
 }
 
@@ -418,101 +406,227 @@ fn law_denominator(tie_lcm: u128, n: u128, j: usize) -> f64 {
 /// The largest sample count [`ClosedFormLaw`] covers.
 const CLOSED_FORM_MAX_SAMPLES: usize = 3;
 
-/// The `O(k)` closed form of the integer adoption law for `j ≤ 3` (module
-/// docs): the count aggregates every `Q_o` is a polynomial in.  Valid under
-/// the [`integer_law_headroom`] gate, which bounds every intermediate.
-#[derive(Debug, Clone, Copy)]
-struct ClosedFormLaw {
-    samples: usize,
-    /// `L = lcm(1..=k)`.
-    tie_lcm: u128,
-    /// Population `n`.
-    n: u128,
-    /// Undecided count `u`.
-    undecided: u128,
-    /// `M = Σ c_i` over the opinions.
-    decided: u128,
-    /// `S2 = Σ c_i²` over the opinions.
-    square_sum: u128,
+/// An exact unsigned width for the closed form: `u64` while every
+/// intermediate stays below `2⁶¹` (see [`law_bits`]), `u128` otherwise.
+/// Both widths compute the same integers, and so the same `f64` law.
+trait LawInt:
+    Copy
+    + From<u64>
+    + TryFrom<u128>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + AddAssign
+    + SubAssign
+{
+    /// The nearest `f64`.
+    fn to_f64(self) -> f64;
 }
 
-impl ClosedFormLaw {
-    fn new(samples: usize, tie_lcm: u128, config: &Configuration) -> ClosedFormLaw {
+impl LawInt for u64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl LawInt for u128 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+/// The `O(k)` closed form of the integer adoption law for `j ≤ 3` (module
+/// docs): the count aggregates every `Q_o` is a polynomial in, in width
+/// `W`.  Valid under the [`integer_law_headroom`] gate, which bounds every
+/// intermediate.
+#[derive(Debug, Clone, Copy)]
+struct ClosedFormLaw<W> {
+    samples: usize,
+    /// `L = lcm(1..=k)`.
+    tie_lcm: W,
+    /// The tie shares `L/2` and `L/3`, divided once per run.
+    tie_shares: [W; 2],
+    /// Population `n`.
+    n: W,
+    /// Undecided count `u`.
+    undecided: W,
+    /// `M = Σ c_i` over the opinions.
+    decided: W,
+    /// `S2 = Σ c_i²` over the opinions.
+    square_sum: W,
+}
+
+impl<W: LawInt> ClosedFormLaw<W> {
+    fn new(samples: usize, tie_lcm: u128, config: &Configuration) -> ClosedFormLaw<W> {
         debug_assert!((1..=CLOSED_FORM_MAX_SAMPLES).contains(&samples));
-        let mut decided = 0u128;
-        let mut square_sum = 0u128;
+        let width = |x: u128| W::try_from(x).ok().expect("the width rule admits L");
+        let mut decided = W::from(0);
+        let mut square_sum = W::from(0);
         for &c in config.supports() {
-            let c = u128::from(c);
+            let c = W::from(c);
             decided += c;
             square_sum += c * c;
         }
         ClosedFormLaw {
             samples,
-            tie_lcm,
-            n: u128::from(config.population()),
-            undecided: u128::from(config.undecided()),
+            tie_lcm: width(tie_lcm),
+            tie_shares: [width(tie_lcm / 2), width(tie_lcm / 3)],
+            n: W::from(config.population()),
+            undecided: W::from(config.undecided()),
             decided,
             square_sum,
         }
     }
 
-    /// `Q_o` for an opinion with support `c`, equal as an integer to
-    /// [`AdoptionDp::adoption_integer`].
-    fn adoption_integer(&self, c: u64) -> u128 {
-        let c = u128::from(c);
-        let l = self.tie_lcm;
-        let (u, rivals) = (self.undecided, self.decided - c);
-        match self.samples {
-            1 => c * l,
-            2 => 2 * c * (u * l + rivals * (l / 2)) + c * c * l,
-            _ => {
-                let rival_pairs = rivals * rivals - (self.square_sum - c * c);
-                let one = u * u * l + 2 * u * rivals * (l / 2) + rival_pairs * (l / 3);
-                3 * c * one + 3 * c * c * (self.n - c) * l + c * c * c * l
+    /// Follows one applied move (`config` is the configuration after it):
+    /// `c → c − 1` lowers `S2` by `2(c − 1) + 1`, `c → c + 1` raises it by
+    /// `2(c + 1) − 1`.
+    fn apply_move(&mut self, from: AgentState, to: AgentState, config: &Configuration) {
+        let (one, two) = (W::from(1), W::from(2));
+        match from {
+            AgentState::Decided(o) => {
+                self.decided -= one;
+                self.square_sum -= two * W::from(config.support(o.index())) + one;
             }
+            AgentState::Undecided => self.undecided -= one,
+        }
+        match to {
+            AgentState::Decided(o) => {
+                self.decided += one;
+                self.square_sum += two * W::from(config.support(o.index())) - one;
+            }
+            AgentState::Undecided => self.undecided += one,
         }
     }
 
-    /// `L·n^j`, the denominator turning `Q_o` into `q_o`.
-    fn denominator(&self) -> f64 {
-        law_denominator(self.tie_lcm, self.n, self.samples)
+    /// `Q_o` for an opinion with support `c`, equal as an integer to
+    /// [`AdoptionDp::adoption_integer`].
+    fn adoption_integer(&self, c: u64) -> W {
+        let c = W::from(c);
+        let (two, three) = (W::from(2), W::from(3));
+        let l = self.tie_lcm;
+        let [l_2, l_3] = self.tie_shares;
+        let (u, rivals) = (self.undecided, self.decided - c);
+        match self.samples {
+            1 => c * l,
+            2 => two * c * (u * l + rivals * l_2) + c * c * l,
+            _ => {
+                let rival_pairs = rivals * rivals - (self.square_sum - c * c);
+                let one = u * u * l + two * u * rivals * l_2 + rival_pairs * l_3;
+                three * c * one + three * c * c * (self.n - c) * l + c * c * c * l
+            }
+        }
     }
 }
 
-/// The single-entry adoption-law memo: the dynamic's parameters and the
-/// counts the law was computed for, the law itself, and (when the integer
-/// formulation fits and `j > 3`) the patchable tables behind it.  One per
-/// thread (see the module docs) — workers of the parallel ensemble each
-/// warm their own.
-#[derive(Debug, Default)]
-struct AdoptionMemo {
-    opinions: usize,
-    samples: usize,
-    supports: Vec<u64>,
-    undecided: u64,
-    q: Vec<f64>,
+/// The closed form in the narrowest width that holds its integers.
+#[derive(Debug, Clone, Copy)]
+enum ClosedForm {
+    Narrow(ClosedFormLaw<u64>),
+    Wide(ClosedFormLaw<u128>),
+}
+
+impl ClosedForm {
+    fn new(samples: usize, tie_lcm: u128, config: &Configuration) -> ClosedForm {
+        // `S2 ≤ n²` is kept for every `j`, so the bound takes `j ≥ 2`.
+        if law_bits(tie_lcm, samples.max(2), config.population()).is_some_and(|bits| bits < 62) {
+            ClosedForm::Narrow(ClosedFormLaw::new(samples, tie_lcm, config))
+        } else {
+            ClosedForm::Wide(ClosedFormLaw::new(samples, tie_lcm, config))
+        }
+    }
+
+    fn apply_move(&mut self, from: AgentState, to: AgentState, config: &Configuration) {
+        match self {
+            ClosedForm::Narrow(law) => law.apply_move(from, to, config),
+            ClosedForm::Wide(law) => law.apply_move(from, to, config),
+        }
+    }
+
+    /// `Q_o` for an opinion with support `c`.
+    #[cfg(any(test, debug_assertions, feature = "exhaustive-checks"))]
+    fn adoption_integer(&self, c: u64) -> u128 {
+        match self {
+            ClosedForm::Narrow(law) => law.adoption_integer(c).into(),
+            ClosedForm::Wide(law) => law.adoption_integer(c),
+        }
+    }
+
+    /// Writes `q_o = Q_o / denominator` for every opinion of `config` into `q`.
+    fn fill_law(&self, config: &Configuration, denominator: f64, q: &mut Vec<f64>) {
+        fn fill<W: LawInt>(
+            law: &ClosedFormLaw<W>,
+            config: &Configuration,
+            d: f64,
+            q: &mut Vec<f64>,
+        ) {
+            q.clear();
+            q.extend(
+                config
+                    .supports()
+                    .iter()
+                    .map(|&c| law.adoption_integer(c).to_f64() / d),
+            );
+        }
+        match self {
+            ClosedForm::Narrow(law) => fill(law, config, denominator, q),
+            ClosedForm::Wide(law) => fill(law, config, denominator, q),
+        }
+    }
+}
+
+/// One run's j-Majority adoption law, owned by the sampler (module docs):
+/// the run constants (`L`, the headroom verdict and the `L·n^j`
+/// denominator — `k`, `j` and `n` are fixed for a run), the closed-form
+/// aggregates, the patchable tables, and the law `q` itself.
+#[derive(Debug, Clone)]
+pub(crate) struct MajorityLaw {
+    dynamics: JMajority,
+    /// `L = lcm(1..=k)` when the integer law fits `u128` at this
+    /// population, `None` past the gate (the float program serves).
+    tie_lcm: Option<u128>,
+    /// `L·n^j` as the `f64` every `Q_o` is divided by (unused past the gate).
+    denominator: f64,
+    /// The `j ≤ 3` aggregates, kept in step with every applied move.
+    closed: Option<ClosedForm>,
+    /// The `j ≥ 4` tables (and the `j ≤ 3` ones while patching is disabled).
     dp: Option<AdoptionDp>,
+    q: Vec<f64>,
+    /// Whether the law has been refreshed before.
+    warm: bool,
     /// Integer refreshes served without a DP rebuild (table patches and
     /// closed-form evaluations): the sampled debug cross-check's cadence.
     #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
     cheap_refreshes: u64,
-    valid: bool,
-    /// The run generation that warmed the memo
-    /// ([`law_maintenance::active_generation`] at the last refresh).  A
-    /// mismatch is a cold miss: memos outlive runs, and a later run scheduled
-    /// on the same thread must not hit — or patch from — a previous run's
-    /// entry (stale counts masquerading as the current run's law state).
-    generation: u64,
 }
 
-impl AdoptionMemo {
-    fn matches(&self, dynamics: &JMajority, config: &Configuration) -> bool {
-        self.valid
-            && self.generation == law_maintenance::active_generation()
-            && self.opinions == dynamics.opinions
-            && self.samples == dynamics.samples
-            && self.undecided == config.undecided()
-            && self.supports == config.supports()
+impl MajorityLaw {
+    /// A cold law for `config`'s population; the first
+    /// [`MajorityLaw::refresh`] computes it.
+    fn new(dynamics: JMajority, config: &Configuration) -> MajorityLaw {
+        let j = dynamics.samples;
+        let tie_lcm = integer_law_headroom(dynamics.opinions, j, config.population());
+        MajorityLaw {
+            dynamics,
+            tie_lcm,
+            denominator: tie_lcm.map_or(0.0, |l| {
+                law_denominator(l, u128::from(config.population()), j)
+            }),
+            closed: tie_lcm
+                .filter(|_| j <= CLOSED_FORM_MAX_SAMPLES)
+                .map(|l| ClosedForm::new(j, l, config)),
+            dp: None,
+            q: Vec::with_capacity(dynamics.opinions),
+            warm: false,
+            #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+            cheap_refreshes: 0,
+        }
+    }
+
+    pub(crate) fn apply_move(&mut self, from: AgentState, to: AgentState, config: &Configuration) {
+        if let Some(closed) = &mut self.closed {
+            closed.apply_move(from, to, config);
+        }
     }
 
     /// Whether the sampled debug cross-check against a fresh DP is due on
@@ -523,36 +637,26 @@ impl AdoptionMemo {
         cfg!(feature = "exhaustive-checks") || self.cheap_refreshes.is_multiple_of(64)
     }
 
-    /// Brings the memo to `config`: evaluates the closed form for `j ≤ 3`,
-    /// delta-patches the integer tables for larger `j` when the parameters
-    /// match, and otherwise rebuilds (integer DP when it fits, float dynamic
-    /// program when not).  Disabling incremental laws forces the rebuild.
-    fn refresh(&mut self, dynamics: &JMajority, config: &Configuration) {
-        let params_match = self.valid
-            && self.generation == law_maintenance::active_generation()
-            && self.opinions == dynamics.opinions
-            && self.samples == dynamics.samples;
+    /// Brings the law to `config`: evaluates the closed form for `j ≤ 3`,
+    /// delta-patches the integer tables for larger `j`, and otherwise
+    /// rebuilds (integer DP under the gate, float program past it).
+    /// Disabling incremental laws forces the rebuild.  A closed-form
+    /// evaluation counts as the rebuild only on a run's first refresh (a
+    /// restored run has refreshed before: its counters say so).
+    pub(crate) fn refresh(&mut self, config: &Configuration, stats: &mut MaintenanceStats) {
         let incremental = law_maintenance::incremental_laws_enabled();
-        match integer_law_headroom(dynamics.opinions, dynamics.samples, config.population()) {
-            Some(tie_lcm) if incremental && dynamics.samples <= CLOSED_FORM_MAX_SAMPLES => {
-                let law = ClosedFormLaw::new(dynamics.samples, tie_lcm, config);
-                let denom = law.denominator();
-                self.q.clear();
-                self.q.extend(
-                    config
-                        .supports()
-                        .iter()
-                        .map(|&c| law.adoption_integer(c) as f64 / denom),
-                );
-                self.dp = None;
-                if law_maintenance::active_run_warm() {
-                    law_maintenance::note_law_patch();
+        match (self.tie_lcm, &self.closed) {
+            (Some(_), Some(law)) if incremental => {
+                law.fill_law(config, self.denominator, &mut self.q);
+                if self.warm || *stats != MaintenanceStats::default() {
+                    stats.law_patches += 1;
                 } else {
-                    law_maintenance::note_law_rebuild();
+                    stats.law_rebuilds += 1;
                 }
                 #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
                 if self.cross_check_due() {
-                    let fresh = AdoptionDp::build(dynamics, config)
+                    let law = self.closed.expect("matched above");
+                    let fresh = AdoptionDp::build(&self.dynamics, config)
                         .expect("the headroom gate admitted this configuration");
                     for (o, &c) in config.supports().iter().enumerate() {
                         assert_eq!(
@@ -563,14 +667,14 @@ impl AdoptionMemo {
                     }
                 }
             }
-            Some(_) if incremental && params_match && self.dp.is_some() => {
+            (Some(_), _) if incremental && self.dp.is_some() => {
                 let dp = self.dp.as_mut().expect("checked above");
                 dp.patch(config);
-                law_maintenance::note_law_patch();
-                self.q = dp.adoption_law();
+                dp.fill_law(self.denominator, &mut self.q);
+                stats.law_patches += 1;
                 #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
                 if self.cross_check_due() {
-                    let fresh = AdoptionDp::build(dynamics, config)
+                    let fresh = AdoptionDp::build(&self.dynamics, config)
                         .expect("the headroom gate admitted this configuration");
                     assert_eq!(
                         self.dp.as_ref(),
@@ -579,40 +683,34 @@ impl AdoptionMemo {
                     );
                 }
             }
-            _ => {
-                self.dp = AdoptionDp::build(dynamics, config);
-                match &self.dp {
-                    Some(dp) => {
-                        self.q = dp.adoption_law();
-                        law_maintenance::note_law_rebuild();
-                    }
-                    None => {
-                        // Past the u128-headroom gate: the float program
-                        // runs again on *every* counts change — a per-event
-                        // cost counted apart from intentional cold rebuilds.
-                        self.q = dynamics.float_adoption_probabilities(config);
-                        law_maintenance::note_law_fallback_rebuild();
-                    }
-                }
+            (Some(tie_lcm), _) => {
+                let dp = AdoptionDp::new(&self.dynamics, config, tie_lcm);
+                dp.fill_law(self.denominator, &mut self.q);
+                self.dp = Some(dp);
+                stats.law_rebuilds += 1;
+            }
+            (None, _) => {
+                // Past the u128-headroom gate: the float program runs again
+                // on *every* counts change — a per-event cost counted apart
+                // from intentional cold rebuilds.
+                self.q = self.dynamics.float_adoption_probabilities(config);
+                stats.law_fallback_rebuilds += 1;
             }
         }
-        self.opinions = dynamics.opinions;
-        self.samples = dynamics.samples;
-        self.supports.clear();
-        self.supports.extend_from_slice(config.supports());
-        self.undecided = config.undecided();
-        self.valid = true;
-        self.generation = law_maintenance::active_generation();
+        self.warm = true;
     }
-}
 
-thread_local! {
-    /// The per-thread adoption-law memo (module docs).  `RefCell` borrows
-    /// never nest: the memo is only touched at the top of
-    /// [`JMajority::with_adoption_probabilities`], and the consumers it
-    /// hands the law to (null-probability arithmetic, the conditional event
-    /// draw) never re-enter it.
-    static ADOPTION_MEMO: RefCell<AdoptionMemo> = RefCell::new(AdoptionMemo::default());
+    pub(crate) fn null_probability(&self, config: &Configuration) -> f64 {
+        self.dynamics.null_from_q(config, &self.q)
+    }
+
+    pub(crate) fn sample_move<R: Rng + ?Sized>(
+        &self,
+        config: &Configuration,
+        rng: &mut R,
+    ) -> Option<(AgentState, AgentState)> {
+        self.dynamics.draw_move_from_adoption(config, &self.q, rng)
+    }
 }
 
 /// The general j-Majority dynamic: the activated agent samples `j` agents and
@@ -724,44 +822,20 @@ impl JMajority {
         win
     }
 
+    /// The law the stateless hooks read: a cold [`MajorityLaw`] refreshed
+    /// once for `config`, through the code the sampler's own law runs.
+    fn cold_law(&self, config: &Configuration) -> MajorityLaw {
+        let mut law = MajorityLaw::new(*self, config);
+        law.refresh(config, &mut MaintenanceStats::default());
+        law
+    }
+
     /// The exact adoption law of one activation: `q[o] = P(opinion o is
     /// adopted)`, marginalized over sample compositions (see the module
     /// docs).  `Σ_o q[o] = 1 − π_⊥^j` up to floating-point rounding.
-    /// Memoized per counts (single entry); use
-    /// [`JMajority::with_adoption_probabilities`] on hot paths to avoid the
-    /// clone.
     #[cfg(test)]
     fn adoption_probabilities(&self, config: &Configuration) -> Vec<f64> {
-        self.with_adoption_probabilities(config, <[f64]>::to_vec)
-    }
-
-    /// The memo-free adoption law: the integer formulation when it fits,
-    /// the float dynamic program otherwise — exactly what a memo rebuild
-    /// produces.
-    #[cfg(test)]
-    fn fresh_adoption_probabilities(&self, config: &Configuration) -> Vec<f64> {
-        match AdoptionDp::build(self, config) {
-            Some(dp) => dp.adoption_law(),
-            None => self.float_adoption_probabilities(config),
-        }
-    }
-
-    /// Runs `consume` on the adoption law for `config`.  On a memo miss the
-    /// law is delta-patched from the memoized counts (integer formulation)
-    /// or rebuilt (first use, parameter change, patching disabled, or
-    /// `u128` headroom exhausted — see the module docs).
-    fn with_adoption_probabilities<T>(
-        &self,
-        config: &Configuration,
-        consume: impl FnOnce(&[f64]) -> T,
-    ) -> T {
-        ADOPTION_MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if !memo.matches(self, config) {
-                memo.refresh(self, config);
-            }
-            consume(&memo.q)
-        })
+        self.cold_law(config).q
     }
 
     /// The float-fallback adoption-law dynamic program (conditional-binomial
@@ -901,22 +975,28 @@ impl SamplingDynamics for JMajority {
 
     /// Closed form (module docs): null iff every sample is undecided or the
     /// winning opinion matches the activated agent's own —
-    /// `π_⊥^j + Σ_o π_o·q_o`.  One memoized adoption-law refresh; the
-    /// companion event draw reuses it.
+    /// `π_⊥^j + Σ_o π_o·q_o`, from a cold law.
     fn null_activation_probability(&self, config: &Configuration) -> Option<f64> {
-        Some(self.with_adoption_probabilities(config, |q| self.null_from_q(config, q)))
+        Some(self.cold_law(config).null_probability(config))
     }
 
     /// Closed form (module docs): the adopted opinion and the activated
     /// agent are independent given the activation is productive, so draw
-    /// `o ∝ q_o·(n − c_o)` and then the activated category `∝ c_s`, `s ≠ o`.
-    /// Reuses the adoption law the null-probability evaluation memoized.
+    /// `o ∝ q_o·(n − c_o)` and then the activated category `∝ c_s`, `s ≠ o`,
+    /// from a cold law.
     fn sample_productive_move<R: Rng + ?Sized>(
         &self,
         config: &Configuration,
         rng: &mut R,
     ) -> Option<(AgentState, AgentState)> {
-        self.with_adoption_probabilities(config, |q| self.draw_move_from_adoption(config, q, rng))
+        self.cold_law(config).sample_move(config, rng)
+    }
+
+    /// The maintained adoption law (module docs).
+    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
+        Some(ActivationLaw::cold(LawKind::Majority(MajorityLaw::new(
+            *self, config,
+        ))))
     }
 }
 
@@ -973,6 +1053,10 @@ impl SamplingDynamics for ThreeMajority {
         rng: &mut R,
     ) -> Option<(AgentState, AgentState)> {
         self.inner.sample_productive_move(config, rng)
+    }
+
+    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
+        self.inner.activation_law(config)
     }
 }
 
@@ -1204,29 +1288,51 @@ mod tests {
                     let range = dp.table_range(o, t);
                     let binom = dp.binom.clone();
                     let table = &mut dp.tables[range];
-                    deconvolve_factor(table, &binom, 6, 3, 5 - t, factor);
-                    convolve_factor(table, &binom, 6, 3, 5 - t, factor);
+                    convolve_factor::<true>(table, &binom, 6, 3, 5 - t, factor);
+                    convolve_factor::<false>(table, &binom, 6, 3, 5 - t, factor);
                 }
             }
         }
         assert_eq!(dp, reference);
     }
 
+    /// `(patches, rebuilds, fallback rebuilds)` of a law's counters.
+    fn tally(stats: &MaintenanceStats) -> (u64, u64, u64) {
+        (
+            stats.law_patches,
+            stats.law_rebuilds,
+            stats.law_fallback_rebuilds,
+        )
+    }
+
+    /// Applies `from → to` to `config` and to `law`, then refreshes the law
+    /// into `stats` — what the sampler does around one event.
+    fn apply_and_refresh(
+        law: &mut MajorityLaw,
+        config: &mut Configuration,
+        (from, to): (AgentState, AgentState),
+        stats: &mut MaintenanceStats,
+    ) {
+        config.apply_move(from, to).unwrap();
+        law.apply_move(from, to, config);
+        law.refresh(config, stats);
+    }
+
     #[test]
     fn oversized_laws_fall_back_to_the_float_program() {
         // j = 7 at n = 10⁶ needs ~150 bits: the gate must reject it and the
-        // memoized law must come from the float program, rebuilt per counts.
-        let config = Configuration::from_counts(vec![600_000, 400_000], 0).unwrap();
+        // law must come from the float program, recomputed per counts.
+        let mut config = Configuration::from_counts(vec![600_000, 400_000], 0).unwrap();
         let m = JMajority::new(2, 7);
         assert!(integer_law_headroom(2, 7, config.population()).is_none());
         assert!(AdoptionDp::build(&m, &config).is_none());
-        let before = crate::law_maintenance::law_event_snapshot();
-        let p = m.null_activation_probability(&config).unwrap();
-        assert!((0.0..=1.0).contains(&p));
-        let moved = Configuration::from_counts(vec![600_001, 399_999], 0).unwrap();
-        let p2 = m.null_activation_probability(&moved).unwrap();
-        assert!((0.0..=1.0).contains(&p2));
-        let (patches, rebuilds, fallbacks) = crate::law_maintenance::law_events_since(before);
+        let mut law = MajorityLaw::new(m, &config);
+        let mut stats = MaintenanceStats::default();
+        law.refresh(&config, &mut stats);
+        assert!((0.0..=1.0).contains(&law.null_probability(&config)));
+        apply_and_refresh(&mut law, &mut config, (d(1), d(0)), &mut stats);
+        assert!((0.0..=1.0).contains(&law.null_probability(&config)));
+        let (patches, rebuilds, fallbacks) = tally(&stats);
         assert_eq!(patches, 0, "float laws must never be patched");
         assert_eq!(
             rebuilds, 0,
@@ -1239,35 +1345,43 @@ mod tests {
     fn law_refreshes_are_patches_after_the_first_rebuild() {
         let m = JMajority::new(3, 3);
         let mut config = Configuration::from_counts(vec![40, 30, 20], 10).unwrap();
-        let before = crate::law_maintenance::law_event_snapshot();
-        let first = m.adoption_probabilities(&config);
+        let mut law = ActivationLaw::cold(LawKind::Majority(MajorityLaw::new(m, &config)));
+        let mut stats = MaintenanceStats::default();
+        law.refresh(&config, &mut stats);
+        let first = law.null_probability(&config);
         config.apply_move(AgentState::Undecided, d(1)).unwrap();
-        let second = m.adoption_probabilities(&config);
+        law.apply_move(AgentState::Undecided, d(1), &config);
+        law.refresh(&config, &mut stats);
+        let second = law.null_probability(&config);
         assert_ne!(first, second, "the law must react to the count change");
-        assert_eq!(crate::law_maintenance::law_events_since(before), (1, 1, 0));
-        // Same counts again: memo hit, no maintenance at all.
-        let _ = m.adoption_probabilities(&config);
-        assert_eq!(crate::law_maintenance::law_events_since(before), (1, 1, 0));
+        assert_eq!(tally(&stats), (1, 1, 0));
+        // No move since: the law is fresh, no maintenance at all.
+        law.refresh(&config, &mut stats);
+        assert_eq!(tally(&stats), (1, 1, 0));
     }
 
     #[test]
     fn disabling_incremental_laws_forces_rebuilds_with_identical_values() {
         let m = JMajority::new(3, 3);
         let c1 = Configuration::from_counts(vec![40, 30, 20], 10).unwrap();
-        let mut c2 = c1.clone();
-        c2.apply_move(d(0), d(2)).unwrap();
-        let _ = m.adoption_probabilities(&c1);
-        let before = crate::law_maintenance::law_event_snapshot();
-        let patched = m.adoption_probabilities(&c2);
-        assert_eq!(crate::law_maintenance::law_events_since(before), (1, 0, 0));
-        // A fresh thread (fresh memo) with patching disabled rebuilds from
+        let mut config = c1.clone();
+        let mut law = MajorityLaw::new(m, &config);
+        let mut stats = MaintenanceStats::default();
+        law.refresh(&config, &mut stats);
+        apply_and_refresh(&mut law, &mut config, (d(0), d(2)), &mut stats);
+        assert_eq!(tally(&stats), (1, 1, 0));
+        let patched = law.q.clone();
+        // A fresh thread with patching disabled rebuilds every refresh from
         // scratch; the values must still be bit-identical.
         let rebuilt = std::thread::spawn(move || {
             crate::law_maintenance::set_incremental_laws(false);
-            let before = crate::law_maintenance::law_event_snapshot();
-            let q = m.adoption_probabilities(&c2);
-            assert_eq!(crate::law_maintenance::law_events_since(before), (0, 1, 0));
-            q
+            let mut config = c1.clone();
+            let mut law = MajorityLaw::new(m, &config);
+            let mut stats = MaintenanceStats::default();
+            law.refresh(&config, &mut stats);
+            apply_and_refresh(&mut law, &mut config, (d(0), d(2)), &mut stats);
+            assert_eq!(tally(&stats), (0, 2, 0));
+            law.q
         })
         .join()
         .expect("rebuild thread panicked");
@@ -1334,7 +1448,7 @@ mod tests {
         assert_eq!(result.rejection_misses(), Some(0));
         assert_eq!(sim.rejection_fallbacks(), 0);
         // The incremental layer reports through the run result: one rebuild
-        // to seed the memo, patches from then on.
+        // to build the law, patches from then on.
         let maintenance = result.maintenance().expect("samplers count law work");
         assert!(maintenance.law_patches > 0, "patching never engaged");
         assert!(maintenance.law_rebuilds >= 1);
@@ -1357,9 +1471,9 @@ mod tests {
     #[test]
     fn majority_dynamics_are_plain_send_sync_values() {
         // The parallel ensemble moves samplers (and the dynamics they own)
-        // across worker threads; the thread-local memo keeps JMajority a
-        // plain value.  A regression (interior mutability creeping back
-        // into the struct) fails here, not in the ensemble layer.
+        // across worker threads; the law lives in the sampler, so JMajority
+        // stays a plain value.  A regression (law state creeping into the
+        // struct) fails here, not in the ensemble layer.
         fn assert_send_sync<T: Send + Sync + Copy>() {}
         assert_send_sync::<JMajority>();
         assert_send_sync::<ThreeMajority>();
@@ -1368,69 +1482,116 @@ mod tests {
     #[test]
     fn memo_is_invisible_across_interleaved_parameters_and_counts() {
         // Two dynamics with different parameters and two configurations,
-        // interleaved: every call must see the law for *its* inputs even
-        // though all four share one thread-local memo entry.
+        // interleaved: every stateless call must see the law for *its*
+        // inputs, and so must samplers advanced in turns on one thread.
         let c1 = Configuration::from_counts(vec![30, 20], 10).unwrap();
         let c2 = Configuration::from_counts(vec![5, 45], 0).unwrap();
         let m3 = JMajority::new(2, 3);
         let m5 = JMajority::new(2, 5);
-        let fresh: Vec<f64> = [(&m3, &c1), (&m5, &c1), (&m3, &c2), (&m5, &c2)]
+        let cases = [(&m3, &c1), (&m5, &c1), (&m3, &c2), (&m5, &c2)];
+        let fresh: Vec<f64> = cases
             .iter()
-            .map(|(m, c)| m.fresh_adoption_probabilities(c).into_iter().sum())
+            .map(|(m, c)| m.adoption_probabilities(c).into_iter().sum())
             .collect();
         for _ in 0..3 {
-            for (i, (m, c)) in [(&m3, &c1), (&m5, &c1), (&m3, &c2), (&m5, &c2)]
-                .iter()
-                .enumerate()
-            {
-                let memoized: f64 = m.adoption_probabilities(c).into_iter().sum();
-                assert!(
-                    (memoized - fresh[i]).abs() < 1e-15,
-                    "memoized law diverged for case {i}"
-                );
+            for (i, (m, c)) in cases.iter().enumerate() {
+                let p = m.null_activation_probability(c).unwrap();
+                let law = MajorityLaw::new(**m, c);
+                let mut law = ActivationLaw::cold(LawKind::Majority(law));
+                law.refresh(c, &mut MaintenanceStats::default());
+                assert_eq!(p.to_bits(), law.null_probability(c).to_bits(), "case {i}");
+                let sum: f64 = m.adoption_probabilities(c).into_iter().sum();
+                assert!((sum - fresh[i]).abs() < 1e-15, "law diverged for case {i}");
+            }
+        }
+        // Samplers advanced in turns walk what each walks alone.
+        use pp_core::engine::StepEngine;
+        let sampler = |i: usize| {
+            let (m, c) = cases[i];
+            SequentialSampler::new(*m, c.clone(), SimSeed::from_u64(i as u64))
+        };
+        let alone: Vec<Vec<Configuration>> = (0..cases.len())
+            .map(|i| {
+                let mut sim = sampler(i);
+                (0..5)
+                    .map(|_| {
+                        let _ = sim.advance(u64::MAX);
+                        sim.configuration().clone()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut samplers: Vec<_> = (0..cases.len()).map(sampler).collect();
+        let mut walks: Vec<_> = alone.iter().map(|walk| walk.iter()).collect();
+        for _ in 0..5 {
+            for (i, (sim, walk)) in samplers.iter_mut().zip(&mut walks).enumerate() {
+                let _ = sim.advance(u64::MAX);
+                assert_eq!(Some(sim.configuration()), walk.next(), "case {i}");
             }
         }
     }
 
     #[test]
     fn generation_change_is_a_cold_miss_never_a_cross_run_patch() {
-        // Two "runs" (generations) back to back on one thread, same dynamic
-        // parameters but different counts: the second run's first refresh
-        // must be a full rebuild, not a patch replayed from the first run's
-        // memoized counts.  Before memos were keyed on the run generation
-        // this asserted (1, 0, 0) — cross-run state leakage.
-        let m = JMajority::new(3, 3);
+        // Two runs back to back on one thread, same dynamic parameters but
+        // different counts: the second run's first refresh must be a full
+        // rebuild of its own law, never a patch from the first run's counts,
+        // and its law must equal a fresh one.  j = 4 keeps the law on the
+        // patchable integer tables.
+        use pp_core::engine::StepEngine;
+        let m = JMajority::new(3, 4);
         let c1 = Configuration::from_counts(vec![40, 30, 20], 10).unwrap();
         let c2 = Configuration::from_counts(vec![10, 60, 20], 10).unwrap();
-        let g1 = crate::law_maintenance::new_run_generation();
-        let g2 = crate::law_maintenance::new_run_generation();
-        crate::law_maintenance::set_active_generation(g1);
-        let _ = m.adoption_probabilities(&c1);
-        crate::law_maintenance::set_active_generation(g2);
-        let before = crate::law_maintenance::law_event_snapshot();
-        let second = m.adoption_probabilities(&c2);
+        let mut first = SequentialSampler::new(m, c1, SimSeed::from_u64(1));
+        let _ = first.advance(u64::MAX);
+        let mut second = SequentialSampler::new(m, c2.clone(), SimSeed::from_u64(2));
+        let _ = second.advance(u64::MAX);
         assert_eq!(
-            crate::law_maintenance::law_events_since(before),
+            tally(&second.maintenance().unwrap()),
             (0, 1, 0),
-            "a new generation must rebuild, not patch the previous run's memo"
+            "a new run must rebuild, not patch the previous run's law"
         );
-        let fresh = m.fresh_adoption_probabilities(&c2);
-        for (a, b) in second.iter().zip(&fresh) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        crate::law_maintenance::set_active_generation(0);
+        let mut alone = std::thread::spawn(move || {
+            let mut sim = SequentialSampler::new(m, c2, SimSeed::from_u64(2));
+            let _ = sim.advance(u64::MAX);
+            sim
+        })
+        .join()
+        .expect("reference thread panicked");
+        assert_eq!(second.configuration(), alone.configuration());
+        assert_eq!(second.steps(), alone.steps());
+        assert_eq!(second.advance(u64::MAX), alone.advance(u64::MAX));
+        assert_eq!(second.configuration(), alone.configuration());
     }
 
     /// The largest population the `u128` headroom gate admits for `(k, j)`,
     /// capped at `2^62` (for `j = 1` the gate admits every such population).
     fn headroom_edge(k: usize, j: usize) -> u64 {
+        edge(|n| integer_law_headroom(k, j, n).is_some())
+    }
+
+    /// The largest population the closed form computes in `u64` for
+    /// `(k, j)`, capped at `2^62`.
+    fn narrow_edge(k: usize, j: usize) -> u64 {
+        let l = lcm_up_to(k).unwrap();
+        edge(|n| {
+            matches!(
+                ClosedForm::new(j, l, &Configuration::from_counts(vec![n], 0).unwrap()),
+                ClosedForm::Narrow(_)
+            )
+        })
+    }
+
+    /// The largest `n ≤ 2^62` that `admits` (which holds for `n = 1` and is
+    /// monotone).
+    fn edge(admits: impl Fn(u64) -> bool) -> u64 {
         let (mut admitted, mut rejected) = (1u64, 1u64 << 62);
-        if integer_law_headroom(k, j, rejected).is_some() {
+        if admits(rejected) {
             return rejected;
         }
         while rejected - admitted > 1 {
             let mid = admitted + (rejected - admitted) / 2;
-            if integer_law_headroom(k, j, mid).is_some() {
+            if admits(mid) {
                 admitted = mid;
             } else {
                 rejected = mid;
@@ -1466,7 +1627,10 @@ mod tests {
         let tie_lcm = integer_law_headroom(k, j, config.population())
             .expect("the case lies inside the headroom gate");
         let dp = AdoptionDp::build(&m, config).expect("the gate admits the DP too");
-        let law = ClosedFormLaw::new(j, tie_lcm, config);
+        let law = ClosedForm::new(j, tie_lcm, config);
+        let denominator = law_denominator(tie_lcm, u128::from(config.population()), j);
+        let mut q = Vec::new();
+        law.fill_law(config, denominator, &mut q);
         for (o, dp_q) in dp.adoption_law().into_iter().enumerate() {
             let closed = law.adoption_integer(config.support(o));
             proptest::prop_assert_eq!(
@@ -1477,15 +1641,53 @@ mod tests {
                 config,
                 j
             );
-            let q = closed as f64 / law.denominator();
-            proptest::prop_assert_eq!(q.to_bits(), dp_q.to_bits());
+            proptest::prop_assert_eq!(q[o].to_bits(), dp_q.to_bits());
         }
         Ok(())
+    }
+
+    /// The reference build: each `(o, t)` table convolved from the unit
+    /// table over every other category's factor.
+    fn reference_tables(dp: &AdoptionDp) -> Vec<u128> {
+        let (k, j) = (dp.opinions, dp.samples);
+        let mut tables = vec![0u128; dp.tables.len()];
+        for o in 0..k {
+            for t in 1..=j {
+                let table = &mut tables[dp.table_range(o, t)];
+                table[0] = 1;
+                for i in (0..=k).filter(|&i| i != o) {
+                    let factor = dp.factor(i, t, dp.counts[i]);
+                    convolve_factor::<false>(table, &dp.binom, j + 1, k, j - t, factor);
+                }
+            }
+        }
+        tables
     }
 
     mod closed_form {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn built_tables_equal_the_per_table_reference(
+                (k, j) in (1usize..9, 1usize..8),
+                raw in collection::vec(0u64..2_000, 9..10),
+                empty_mask in 0u64..512,
+            ) {
+                let counts: Vec<u64> = (0..k)
+                    .map(|i| if (empty_mask >> i) & 1 == 1 { 0 } else { raw[i] })
+                    .collect();
+                let undecided = if (empty_mask >> 8) & 1 == 1 { 0 } else { raw[8] };
+                prop_assume!(counts.iter().sum::<u64>() + undecided > 0);
+                let config = Configuration::from_counts(counts, undecided).unwrap();
+                let dp = AdoptionDp::build(&JMajority::new(k, j), &config)
+                    .expect("small populations fit the integer law");
+                prop_assert!(dp.tables == reference_tables(&dp), "tables differ at {}, j = {}", config, j);
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
@@ -1517,6 +1719,20 @@ mod tests {
                 let config = split_population(edge - below, k, &weights);
                 assert_closed_form_matches_dp(&config, j)?;
             }
+
+            #[test]
+            fn closed_form_is_exact_across_its_width_edge(
+                (k, j) in (1usize..9, 1usize..4),
+                weights in collection::vec(0u64..1_000, 9..10),
+                offset in 0u64..2_000,
+            ) {
+                // Populations from 1,000 below the largest one the u64
+                // closed form admits to 1,000 above it (the u128 one).
+                prop_assume!(weights[..=k].iter().any(|&w| w > 0));
+                let n = (narrow_edge(k, j) + offset).saturating_sub(999);
+                prop_assume!(integer_law_headroom(k, j, n).is_some());
+                assert_closed_form_matches_dp(&split_population(n, k, &weights), j)?;
+            }
         }
     }
 
@@ -1530,16 +1746,19 @@ mod tests {
                 let inside = split_population(edge, k, &weights);
                 let past = split_population(edge + 1, k, &weights);
                 assert!(integer_law_headroom(k, j, past.population()).is_none());
-                let before = crate::law_maintenance::law_event_snapshot();
-                let q_inside = m.adoption_probabilities(&inside);
-                let (patches, rebuilds, fallbacks) =
-                    crate::law_maintenance::law_events_since(before);
+                let mut stats = MaintenanceStats::default();
+                let mut law = MajorityLaw::new(m, &inside);
+                law.refresh(&inside, &mut stats);
+                let q_inside = law.q;
+                let (patches, rebuilds, fallbacks) = tally(&stats);
                 assert_eq!(fallbacks, 0, "k = {k}, j = {j}: inside the gate");
                 assert_eq!(patches + rebuilds, 1);
-                let before = crate::law_maintenance::law_event_snapshot();
-                let q_past = m.adoption_probabilities(&past);
+                let mut stats = MaintenanceStats::default();
+                let mut law = MajorityLaw::new(m, &past);
+                law.refresh(&past, &mut stats);
+                let q_past = law.q;
                 assert_eq!(
-                    crate::law_maintenance::law_events_since(before),
+                    tally(&stats),
                     (0, 0, 1),
                     "k = {k}, j = {j}: past the gate the float program must run"
                 );

@@ -29,30 +29,30 @@
 //! # Delta maintenance
 //!
 //! The law's ingredients — the strict prefix sums `L_x`, suffix sums `G_x`
-//! and the total productive weight `W` — are kept in a single-entry
-//! *thread-local* memo and **patched** across each counts change instead of
-//! being recomputed: a `δ` change of opinion `y`'s count shifts `L_x` by `δ`
-//! for every `x > y` and `G_x` by `δ` for every `x < y` (undecided changes
-//! touch neither), after which `W` is re-accumulated in one `O(k)` pass over
-//! the patched sums.  Everything is exact `u128` arithmetic, so a patched
-//! law is **bit-identical** to a rebuilt one — asserted by a sampled debug
-//! cross-check (every refresh under the `exhaustive-checks` feature) against
-//! [`MedianRule::prefix_suffix`] / [`MedianRule::productive_weight`], which
-//! remain the from-scratch reference.  Patches and rebuilds are counted
-//! through [`crate::law_maintenance`]; the
+//! and the total productive weight `W` — are per-run state the sequential
+//! sampler owns (`MedianLaw`, through
+//! [`SamplingDynamics::activation_law`]).  Each applied move **patches**
+//! the sums: an opinion `y` losing or gaining an agent shifts `L_x` by one
+//! for every `x > y` and `G_x` for every `x < y` (undecided moves touch
+//! neither); the per-event refresh then re-accumulates `W` in one `O(k)`
+//! pass over the patched sums, and `n³` is computed once per run.
+//! Everything is exact `u128` arithmetic, so a patched law is
+//! **bit-identical** to a rebuilt one — asserted by a sampled debug
+//! cross-check (every refresh under the `exhaustive-checks` feature)
+//! against [`MedianRule::prefix_suffix`] / [`MedianRule::productive_weight`],
+//! which remain the from-scratch reference.  Patches and rebuilds are
+//! counted into the sampler's `pp_core::MaintenanceStats`; the
 //! [`crate::law_maintenance::set_incremental_laws`] switch forces the
-//! rebuild path for baselines.  The memo is thread-local for the same
-//! reason the j-Majority one is (see [`crate::majority`]): `MedianRule`
-//! stays a plain `Copy + Send + Sync` value the parallel ensemble can move
-//! freely across workers, each of which warms its own memo.
+//! rebuild path for baselines.  The stateless hooks build a cold law from
+//! the counts through the same code, and `MedianRule` stays a plain
+//! `Copy + Send + Sync` value.
 
-use crate::law_maintenance;
+use crate::law_maintenance::{self, ActivationLaw, LawKind};
 use crate::sampling::SamplingDynamics;
 use pp_core::engine::uniform_u128_below;
-use pp_core::{AgentState, Configuration};
+use pp_core::{AgentState, Configuration, MaintenanceStats};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// The MedianRule: opinions are totally ordered (by index); an activated agent
 /// samples two agents and adopts the *median* of its own opinion and the two
@@ -132,112 +132,102 @@ impl MedianRule {
         total
     }
 
-    /// Runs `consume` on the maintained law for `config` (module docs): on a
-    /// memo miss the prefix/suffix sums are delta-patched from the memoized
-    /// counts, or rebuilt on first use, parameter change, or with patching
-    /// disabled.
-    fn with_law<T>(&self, config: &Configuration, consume: impl FnOnce(&MedianMemo) -> T) -> T {
-        MEDIAN_MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if !memo.matches(self, config) {
-                memo.refresh(self, config);
-            }
-            consume(&memo)
-        })
+    /// The law the stateless hooks read: a cold [`MedianLaw`] refreshed
+    /// once for `config`, through the code the sampler's own law runs.
+    fn cold_law(config: &Configuration) -> MedianLaw {
+        let mut law = MedianLaw::new(config);
+        law.refresh(config, &mut MaintenanceStats::default());
+        law
     }
 }
 
-/// The single-entry maintained MedianRule law: the counts it reflects, the
-/// strict prefix/suffix sums, and the total productive weight.  One per
-/// thread (module docs).
-#[derive(Debug, Default)]
-struct MedianMemo {
-    opinions: usize,
-    /// Counts the sums reflect: supports `0..k`, then `⊥` at index `k`.
-    counts: Vec<u64>,
+/// One run's maintained MedianRule law, owned by the sampler: the strict
+/// prefix/suffix sums, kept in step with every applied move, and the total
+/// productive weight (module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct MedianLaw {
     below: Vec<u128>,
     above: Vec<u128>,
     weight: u128,
+    /// `n³` as the `f64` the null probability divides by.
+    cube: f64,
+    /// Whether the sums reflect the counts (set by the first refresh).
+    warm: bool,
+    /// Patches so far: the sampled debug cross-check's cadence.
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
     patches: u64,
-    valid: bool,
-    /// The run generation that warmed the memo (see
-    /// [`crate::majority`]'s `AdoptionMemo`): a mismatch is a cold miss, so
-    /// back-to-back runs on one worker thread never hit — or patch from —
-    /// each other's entries.
-    generation: u64,
 }
 
-impl MedianMemo {
-    fn matches(&self, dynamics: &MedianRule, config: &Configuration) -> bool {
-        self.valid
-            && self.generation == law_maintenance::active_generation()
-            && self.opinions == dynamics.opinions
-            && self.counts[..self.opinions] == *config.supports()
-            && self.counts[self.opinions] == config.undecided()
+impl MedianLaw {
+    /// A cold law for `config`'s population; the first
+    /// [`MedianLaw::refresh`] computes it.
+    fn new(config: &Configuration) -> MedianLaw {
+        let n = config.population() as f64;
+        MedianLaw {
+            below: Vec::new(),
+            above: Vec::new(),
+            weight: 0,
+            cube: n * n * n,
+            warm: false,
+            #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+            patches: 0,
+        }
     }
 
-    /// Brings the memo to `config`: shifts the prefix/suffix sums by each
-    /// opinion's count delta and re-accumulates the weight (`O(k)` total),
-    /// or rebuilds from scratch when the parameters changed or patching is
-    /// disabled.  Patched and rebuilt sums are bit-identical.
-    fn refresh(&mut self, dynamics: &MedianRule, config: &Configuration) {
-        let k = dynamics.opinions;
-        let params_match = self.valid
-            && self.generation == law_maintenance::active_generation()
-            && self.opinions == k;
-        if params_match && law_maintenance::incremental_laws_enabled() {
-            for y in 0..k {
-                let (old, new) = (self.counts[y], config.support(y));
-                if old == new {
-                    continue;
-                }
-                let delta = i128::from(new) - i128::from(old);
-                for x in 0..y {
-                    self.above[x] = self.above[x]
-                        .checked_add_signed(delta)
-                        .expect("suffix sums stay within the population");
-                }
-                for x in y + 1..k {
-                    self.below[x] = self.below[x]
-                        .checked_add_signed(delta)
-                        .expect("prefix sums stay within the population");
-                }
-            }
+    /// Follows one applied move: opinion `y` losing an agent lowers `L_x`
+    /// for every `x > y` and `G_x` for every `x < y`; gaining one raises
+    /// them (undecided moves touch neither).
+    pub(crate) fn apply_move(&mut self, from: AgentState, to: AgentState, _config: &Configuration) {
+        if !self.warm {
+            return;
+        }
+        if let AgentState::Decided(y) = from {
+            let y = y.index();
+            self.above[..y].iter_mut().for_each(|g| *g -= 1);
+            self.below[y + 1..].iter_mut().for_each(|l| *l -= 1);
+        }
+        if let AgentState::Decided(y) = to {
+            let y = y.index();
+            self.above[..y].iter_mut().for_each(|g| *g += 1);
+            self.below[y + 1..].iter_mut().for_each(|l| *l += 1);
+        }
+    }
+
+    /// Brings the law to `config`: re-accumulates the weight over the
+    /// maintained sums (`O(k)`), or rebuilds the sums from scratch on the
+    /// first refresh or with patching disabled.  Patched and rebuilt sums
+    /// are bit-identical.
+    pub(crate) fn refresh(&mut self, config: &Configuration, stats: &mut MaintenanceStats) {
+        if self.warm && law_maintenance::incremental_laws_enabled() {
             self.weight = MedianRule::weight_from(config, &self.below, &self.above);
-            self.patches += 1;
-            law_maintenance::note_law_patch();
+            stats.law_patches += 1;
             #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-            if cfg!(feature = "exhaustive-checks") || self.patches.is_multiple_of(64) {
-                let (below, above) = MedianRule::prefix_suffix(config);
-                assert_eq!(self.below, below, "patched prefix sums diverged");
-                assert_eq!(self.above, above, "patched suffix sums diverged");
-                assert_eq!(
-                    self.weight,
-                    MedianRule::productive_weight(config),
-                    "patched productive weight diverged"
-                );
+            {
+                self.patches += 1;
+                if cfg!(feature = "exhaustive-checks") || self.patches.is_multiple_of(64) {
+                    let (below, above) = MedianRule::prefix_suffix(config);
+                    assert_eq!(self.below, below, "patched prefix sums diverged");
+                    assert_eq!(self.above, above, "patched suffix sums diverged");
+                    assert_eq!(
+                        self.weight,
+                        MedianRule::productive_weight(config),
+                        "patched productive weight diverged"
+                    );
+                }
             }
         } else {
-            let (below, above) = MedianRule::prefix_suffix(config);
-            self.weight = MedianRule::weight_from(config, &below, &above);
-            self.below = below;
-            self.above = above;
-            self.opinions = k;
-            law_maintenance::note_law_rebuild();
+            (self.below, self.above) = MedianRule::prefix_suffix(config);
+            self.weight = MedianRule::weight_from(config, &self.below, &self.above);
+            self.warm = true;
+            stats.law_rebuilds += 1;
         }
-        self.counts.clear();
-        self.counts.extend_from_slice(config.supports());
-        self.counts.push(config.undecided());
-        self.valid = true;
-        self.generation = law_maintenance::active_generation();
     }
-}
 
-thread_local! {
-    /// The per-thread MedianRule law memo (module docs).  Borrows never
-    /// nest: the memo is only touched at the top of [`MedianRule::with_law`]
-    /// and its consumers never re-enter it.
-    static MEDIAN_MEMO: RefCell<MedianMemo> = RefCell::new(MedianMemo::default());
+    /// `1 − W/n³` (module docs).
+    pub(crate) fn null_probability(&self, _config: &Configuration) -> f64 {
+        let p = 1.0 - self.weight as f64 / self.cube;
+        p.clamp(0.0, 1.0)
+    }
 }
 
 impl SamplingDynamics for MedianRule {
@@ -277,40 +267,37 @@ impl SamplingDynamics for MedianRule {
     }
 
     /// Closed form (module docs): `1 − W/n³` with `W` the integer productive
-    /// weight, served from (and maintaining) the thread-local memo.
+    /// weight, from a cold law.
     fn null_activation_probability(&self, config: &Configuration) -> Option<f64> {
-        let n = config.population() as f64;
-        let weight = self.with_law(config, |law| law.weight);
-        let p = 1.0 - weight as f64 / (n * n * n);
-        Some(p.clamp(0.0, 1.0))
+        Some(Self::cold_law(config).null_probability(config))
     }
 
     /// Closed form (module docs): all sub-draws are exact integer draws over
-    /// prefix/suffix pair counts — `O(k)` per event, no rejection loop.  The
-    /// sums come from the memo the null-probability evaluation maintained,
-    /// so the per-event prefix/suffix recomputation this draw used to pay is
-    /// gone.
+    /// prefix/suffix pair counts — `O(k)` per event, no rejection loop —
+    /// from a cold law.
     fn sample_productive_move<R: Rng + ?Sized>(
         &self,
         config: &Configuration,
         rng: &mut R,
     ) -> Option<(AgentState, AgentState)> {
-        self.with_law(config, |law| {
-            Self::draw_from_law(config, &law.below, &law.above, law.weight, rng)
-        })
+        Self::cold_law(config).sample_move(config, rng)
+    }
+
+    /// The maintained prefix/suffix sums (module docs).
+    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
+        Some(ActivationLaw::cold(LawKind::Median(MedianLaw::new(config))))
     }
 }
 
-impl MedianRule {
-    /// The conditional event draw against precomputed prefix/suffix sums and
-    /// total weight (see [`MedianRule::sample_productive_move`]).
-    fn draw_from_law<R: Rng + ?Sized>(
+impl MedianLaw {
+    /// The conditional event draw (see
+    /// [`MedianRule::sample_productive_move`]).
+    pub(crate) fn sample_move<R: Rng + ?Sized>(
+        &self,
         config: &Configuration,
-        below: &[u128],
-        above: &[u128],
-        total: u128,
         rng: &mut R,
     ) -> Option<(AgentState, AgentState)> {
+        let (below, above, total) = (&self.below, &self.above, self.weight);
         let k = config.num_opinions();
         let n = u128::from(config.population());
         let u = u128::from(config.undecided());
@@ -546,14 +533,37 @@ mod tests {
         assert_eq!(result.winner().unwrap().index(), 1);
     }
 
+    /// `(patches, rebuilds, fallback rebuilds)` of a law's counters.
+    fn tally(stats: &MaintenanceStats) -> (u64, u64, u64) {
+        (
+            stats.law_patches,
+            stats.law_rebuilds,
+            stats.law_fallback_rebuilds,
+        )
+    }
+
+    /// Applies `from → to` to `config` and to `law`, then refreshes the law
+    /// into `stats` — what the sampler does around one event.
+    fn apply_and_refresh(
+        law: &mut MedianLaw,
+        config: &mut Configuration,
+        (from, to): (AgentState, AgentState),
+        stats: &mut MaintenanceStats,
+    ) {
+        config.apply_move(from, to).unwrap();
+        law.apply_move(from, to, config);
+        law.refresh(config, stats);
+    }
+
     #[test]
     fn patched_law_is_bit_identical_to_a_fresh_rebuild() {
-        let m = MedianRule::new(5);
         let mut config = Configuration::from_counts(vec![20, 35, 5, 25, 10], 15).unwrap();
-        let before = crate::law_maintenance::law_event_snapshot();
-        let p0 = m.null_activation_probability(&config).unwrap();
+        let mut law = MedianLaw::new(&config);
+        let mut stats = MaintenanceStats::default();
+        law.refresh(&config, &mut stats);
+        let p0 = law.null_probability(&config);
         assert!((0.0..=1.0).contains(&p0));
-        assert_eq!(crate::law_maintenance::law_events_since(before), (0, 1, 0));
+        assert_eq!(tally(&stats), (0, 1, 0));
         let moves = [
             (AgentState::Undecided, d(0)),
             (d(1), d(2)),
@@ -563,9 +573,9 @@ mod tests {
             (d(4), d(0)),
         ];
         for &(from, to) in &moves {
-            config.apply_move(from, to).unwrap();
-            let patched = m.null_activation_probability(&config).unwrap();
-            // Memo-free reference: same expression over a from-scratch weight.
+            apply_and_refresh(&mut law, &mut config, (from, to), &mut stats);
+            let patched = law.null_probability(&config);
+            // Law-free reference: same expression over a from-scratch weight.
             let n = config.population() as f64;
             let fresh =
                 (1.0 - MedianRule::productive_weight(&config) as f64 / (n * n * n)).clamp(0.0, 1.0);
@@ -574,9 +584,13 @@ mod tests {
                 fresh.to_bits(),
                 "patched law not bit-identical after {from} -> {to}"
             );
+            assert_eq!(
+                (law.below.clone(), law.above.clone()),
+                MedianRule::prefix_suffix(&config)
+            );
         }
         assert_eq!(
-            crate::law_maintenance::law_events_since(before),
+            tally(&stats),
             (moves.len() as u64, 1, 0),
             "every refresh after the first must be a patch"
         );
@@ -584,22 +598,25 @@ mod tests {
 
     #[test]
     fn disabling_incremental_laws_forces_rebuilds_with_identical_values() {
-        let m = MedianRule::new(4);
         let c1 = Configuration::from_counts(vec![25, 40, 10, 15], 10).unwrap();
-        let mut c2 = c1.clone();
-        c2.apply_move(d(1), d(3)).unwrap();
-        let _ = m.null_activation_probability(&c1);
-        let before = crate::law_maintenance::law_event_snapshot();
-        let patched = m.null_activation_probability(&c2).unwrap();
-        assert_eq!(crate::law_maintenance::law_events_since(before), (1, 0, 0));
-        // A fresh thread (fresh memo) with patching disabled rebuilds from
+        let mut config = c1.clone();
+        let mut law = MedianLaw::new(&config);
+        let mut stats = MaintenanceStats::default();
+        law.refresh(&config, &mut stats);
+        apply_and_refresh(&mut law, &mut config, (d(1), d(3)), &mut stats);
+        assert_eq!(tally(&stats), (1, 1, 0));
+        let patched = law.null_probability(&config);
+        // A fresh thread with patching disabled rebuilds every refresh from
         // scratch; the value must still be bit-identical.
         let rebuilt = std::thread::spawn(move || {
             crate::law_maintenance::set_incremental_laws(false);
-            let before = crate::law_maintenance::law_event_snapshot();
-            let p = m.null_activation_probability(&c2).unwrap();
-            assert_eq!(crate::law_maintenance::law_events_since(before), (0, 1, 0));
-            p
+            let mut config = c1.clone();
+            let mut law = MedianLaw::new(&config);
+            let mut stats = MaintenanceStats::default();
+            law.refresh(&config, &mut stats);
+            apply_and_refresh(&mut law, &mut config, (d(1), d(3)), &mut stats);
+            assert_eq!(tally(&stats), (0, 2, 0));
+            law.null_probability(&config)
         })
         .join()
         .expect("rebuild thread panicked");

@@ -1,6 +1,6 @@
 //! The sampling-dynamics trait and its two runners.
 
-use crate::law_maintenance;
+use crate::law_maintenance::ActivationLaw;
 use pp_core::checkpoint::{EngineSnapshot, ReplicaCheckpoint};
 use pp_core::engine::{Advance, StepEngine};
 use pp_core::ensemble::{EnsembleChoice, EnsembleEngine};
@@ -82,6 +82,16 @@ pub trait SamplingDynamics {
     fn supports_skip_ahead(&self, config: &Configuration) -> bool {
         self.null_activation_probability(config).is_some()
     }
+
+    /// The activation law [`SequentialSampler`] owns for this dynamic and
+    /// maintains across events (see [`crate::law_maintenance`]), built cold
+    /// for `config`'s population.  The default `None` suits dynamics whose
+    /// stateless hooks keep no per-run state: the sampler then calls them
+    /// on every event.
+    fn activation_law(&self, config: &Configuration) -> Option<ActivationLaw> {
+        let _ = config;
+        None
+    }
 }
 
 /// Asynchronous (sequential) execution of a sampling dynamic over the count
@@ -94,7 +104,11 @@ pub trait SamplingDynamics {
 pub struct SequentialSampler<D> {
     dynamics: D,
     config: Configuration,
+    /// Category weights for per-activation draws ([`SequentialSampler::step`]
+    /// and the rejection fallback).  A pure function of the counts, so the
+    /// skip-ahead path leaves it stale and it is rebuilt on first use.
     weights: FenwickTree,
+    weights_fresh: bool,
     steps: u64,
     rng: SmallRng,
     sample_buf: Vec<AgentState>,
@@ -103,17 +117,11 @@ pub struct SequentialSampler<D> {
     rejection_fallbacks: u64,
     /// Unproductive draws discarded inside the rejection fallback.
     rejection_misses: u64,
-    /// Activation-law maintenance attributed to this sampler: the
-    /// [`crate::law_maintenance`] counter deltas observed across each
-    /// `advance`/`apply_event` call (law evaluations happen synchronously
-    /// inside those calls, so the attribution is exact).
+    /// The dynamic's maintained activation law, if it has one; refreshed
+    /// once per event.
+    law: Option<ActivationLaw>,
+    /// The law's patches and rebuilds.
     law_stats: MaintenanceStats,
-    /// This run's law-memo generation token
-    /// ([`law_maintenance::new_run_generation`]), announced on the executing
-    /// thread before every stretch of law work so the thread-local memos of
-    /// [`crate::majority`] / [`crate::median`] never hit — or patch from —
-    /// entries warmed by a previous run on the same thread.
-    generation: u64,
 }
 
 impl<D: SamplingDynamics> SequentialSampler<D> {
@@ -140,14 +148,12 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
                 configuration: config.num_opinions(),
             });
         }
-        let k = config.num_opinions();
-        let mut weights = Vec::with_capacity(k + 1);
-        weights.extend_from_slice(config.supports());
-        weights.push(config.undecided());
         let sample_size = dynamics.sample_size();
         Ok(SequentialSampler {
+            weights: FenwickTree::new(config.num_opinions() + 1),
+            weights_fresh: false,
+            law: dynamics.activation_law(&config),
             dynamics,
-            weights: FenwickTree::from_weights(&weights),
             config,
             steps: 0,
             rng: seed.rng(),
@@ -155,7 +161,6 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
             rejection_fallbacks: 0,
             rejection_misses: 0,
             law_stats: MaintenanceStats::default(),
-            generation: law_maintenance::new_run_generation(),
         })
     }
 
@@ -218,8 +223,26 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
 
     /// Performs one activation; returns `true` if the agent changed state.
     pub fn step(&mut self) -> bool {
-        let k = self.config.num_opinions();
         self.steps += 1;
+        let (current, new_state) = self.draw_activation();
+        if new_state == current {
+            return false;
+        }
+        self.apply_transition(current, new_state);
+        true
+    }
+
+    /// Draws one unconditional activation through the category weights:
+    /// the activated agent's state and the state it updates to.
+    fn draw_activation(&mut self) -> (AgentState, AgentState) {
+        if !self.weights_fresh {
+            let mut weights = Vec::with_capacity(self.config.num_opinions() + 1);
+            weights.extend_from_slice(self.config.supports());
+            weights.push(self.config.undecided());
+            self.weights = FenwickTree::from_weights(&weights);
+            self.weights_fresh = true;
+        }
+        let k = self.config.num_opinions();
         let current = AgentState::from_category(self.weights.sample(&mut self.rng), k);
         self.sample_buf.clear();
         for _ in 0..self.dynamics.sample_size() {
@@ -230,15 +253,7 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         let samples = std::mem::take(&mut self.sample_buf);
         let new_state = self.dynamics.update(current, &samples, &mut self.rng);
         self.sample_buf = samples;
-        if new_state == current {
-            return false;
-        }
-        self.config
-            .apply_move(current, new_state)
-            .expect("sampling dynamic produced an inconsistent move");
-        self.weights.add(current.category(k), -1);
-        self.weights.add(new_state.category(k), 1);
-        true
+        (current, new_state)
     }
 
     /// Runs until the stop condition is met (budget counts activations).
@@ -263,31 +278,39 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         );
         recorder.record(self.steps, &self.config);
         loop {
-            if stop.goal_met(&self.config) {
-                let outcome = if self.config.is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
-                return RunResult::new(outcome, self.steps, self.config.clone())
-                    .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
-                    .with_rejection_misses(Some(self.rejection_misses));
-            }
-            if let Some(budget) = stop.max_interactions() {
-                if self.steps >= budget {
-                    return RunResult::new(
-                        RunOutcome::BudgetExhausted,
-                        self.steps,
-                        self.config.clone(),
-                    )
-                    .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
-                    .with_rejection_misses(Some(self.rejection_misses));
-                }
+            if let Some(result) = self.finished(&stop, false) {
+                return result;
             }
             if self.step() {
                 recorder.record(self.steps, &self.config);
             }
         }
+    }
+
+    /// The run's result if `stop` ends it at the current state; `engine`
+    /// adds the maintenance and telemetry a [`StepEngine`] run reports.
+    fn finished(&self, stop: &StopCondition, engine: bool) -> Option<RunResult> {
+        let outcome = if stop.goal_met(&self.config) {
+            if self.config.is_consensus() {
+                RunOutcome::Consensus
+            } else {
+                RunOutcome::OpinionSettled
+            }
+        } else if stop.max_interactions().is_some_and(|b| self.steps >= b) {
+            RunOutcome::BudgetExhausted
+        } else {
+            return None;
+        };
+        let result = RunResult::new(outcome, self.steps, self.config.clone())
+            .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
+            .with_rejection_misses(Some(self.rejection_misses));
+        Some(if engine {
+            result
+                .with_maintenance(StepEngine::maintenance(self))
+                .with_telemetry(StepEngine::telemetry(self))
+        } else {
+            result
+        })
     }
 
     /// Runs like [`SequentialSampler::run_recorded`] (per-activation
@@ -313,30 +336,8 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
             "stop condition can never terminate the run"
         );
         loop {
-            if stop.goal_met(&self.config) {
-                let outcome = if self.config.is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
-                return Some(
-                    RunResult::new(outcome, self.steps, self.config.clone())
-                        .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
-                        .with_rejection_misses(Some(self.rejection_misses)),
-                );
-            }
-            if let Some(budget) = stop.max_interactions() {
-                if self.steps >= budget {
-                    return Some(
-                        RunResult::new(
-                            RunOutcome::BudgetExhausted,
-                            self.steps,
-                            self.config.clone(),
-                        )
-                        .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
-                        .with_rejection_misses(Some(self.rejection_misses)),
-                    );
-                }
+            if let Some(result) = self.finished(&stop, false) {
+                return Some(result);
             }
             if self.step() {
                 recorder.record(self.steps, &self.config);
@@ -368,38 +369,11 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
             stop.is_bounded(),
             "stop condition can never terminate the run"
         );
+        let limit = stop.max_interactions().unwrap_or(u64::MAX);
         loop {
-            if stop.goal_met(&self.config) {
-                let outcome = if self.config.is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
-                return Some(
-                    RunResult::new(outcome, self.steps, self.config.clone())
-                        .with_scheduler(self.scheduler_name())
-                        .with_rejection_misses(StepEngine::rejection_misses(self))
-                        .with_maintenance(StepEngine::maintenance(self))
-                        .with_telemetry(StepEngine::telemetry(self)),
-                );
+            if let Some(result) = self.finished(&stop, true) {
+                return Some(result);
             }
-            let limit = match stop.max_interactions() {
-                Some(budget) if self.steps >= budget => {
-                    return Some(
-                        RunResult::new(
-                            RunOutcome::BudgetExhausted,
-                            self.steps,
-                            self.config.clone(),
-                        )
-                        .with_scheduler(self.scheduler_name())
-                        .with_rejection_misses(StepEngine::rejection_misses(self))
-                        .with_maintenance(StepEngine::maintenance(self))
-                        .with_telemetry(StepEngine::telemetry(self)),
-                    );
-                }
-                Some(budget) => budget,
-                None => u64::MAX,
-            };
             match self.advance(limit) {
                 Advance::Event => recorder.record(self.steps, &self.config),
                 Advance::LimitReached => {}
@@ -417,52 +391,28 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         }
     }
 
-    /// Applies a sampled state transition, keeping the Fenwick weights in
-    /// sync with the configuration.
+    /// Applies a state transition to the configuration, the category
+    /// weights (while they are in use) and the activation law.
     fn apply_transition(&mut self, from: AgentState, to: AgentState) {
-        let k = self.config.num_opinions();
         self.config
             .apply_move(from, to)
             .expect("sampling dynamic produced an inconsistent move");
-        self.weights.add(from.category(k), -1);
-        self.weights.add(to.category(k), 1);
-    }
-
-    /// Runs `work` and attributes the activation-law patches/rebuilds it
-    /// triggered (on this thread, synchronously) to this sampler's
-    /// maintenance counters.  Announces this sampler's run generation first,
-    /// so the thread-local memos treat entries from other runs as cold, and
-    /// whether this run has evaluated a law before, so closed-form laws
-    /// count its first evaluation as the rebuild wherever it ran.
-    fn attributing_law_events<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> T {
-        law_maintenance::set_active_generation(self.generation);
-        if self.law_stats != MaintenanceStats::default() {
-            law_maintenance::mark_active_run_warm();
+        if self.weights_fresh {
+            let k = self.config.num_opinions();
+            self.weights.add(from.category(k), -1);
+            self.weights.add(to.category(k), 1);
         }
-        let before = law_maintenance::law_event_snapshot();
-        let out = work(self);
-        let (patches, rebuilds, fallbacks) = law_maintenance::law_events_since(before);
-        self.law_stats.law_patches += patches;
-        self.law_stats.law_rebuilds += rebuilds;
-        self.law_stats.law_fallback_rebuilds += fallbacks;
-        out
+        if let Some(law) = &mut self.law {
+            law.apply_move(from, to, &self.config);
+        }
     }
 
     /// Realizes one state-changing activation by rejection: draws activations
     /// from the unconditional distribution until one is productive.  Exact,
     /// used when the dynamic provides no closed-form conditional sampler.
     fn rejection_sample_move(&mut self) -> (AgentState, AgentState) {
-        let k = self.config.num_opinions();
         loop {
-            let current = AgentState::from_category(self.weights.sample(&mut self.rng), k);
-            self.sample_buf.clear();
-            for _ in 0..self.dynamics.sample_size() {
-                let cat = self.weights.sample(&mut self.rng);
-                self.sample_buf.push(AgentState::from_category(cat, k));
-            }
-            let samples = std::mem::take(&mut self.sample_buf);
-            let new_state = self.dynamics.update(current, &samples, &mut self.rng);
-            self.sample_buf = samples;
+            let (current, new_state) = self.draw_activation();
             if new_state != current {
                 return (current, new_state);
             }
@@ -497,9 +447,8 @@ impl<D: SamplingDynamics> StepEngine for SequentialSampler<D> {
         Some(self.rejection_misses)
     }
 
-    /// Activation-law maintenance attributed to this sampler's own
-    /// `advance` calls.  Every law evaluation of a run happens inside one,
-    /// so an ensemble replica reports what a standalone same-seed run does.
+    /// The patches and rebuilds of this sampler's own activation law, so an
+    /// ensemble replica reports what a standalone same-seed run does.
     fn maintenance(&self) -> Option<MaintenanceStats> {
         Some(self.law_stats)
     }
@@ -508,20 +457,20 @@ impl<D: SamplingDynamics> StepEngine for SequentialSampler<D> {
     /// provides [`SamplingDynamics::null_activation_probability`], the null
     /// activations in between are skipped with one geometric draw (and the
     /// event realized via the conditional sampler, falling back to rejection);
-    /// otherwise activations are stepped one by one.  Law-maintenance work
-    /// the hooks trigger is attributed to this sampler's counters.
+    /// otherwise activations are stepped one by one.  A dynamic with a
+    /// maintained law answers both from it, refreshed once per event.
     fn advance(&mut self, limit: u64) -> Advance {
-        self.attributing_law_events(|sim| sim.advance_inner(limit))
-    }
-}
-
-impl<D: SamplingDynamics> SequentialSampler<D> {
-    /// [`StepEngine::advance`] minus the counter attribution.
-    fn advance_inner(&mut self, limit: u64) -> Advance {
         if self.steps >= limit {
             return Advance::LimitReached;
         }
-        let Some(p_null) = self.dynamics.null_activation_probability(&self.config) else {
+        let p_null = match &mut self.law {
+            Some(law) => {
+                law.refresh(&self.config, &mut self.law_stats);
+                Some(law.null_probability(&self.config))
+            }
+            None => self.dynamics.null_activation_probability(&self.config),
+        };
+        let Some(p_null) = p_null else {
             while self.steps < limit {
                 if self.step() {
                     return Advance::Event;
@@ -544,10 +493,13 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
             return Advance::LimitReached;
         };
         self.steps += skip + 1;
-        let (from, to) = match self
-            .dynamics
-            .sample_productive_move(&self.config, &mut self.rng)
-        {
+        let drawn = match &self.law {
+            Some(law) => law.sample_move(&self.config, &mut self.rng),
+            None => self
+                .dynamics
+                .sample_productive_move(&self.config, &mut self.rng),
+        };
+        let (from, to) = match drawn {
             Some(transition) => transition,
             None => {
                 self.rejection_fallbacks += 1;
@@ -564,11 +516,10 @@ impl<D: SamplingDynamics + Clone> ReplicaCheckpoint for SequentialSampler<D> {
     type Context = D;
 
     /// Snapshots the sampler's trajectory-relevant state: counts, step
-    /// counter and RNG state, plus the reporting counters.  The Fenwick
-    /// weights are a pure function of the counts and the law-memo
-    /// generation is deliberately *not* captured — a restored sampler gets
-    /// a fresh generation, so its first memo-backed law refresh is a cold
-    /// rebuild with bit-identical results (memos never consume
+    /// counter and RNG state, plus the reporting counters.  The category
+    /// weights and the activation law are pure functions of the counts and
+    /// are not captured: a restored sampler builds its law cold at its
+    /// first refresh, with bit-identical results (laws never consume
     /// randomness).
     fn capture_replica(&self) -> EngineSnapshot {
         EngineSnapshot {
@@ -924,68 +875,50 @@ mod tests {
 
     #[test]
     fn back_to_back_runs_on_one_thread_never_patch_each_others_memos() {
-        // Regression for the stale thread-local law memo: two samplers with
-        // the same dynamic parameters but different counts, interleaved on
-        // one thread.  Before memos were keyed on the run generation, the
-        // second sampler's first law refresh *patched* from the first
-        // sampler's memoized counts (cross-run state leakage, reported as a
-        // patch); it must be a cold rebuild attributed to the second run.
-        // `j = 4` keeps the law on the memo-backed integer tables (`j ≤ 3`
-        // is a closed form that reads nothing from the memo).
+        // Two samplers with the same dynamic parameters but different
+        // counts, interleaved on one thread: each owns its law, so the
+        // second sampler's first refresh is a cold rebuild of its own law,
+        // and from then on each run patches only from its own previous
+        // counts — what a standalone run reports, for the `j = 4` integer
+        // tables and the `j ≤ 3` closed form alike.
         use crate::majority::JMajority;
-        let mut a = SequentialSampler::new(
-            JMajority::new(3, 4),
-            Configuration::from_counts(vec![400, 300, 200], 100).unwrap(),
-            SimSeed::from_u64(41),
-        );
-        let mut b = SequentialSampler::new(
-            JMajority::new(3, 4),
-            Configuration::from_counts(vec![50, 800, 50], 100).unwrap(),
-            SimSeed::from_u64(42),
-        );
-        assert_eq!(a.advance(u64::MAX), Advance::Event);
-        assert_eq!(b.advance(u64::MAX), Advance::Event);
-        let stats = b.maintenance().expect("samplers count law work");
-        assert_eq!(
-            stats.law_patches, 0,
-            "a fresh run must not patch another run's thread-local memo"
-        );
-        assert_eq!(stats.law_rebuilds, 1, "first refresh is a cold rebuild");
-        // Interleaving further events keeps each run patching only from its
-        // own previous counts.
-        assert_eq!(a.advance(u64::MAX), Advance::Event);
-        assert_eq!(b.advance(u64::MAX), Advance::Event);
-        let (a_stats, b_stats) = (a.maintenance().unwrap(), b.maintenance().unwrap());
-        assert_eq!(a_stats.law_rebuilds, 2, "generation flips rebuild cold");
-        assert_eq!(b_stats.law_rebuilds, 2, "generation flips rebuild cold");
-
-        // The closed form has no memo to go cold: interleaved runs count
-        // one rebuild each (their first evaluation), then patches — what a
-        // standalone run reports.
-        let mut c = SequentialSampler::new(
-            JMajority::new(3, 3),
-            Configuration::from_counts(vec![400, 300, 200], 100).unwrap(),
-            SimSeed::from_u64(43),
-        );
-        let mut d = SequentialSampler::new(
-            JMajority::new(3, 3),
-            Configuration::from_counts(vec![50, 800, 50], 100).unwrap(),
-            SimSeed::from_u64(44),
-        );
-        for _ in 0..3 {
-            assert_eq!(c.advance(u64::MAX), Advance::Event);
-            assert_eq!(d.advance(u64::MAX), Advance::Event);
-        }
-        for stats in [c.maintenance().unwrap(), d.maintenance().unwrap()] {
-            assert_eq!((stats.law_rebuilds, stats.law_patches), (1, 2));
+        for j in [4usize, 3] {
+            let mut a = SequentialSampler::new(
+                JMajority::new(3, j),
+                Configuration::from_counts(vec![400, 300, 200], 100).unwrap(),
+                SimSeed::from_u64(41),
+            );
+            let mut b = SequentialSampler::new(
+                JMajority::new(3, j),
+                Configuration::from_counts(vec![50, 800, 50], 100).unwrap(),
+                SimSeed::from_u64(42),
+            );
+            assert_eq!(a.advance(u64::MAX), Advance::Event);
+            assert_eq!(b.advance(u64::MAX), Advance::Event);
+            let stats = b.maintenance().expect("samplers count law work");
+            assert_eq!(
+                stats.law_patches, 0,
+                "j = {j}: a fresh run must not patch another run's law"
+            );
+            assert_eq!(
+                stats.law_rebuilds, 1,
+                "j = {j}: first refresh is a cold rebuild"
+            );
+            for _ in 0..2 {
+                assert_eq!(a.advance(u64::MAX), Advance::Event);
+                assert_eq!(b.advance(u64::MAX), Advance::Event);
+            }
+            for stats in [a.maintenance().unwrap(), b.maintenance().unwrap()] {
+                assert_eq!((stats.law_rebuilds, stats.law_patches), (1, 2), "j = {j}");
+            }
         }
     }
 
     #[test]
     fn sampler_checkpoints_restore_the_exact_trajectory_tail() {
         // Standalone sampler: run, capture mid-flight, restore, and check
-        // the tails agree draw for draw (JMajority exercises the law memos,
-        // whose generation deliberately restarts cold after a restore).
+        // the tails agree draw for draw (JMajority exercises the maintained
+        // law, which a restored sampler builds cold).
         use crate::majority::JMajority;
         use pp_core::Checkpoint;
         let config = Configuration::from_counts(vec![400, 300, 200], 100).unwrap();
@@ -1005,9 +938,8 @@ mod tests {
             assert_eq!(cold.configuration(), warm.configuration());
             assert_eq!(cold.steps(), warm.steps());
         }
-        // Reporting counters survive the round trip (modulo the cold law
-        // rebuild the fresh generation forces, which is a rebuild, never a
-        // patch from the dead run's memo).
+        // Reporting counters survive the round trip (the restored law is
+        // built from the counts, never patched from the dead run's law).
         assert_eq!(cold.rejection_miss_count(), warm.rejection_miss_count());
 
         // Ensemble of samplers: pause on a window budget, checkpoint

@@ -52,9 +52,9 @@
 //! * the sharded engine's merged configuration, pair weights, and per-epoch
 //!   quota/scratch buffers (dead between `advance` calls — captures land on
 //!   epoch boundaries),
-//! * thread-local activation-law memos in `consensus-dynamics` — restored
-//!   samplers announce a fresh run generation, so the first refresh is a
-//!   cold rebuild with bit-identical values.
+//! * the sequential sampler's activation law in `consensus-dynamics` — a
+//!   restored sampler builds it from the counts at its first refresh, with
+//!   bit-identical values.
 //!
 //! # Format
 //!

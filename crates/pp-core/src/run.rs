@@ -115,9 +115,8 @@ pub struct RunResult {
 /// ignores the [`MaintenanceStats`] and the telemetry snapshot:
 /// patch-vs-rebuild counts, cache statistics and timings describe how an
 /// engine kept its tables in sync and may legitimately differ between
-/// bit-identical runs (a restored run rebuilds the tables its checkpoint
-/// left out, and memo-backed sampling laws rebuild cold when interleaved
-/// runs take turns on a thread; timings differ on every run).
+/// bit-identical runs (a restored run rebuilds the tables and laws its
+/// checkpoint left out; timings differ on every run).
 impl PartialEq for RunResult {
     fn eq(&self, other: &Self) -> bool {
         self.outcome == other.outcome
@@ -331,7 +330,7 @@ mod tests {
     #[test]
     fn equality_ignores_maintenance_counters() {
         // Bit-identical trajectories can run under different maintenance
-        // schedules (a restored run, interleaved memo-backed laws);
+        // schedules (a restored run rebuilds what its checkpoint left out);
         // equality must not distinguish them.
         let cfg = Configuration::from_counts(vec![10, 0], 0).unwrap();
         let bare = RunResult::new(RunOutcome::Consensus, 5, cfg);

@@ -11,14 +11,17 @@
 //! * `jobs.log` — the [`JobLog`], appended one line per persisted change:
 //!   a [`JobRecord`] (version, id, priority, state, scenario, and the
 //!   failure message for failed jobs) as its version-1 JSON document, or
-//!   `result <id> <document>` for a done job's canonical result
+//!   `result <id> <checksum> <document>` for a done job's canonical result
 //!   ([`crate::runner::result_json`] bytes, stored verbatim so replaying a
-//!   `result` request after a restart returns the identical bytes).  The
-//!   last record line of a job is its state.  Opening the server rewrites
-//!   the log to its live lines through [`pp_core::checkpoint::write_atomic`]
-//!   (so `jobs.log.tmp` is its previous version), and keeps the lines it
-//!   could not parse — and result lines whose document fails
-//!   [`crate::protocol::check_result_doc`] — in `jobs.log.corrupt`.
+//!   `result` request after a restart returns the identical bytes; the
+//!   checksum is the document's FNV-1a 64 hash as 16 lowercase hex
+//!   digits, so a damaged document that still parses is never served).
+//!   The last record line of a job is its state.  Opening the server
+//!   rewrites the log to its live lines through
+//!   [`pp_core::checkpoint::write_atomic`] (so `jobs.log.tmp` is its
+//!   previous version), and keeps the lines it could not parse — result
+//!   lines whose checksum is missing or wrong, and those whose document
+//!   fails [`crate::protocol::check_result_doc`] — in `jobs.log.corrupt`.
 //! * `ckpt-<id>.json` — a [`pp_core::checkpoint::CheckpointJournal`] for a
 //!   job halted mid-run, removed when the job reaches a terminal state.
 
@@ -211,9 +214,18 @@ fn record_line(record: &JobRecord) -> String {
     record.to_json() + "\n"
 }
 
-/// A done job's result line, newline included.
-fn result_line(id: JobId, result: &str) -> String {
-    format!("{RESULT_PREFIX}{id} {result}\n")
+/// The FNV-1a 64 hash a result line carries for its document.
+fn checksum(doc: &str) -> u64 {
+    doc.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A done job's result line, newline included: `result <id> <checksum>
+/// <document>` (see the module docs).
+#[must_use]
+pub fn result_line(id: JobId, result: &str) -> String {
+    format!("{RESULT_PREFIX}{id} {:016x} {result}\n", checksum(result))
 }
 
 /// The append-only job log of a state directory (see the module docs).
@@ -374,16 +386,29 @@ pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
     out
 }
 
-/// Parses the `<id> <document>` rest of a result line.
+/// Parses the `<id> <checksum> <document>` rest of a result line.
 fn parse_result(rest: &str) -> Result<(u64, &str), String> {
-    let (id, doc) = rest
+    let (id, rest) = rest
         .split_once(' ')
         .ok_or_else(|| "result line without a document".to_string())?;
     let id = id
         .parse::<u64>()
         .map_err(|_| format!("result line with a bad job id {id:?}"))?;
+    let (sum, doc) = match rest.split_once(' ') {
+        Some((sum, doc)) if sum.len() == 16 && sum.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            (u64::from_str_radix(sum, 16).ok(), doc)
+        }
+        _ => (None, rest),
+    };
     Json::parse(doc).map_err(|e| format!("malformed result document: {e}"))?;
-    Ok((id, doc))
+    match sum {
+        None => Err("result line without a checksum".to_string()),
+        Some(sum) if sum != checksum(doc) => Err(format!(
+            "result checksum mismatch: the line says {sum:016x}, the document hashes to {:016x}",
+            checksum(doc)
+        )),
+        Some(_) => Ok((id, doc)),
+    }
 }
 
 /// The job id a line names, read from its start even when the rest does
@@ -447,6 +472,36 @@ mod tests {
         assert_eq!(replayed.bad[1].bytes, b"{\"job\":1,\"id\":9,\"pri");
         assert_eq!(replayed.next_id, 10, "a bad line still reserves its id");
         assert_eq!(replay(b"{\"job\":1,\"id\":4").next_id, 0);
+    }
+
+    #[test]
+    fn a_result_line_without_its_checksum_is_a_bad_line() {
+        let doc = r#"{"result":1,"interactions":4096}"#;
+        let good = result_line(JobId(5), doc);
+        assert!(good.starts_with("result 5 "), "{good}");
+        assert_eq!(replay(good.as_bytes()).results[&5], doc);
+        let reason = |line: &str| {
+            let replayed = replay(line.as_bytes());
+            assert!(replayed.results.is_empty(), "{line} was kept");
+            replayed.bad[0].reason.clone()
+        };
+        // The earlier format, with no checksum.
+        assert_eq!(
+            reason(&format!("result 5 {doc}\n")),
+            "result line without a checksum"
+        );
+        // A flipped digit that still parses as a result document.
+        let damaged = good.replace("4096", "4097");
+        assert!(
+            reason(&damaged).starts_with("result checksum mismatch"),
+            "{damaged}"
+        );
+        // A damaged checksum.
+        let sum_at = "result 5 ".len();
+        let mut bytes = good.clone().into_bytes();
+        bytes[sum_at] = if bytes[sum_at] == b'0' { b'1' } else { b'0' };
+        let damaged = String::from_utf8(bytes).unwrap();
+        assert!(reason(&damaged).starts_with("result checksum mismatch"));
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! Reopening replays the log: each job is in the state of its last whole
 //! record line, and a torn last line is ignored.  A whole line that does
 //! not parse is kept in `jobs.log.corrupt`, and so is a result line whose
-//! document fails [`protocol::check_result_doc`]; a job no parsed line
+//! checksum is missing or wrong or whose document fails
+//! [`protocol::check_result_doc`]; a job no parsed line
 //! names is forgotten, and new jobs still get ids above it.  A done job
 //! without a valid result line runs again (determinism makes the re-run
 //! store the identical document).  A checkpoint that does not load is set
@@ -284,7 +285,7 @@ impl Server {
                     bad.push(job::BadLine {
                         line: replay.result_lines[id],
                         reason,
-                        bytes: format!("result {id} {doc}").into_bytes(),
+                        bytes: job::result_line(JobId(*id), doc).trim_end().into(),
                     });
                     false
                 }

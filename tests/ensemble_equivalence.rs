@@ -302,6 +302,45 @@ fn replica_counters_match_standalone_runs() {
 }
 
 #[test]
+fn table_and_median_law_counters_match_standalone_runs() {
+    // The j ≥ 4 integer tables and the MedianRule sums are per-run state:
+    // replicas interleaved on shared worker threads must patch their own
+    // laws, never rebuild them cold at each scheduling window.
+    let master = SimSeed::from_u64(MASTER ^ 9);
+    let maj_config = Configuration::from_counts(vec![450, 300, 150], 100).unwrap();
+    let med_config = Configuration::from_counts(vec![350, 300, 250], 100).unwrap();
+    let majority = JMajority::new(3, 5);
+    let median = MedianRule::new(3);
+    let expected = |run: &dyn Fn(SimSeed) -> RunResult| -> Vec<RunResult> {
+        EnsembleChoice::new(4)
+            .seeds(master)
+            .into_iter()
+            .map(run)
+            .collect()
+    };
+    let maj_expected =
+        expected(&|seed| standalone_sampler(&majority, &maj_config, seed, 5_000_000));
+    let med_expected = expected(&|seed| standalone_sampler(&median, &med_config, seed, 5_000_000));
+    for threads in [1usize, 3] {
+        let choice = EnsembleChoice::new(4).threads(threads);
+        let maj = sampler_ensemble(&majority, &maj_config, master, choice)
+            .unwrap()
+            .run(stop(5_000_000));
+        assert_eq!(maj.results(), &maj_expected[..]);
+        assert_counters_match(
+            maj.results(),
+            &maj_expected,
+            &format!("j-majority/{threads}t"),
+        );
+        let med = sampler_ensemble(&median, &med_config, master, choice)
+            .unwrap()
+            .run(stop(5_000_000));
+        assert_eq!(med.results(), &med_expected[..]);
+        assert_counters_match(med.results(), &med_expected, &format!("median/{threads}t"));
+    }
+}
+
+#[test]
 fn ensemble_hitting_times_conform_to_fresh_standalone_runs() {
     // Beyond same-seed equality: ensemble replicas with seeds 0..runs and
     // *independently seeded* standalone runs must draw from one hitting-time

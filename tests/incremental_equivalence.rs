@@ -2,8 +2,8 @@
 //!
 //! PR 6 put an `O(delta)` update path under every per-event law computation:
 //! `BatchedEngine` patches its productive-row table across each applied
-//! event, the j-Majority and MedianRule activation laws are patched in their
-//! thread-local memos.  All of it claims exact
+//! event, the j-Majority and MedianRule activation laws are patched in the
+//! law each sequential sampler owns.  All of it claims exact
 //! equality — every maintained weight is an integer, so a patched law is
 //! *bit-identical* to a rebuilt one.  This suite drives that claim with
 //! random event sequences:
@@ -13,10 +13,9 @@
 //!   counters and advance outcomes must agree at every event, and the
 //!   maintenance counters must attribute the work to the right path.
 //! * **Activation laws** — all five sampling dynamics × k ∈ {2, 4, 8}:
-//!   twin runs with incremental laws on vs off (each on a fresh thread, so
-//!   each twin starts from a cold memo and cannot mask the other's bugs by
-//!   sharing it) must produce equal results and identical recorded
-//!   trajectories.
+//!   twin runs with incremental laws on vs off (each on a fresh thread, as
+//!   the switch is thread-local) must produce equal results and identical
+//!   recorded trajectories.
 //! * **Ensembles** — replicas interleaved at random replica/thread counts
 //!   (each maintaining its own table or law between scheduling windows)
 //!   must stay bit-identical to their standalone same-seed runs.
@@ -40,8 +39,8 @@ fn stop(budget: u64) -> StopCondition {
 }
 
 /// Runs `dynamics` through the sequential sampler's skip-ahead driver on a
-/// fresh thread (fresh thread = cold thread-local law memos) with the
-/// incremental-law switch set as requested, recording the full trajectory.
+/// fresh thread with the (thread-local) incremental-law switch set as
+/// requested, recording the full trajectory.
 fn recorded_sampler_run<D: SamplingDynamics + Send + 'static>(
     dynamics: D,
     config: Configuration,
@@ -165,8 +164,8 @@ proptest! {
 
     /// Ensembles at random replica and thread counts: every replica stays
     /// bit-identical to its standalone same-seed run, for both the USD (row
-    /// tables) and the 3-Majority (activation laws through the sampler
-    /// memo, which interleaved replicas take turns warming).
+    /// tables) and the 3-Majority (the activation law each replica's
+    /// sampler keeps between scheduling windows).
     #[test]
     fn ensemble_neighbour_delta_keeps_replicas_standalone_exact(
         replicas in 2usize..6,

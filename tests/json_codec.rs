@@ -22,8 +22,8 @@ use pp_core::json::Json;
 use pp_core::{Checkpoint, EngineChoice, NullRecorder, PpError, ShardPlan, StopCondition};
 use pp_service::protocol::{check_progress_line, check_result_doc, parse_request};
 use pp_service::{
-    result_json, run_scenario, JobId, JobRecord, JobState, RunControl, RunVerdict, ScenarioConfig,
-    Server, ServerConfig,
+    job, result_json, run_scenario, JobId, JobRecord, JobState, RunControl, RunVerdict,
+    ScenarioConfig, Server, ServerConfig,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -265,9 +265,9 @@ fn valid_log() -> Vec<u8> {
         ..done.clone()
     };
     format!(
-        "{}\nresult 1 {}\n{}\n",
+        "{}\n{}{}\n",
         done.to_json(),
-        run(&scenario),
+        job::result_line(JobId(1), &run(&scenario)),
         cancelled.to_json()
     )
     .into_bytes()
@@ -320,6 +320,48 @@ fn a_reopened_server_never_serves_a_damaged_result() {
     let dir = state_dir("flips");
     let log = valid_log();
     truncations_and_flips(&log, &[0x01], |bytes| open_on_log(&dir, bytes));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_result_with_a_flipped_interactions_digit_is_not_served() {
+    // The damaged document still parses and passes `check_result_doc`;
+    // only the line's checksum tells it apart.  The reopened server sets
+    // the line aside and runs the job again, which stores the original.
+    let dir = state_dir("interactions");
+    let log = String::from_utf8(valid_log()).unwrap();
+    let doc = run(&ScenarioConfig::new(60, 2).with_seed(3));
+    let at = doc.find("\"interactions\":").unwrap() + "\"interactions\":".len();
+    let digit = doc.as_bytes()[at];
+    assert!(digit.is_ascii_digit(), "{doc}");
+    let flipped = if digit == b'9' { b'8' } else { digit + 1 };
+    let mut damaged_doc = doc.clone().into_bytes();
+    damaged_doc[at] = flipped;
+    let damaged_doc = String::from_utf8(damaged_doc).unwrap();
+    check_result_doc(&Json::parse(&damaged_doc).unwrap()).expect("still a result document");
+    let damaged_log = log.replacen(&doc, &damaged_doc, 1);
+    assert_ne!(damaged_log, log);
+
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("jobs.log"), &damaged_log).unwrap();
+    let server = Server::open(ServerConfig {
+        workers: Some(1),
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let skipped = server.quarantined();
+    assert_eq!(skipped.len(), 1, "{skipped:?}");
+    assert_eq!(skipped[0].file, "jobs.log:2");
+    assert!(
+        skipped[0].reason.starts_with("result checksum mismatch"),
+        "{skipped:?}"
+    );
+    let status = server.wait(JobId(1)).unwrap();
+    assert_eq!(status.state, JobState::Done);
+    assert_eq!(status.result.as_deref(), Some(doc.as_str()));
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
