@@ -13,7 +13,7 @@ use crate::mean_field::MeanFieldEngine;
 use crate::phases::{EnginePolicy, Phase, PhaseTimes, PhaseTracker};
 use crate::protocol::UndecidedStateDynamics;
 use pp_core::checkpoint::{Checkpoint, CheckpointJournal, EngineState};
-use pp_core::engine::{Advance, StepEngine};
+use pp_core::engine::{Advance, Leg, StepEngine};
 use pp_core::run::MaintenanceStats;
 use pp_core::{
     BatchedEngine, Configuration, CountSimulator, EngineChoice, FidelityConfig, MetricsSnapshot,
@@ -184,6 +184,45 @@ impl StepEngine for UsdEngine {
             UsdEngine::MeanField(e) => e.advance(limit),
             UsdEngine::Hybrid(e) => e.advance(limit),
         }
+    }
+
+    fn leg<R: Recorder>(
+        &mut self,
+        limit: u64,
+        until: u64,
+        max_events: u64,
+        recorder: &mut R,
+    ) -> Leg {
+        match self {
+            UsdEngine::Exact(e) => e.leg(limit, until, max_events, recorder),
+            UsdEngine::Batched(e) => e.leg(limit, until, max_events, recorder),
+            UsdEngine::Sharded(e) => e.leg(limit, until, max_events, recorder),
+            UsdEngine::MeanField(e) => e.leg(limit, until, max_events, recorder),
+            UsdEngine::Hybrid(e) => e.leg(limit, until, max_events, recorder),
+        }
+    }
+}
+
+/// When a drive hands control back to its caller between legs.
+enum Pause<'a> {
+    /// Never: the drive runs to its stop condition.
+    Never,
+    /// At the first leg boundary with at least this many interactions.
+    At(u64),
+    /// When the hook, asked after every event, says so.
+    Hook(&'a mut dyn FnMut(u64) -> bool),
+}
+
+/// Feeds a recorder the simulator's interaction count — the engine's own
+/// plus those of engines retired through policy switches.
+struct Offset<'a, R> {
+    recorder: &'a mut R,
+    by: u64,
+}
+
+impl<R: Recorder> Recorder for Offset<'_, R> {
+    fn record(&mut self, interactions: u64, config: &Configuration) {
+        self.recorder.record(interactions + self.by, config);
     }
 }
 
@@ -483,13 +522,13 @@ impl UsdSimulator {
     }
 
     /// Configures periodic checkpointing: every `every_interactions`
-    /// interactions (checked between `advance` boundaries, so actual
-    /// spacing is quantized to event batches) and at every phase boundary
-    /// of a phase-aware run, the drive loop captures a checkpoint and
-    /// appends it to the [`CheckpointJournal`] at `path`, whose last whole
-    /// line is then the newest capture.  When telemetry is attached, each
-    /// write bumps `checkpoint.captures` and adds the document size to
-    /// `checkpoint.bytes`.
+    /// interactions (at the first event that reaches the due count: the
+    /// drive ends each leg there, so spacing is quantized to events) and at
+    /// every phase boundary of a phase-aware run, the drive loop captures a
+    /// checkpoint and appends it to the [`CheckpointJournal`] at `path`,
+    /// whose last whole line is then the newest capture.  When telemetry is
+    /// attached, each write bumps `checkpoint.captures` and adds the
+    /// document size to `checkpoint.bytes`.
     ///
     /// Runs that never advance past `every_interactions` write only the
     /// phase-boundary captures, if any.
@@ -509,7 +548,7 @@ impl UsdSimulator {
 
     /// Writes a checkpoint to the sink if one is configured, the backend is
     /// checkpointable, and (when `respect_cadence`) the cadence has
-    /// elapsed.  Called between `advance` calls only.
+    /// elapsed.  Called between legs only.
     fn sink_checkpoint(&mut self, respect_cadence: bool) {
         let Some(sink) = &self.sink else { return };
         if respect_cadence && self.interactions().saturating_sub(sink.last_capture) < sink.every {
@@ -626,22 +665,24 @@ impl UsdSimulator {
     /// [`StepEngine::run_engine_recorded`], but budget accounting spans
     /// engine switches.
     fn drive<R: Recorder>(&mut self, stop: StopCondition, recorder: &mut R) -> RunResult {
-        self.drive_pausable(stop, recorder, &mut |_| false)
+        self.drive_pausable(stop, recorder, Pause::Never)
             .expect("a never-pausing drive always finishes")
     }
 
-    /// [`UsdSimulator::drive`] with a cooperative pause hook, checked
-    /// between `advance` calls only — the same boundary where periodic
-    /// checkpoints are exact.  Returns `None` when the hook asked to pause;
-    /// the simulator state is then a valid capture point and a later call
-    /// toward the **same** stop condition continues the identical
+    /// [`UsdSimulator::drive`] with a cooperative pause rule, checked
+    /// between legs only — the same boundary where periodic checkpoints are
+    /// exact.  Each leg stops at the sink's next due count and at a
+    /// [`Pause::At`] threshold; a [`Pause::Hook`] runs one-event legs, so
+    /// the hook sees every event.  Returns `None` when the rule asked to
+    /// pause; the simulator state is then a valid capture point and a later
+    /// call toward the **same** stop condition continues the identical
     /// trajectory (pausing consumes no RNG and never shrinks an `advance`
     /// limit, so the drawn event sequence is unchanged).
     fn drive_pausable<R: Recorder>(
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
-        pause: &mut dyn FnMut(u64) -> bool,
+        mut pause: Pause<'_>,
     ) -> Option<RunResult> {
         assert!(
             stop.is_bounded(),
@@ -652,6 +693,11 @@ impl UsdSimulator {
         // chrome trace.  Spans consume no RNG — the trajectory is
         // unaffected (pinned by tests/telemetry_equivalence.rs).
         let _run_span = self.tel.span("usd.run");
+        let (pause_at, max_events) = match pause {
+            Pause::Never => (u64::MAX, u64::MAX),
+            Pause::At(at) => (at, u64::MAX),
+            Pause::Hook(_) => (u64::MAX, 1),
+        };
         loop {
             if stop.goal_met(self.configuration()) {
                 let outcome = if self.configuration().is_consensus() {
@@ -684,20 +730,31 @@ impl UsdSimulator {
                 Some(budget) => budget - self.consumed,
                 None => u64::MAX,
             };
-            match self.engine.advance(limit) {
-                Advance::Event => recorder.record(self.interactions(), self.configuration()),
-                Advance::LimitReached => {}
-                Advance::Absorbed => {
-                    assert!(
-                        stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
-                        "absorbing configuration {} can never meet the stop condition",
-                        self.configuration()
-                    );
-                }
+            let sink_due = self.sink.as_ref().map_or(u64::MAX, |sink| {
+                sink.last_capture.saturating_add(sink.every)
+            });
+            let until = pause_at.min(sink_due).saturating_sub(self.consumed);
+            let mut recorder = Offset {
+                recorder: &mut *recorder,
+                by: self.consumed,
+            };
+            let leg = self.engine.leg(limit, until, max_events, &mut recorder);
+            if leg.end == Advance::Absorbed {
+                assert!(
+                    stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
+                    "absorbing configuration {} can never meet the stop condition",
+                    self.configuration()
+                );
             }
-            // Between `advance` calls — the only place a capture is exact.
+            // Between legs — the only place a capture is exact.
             self.sink_checkpoint(true);
-            if pause(self.interactions()) {
+            let at = self.interactions();
+            let paused = match &mut pause {
+                Pause::Never => false,
+                Pause::At(threshold) => at >= *threshold,
+                Pause::Hook(hook) => hook(at),
+            };
+            if paused {
                 return None;
             }
         }
@@ -735,16 +792,22 @@ impl UsdSimulator {
     }
 
     /// Runs like [`UsdSimulator::run_recorded`], but checks the cooperative
-    /// `pause` hook between `advance` calls and returns `None` when it asks
-    /// to stop — with the simulator parked at an exact capture point.
+    /// `pause` hook after every event (and after an `advance` that ends
+    /// without one) and returns `None` when it asks to stop — with the
+    /// simulator parked at an exact capture point.
     ///
-    /// The hook receives the interaction count so far.  Pausing consumes no
-    /// RNG and never shrinks an `advance` limit, so calling this again with
-    /// the **same** stop condition continues the bit-identical trajectory;
-    /// the final [`RunResult`] equals an uninterrupted run's.  This is the
-    /// seam job servers use to multiplex long runs: pause, emit progress or
-    /// a [`Checkpoint`], then resume (or hand the capture to a fresh
-    /// process via [`UsdSimulator::restore`]).
+    /// The hook receives the interaction count so far.  Closure hooks still
+    /// see every event: the drive runs one-event legs for them, so a hook
+    /// costs a driver round trip per event.  A pause that only waits for an
+    /// interaction count should use [`UsdSimulator::run_until`], which
+    /// pauses at the same point without the per-event round trips.
+    ///
+    /// Pausing consumes no RNG and never shrinks an `advance` limit, so
+    /// calling this again with the **same** stop condition continues the
+    /// bit-identical trajectory; the final [`RunResult`] equals an
+    /// uninterrupted run's.  This is the seam job servers use to multiplex
+    /// long runs: pause, emit progress or a [`Checkpoint`], then resume (or
+    /// hand the capture to a fresh process via [`UsdSimulator::restore`]).
     ///
     /// Unlike [`UsdSimulator::run_recorded`], the recorder does *not* see
     /// the initial configuration on every call — only the first segment of
@@ -755,7 +818,23 @@ impl UsdSimulator {
         recorder: &mut R,
         pause: &mut dyn FnMut(u64) -> bool,
     ) -> Option<RunResult> {
-        self.drive_pausable(stop, recorder, pause)
+        self.drive_pausable(stop, recorder, Pause::Hook(pause))
+    }
+
+    /// Runs like [`UsdSimulator::run_interruptible`] with the hook
+    /// `|i| i >= pause_at`: returns `None` at the first event (or
+    /// event-less `advance`) after which at least `pause_at` interactions
+    /// have elapsed, at the same state, recorder stream, checkpoint sink
+    /// writes and RNG position as that hook.  The threshold is checked
+    /// between the engine's legs (see [`StepEngine::leg`]), so the batched
+    /// backend runs its events in one loop up to the boundary.
+    pub fn run_until<R: Recorder>(
+        &mut self,
+        stop: StopCondition,
+        recorder: &mut R,
+        pause_at: u64,
+    ) -> Option<RunResult> {
+        self.drive_pausable(stop, recorder, Pause::At(pause_at))
     }
 
     /// Runs to consensus while tracking the paper's five phase hitting times

@@ -77,6 +77,40 @@
 //! integer and consume the same word, so trajectories do not depend on
 //! which one ran.
 //!
+//! # The event loop
+//!
+//! The drivers ([`StepEngine::run_engine_recorded`], the ensemble's
+//! scheduling windows, `UsdSimulator`'s pausable drive) do not call
+//! [`StepEngine::advance`] once per event: they call
+//! [`StepEngine::leg`], which runs events until the first of
+//!
+//! 1. the hard `limit`: the `advance` that would cross it forwards the
+//!    counter to it (or finds the configuration absorbed) and ends the leg;
+//! 2. a soft interaction boundary `until`: the leg ends after the first
+//!    event that brings the counter to `until` or past it;
+//! 3. a cap of `max_events` events;
+//! 4. an event that empties its source category,
+//!
+//! and check their goal, budget, checkpoint cadence and pause rule only
+//! between legs.  The goal check is still exact.  An event moves one agent
+//! from its source category to a different one, so an event that leaves
+//! its source non-empty empties no category: afterwards both the source and
+//! the destination are non-empty, which is not a consensus, and no opinion
+//! died, so the number of live opinions did not fall and a run that was
+//! not opinion-settled before the event is not settled after it.  The
+//! drivers start a leg only when the goal is unmet, so only an event of
+//! kind 4 can meet it, and the leg stops there.  The budget is the leg's
+//! `limit`; the cadence and pause boundaries are its `until`.
+//!
+//! The RNG stream is unchanged: a leg is the same sequence of `advance`
+//! calls one at a time would make — each event draws its
+//! [`geometric_skip`] against the headroom to the same hard `limit`, and
+//! ending a leg early, or a driver checking something between legs,
+//! consumes no randomness and moves no limit.  [`BatchedEngine`] runs the
+//! whole leg in one loop over its row table (its `advance` is that loop
+//! capped at one event); the other engines keep the provided one-event
+//! leg, so the hybrid engine's detector still sees every event.
+//!
 //! # Weight width
 //!
 //! Every weight in the table is bounded by `n²`: `S_cat ≤ n` (it counts
@@ -136,7 +170,7 @@ use crate::count_sim::CountSimulator;
 use crate::error::PpError;
 use crate::opinion::AgentState;
 use crate::protocol::OpinionProtocol;
-use crate::recorder::Recorder;
+use crate::recorder::{NullRecorder, Recorder};
 use crate::rng::SimSeed;
 use crate::run::{MaintenanceStats, RunOutcome, RunResult};
 use crate::stopping::StopCondition;
@@ -233,6 +267,19 @@ pub enum Advance {
     Absorbed,
 }
 
+/// What one [`StepEngine::leg`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    /// State-changing events the leg ran (each one fed to its recorder).
+    pub events: u64,
+    /// How its last [`advance`](StepEngine::advance) ended:
+    /// [`Advance::Event`] when the leg stopped after an event (at its soft
+    /// boundary, at its event cap, or on an event that emptied its source
+    /// category), otherwise the [`Advance::LimitReached`] or
+    /// [`Advance::Absorbed`] that stopped it.
+    pub end: Advance,
+}
+
 /// A strategy for advancing a count-vector Markov chain.
 ///
 /// The narrow waist is [`advance`](StepEngine::advance): move the simulation
@@ -301,6 +348,41 @@ pub trait StepEngine {
     /// whichever comes first.
     fn advance(&mut self, limit: u64) -> Advance;
 
+    /// Runs [`advance`](StepEngine::advance)`(limit)` repeatedly, feeding
+    /// the interaction count and configuration after every event to
+    /// `recorder`, and stops at the first of (see "The event loop" in the
+    /// module docs):
+    ///
+    /// * an `advance` that ends without an event (`limit` reached, or the
+    ///   configuration absorbed);
+    /// * an event after which at least `until` interactions have elapsed;
+    /// * the `max_events`-th event;
+    /// * an event that empties the category its agent left.
+    ///
+    /// The drivers check their goal, budget, checkpoint cadence and pause
+    /// hook between legs only: the last rule makes that exact for the
+    /// consensus and opinion-settled goals.  The events, the RNG stream and
+    /// every recorded configuration are those of the same `advance` calls
+    /// made one at a time.
+    ///
+    /// The provided body is a single `advance` (engines whose events are not
+    /// single-agent moves, or whose per-event bookkeeping must surface to
+    /// the driver, keep it); [`BatchedEngine`] runs the whole leg in one
+    /// loop.  `max_events` must be at least 1.
+    fn leg<R: Recorder>(&mut self, limit: u64, until: u64, max_events: u64, recorder: &mut R) -> Leg
+    where
+        Self: Sized,
+    {
+        // A single event is within every soft bound.
+        let _ = (until, max_events);
+        let end = self.advance(limit);
+        if end != Advance::Event {
+            return Leg { events: 0, end };
+        }
+        recorder.record(self.interactions(), self.configuration());
+        Leg { events: 1, end }
+    }
+
     /// Runs until the stop condition is met, recording nothing.
     fn run_engine(&mut self, stop: StopCondition) -> RunResult
     where
@@ -359,16 +441,12 @@ pub trait StepEngine {
                 Some(budget) => budget,
                 None => u64::MAX,
             };
-            match self.advance(limit) {
-                Advance::Event => recorder.record(self.interactions(), self.configuration()),
-                Advance::LimitReached => {}
-                Advance::Absorbed => {
-                    assert!(
-                        stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
-                        "absorbing configuration {} can never meet the stop condition",
-                        self.configuration()
-                    );
-                }
+            if self.leg(limit, u64::MAX, u64::MAX, recorder).end == Advance::Absorbed {
+                assert!(
+                    stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
+                    "absorbing configuration {} can never meet the stop condition",
+                    self.configuration()
+                );
             }
         }
     }
@@ -1366,26 +1444,76 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         event_probability(total, self.config.population())
     }
 
-    /// [`StepEngine::advance`] on a row table of one width.
-    fn advance_on<W: Weight>(&mut self, table: &mut RowTable<W>, limit: u64) -> Advance {
-        let total = self.ensure_rows(table);
-        if total == W::default() {
-            self.forward_to(limit);
-            return Advance::Absorbed;
-        }
-        let p = event_probability(total, self.config.population());
+    /// [`StepEngine::leg`] on a row table of one width: the engine's one
+    /// event loop ([`StepEngine::advance`] is a leg capped at one event).
+    /// Each pass is one `advance` — the limit check before the table is
+    /// touched, the row total, one [`geometric_skip`] against the headroom,
+    /// the event draw and the row patch — so the RNG stream and every
+    /// counter are those of one `advance` call per event.
+    fn leg_on<W: Weight, R: Recorder>(
+        &mut self,
+        table: &mut RowTable<W>,
+        limit: u64,
+        until: u64,
+        max_events: u64,
+        recorder: &mut R,
+    ) -> Leg {
+        debug_assert!(max_events > 0, "a leg runs at least one event");
+        let mut events = 0;
+        loop {
+            if self.interactions >= limit {
+                return Leg {
+                    events,
+                    end: Advance::LimitReached,
+                };
+            }
+            let total = self.ensure_rows(table);
+            if total == W::default() {
+                self.forward_to(limit);
+                return Leg {
+                    events,
+                    end: Advance::Absorbed,
+                };
+            }
+            let p = event_probability(total, self.config.population());
 
-        // How many interactions may still elapse before the limit; the event
-        // itself occupies one, so the skip must stay strictly below this.
-        let headroom = limit - self.interactions;
-        let Some(skip) = geometric_skip(&mut self.rng, p, headroom) else {
-            self.forward_to(limit);
-            return Advance::LimitReached;
-        };
-        self.record_event_interactions(skip);
-        let (from_cat, to_cat) = self.draw_and_apply_event(table);
-        self.apply_row_delta(table, from_cat, to_cat);
-        Advance::Event
+            // How many interactions may still elapse before the limit; the
+            // event itself occupies one, so the skip must stay strictly below
+            // this.
+            let headroom = limit - self.interactions;
+            let Some(skip) = geometric_skip(&mut self.rng, p, headroom) else {
+                self.forward_to(limit);
+                return Leg {
+                    events,
+                    end: Advance::LimitReached,
+                };
+            };
+            // Debug builds check the goal-soundness rule below: an event that
+            // leaves its source non-empty empties no category, so it cannot
+            // reach consensus or settle a run that was not settled before it.
+            let settled_before = cfg!(debug_assertions) && self.config.is_opinion_settled();
+            self.record_event_interactions(skip);
+            let (from_cat, to_cat) = self.draw_and_apply_event(table);
+            self.apply_row_delta(table, from_cat, to_cat);
+            events += 1;
+            recorder.record(self.interactions, &self.config);
+            debug_assert!(
+                self.config.category_count(from_cat) == 0
+                    || !(self.config.is_consensus()
+                        || self.config.is_opinion_settled() && !settled_before),
+                "an event that left its source non-empty met a goal at {}",
+                self.config
+            );
+            if events >= max_events
+                || self.interactions >= until
+                || self.config.category_count(from_cat) == 0
+            {
+                return Leg {
+                    events,
+                    end: Advance::Event,
+                };
+            }
+        }
     }
 }
 
@@ -1416,16 +1544,23 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
     }
 
     fn advance(&mut self, limit: u64) -> Advance {
-        if self.interactions >= limit {
-            return Advance::LimitReached;
-        }
+        self.leg(limit, u64::MAX, 1, &mut NullRecorder).end
+    }
+
+    fn leg<R: Recorder>(
+        &mut self,
+        limit: u64,
+        until: u64,
+        max_events: u64,
+        recorder: &mut R,
+    ) -> Leg {
         let mut table = self.take_table();
-        let advance = match &mut table {
-            WeightTable::Narrow(t) => self.advance_on(t, limit),
-            WeightTable::Wide(t) => self.advance_on(t, limit),
+        let leg = match &mut table {
+            WeightTable::Narrow(t) => self.leg_on(t, limit, until, max_events, recorder),
+            WeightTable::Wide(t) => self.leg_on(t, limit, until, max_events, recorder),
         };
         self.table = table;
-        advance
+        leg
     }
 }
 
@@ -1553,6 +1688,19 @@ impl<P: OpinionProtocol> StepEngine for CountEngine<P> {
         match self {
             CountEngine::Exact(e) => e.advance(limit),
             CountEngine::Batched(e) => e.advance(limit),
+        }
+    }
+
+    fn leg<R: Recorder>(
+        &mut self,
+        limit: u64,
+        until: u64,
+        max_events: u64,
+        recorder: &mut R,
+    ) -> Leg {
+        match self {
+            CountEngine::Exact(e) => e.leg(limit, until, max_events, recorder),
+            CountEngine::Batched(e) => e.leg(limit, until, max_events, recorder),
         }
     }
 }

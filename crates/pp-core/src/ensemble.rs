@@ -88,7 +88,7 @@ const MIN_REPLICAS_PER_WORKER: usize = 2;
 
 /// Events each live replica advances per scheduling window (chunking keeps
 /// the replica's state hot and the scheduling overhead negligible).
-const CHUNK_EVENTS: u32 = 256;
+const CHUNK_EVENTS: u64 = 256;
 
 /// An `EngineChoice`-adjacent selector for ensemble runs: how many
 /// replicas to advance, which per-replica backend drives each of them, and
@@ -362,7 +362,8 @@ fn try_finish<E: StepEngine, R>(slot: &mut ReplicaSlot<'_, E, R>, stop: &StopCon
 }
 
 /// Advances one worker's chunk through a scheduling window: every live
-/// replica runs up to [`CHUNK_EVENTS`] events through its own `advance`.
+/// replica runs up to [`CHUNK_EVENTS`] events through its own legs, with
+/// the goal and budget checked between legs (see [`StepEngine::leg`]).
 /// Returns the events advanced.
 fn advance_chunk<E: StepEngine, R: Recorder>(
     slots: &mut [ReplicaSlot<'_, E, R>],
@@ -375,20 +376,18 @@ fn advance_chunk<E: StepEngine, R: Recorder>(
             continue;
         }
         let replica = &mut *slot.replica;
-        for _ in 0..CHUNK_EVENTS {
-            if stop.goal_met(replica.configuration())
-                || stop
-                    .max_interactions()
-                    .is_some_and(|b| replica.interactions() >= b)
-            {
-                break;
-            }
-            match replica.advance(limit) {
-                Advance::Event => {
-                    events += 1;
-                    slot.recorder
-                        .record(replica.interactions(), replica.configuration());
-                }
+        let mut left = CHUNK_EVENTS;
+        while left > 0
+            && !stop.goal_met(replica.configuration())
+            && stop
+                .max_interactions()
+                .is_none_or(|b| replica.interactions() < b)
+        {
+            let leg = replica.leg(limit, u64::MAX, left, &mut *slot.recorder);
+            events += leg.events;
+            left -= leg.events;
+            match leg.end {
+                Advance::Event => {}
                 Advance::LimitReached => break,
                 Advance::Absorbed => {
                     assert!(

@@ -88,6 +88,7 @@ use crate::engine::{Advance, BatchedEngine, StepEngine};
 use crate::error::PpError;
 use crate::parallel;
 use crate::protocol::OpinionProtocol;
+use crate::recorder::NullRecorder;
 use crate::rng::SimSeed;
 use crate::run::MaintenanceStats;
 use crate::telemetry::{MetricsSnapshot, Telemetry};
@@ -124,11 +125,19 @@ struct ShardState<P> {
 }
 
 impl<P: OpinionProtocol> ShardState<P> {
-    /// Consumes the epoch's intra-shard quota on the local batched engine.
+    /// Consumes the epoch's intra-shard quota on the local batched engine,
+    /// in legs that end only at the quota (or absorption) or at an event
+    /// that empties its source.
     fn advance_intra(&mut self) {
         let target = self.engine.interactions() + self.intra_quota;
-        while self.engine.advance(target) == Advance::Event {
-            self.events += 1;
+        loop {
+            let leg = self
+                .engine
+                .leg(target, u64::MAX, u64::MAX, &mut NullRecorder);
+            self.events += leg.events;
+            if leg.end != Advance::Event {
+                break;
+            }
         }
     }
 

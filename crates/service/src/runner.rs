@@ -25,9 +25,11 @@
 //!
 //! ## Interrupts
 //!
-//! Single USD runs pause cooperatively between `advance` calls (the
-//! checkpoint-exact boundary) via `UsdSimulator::run_interruptible`;
-//! replica ensembles pause between lockstep windows via
+//! Single USD runs pause cooperatively at the first event past each pause
+//! boundary via `UsdSimulator::run_until`, which checks the boundary (and
+//! the checkpoint cadence) between the engine's legs — the checkpoint-exact
+//! boundary — and the runner polls the interrupt once per pause; replica
+//! ensembles pause between lockstep windows via
 //! `UsdEnsemble::run_windows`; single sampling-dynamic runs pause between
 //! activations (exact stepping) or between skip-ahead `advance` calls
 //! (batched) via `SequentialSampler::run_interruptible` /
@@ -431,22 +433,10 @@ fn run_single_usd<R: Recorder>(
     recorder.record(sim.interactions(), sim.configuration());
     let mut next_pause = sim.interactions().saturating_add(pause_every);
     loop {
-        // The hook polls the interrupt exactly once per pause boundary and
-        // parks the verdict, so one-shot interrupt closures are honoured.
-        // Pausing consumes no RNG.
-        let want_interrupt = control.interrupt;
-        let mut pending: Option<Interrupt> = None;
-        let result = sim.run_interruptible(stop, recorder, &mut |i| {
-            if i < next_pause {
-                return false;
-            }
-            pending = want_interrupt.and_then(|f| f());
-            true
-        });
-        if let Some(result) = result {
+        if let Some(result) = sim.run_until(stop, recorder, next_pause) {
             return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
         }
-        if let Some(kind) = pending {
+        if let Some(kind) = control.interrupt.and_then(|f| f()) {
             if kind == Interrupt::Halted {
                 sim.checkpoint_now()
                     .map_err(|e| format!("cannot checkpoint: {e}"))?;

@@ -1,8 +1,9 @@
 //! Property-based tests of the core invariants, spanning the workload
 //! generators, the configuration algebra, the USD protocol and the coupling.
 
+use k_opinion_usd::dynamics::PairwiseVoter;
 use k_opinion_usd::prelude::*;
-use pp_core::{AgentState, Configuration, OpinionProtocol, StopCondition};
+use pp_core::{AgentState, Configuration, OpinionProtocol, StopCondition, TraceRecorder};
 use proptest::prelude::*;
 
 proptest! {
@@ -153,6 +154,54 @@ proptest! {
         let settled = a.run_to_settlement(50_000_000);
         let consensus = b.run_to_consensus(50_000_000);
         prop_assert!(settled.interactions() <= consensus.interactions());
+    }
+
+    /// Goal soundness of the batched engine's legs: a leg stops after any
+    /// event that empties its source category, which is the only kind of
+    /// event that can reach consensus or settle a run, so a leg-driven run
+    /// stops at the first configuration meeting its goal.  Every event of
+    /// the run is recorded; none before the last may meet the run's goal,
+    /// consensus or opinion-settled.
+    #[test]
+    fn leg_driven_runs_stop_at_the_first_configuration_meeting_the_goal(
+        k_index in 0usize..3,
+        voter in 0u8..2,
+        settled in 0u8..2,
+        counts in proptest::collection::vec(0u64..20, 8..9),
+        undecided in 0u64..40,
+        seed in 0u64..1_000,
+    ) {
+        let k = [2, 3, 8][k_index];
+        let counts = counts[..k].to_vec();
+        prop_assume!(counts.iter().sum::<u64>() + undecided > 0);
+        let config = Configuration::from_counts(counts, undecided).unwrap();
+        let goal = if settled == 1 {
+            StopCondition::opinion_settled()
+        } else {
+            StopCondition::consensus()
+        };
+        let stop = goal.or_max_interactions(50_000_000);
+        let seed = SimSeed::from_u64(seed);
+        let mut recorder = TraceRecorder::every(1);
+        let result = if voter == 1 {
+            BatchedEngine::new(PairwiseVoter::new(k), config, seed)
+                .run_engine_recorded(stop, &mut recorder)
+        } else {
+            BatchedEngine::new(UndecidedStateDynamics::new(k), config, seed)
+                .run_engine_recorded(stop, &mut recorder)
+        };
+        let snapshots = recorder.into_snapshots();
+        let (last, before) = snapshots.split_last().unwrap();
+        prop_assert_eq!(&last.configuration, result.final_configuration());
+        for snapshot in before {
+            prop_assert!(
+                !goal.goal_met(&snapshot.configuration),
+                "{} met the goal at {} interactions, before the run stopped at {}",
+                snapshot.configuration,
+                snapshot.interactions,
+                last.interactions
+            );
+        }
     }
 
     /// The gossip engine preserves the population for any protocol round.
