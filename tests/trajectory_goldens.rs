@@ -15,6 +15,12 @@
 //! whose weights `c·S ≤ n²` fit `u64`), n = 2³² and n = 10¹⁰.  Each entry is
 //! the final counts, interaction count and drawn events after a fixed
 //! interaction budget.
+//!
+//! A third table pins phase-aware runs (`UsdSimulator::run_with_phases`) on
+//! every single-run backend at k ∈ {2, 3, 8}: where each run stopped, its
+//! hitting times T1–T5, winner, whether the initial plurality won, and the
+//! scheduler label.  Two seeds per cell run to consensus; the third stops
+//! on a budget that ends it mid-run.
 
 use k_opinion_usd::core::engine::{BatchedEngine, StepEngine};
 use k_opinion_usd::core::{Configuration, EngineChoice, SimSeed, StopCondition};
@@ -22,7 +28,7 @@ use k_opinion_usd::service::runner::{
     result_json, run_scenario, RunControl, RunVerdict, ScenarioOutcome,
 };
 use k_opinion_usd::service::scenario::ScenarioConfig;
-use k_opinion_usd::usd::UndecidedStateDynamics;
+use k_opinion_usd::usd::{Phase, UndecidedStateDynamics, UsdSimulator};
 
 /// `(scenario document, expected result document)`.
 const GOLDENS: &[(&str, &str)] = &[
@@ -247,6 +253,134 @@ fn width_boundary_runs_reproduce_their_fingerprints() {
     let expected: Vec<_> = BOUNDARY_FINGERPRINTS
         .iter()
         .map(|&(k, n, supports, u, t, e)| (k, n, supports.to_vec(), u, t, e))
+        .collect();
+    assert_eq!(observed, expected);
+}
+
+/// The scheduler label of every unsharded backend.
+const PAIRS: &str = "uniform ordered pairs (self-interactions allowed)";
+/// The scheduler label of the sharded backend.
+const SHARDED: &str = "uniform ordered pairs (sharded epochs, self-interactions allowed)";
+
+/// `(engine, k, seed, budget, interactions, T1–T5, winner, plurality won,
+/// scheduler)` for `run_with_phases(1.0, budget)` from `phase_start(k)`.
+type PhaseFingerprint = (
+    &'static str,
+    usize,
+    u64,
+    u64,
+    u64,
+    [Option<u64>; 5],
+    Option<usize>,
+    Option<bool>,
+    &'static str,
+);
+
+#[rustfmt::skip]
+const PHASE_FINGERPRINTS: &[PhaseFingerprint] = &[
+    ("exact", 2, 1, 100000000, 18345, [Some(1482), Some(1482), Some(2724), Some(5595), Some(18345)], Some(0), Some(true), PAIRS),
+    ("exact", 2, 2, 100000000, 16287, [Some(1708), Some(1708), Some(2846), Some(6028), Some(16287)], Some(0), Some(true), PAIRS),
+    ("exact", 2, 3, 4000, 4000, [Some(1700), Some(1700), Some(3721), None, None], None, None, PAIRS),
+    ("exact", 3, 1, 100000000, 20939, [Some(1949), Some(1949), Some(4911), Some(10820), Some(20939)], Some(0), Some(true), PAIRS),
+    ("exact", 3, 2, 100000000, 19135, [Some(2124), Some(2124), Some(3953), Some(9660), Some(19135)], Some(0), Some(true), PAIRS),
+    ("exact", 3, 3, 9000, 9000, [Some(2101), Some(2101), Some(6593), None, None], None, None, PAIRS),
+    ("exact", 8, 1, 100000000, 49787, [Some(5280), Some(5618), Some(13990), Some(31981), Some(49787)], Some(0), Some(true), PAIRS),
+    ("exact", 8, 2, 100000000, 61107, [Some(4702), Some(12548), Some(24852), Some(38893), Some(61107)], Some(0), Some(true), PAIRS),
+    ("exact", 8, 3, 40000, 40000, [Some(4630), Some(13590), Some(15996), Some(38466), None], None, None, PAIRS),
+    ("batched", 2, 1, 100000000, 12240, [Some(1862), Some(1862), Some(2652), Some(5692), Some(12240)], Some(0), Some(true), PAIRS),
+    ("batched", 2, 2, 100000000, 16737, [Some(1277), Some(1277), Some(2112), Some(5587), Some(16737)], Some(0), Some(true), PAIRS),
+    ("batched", 2, 3, 4000, 4000, [Some(1449), Some(1449), Some(2099), None, None], None, None, PAIRS),
+    ("batched", 3, 1, 100000000, 20284, [Some(2193), Some(2193), Some(6148), Some(10647), Some(20284)], Some(0), Some(true), PAIRS),
+    ("batched", 3, 2, 100000000, 24629, [Some(2224), Some(2224), Some(4289), Some(9996), Some(24629)], Some(0), Some(true), PAIRS),
+    ("batched", 3, 3, 9000, 9000, [Some(2294), Some(2294), Some(5335), None, None], None, None, PAIRS),
+    ("batched", 8, 1, 100000000, 56431, [Some(4386), Some(12455), Some(17276), Some(36303), Some(56431)], Some(0), Some(true), PAIRS),
+    ("batched", 8, 2, 100000000, 63748, [Some(3922), Some(11005), Some(32550), Some(44890), Some(63748)], Some(0), Some(true), PAIRS),
+    ("batched", 8, 3, 40000, 40000, [Some(4894), Some(10575), Some(11703), Some(33906), None], None, None, PAIRS),
+    ("sharded", 2, 1, 100000000, 15035, [Some(1581), Some(1581), Some(2418), Some(5301), Some(15035)], Some(0), Some(true), SHARDED),
+    ("sharded", 2, 2, 100000000, 13826, [Some(1612), Some(1612), Some(2108), Some(5301), Some(13826)], Some(0), Some(true), SHARDED),
+    ("sharded", 2, 3, 4000, 4000, [Some(2294), Some(2294), Some(3472), None, None], None, None, SHARDED),
+    ("sharded", 3, 1, 100000000, 22163, [Some(1924), Some(1924), Some(5587), Some(10619), Some(22163)], Some(0), Some(true), SHARDED),
+    ("sharded", 3, 2, 100000000, 24827, [Some(2072), Some(2072), Some(4995), Some(9694), Some(24827)], Some(0), Some(true), SHARDED),
+    ("sharded", 3, 3, 9000, 9000, [Some(2294), Some(2294), Some(6031), None, None], None, None, SHARDED),
+    ("sharded", 8, 1, 100000000, 68882, [Some(4712), Some(23684), Some(28768), Some(43896), Some(68882)], Some(0), Some(true), SHARDED),
+    ("sharded", 8, 2, 100000000, 62000, [Some(3906), Some(22878), Some(26784), Some(45446), Some(62000)], Some(0), Some(true), SHARDED),
+    ("sharded", 8, 3, 40000, 40000, [Some(5642), Some(9796), Some(23560), None, None], None, None, SHARDED),
+    ("hybrid", 2, 1, 100000000, 15893, [Some(1679), Some(1679), Some(2831), Some(6169), Some(15893)], Some(0), Some(true), PAIRS),
+    ("hybrid", 2, 2, 100000000, 13706, [Some(1559), Some(1559), Some(2358), Some(5376), Some(13706)], Some(0), Some(true), PAIRS),
+    ("hybrid", 2, 3, 4000, 4000, [Some(1670), Some(1670), Some(2706), None, None], None, None, PAIRS),
+    ("hybrid", 3, 1, 100000000, 24924, [Some(2267), Some(2267), Some(8125), Some(12503), Some(24924)], Some(0), Some(true), PAIRS),
+    ("hybrid", 3, 2, 100000000, 17111, [Some(2027), Some(2027), Some(3650), Some(9156), Some(17111)], Some(0), Some(true), PAIRS),
+    ("hybrid", 3, 3, 9000, 9000, [Some(2030), Some(2030), Some(5695), None, None], None, None, PAIRS),
+    ("hybrid", 8, 1, 100000000, 47394, [Some(4098), Some(5476), Some(6467), Some(27931), Some(47394)], Some(0), Some(true), PAIRS),
+    ("hybrid", 8, 2, 100000000, 51596, [Some(3688), Some(9053), Some(13896), Some(36063), Some(51596)], Some(0), Some(true), PAIRS),
+    ("hybrid", 8, 3, 40000, 40000, [Some(4956), Some(12702), Some(16622), Some(33629), None], None, None, PAIRS),
+    ("mean-field", 2, 1, 100000000, 15420, [Some(1610), Some(1610), Some(2800), Some(5980), Some(15420)], Some(0), Some(true), PAIRS),
+    ("mean-field", 2, 2, 100000000, 15420, [Some(1610), Some(1610), Some(2800), Some(5980), Some(15420)], Some(0), Some(true), PAIRS),
+    ("mean-field", 2, 3, 4000, 4000, [Some(1610), Some(1610), Some(2800), None, None], None, None, PAIRS),
+    ("mean-field", 3, 1, 100000000, 21972, [Some(2148), Some(2148), Some(5100), Some(10608), Some(21972)], Some(0), Some(true), PAIRS),
+    ("mean-field", 3, 2, 100000000, 21972, [Some(2148), Some(2148), Some(5100), Some(10608), Some(21972)], Some(0), Some(true), PAIRS),
+    ("mean-field", 3, 3, 9000, 9000, [Some(2148), Some(2148), Some(5100), None, None], None, None, PAIRS),
+    ("mean-field", 8, 1, 100000000, 54900, [Some(4580), Some(11420), Some(15380), Some(35140), Some(54900)], Some(0), Some(true), PAIRS),
+    ("mean-field", 8, 2, 100000000, 54900, [Some(4580), Some(11420), Some(15380), Some(35140), Some(54900)], Some(0), Some(true), PAIRS),
+    ("mean-field", 8, 3, 40000, 40000, [Some(4580), Some(11420), Some(15380), Some(35140), None], None, None, PAIRS),
+];
+
+/// A biased start whose phases each take a few hundred events or more.
+fn phase_start(k: usize) -> Configuration {
+    let supports = match k {
+        2 => vec![560, 440],
+        3 => vec![500, 400, 300],
+        _ => vec![400, 300, 250, 250, 200, 200, 200, 200],
+    };
+    Configuration::from_counts(supports, 0).expect("valid phase start")
+}
+
+/// The third seed of each cell stops on this budget, before consensus.
+fn short_budget(k: usize) -> u64 {
+    match k {
+        2 => 4_000,
+        3 => 9_000,
+        _ => 40_000,
+    }
+}
+
+#[test]
+fn phased_runs_reproduce_their_fingerprints() {
+    let mut observed = Vec::new();
+    for engine in [
+        EngineChoice::Exact,
+        EngineChoice::Batched,
+        EngineChoice::Sharded,
+        EngineChoice::Hybrid,
+        EngineChoice::MeanField,
+    ] {
+        for k in [2usize, 3, 8] {
+            for seed in 1..=3u64 {
+                let budget = if seed == 3 {
+                    short_budget(k)
+                } else {
+                    100_000_000
+                };
+                let mut sim =
+                    UsdSimulator::with_engine(phase_start(k), SimSeed::from_u64(seed), engine);
+                let phased = sim.run_with_phases(1.0, budget);
+                observed.push((
+                    engine.name(),
+                    k,
+                    seed,
+                    budget,
+                    phased.run.interactions(),
+                    Phase::ALL.map(|p| phased.phases.hitting_time(p)),
+                    phased.run.winner().map(|w| w.index()),
+                    phased.plurality_won,
+                    phased.run.scheduler().unwrap_or_default().to_string(),
+                ));
+            }
+        }
+    }
+    let expected: Vec<_> = PHASE_FINGERPRINTS
+        .iter()
+        .map(|&(e, k, s, b, t, times, w, p, sched)| (e, k, s, b, t, times, w, p, sched.to_string()))
         .collect();
     assert_eq!(observed, expected);
 }
