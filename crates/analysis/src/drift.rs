@@ -1,7 +1,7 @@
 //! Drift-theorem bound evaluators.
 //!
 //! The paper's Phase 1 and Phase 4 analyses use the multiplicative drift
-//! theorem of Lengler (Theorem 3 / Theorem 18 of [35]): if a non-negative
+//! theorem of Lengler (Theorem 3 / Theorem 18 of \[35\]): if a non-negative
 //! process `X_t` satisfies `E[X_t − X_{t+1} | X_t = s] ≥ δ·s`, then the
 //! hitting time of 0 is at most `(r + ln(s0/s_min))/δ` except with probability
 //! `e^{-r}`.  This module evaluates those bounds and provides a generic

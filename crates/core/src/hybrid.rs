@@ -405,6 +405,7 @@ impl StepEngine for HybridEngine {
         } {
             snap.absorb(&current);
         }
+        snap.refresh_maintenance_fractions();
         snap.add_counter("hybrid.switches", self.controller.switches());
         snap.set_gauge("hybrid.mean_field_fraction", self.mean_field_fraction());
         Some(snap)

@@ -17,10 +17,9 @@
 //!   approximate; plan it with [`UsdSimulator::with_engine_plan`]),
 //!   `MeanField` for instant ODE approximation, `Hybrid` for adaptive
 //!   mean-field ↔ batched switching under an online fluctuation detector
-//!   ([`hybrid::HybridEngine`]) — or per *phase* with
-//!   [`EnginePolicy`] ([`UsdSimulator::run_with_phases_policy`]): the
-//!   recommended policy steps Phase 1 exactly and batches the null-dominated
-//!   Phases 2–5.  For Monte Carlo estimates over many runs,
+//!   ([`hybrid::HybridEngine`]).  A run keeps its backend throughout;
+//!   `Hybrid` is the adaptive engine mix, changing fidelity mid-run where
+//!   the detector says it is safe.  For Monte Carlo estimates over many runs,
 //!   [`UsdEnsemble`] ([`UsdSimulator::ensemble`]) advances `R` batched
 //!   replicas over a pool of worker threads, each replica bit-identical to
 //!   a standalone same-seed run.
@@ -75,7 +74,7 @@ pub use ensemble::UsdEnsemble;
 pub use exact::TwoOpinionChain;
 pub use hybrid::HybridEngine;
 pub use mean_field::{MeanFieldEngine, MeanFieldState};
-pub use phases::{EnginePolicy, Phase, PhaseTimes, PhaseTracker};
+pub use phases::{Phase, PhaseTimes, PhaseTracker};
 pub use protocol::UndecidedStateDynamics;
 pub use simulator::{PhasedRunResult, UsdEngine, UsdSimulator};
 pub use trajectory::Trajectory;
@@ -89,7 +88,7 @@ pub mod prelude {
     pub use crate::exact::TwoOpinionChain;
     pub use crate::hybrid::HybridEngine;
     pub use crate::mean_field::{MeanFieldEngine, MeanFieldState};
-    pub use crate::phases::{EnginePolicy, Phase, PhaseTimes, PhaseTracker};
+    pub use crate::phases::{Phase, PhaseTimes, PhaseTracker};
     pub use crate::potential;
     pub use crate::protocol::UndecidedStateDynamics;
     pub use crate::simulator::{PhasedRunResult, UsdEngine, UsdSimulator};

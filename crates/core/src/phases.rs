@@ -12,7 +12,7 @@
 //! `T1..T5` of a run, defined cumulatively as in the paper
 //! (`T_i = inf{t ≥ T_{i−1} : condition_i}`).
 
-use pp_core::{Configuration, EngineChoice, Recorder};
+use pp_core::{Configuration, Recorder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -108,94 +108,6 @@ impl fmt::Display for Phase {
             Phase::Consensus => "phase 5 (absolute majority to consensus)",
         };
         f.write_str(name)
-    }
-}
-
-/// A per-phase choice of step-engine backend for phase-aware runs
-/// ([`crate::UsdSimulator::run_with_phases_policy`]).
-///
-/// The paper's phases have very different null-interaction profiles: Phase 1
-/// is short and productive-heavy (per-interaction stepping is cheapest),
-/// while Phases 2–5 spend most interactions on null pairs — the endgame of
-/// Phase 5 is a coupon-collector tail of `Θ(n log n)` interactions with only
-/// `Θ(n)` state changes — which is exactly where the batched engine's
-/// skip-ahead wins.  Since the exact and batched backends induce the same
-/// trajectory distribution, switching between them mid-run is statistically
-/// free; only [`EngineChoice::MeanField`] changes the semantics (it swaps in
-/// the deterministic fluid limit for the selected phases).
-///
-/// # Examples
-///
-/// ```
-/// use usd_core::phases::{EnginePolicy, Phase};
-/// use pp_core::EngineChoice;
-///
-/// let policy = EnginePolicy::recommended();
-/// assert_eq!(policy.choice_for(Phase::RiseOfUndecided), EngineChoice::Exact);
-/// assert_eq!(policy.choice_for(Phase::Consensus), EngineChoice::Batched);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EnginePolicy {
-    per_phase: [EngineChoice; 5],
-}
-
-impl EnginePolicy {
-    /// The same backend for every phase.
-    #[must_use]
-    pub fn uniform(choice: EngineChoice) -> Self {
-        EnginePolicy {
-            per_phase: [choice; 5],
-        }
-    }
-
-    /// Per-interaction stepping throughout (the ground-truth policy).
-    #[must_use]
-    pub fn exact() -> Self {
-        Self::uniform(EngineChoice::Exact)
-    }
-
-    /// Skip-ahead stepping throughout.
-    #[must_use]
-    pub fn batched() -> Self {
-        Self::uniform(EngineChoice::Batched)
-    }
-
-    /// The profile-matched default: exact stepping for the short,
-    /// productive-heavy Phase 1, batched skip-ahead for the null-dominated
-    /// Phases 2–5.
-    #[must_use]
-    pub fn recommended() -> Self {
-        Self::batched().with_phase(Phase::RiseOfUndecided, EngineChoice::Exact)
-    }
-
-    /// Overrides the backend for one phase.
-    #[must_use]
-    pub fn with_phase(mut self, phase: Phase, choice: EngineChoice) -> Self {
-        self.per_phase[phase.number() - 1] = choice;
-        self
-    }
-
-    /// The backend selected for `phase`.
-    #[must_use]
-    pub fn choice_for(&self, phase: Phase) -> EngineChoice {
-        self.per_phase[phase.number() - 1]
-    }
-
-    /// A compact description for reports, e.g. `exact,batched,batched,batched,batched`.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        self.per_phase
-            .iter()
-            .map(|c| c.name())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-impl Default for EnginePolicy {
-    /// The default policy is the ground-truth exact backend everywhere.
-    fn default() -> Self {
-        Self::exact()
     }
 }
 
@@ -432,21 +344,6 @@ mod tests {
     #[test]
     fn display_contains_phase_number_text() {
         assert!(Phase::AdditiveBias.to_string().contains("phase 2"));
-    }
-
-    #[test]
-    fn engine_policy_overrides_and_describes() {
-        let policy = EnginePolicy::exact().with_phase(Phase::Consensus, EngineChoice::Batched);
-        assert_eq!(
-            policy.choice_for(Phase::RiseOfUndecided),
-            EngineChoice::Exact
-        );
-        assert_eq!(policy.choice_for(Phase::Consensus), EngineChoice::Batched);
-        assert_eq!(policy.describe(), "exact,exact,exact,exact,batched");
-        assert_eq!(EnginePolicy::default(), EnginePolicy::exact());
-        for p in Phase::ALL {
-            assert_eq!(EnginePolicy::batched().choice_for(p), EngineChoice::Batched);
-        }
     }
 
     #[test]

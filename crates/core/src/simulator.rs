@@ -5,22 +5,25 @@
 //! [`pp_core::BatchedEngine`], [`pp_core::ShardedEngine`],
 //! [`crate::mean_field::MeanFieldEngine`],
 //! [`crate::hybrid::HybridEngine`]) and adds USD-specific helpers:
-//! phase-aware runs (with a per-phase engine policy), winner queries, and
-//! parallel-time accounting.
+//! phase-aware runs, periodic checkpoints, pausable runs and winner
+//! queries.  Every run goes through one drive: the engine's
+//! [`StepEngine::run_engine_pausable`] with the checkpoint sink serviced
+//! between its pauses.
 
 use crate::hybrid::HybridEngine;
 use crate::mean_field::MeanFieldEngine;
-use crate::phases::{EnginePolicy, Phase, PhaseTimes, PhaseTracker};
+use crate::phases::{Phase, PhaseTimes, PhaseTracker};
 use crate::protocol::UndecidedStateDynamics;
 use pp_core::checkpoint::{Checkpoint, CheckpointJournal, EngineState};
-use pp_core::engine::{Advance, Leg, StepEngine};
+use pp_core::engine::{Advance, Leg, Pause, StepEngine};
 use pp_core::run::MaintenanceStats;
 use pp_core::{
     BatchedEngine, Configuration, CountSimulator, EngineChoice, FidelityConfig, MetricsSnapshot,
-    Opinion, PpError, Recorder, RunOutcome, RunResult, ShardPlan, ShardedEngine, SimSeed,
-    StopCondition, Telemetry,
+    Opinion, PpError, Recorder, RunResult, ShardPlan, ShardedEngine, SimSeed, StopCondition,
+    Telemetry,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::path::PathBuf;
 
 /// The result of a phase-aware USD run: the ordinary [`RunResult`] plus the
@@ -35,8 +38,6 @@ pub struct PhasedRunResult {
     pub initial_plurality: Opinion,
     /// Whether the final winner (if any) equals the initial plurality opinion.
     pub plurality_won: Option<bool>,
-    /// The engine policy that drove the run (`EnginePolicy::describe` form).
-    pub engine: String,
 }
 
 /// A runtime-selected step engine specialized to the USD.
@@ -203,29 +204,6 @@ impl StepEngine for UsdEngine {
     }
 }
 
-/// When a drive hands control back to its caller between legs.
-enum Pause<'a> {
-    /// Never: the drive runs to its stop condition.
-    Never,
-    /// At the first leg boundary with at least this many interactions.
-    At(u64),
-    /// When the hook, asked after every event, says so.
-    Hook(&'a mut dyn FnMut(u64) -> bool),
-}
-
-/// Feeds a recorder the simulator's interaction count — the engine's own
-/// plus those of engines retired through policy switches.
-struct Offset<'a, R> {
-    recorder: &'a mut R,
-    by: u64,
-}
-
-impl<R: Recorder> Recorder for Offset<'_, R> {
-    fn record(&mut self, interactions: u64, config: &Configuration) {
-        self.recorder.record(interactions + self.by, config);
-    }
-}
-
 /// A simulator specialized to the k-opinion USD, backed by a selectable
 /// [`StepEngine`].
 ///
@@ -249,18 +227,6 @@ pub struct UsdSimulator {
     engine: UsdEngine,
     initial: Configuration,
     seed: SimSeed,
-    /// Shard plan applied whenever the sharded backend is (re)constructed.
-    plan: ShardPlan,
-    /// Fidelity thresholds applied whenever the hybrid backend is
-    /// (re)constructed.
-    fidelity: FidelityConfig,
-    /// Interactions accumulated by engines retired through policy switches.
-    consumed: u64,
-    rebuilds: u64,
-    /// Metrics carried over from engines retired through policy switches,
-    /// so a phased run's snapshot covers the whole run, not just the engine
-    /// that happened to finish it.
-    retired: MetricsSnapshot,
     tel: Telemetry,
     /// Periodic checkpoint sink (see [`UsdSimulator::set_checkpoint_sink`]).
     sink: Option<CheckpointSink>,
@@ -273,6 +239,23 @@ struct CheckpointSink {
     every: u64,
     /// Interaction count at the last capture (cadence anchor).
     last_capture: u64,
+}
+
+/// The recorder of a phase-aware run: feeds every event to its
+/// [`PhaseTracker`] and flags the event that completes a phase.
+struct PhaseWatch<'a> {
+    tracker: &'a mut PhaseTracker,
+    completed: &'a Cell<bool>,
+}
+
+impl Recorder for PhaseWatch<'_> {
+    fn record(&mut self, interactions: u64, config: &Configuration) {
+        let phase = self.tracker.current_phase();
+        self.tracker.record(interactions, config);
+        if self.tracker.current_phase() != phase {
+            self.completed.set(true);
+        }
+    }
 }
 
 impl UsdSimulator {
@@ -291,9 +274,8 @@ impl UsdSimulator {
     }
 
     /// Creates a USD simulator with the selected backend and an explicit
-    /// shard plan (shard count, epoch length, worker threads) that applies
-    /// whenever the sharded backend runs — including per-phase engine
-    /// policies that schedule it mid-run.
+    /// shard plan (shard count, epoch length, worker threads) for the
+    /// sharded backend.
     #[must_use]
     pub fn with_engine_plan(
         config: Configuration,
@@ -305,9 +287,8 @@ impl UsdSimulator {
     }
 
     /// Creates a USD simulator with the selected backend, an explicit shard
-    /// plan, and explicit fidelity thresholds that apply whenever the
-    /// hybrid backend runs (see [`crate::hybrid::HybridEngine`]; the other
-    /// backends ignore them).
+    /// plan, and explicit fidelity thresholds for the hybrid backend (see
+    /// [`crate::hybrid::HybridEngine`]; the other backends ignore them).
     ///
     /// # Panics
     ///
@@ -325,68 +306,36 @@ impl UsdSimulator {
             engine: UsdEngine::new(config.clone(), seed, choice, &plan, &fidelity),
             initial: config,
             seed,
-            plan,
-            fidelity,
-            consumed: 0,
-            rebuilds: 0,
-            retired: MetricsSnapshot::new(),
             tel: Telemetry::disabled(),
             sink: None,
         }
     }
 
     /// Attaches a telemetry handle: phase-aware runs open a
-    /// `usd.phase.<number>` span per paper phase, the sharded backend (when
-    /// scheduled) emits its epoch/worker spans on the same handle, and run
-    /// results carry the engine's metrics snapshot.  Telemetry never
-    /// consumes randomness, so attaching a handle cannot change a
-    /// trajectory (see [`pp_core::telemetry`]).
+    /// `usd.phase.<number>` span per paper phase, the sharded backend emits
+    /// its epoch/worker spans on the same handle, and run results carry the
+    /// engine's metrics snapshot.  Telemetry never consumes randomness, so
+    /// attaching a handle cannot change a trajectory (see
+    /// [`pp_core::telemetry`]).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
         self.engine.set_telemetry(&self.tel);
     }
 
-    /// The unified metrics snapshot for the run so far: the current
-    /// engine's [`StepEngine::telemetry`] counters plus everything absorbed
-    /// from engines retired by per-phase policy switches (`None` when no
-    /// engine reported anything — e.g. a pure exact or mean-field run).
+    /// The unified metrics snapshot for the run so far: the engine's
+    /// [`StepEngine::telemetry`] counters (`None` when the engine reports
+    /// nothing — e.g. an exact or mean-field run).
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<MetricsSnapshot> {
-        let mut snap = self.retired.clone();
-        if let Some(current) = self.engine.telemetry() {
-            snap.absorb(&current);
-        }
-        // Fraction gauges absorb last-write-wins; recompute them from the
-        // aggregated counters so a mixed run reports whole-run fractions.
-        let stats = MaintenanceStats {
-            rows_patched: snap.counter("maintenance.rows_patched").unwrap_or(0),
-            rows_rebuilt: snap.counter("maintenance.rows_rebuilt").unwrap_or(0),
-            law_patches: snap.counter("maintenance.law_patches").unwrap_or(0),
-            law_rebuilds: snap.counter("maintenance.law_rebuilds").unwrap_or(0),
-            law_fallback_rebuilds: snap
-                .counter("maintenance.law_fallback_rebuilds")
-                .unwrap_or(0),
-        };
-        if let Some(f) = stats.rows_patched_fraction() {
-            snap.set_gauge("maintenance.rows_patched_fraction", f);
-        }
-        if let Some(f) = stats.law_patched_fraction() {
-            snap.set_gauge("maintenance.law_patched_fraction", f);
-        }
-        (!snap.is_empty()).then_some(snap)
+        self.engine.telemetry()
     }
 
     /// Captures the simulator's complete resumable state as a
-    /// [`Checkpoint`]: the current backend's engine snapshot plus simulator
-    /// metadata (master seed, interactions consumed by retired engines,
-    /// engine-switch count, and the initial configuration) stamped into the
-    /// checkpoint's `meta` section.  Call between `advance` boundaries only
-    /// — the drive loop and the phase-boundary hook do; see
+    /// [`Checkpoint`]: the backend's engine snapshot plus simulator
+    /// metadata (master seed and the initial configuration) stamped into
+    /// the checkpoint's `meta` section.  Call between `advance` boundaries
+    /// only — the drive loop and the phase-boundary hook do; see
     /// [`pp_core::checkpoint`] for the bit-exactness rules.
-    ///
-    /// Metrics retired by earlier engine switches are *not* captured (they
-    /// are reporting state; a restored run's snapshot covers the restored
-    /// leg only).
     ///
     /// # Errors
     ///
@@ -405,8 +354,6 @@ impl UsdSimulator {
         };
         let mut checkpoint = checkpoint
             .with_meta("sim.seed", self.seed.value())
-            .with_meta("sim.consumed", self.consumed)
-            .with_meta("sim.rebuilds", self.rebuilds)
             .with_meta("sim.initial.undecided", self.initial.undecided());
         for (i, &support) in self.initial.supports().iter().enumerate() {
             checkpoint = checkpoint.with_meta(&format!("sim.initial.support.{i}"), support);
@@ -417,21 +364,20 @@ impl UsdSimulator {
     /// Restores a simulator from a checkpoint captured by
     /// [`UsdSimulator::capture`].  Resuming toward the **same stop
     /// condition** the interrupted run used produces a bit-identical
-    /// trajectory tail (see [`pp_core::checkpoint`]); `plan` applies if a
-    /// per-phase policy later schedules the sharded backend (the restored
-    /// sharded engine itself carries its own plan inside the checkpoint).
+    /// trajectory tail (see [`pp_core::checkpoint`]).  `_plan` is ignored: a
+    /// restored sharded engine carries its own plan inside the checkpoint.
     ///
-    /// Telemetry starts detached and retired-engine metrics start empty —
-    /// both are reporting state; reattach a handle with
-    /// [`UsdSimulator::set_telemetry`].
+    /// Telemetry starts detached — it is reporting state; reattach a handle
+    /// with [`UsdSimulator::set_telemetry`].
     ///
     /// # Errors
     ///
     /// Returns [`PpError::Checkpoint`] when the checkpoint was captured
     /// from a bare engine (no simulator metadata), holds an ensemble state
-    /// (restore those through [`crate::UsdEnsemble`]), or fails the
-    /// engine-level restore validation.
-    pub fn restore(checkpoint: &Checkpoint, plan: ShardPlan) -> Result<Self, PpError> {
+    /// (restore those through [`crate::UsdEnsemble`]), was captured after a
+    /// mid-run engine switch (non-zero `sim.consumed`, which older builds
+    /// wrote), or fails the engine-level restore validation.
+    pub fn restore(checkpoint: &Checkpoint, _plan: ShardPlan) -> Result<Self, PpError> {
         let seed = checkpoint
             .meta("sim.seed")
             .ok_or_else(|| PpError::Checkpoint {
@@ -439,6 +385,14 @@ impl UsdSimulator {
                      it was captured from a bare engine, not a UsdSimulator"
                     .to_string(),
             })?;
+        if let Some(consumed @ 1..) = checkpoint.meta("sim.consumed") {
+            return Err(PpError::Checkpoint {
+                reason: format!(
+                    "checkpoint was captured after a mid-run engine switch \
+                     (sim.consumed = {consumed}), which this build cannot resume"
+                ),
+            });
+        }
         let seed = SimSeed::from_u64(seed);
         // A hybrid capture carries the *active backend's* engine state
         // (batched or mean-field) plus `hybrid.*` metadata — dispatch on the
@@ -501,21 +455,10 @@ impl UsdSimulator {
             }
             None => StepEngine::configuration(&engine).clone(),
         };
-        // A restored hybrid engine carries its thresholds in the metadata;
-        // keep applying them if a later policy switch rebuilds it.
-        let fidelity = match &engine {
-            UsdEngine::Hybrid(e) => *e.fidelity_config(),
-            _ => FidelityConfig::default(),
-        };
         Ok(UsdSimulator {
             engine,
             initial,
             seed,
-            plan,
-            fidelity,
-            consumed: checkpoint.meta("sim.consumed").unwrap_or(0),
-            rebuilds: checkpoint.meta("sim.rebuilds").unwrap_or(0),
-            retired: MetricsSnapshot::new(),
             tel: Telemetry::disabled(),
             sink: None,
         })
@@ -546,16 +489,29 @@ impl UsdSimulator {
         });
     }
 
-    /// Writes a checkpoint to the sink if one is configured, the backend is
-    /// checkpointable, and (when `respect_cadence`) the cadence has
-    /// elapsed.  Called between legs only.
-    fn sink_checkpoint(&mut self, respect_cadence: bool) {
+    /// The interaction count at which the sink's next periodic capture is
+    /// due (`u64::MAX` without a sink).
+    fn sink_due(&self) -> u64 {
+        self.sink.as_ref().map_or(u64::MAX, |sink| {
+            sink.last_capture.saturating_add(sink.every)
+        })
+    }
+
+    /// Writes a checkpoint to the sink if one is configured and the capture
+    /// is due: at the cadence, or off it (`boundary`) unless the sink
+    /// captured this very state already.  Called between legs only.
+    fn sink_checkpoint(&mut self, boundary: bool) {
         let Some(sink) = &self.sink else { return };
-        if respect_cadence && self.interactions().saturating_sub(sink.last_capture) < sink.every {
-            return;
+        let at = self.interactions();
+        let due = if boundary {
+            sink.last_capture != at
+        } else {
+            at.saturating_sub(sink.last_capture) >= sink.every
+        };
+        if due {
+            self.checkpoint_now()
+                .unwrap_or_else(|e| panic!("periodic checkpoint failed: {e}"));
         }
-        self.checkpoint_now()
-            .unwrap_or_else(|e| panic!("periodic checkpoint failed: {e}"));
     }
 
     /// Appends a capture to the checkpoint sink now, off its cadence — the
@@ -602,12 +558,6 @@ impl UsdSimulator {
         crate::UsdEnsemble::try_new(config, master, choice)
     }
 
-    /// The shard plan applied to the sharded backend.
-    #[must_use]
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
     /// The initial configuration of the run.
     #[must_use]
     pub fn initial_configuration(&self) -> &Configuration {
@@ -620,16 +570,16 @@ impl UsdSimulator {
         StepEngine::configuration(&self.engine)
     }
 
-    /// The backend currently driving the simulation.
+    /// The backend driving the simulation.
     #[must_use]
     pub fn engine_choice(&self) -> EngineChoice {
         self.engine.choice()
     }
 
-    /// Number of interactions performed so far (across engine switches).
+    /// Number of interactions performed so far.
     #[must_use]
     pub fn interactions(&self) -> u64 {
-        self.consumed + StepEngine::interactions(&self.engine)
+        StepEngine::interactions(&self.engine)
     }
 
     /// Performs one interaction; returns `true` if it was productive.
@@ -642,117 +592,63 @@ impl UsdSimulator {
         self.engine.advance(local + 1) == Advance::Event
     }
 
-    /// Replaces the engine with the given backend, restarting it from the
-    /// current configuration (interaction accounting is preserved).
-    fn switch_engine(&mut self, choice: EngineChoice) {
-        if self.engine.choice() == choice {
-            return;
-        }
-        self.consumed += StepEngine::interactions(&self.engine);
-        self.rebuilds += 1;
-        if let Some(snap) = self.engine.telemetry() {
-            self.retired.absorb(&snap);
-        }
-        let config = self.configuration().clone();
-        // Derive a fresh child seed per switch so engine streams never
-        // overlap (the mean-field backend ignores it).
-        let seed = self.seed.child(0x5EED_u64 + self.rebuilds);
-        self.engine = UsdEngine::new(config, seed, choice, &self.plan, &self.fidelity);
-        self.engine.set_telemetry(&self.tel);
-    }
-
-    /// The driver shared by all run methods: like
-    /// [`StepEngine::run_engine_recorded`], but budget accounting spans
-    /// engine switches.
-    fn drive<R: Recorder>(&mut self, stop: StopCondition, recorder: &mut R) -> RunResult {
-        self.drive_pausable(stop, recorder, Pause::Never)
-            .expect("a never-pausing drive always finishes")
-    }
-
-    /// [`UsdSimulator::drive`] with a cooperative pause rule, checked
-    /// between legs only — the same boundary where periodic checkpoints are
-    /// exact.  Each leg stops at the sink's next due count and at a
-    /// [`Pause::At`] threshold; a [`Pause::Hook`] runs one-event legs, so
-    /// the hook sees every event.  Returns `None` when the rule asked to
-    /// pause; the simulator state is then a valid capture point and a later
-    /// call toward the **same** stop condition continues the identical
-    /// trajectory (pausing consumes no RNG and never shrinks an `advance`
-    /// limit, so the drawn event sequence is unchanged).
-    fn drive_pausable<R: Recorder>(
+    /// The driver shared by all run methods: the engine's
+    /// [`StepEngine::run_engine_pausable`], with the checkpoint sink
+    /// serviced between its pauses.  Each leg also stops at the sink's next
+    /// due count, where the capture is taken before the caller's `pause`
+    /// rule is asked.  Returns `None` when that rule asked to pause; the
+    /// simulator state is then a valid capture point and a later call
+    /// toward the **same** stop condition continues the identical
+    /// trajectory.
+    fn drive<R: Recorder>(
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
-        mut pause: Pause<'_>,
+        pause: Pause<'_>,
     ) -> Option<RunResult> {
-        assert!(
-            stop.is_bounded(),
-            "stop condition can never terminate the run"
-        );
         // One coordinator span covering the whole drive, so even backends
         // that only report counters (exact, batched) produce a loadable
         // chrome trace.  Spans consume no RNG — the trajectory is
         // unaffected (pinned by tests/telemetry_equivalence.rs).
         let _run_span = self.tel.span("usd.run");
-        let (pause_at, max_events) = match pause {
-            Pause::Never => (u64::MAX, u64::MAX),
-            Pause::At(at) => (at, u64::MAX),
-            Pause::Hook(_) => (u64::MAX, 1),
+        let (pause_at, mut hook) = match pause {
+            Pause::Never => (u64::MAX, None),
+            Pause::At(at) => (at, None),
+            Pause::Hook(hook) => (u64::MAX, Some(hook)),
         };
         loop {
-            if stop.goal_met(self.configuration()) {
-                let outcome = if self.configuration().is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
-                return Some(
-                    RunResult::new(outcome, self.interactions(), self.configuration().clone())
-                        .with_scheduler(self.engine.scheduler_name())
-                        .with_rejection_misses(self.engine.rejection_misses())
-                        .with_maintenance(self.engine.maintenance())
-                        .with_telemetry(self.telemetry_snapshot()),
-                );
-            }
-            let limit = match stop.max_interactions() {
-                Some(budget) if self.interactions() >= budget => {
-                    return Some(
-                        RunResult::new(
-                            RunOutcome::BudgetExhausted,
-                            self.interactions(),
-                            self.configuration().clone(),
-                        )
-                        .with_scheduler(self.engine.scheduler_name())
-                        .with_rejection_misses(self.engine.rejection_misses())
-                        .with_maintenance(self.engine.maintenance())
-                        .with_telemetry(self.telemetry_snapshot()),
-                    );
+            let due = self.sink_due();
+            // Whether the caller's hook, asked inside the engine's loop,
+            // is what paused it.
+            let mut hooked = false;
+            let finished = match &mut hook {
+                None => {
+                    let at = pause_at.min(due);
+                    let pause = if at == u64::MAX {
+                        Pause::Never
+                    } else {
+                        Pause::At(at)
+                    };
+                    self.engine.run_engine_pausable(stop, recorder, pause)
                 }
-                Some(budget) => budget - self.consumed,
-                None => u64::MAX,
+                Some(hook) => {
+                    let mut until_due = |i: u64| {
+                        hooked = i < due && hook(i);
+                        hooked || i >= due
+                    };
+                    self.engine
+                        .run_engine_pausable(stop, recorder, Pause::Hook(&mut until_due))
+                }
             };
-            let sink_due = self.sink.as_ref().map_or(u64::MAX, |sink| {
-                sink.last_capture.saturating_add(sink.every)
-            });
-            let until = pause_at.min(sink_due).saturating_sub(self.consumed);
-            let mut recorder = Offset {
-                recorder: &mut *recorder,
-                by: self.consumed,
-            };
-            let leg = self.engine.leg(limit, until, max_events, &mut recorder);
-            if leg.end == Advance::Absorbed {
-                assert!(
-                    stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
-                    "absorbing configuration {} can never meet the stop condition",
-                    self.configuration()
-                );
+            if finished.is_some() {
+                return finished;
             }
             // Between legs — the only place a capture is exact.
-            self.sink_checkpoint(true);
+            self.sink_checkpoint(false);
             let at = self.interactions();
-            let paused = match &mut pause {
-                Pause::Never => false,
-                Pause::At(threshold) => at >= *threshold,
-                Pause::Hook(hook) => hook(at),
+            let paused = match &mut hook {
+                None => at >= pause_at,
+                Some(hook) => hooked || hook(at),
             };
             if paused {
                 return None;
@@ -788,7 +684,8 @@ impl UsdSimulator {
         recorder: &mut R,
     ) -> RunResult {
         recorder.record(self.interactions(), self.configuration());
-        self.drive(stop, recorder)
+        self.drive(stop, recorder, Pause::Never)
+            .expect("a never-pausing drive always finishes")
     }
 
     /// Runs like [`UsdSimulator::run_recorded`], but checks the cooperative
@@ -818,7 +715,7 @@ impl UsdSimulator {
         recorder: &mut R,
         pause: &mut dyn FnMut(u64) -> bool,
     ) -> Option<RunResult> {
-        self.drive_pausable(stop, recorder, Pause::Hook(pause))
+        self.drive(stop, recorder, Pause::Hook(pause))
     }
 
     /// Runs like [`UsdSimulator::run_interruptible`] with the hook
@@ -834,104 +731,67 @@ impl UsdSimulator {
         recorder: &mut R,
         pause_at: u64,
     ) -> Option<RunResult> {
-        self.drive_pausable(stop, recorder, Pause::At(pause_at))
+        self.drive(stop, recorder, Pause::At(pause_at))
     }
 
     /// Runs to consensus while tracking the paper's five phase hitting times
-    /// with significance multiplier `alpha`, using the simulator's current
-    /// backend for every phase.
-    pub fn run_with_phases(&mut self, alpha: f64, max_interactions: u64) -> PhasedRunResult {
-        let policy = EnginePolicy::uniform(self.engine.choice());
-        self.run_with_phases_policy(alpha, max_interactions, &policy)
-    }
-
-    /// Runs to consensus while tracking phase hitting times, picking the
-    /// step-engine backend *per phase* according to `policy`.
+    /// with significance multiplier `alpha`.
     ///
-    /// Exact and batched backends induce the same trajectory distribution,
-    /// so mixing them changes only the run's cost; scheduling the mean-field
-    /// backend for a phase swaps in the deterministic fluid limit for that
-    /// stretch of the run (an approximation — see
-    /// [`crate::mean_field::MeanFieldEngine`]).
-    pub fn run_with_phases_policy(
-        &mut self,
-        alpha: f64,
-        max_interactions: u64,
-        policy: &EnginePolicy,
-    ) -> PhasedRunResult {
+    /// This is [`UsdSimulator::run_recorded`]'s drive with a
+    /// [`PhaseTracker`] as the recorder, pausing after each event that
+    /// completes a phase (one-event legs, as for a
+    /// [`run_interruptible`](UsdSimulator::run_interruptible) hook).  There
+    /// it rotates the `usd.phase.<number>` telemetry span and, when a
+    /// checkpoint sink is set, captures the phase boundary; the sink's
+    /// periodic captures happen as in every other run.  The run ends when
+    /// the tracker holds all five hitting times (Phase 5 ends at consensus)
+    /// or at `max_interactions`; an `alpha` under which Phase 2 cannot end
+    /// at consensus runs to the budget.
+    pub fn run_with_phases(&mut self, alpha: f64, max_interactions: u64) -> PhasedRunResult {
         let initial_plurality = self.initial.max_opinion();
         let mut tracker = PhaseTracker::new(alpha);
         tracker.record(self.interactions(), self.configuration());
-        // Scheduler names actually realized, in order of first use — a
-        // mixed policy (e.g. sharded for one phase only) must not label the
-        // whole run with whichever engine happened to finish it.
-        let mut schedulers: Vec<&'static str> = Vec::new();
-        // One `usd.phase.<number>` span per paper phase, rotated at phase
-        // boundaries (the previous span must close before the next opens so
-        // the coordinator track stays properly nested).
-        let mut span_phase: Option<Phase> = None;
-        let mut phase_span: Option<pp_core::telemetry::Span> = None;
+        // Phase 5 ends at consensus, and Phases 1, 3 and 4 hold there too;
+        // Phase 2 does unless `alpha` puts its threshold out of reach.
+        let mut supports = vec![0; self.initial.num_opinions()];
+        supports[0] = self.initial.population();
+        let consensus = Configuration::from_counts(supports, 0)
+            .expect("a consensus of the initial population is a configuration");
+        let stop = if Phase::AdditiveBias.end_condition_met(&consensus, alpha) {
+            StopCondition::consensus().or_max_interactions(max_interactions)
+        } else {
+            StopCondition::after_interactions(max_interactions)
+        };
+        let phase_span = |tracker: &PhaseTracker, tel: &Telemetry| {
+            let phase = tracker.current_phase()?;
+            Some(tel.span(&format!("usd.phase.{}", phase.number())))
+        };
+        let completed = Cell::new(false);
+        let mut span = phase_span(&tracker, &self.tel);
         let run = loop {
-            let Some(phase) = tracker.current_phase() else {
-                // All five phases registered; Phase 5's end condition is
-                // consensus, so the goal is reached.
-                break RunResult::new(
-                    RunOutcome::Consensus,
-                    self.interactions(),
-                    self.configuration().clone(),
-                );
+            let mut watch = PhaseWatch {
+                tracker: &mut tracker,
+                completed: &completed,
             };
-            if span_phase != Some(phase) {
-                // Close the outgoing phase's span before opening the next one
-                // — two live spans on the coordinator track would overlap.
-                drop(phase_span.take());
-                phase_span = Some(self.tel.span(&format!("usd.phase.{}", phase.number())));
-                // Phase boundaries sit between `advance` calls, so they are
-                // valid capture points: write a checkpoint regardless of the
-                // periodic cadence when a sink is configured (skipped for
-                // the very first phase — nothing has run yet).
-                if span_phase.is_some() {
-                    self.sink_checkpoint(false);
-                }
-                span_phase = Some(phase);
+            if let Some(run) = self.drive(stop, &mut watch, Pause::Hook(&mut |_| completed.get())) {
+                break run;
             }
-            self.switch_engine(policy.choice_for(phase));
-            let scheduler = self.engine.scheduler_name();
-            if !schedulers.contains(&scheduler) {
-                schedulers.push(scheduler);
-            }
-            if self.interactions() >= max_interactions {
-                break RunResult::new(
-                    RunOutcome::BudgetExhausted,
-                    self.interactions(),
-                    self.configuration().clone(),
-                );
-            }
-            match self.engine.advance(max_interactions - self.consumed) {
-                Advance::Event => tracker.record(self.interactions(), self.configuration()),
-                Advance::LimitReached => {}
-                Advance::Absorbed => {
-                    // Frozen non-consensus state: the budget check above
-                    // terminates on the next iteration.
-                }
+            completed.set(false);
+            // The outgoing phase's span closes before the next one opens,
+            // so the coordinator track stays properly nested.
+            drop(span.take());
+            span = phase_span(&tracker, &self.tel);
+            if span.is_some() {
+                self.sink_checkpoint(true);
             }
         };
-        drop(phase_span);
-        if schedulers.is_empty() {
-            schedulers.push(self.engine.scheduler_name());
-        }
-        let run = run
-            .with_scheduler(schedulers.join(" + "))
-            .with_rejection_misses(self.engine.rejection_misses())
-            .with_maintenance(self.engine.maintenance())
-            .with_telemetry(self.telemetry_snapshot());
+        drop(span);
         let plurality_won = run.winner().map(|w| w == initial_plurality);
         PhasedRunResult {
             run,
             phases: tracker.times(),
             initial_plurality,
             plurality_won,
-            engine: policy.describe(),
         }
     }
 }
@@ -949,7 +809,10 @@ mod tests {
         assert!(result.run.reached_consensus());
         assert_eq!(result.plurality_won, Some(true));
         assert!(result.phases.completed());
-        assert_eq!(result.engine, "exact,exact,exact,exact,exact");
+        assert_eq!(
+            result.run.scheduler(),
+            Some(pp_core::engine::UNIFORM_PAIR_SCHEDULER_NAME)
+        );
         // Phase hitting times are monotone.
         let mut last = 0;
         for p in Phase::ALL {
@@ -1026,94 +889,55 @@ mod tests {
     }
 
     #[test]
-    fn phase_policy_switches_engines_and_still_converges() {
-        let config = Configuration::from_counts(vec![2_000, 500, 500], 0).unwrap();
-        let policy = EnginePolicy::recommended();
-        let mut sim = UsdSimulator::new(config, SimSeed::from_u64(21));
-        let result = sim.run_with_phases_policy(1.0, 100_000_000, &policy);
-        assert!(result.run.reached_consensus());
-        assert!(result.phases.completed());
-        assert_eq!(result.engine, "exact,batched,batched,batched,batched");
-        assert_eq!(result.run.interactions(), sim.interactions());
-        // After Phase 1 the simulator must have switched to the batched
-        // backend at least once.
-        assert_eq!(sim.engine_choice(), EngineChoice::Batched);
-        let mut last = 0;
-        for p in Phase::ALL {
-            let t = result.phases.hitting_time(p).unwrap();
-            assert!(t >= last);
-            last = t;
-        }
-    }
-
-    #[test]
-    fn mixed_policy_run_labels_every_scheduler_it_used() {
-        // Batched for Phase 1, sharded afterwards: the scheduler label must
-        // name both realized schedulers, in order of first use.
-        let config = Configuration::from_counts(vec![2_000, 500, 500], 0).unwrap();
-        let policy = EnginePolicy::uniform(EngineChoice::Sharded)
-            .with_phase(Phase::RiseOfUndecided, EngineChoice::Batched);
-        let mut sim = UsdSimulator::new(config, SimSeed::from_u64(31));
-        let result = sim.run_with_phases_policy(1.0, 100_000_000, &policy);
-        assert!(result.run.reached_consensus());
-        let scheduler = result.run.scheduler().unwrap();
-        assert_eq!(
-            scheduler,
-            format!(
-                "{} + {}",
-                pp_core::engine::UNIFORM_PAIR_SCHEDULER_NAME,
-                pp_core::shard::SHARDED_EPOCH_SCHEDULER_NAME
-            ),
-            "mixed policies must label every scheduler used"
-        );
-    }
-
-    #[test]
     fn telemetry_spans_cover_every_phase_without_changing_the_run() {
         let config = Configuration::from_counts(vec![2_000, 500, 500], 0).unwrap();
-        let policy = EnginePolicy::recommended();
-        let mut silent = UsdSimulator::new(config.clone(), SimSeed::from_u64(21));
-        let expected = silent.run_with_phases_policy(1.0, 100_000_000, &policy);
-        let tel = Telemetry::enabled();
-        let mut sim = UsdSimulator::new(config, SimSeed::from_u64(21));
-        sim.set_telemetry(tel.clone());
-        let traced = sim.run_with_phases_policy(1.0, 100_000_000, &policy);
-        // Attaching telemetry must not perturb the trajectory or the
-        // measured hitting times.
-        assert_eq!(traced.run, expected.run);
-        assert_eq!(traced.phases, expected.phases);
-        let spans = tel.spans();
-        // A phase the run never spent an event in (its end condition
-        // registered together with the previous phase's) opens no span;
-        // every phase with a positive duration must have one.
-        assert!(spans.iter().any(|s| s.name.starts_with("usd.phase.")));
-        for p in Phase::ALL {
-            if traced.phases.duration(p).unwrap_or(0) == 0 {
+        for choice in [EngineChoice::Exact, EngineChoice::Batched] {
+            let mut silent =
+                UsdSimulator::with_engine(config.clone(), SimSeed::from_u64(21), choice);
+            let expected = silent.run_with_phases(1.0, 100_000_000);
+            let tel = Telemetry::enabled();
+            let mut sim = UsdSimulator::with_engine(config.clone(), SimSeed::from_u64(21), choice);
+            sim.set_telemetry(tel.clone());
+            let traced = sim.run_with_phases(1.0, 100_000_000);
+            // Attaching telemetry must not perturb the trajectory or the
+            // measured hitting times.
+            assert_eq!(traced.run, expected.run);
+            assert_eq!(traced.phases, expected.phases);
+            let spans = tel.spans();
+            // A phase the run never spent an event in (its end condition
+            // registered together with the previous phase's) opens no span;
+            // every phase with a positive duration must have one.
+            assert!(spans.iter().any(|s| s.name.starts_with("usd.phase.")));
+            for p in Phase::ALL {
+                if traced.phases.duration(p).unwrap_or(0) == 0 {
+                    continue;
+                }
+                let label = format!("usd.phase.{}", p.number());
+                assert!(
+                    spans.iter().any(|s| s.name == label),
+                    "{choice}: missing span {label}"
+                );
+            }
+            pp_core::telemetry::check_span_nesting(&spans).expect("phase spans must nest");
+            if choice == EngineChoice::Exact {
+                assert_eq!(traced.run.telemetry(), None, "exact runs report no metrics");
                 continue;
             }
-            let label = format!("usd.phase.{}", p.number());
-            assert!(
-                spans.iter().any(|s| s.name == label),
-                "missing span {label}"
+            let snap = traced
+                .run
+                .telemetry()
+                .expect("batched phases report metrics");
+            assert!(snap.counter("batched.events_drawn").unwrap() > 0);
+            assert_eq!(
+                snap.counter("maintenance.rows_patched").unwrap()
+                    + snap.counter("maintenance.rows_rebuilt").unwrap(),
+                traced
+                    .run
+                    .maintenance()
+                    .map_or(0, |m| m.rows_patched + m.rows_rebuilt),
+                "snapshot and alias accessors agree on the engine's counters"
             );
         }
-        pp_core::telemetry::check_span_nesting(&spans).expect("phase spans must nest");
-        // The policy retires the exact engine after Phase 1; the run's
-        // snapshot still covers the batched stretch of the run.
-        let snap = traced
-            .run
-            .telemetry()
-            .expect("batched phases report metrics");
-        assert!(snap.counter("batched.events_drawn").unwrap() > 0);
-        assert_eq!(
-            snap.counter("maintenance.rows_patched").unwrap()
-                + snap.counter("maintenance.rows_rebuilt").unwrap(),
-            traced
-                .run
-                .maintenance()
-                .map_or(0, |m| m.rows_patched + m.rows_rebuilt),
-            "snapshot and alias accessors agree on the final engine's counters"
-        );
     }
 
     #[test]
@@ -1180,6 +1004,81 @@ mod tests {
         let checkpoint = Checkpoint::load(&path).unwrap();
         assert!(UsdSimulator::restore(&checkpoint, ShardPlan::default()).is_ok());
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn phased_runs_take_the_periodic_captures_too() {
+        let dir = std::env::temp_dir().join("usd_core_phased_sink_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = Configuration::from_counts(vec![1_200, 1_000, 800], 0).unwrap();
+        let captures = |sim: &mut UsdSimulator, phased: bool| {
+            let tel = Telemetry::enabled();
+            sim.set_telemetry(tel.clone());
+            let run = if phased {
+                sim.run_with_phases(1.0, 100_000_000).run
+            } else {
+                sim.run_to_consensus(100_000_000)
+            };
+            (
+                run,
+                tel.snapshot().counter("checkpoint.captures").unwrap_or(0),
+            )
+        };
+        for choice in [EngineChoice::Exact, EngineChoice::Batched] {
+            let seed = SimSeed::from_u64(21);
+            let every = UsdSimulator::with_engine(config.clone(), seed, choice)
+                .run_to_consensus(100_000_000)
+                .interactions()
+                / 10;
+            let path = dir.join(format!("{choice}.ckpt.json"));
+            let mut plain = UsdSimulator::with_engine(config.clone(), seed, choice);
+            plain.set_checkpoint_sink(&path, every);
+            let (_, plain_captures) = captures(&mut plain, false);
+            let _ = std::fs::remove_file(&path);
+            let mut phased = UsdSimulator::with_engine(config.clone(), seed, choice);
+            phased.set_checkpoint_sink(&path, every);
+            let (run, phased_captures) = captures(&mut phased, true);
+            assert!(
+                phased_captures >= plain_captures,
+                "{choice}: the phased run journaled {phased_captures} captures, \
+                 run_to_consensus {plain_captures}"
+            );
+            // The last line restores and finishes the phased run's run.
+            let checkpoint = Checkpoint::load(&path).unwrap();
+            let mut restored = UsdSimulator::restore(&checkpoint, ShardPlan::default()).unwrap();
+            assert_eq!(restored.run_to_consensus(100_000_000), run, "{choice}");
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// A batched capture taken at interaction 2,004 of a run from
+    /// `[300, 200, 100]` seeded 5, by a build that still stamped
+    /// `sim.consumed` and `sim.rebuilds`.
+    const OLDER_CAPTURE: &str = r#"{"format":1,"kind":"batched","engine":{"supports":[262,127,29],"undecided":182,"interactions":2004,"rng":[16762832583990783629,11156893146322126752,9434047617175935872,7476534621346659124],"counters":{"events_drawn":1028,"nulls_skipped":976,"refreshes":1029,"rows_patched":1028,"rows_rebuilt":1,"law_patches":0,"law_rebuilds":0,"law_fallback_rebuilds":0,"incremental":1}},"meta":{"sim.seed":5,"sim.consumed":0,"sim.rebuilds":0,"sim.initial.undecided":0,"sim.initial.support.0":300,"sim.initial.support.1":200,"sim.initial.support.2":100}}"#;
+
+    #[test]
+    fn older_captures_resume_unless_taken_after_an_engine_switch() {
+        let config = Configuration::from_counts(vec![300, 200, 100], 0).unwrap();
+        let mut fresh =
+            UsdSimulator::with_engine(config.clone(), SimSeed::from_u64(5), EngineChoice::Batched);
+        assert_eq!(fresh.capture().unwrap().meta("sim.consumed"), None);
+        let expected = fresh.run_to_consensus(10_000_000);
+        assert_eq!(expected.interactions(), 8_561);
+
+        let older = Checkpoint::from_json(OLDER_CAPTURE).unwrap();
+        let mut restored = UsdSimulator::restore(&older, ShardPlan::default()).unwrap();
+        assert_eq!(restored.initial_configuration(), &config);
+        assert_eq!(restored.run_to_consensus(10_000_000), expected);
+
+        // A capture taken after a mid-run engine switch counted interactions
+        // outside its engine; resuming it would restart the count.
+        let switched = OLDER_CAPTURE.replace("\"sim.consumed\":0", "\"sim.consumed\":1500");
+        let switched = Checkpoint::from_json(&switched).unwrap();
+        let err = UsdSimulator::restore(&switched, ShardPlan::default()).unwrap_err();
+        assert!(
+            matches!(&err, PpError::Checkpoint { reason } if reason.contains("sim.consumed")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1266,6 +1165,9 @@ mod tests {
         let result = sim.run_with_phases(1.0, 100_000_000);
         assert!(result.run.reached_consensus());
         assert!(result.phases.completed());
-        assert_eq!(result.engine, "batched,batched,batched,batched,batched");
+        assert_eq!(
+            result.run.scheduler(),
+            Some(pp_core::engine::UNIFORM_PAIR_SCHEDULER_NAME)
+        );
     }
 }

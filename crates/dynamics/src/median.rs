@@ -39,7 +39,7 @@
 //! Everything is exact `u128` arithmetic, so a patched law is
 //! **bit-identical** to a rebuilt one — asserted by a sampled debug
 //! cross-check (every refresh under the `exhaustive-checks` feature)
-//! against [`MedianRule::prefix_suffix`] / [`MedianRule::productive_weight`],
+//! against `MedianRule::prefix_suffix` / `MedianRule::productive_weight`,
 //! which remain the from-scratch reference.  Patches and rebuilds are
 //! counted into the sampler's `pp_core::MaintenanceStats`; the
 //! [`crate::law_maintenance::set_incremental_laws`] switch forces the

@@ -278,7 +278,7 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         );
         recorder.record(self.steps, &self.config);
         loop {
-            if let Some(result) = self.finished(&stop, false) {
+            if let Some(result) = self.finished(&stop) {
                 return result;
             }
             if self.step() {
@@ -287,30 +287,14 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         }
     }
 
-    /// The run's result if `stop` ends it at the current state; `engine`
-    /// adds the maintenance and telemetry a [`StepEngine`] run reports.
-    fn finished(&self, stop: &StopCondition, engine: bool) -> Option<RunResult> {
-        let outcome = if stop.goal_met(&self.config) {
-            if self.config.is_consensus() {
-                RunOutcome::Consensus
-            } else {
-                RunOutcome::OpinionSettled
-            }
-        } else if stop.max_interactions().is_some_and(|b| self.steps >= b) {
-            RunOutcome::BudgetExhausted
-        } else {
-            return None;
-        };
-        let result = RunResult::new(outcome, self.steps, self.config.clone())
-            .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
-            .with_rejection_misses(Some(self.rejection_misses));
-        Some(if engine {
-            result
-                .with_maintenance(StepEngine::maintenance(self))
-                .with_telemetry(StepEngine::telemetry(self))
-        } else {
-            result
-        })
+    /// The run's result if `stop` ends it at the current state.
+    fn finished(&self, stop: &StopCondition) -> Option<RunResult> {
+        let outcome = stop.outcome(&self.config, self.steps)?;
+        Some(
+            RunResult::new(outcome, self.steps, self.config.clone())
+                .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
+                .with_rejection_misses(Some(self.rejection_misses)),
+        )
     }
 
     /// Runs like [`SequentialSampler::run_recorded`] (per-activation
@@ -336,54 +320,11 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
             "stop condition can never terminate the run"
         );
         loop {
-            if let Some(result) = self.finished(&stop, false) {
+            if let Some(result) = self.finished(&stop) {
                 return Some(result);
             }
             if self.step() {
                 recorder.record(self.steps, &self.config);
-            }
-            if pause(self.steps) {
-                return None;
-            }
-        }
-    }
-
-    /// The skip-ahead twin of [`SequentialSampler::run_interruptible`]:
-    /// mirrors [`StepEngine::run_engine_recorded`] (same [`RunResult`]
-    /// construction, including maintenance and telemetry), polling `pause`
-    /// between `advance` calls.  The budget limit handed to `advance` is
-    /// always the stop condition's full budget, so pausing never truncates
-    /// a skip-ahead headroom and the trajectory stays bit-identical under
-    /// any pause slicing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stop condition is unbounded.
-    pub fn run_engine_interruptible<R: Recorder>(
-        &mut self,
-        stop: StopCondition,
-        recorder: &mut R,
-        pause: &mut dyn FnMut(u64) -> bool,
-    ) -> Option<RunResult> {
-        assert!(
-            stop.is_bounded(),
-            "stop condition can never terminate the run"
-        );
-        let limit = stop.max_interactions().unwrap_or(u64::MAX);
-        loop {
-            if let Some(result) = self.finished(&stop, true) {
-                return Some(result);
-            }
-            match self.advance(limit) {
-                Advance::Event => recorder.record(self.steps, &self.config),
-                Advance::LimitReached => {}
-                Advance::Absorbed => {
-                    assert!(
-                        stop.max_interactions().is_some() || stop.goal_met(&self.config),
-                        "absorbing configuration {} can never meet the stop condition",
-                        self.config
-                    );
-                }
             }
             if pause(self.steps) {
                 return None;

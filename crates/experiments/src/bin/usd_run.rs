@@ -48,8 +48,8 @@
 //!
 //! * `--checkpoint ckpt.json [--checkpoint-every N]` captures a resumable
 //!   snapshot of the complete engine state every `N` interactions
-//!   (default: `n`, one parallel-time unit) and at every phase boundary of
-//!   phase-aware runs.  Captures never perturb the trajectory.  The file
+//!   (default: `n`, one parallel-time unit), at the first event that
+//!   reaches each due count.  Captures never perturb the trajectory.  The file
 //!   is a journal: each capture appends one JSON line (the capture after
 //!   the 64th line starts the file over), its last whole line is the
 //!   resume point — a kill mid-append leaves the previous capture

@@ -19,8 +19,8 @@
 
 use pp_core::engine::{Advance, StepEngine};
 use pp_core::{
-    Configuration, CountEngine, EngineChoice, OpinionProtocol, PpError, RunOutcome, RunResult,
-    SimSeed, StopCondition,
+    Configuration, CountEngine, EngineChoice, OpinionProtocol, PpError, RunResult, SimSeed,
+    StopCondition,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -180,28 +180,12 @@ impl<P: OpinionProtocol> PoissonGossip<P> {
             stop.is_bounded(),
             "stop condition can never terminate the run"
         );
+        let limit = stop.max_interactions().unwrap_or(u64::MAX);
         loop {
-            if stop.goal_met(self.configuration()) {
-                let outcome = if self.configuration().is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
+            if let Some(outcome) = stop.outcome(self.configuration(), self.interactions()) {
                 return RunResult::new(outcome, self.interactions(), self.configuration().clone())
                     .with_scheduler(self.inner.scheduler_name());
             }
-            let limit = match stop.max_interactions() {
-                Some(budget) if self.interactions() >= budget => {
-                    return RunResult::new(
-                        RunOutcome::BudgetExhausted,
-                        self.interactions(),
-                        self.configuration().clone(),
-                    )
-                    .with_scheduler(self.inner.scheduler_name());
-                }
-                Some(budget) => budget,
-                None => u64::MAX,
-            };
             let before = self.interactions();
             let advance = self.inner.advance(limit);
             let elapsed = self.interactions() - before;

@@ -12,7 +12,7 @@ use crate::opinion::AgentState;
 use crate::protocol::OpinionProtocol;
 use crate::recorder::Recorder;
 use crate::rng::SimSeed;
-use crate::run::{RunOutcome, RunResult};
+use crate::run::RunResult;
 use crate::scheduler::{InteractionScheduler, UniformPairScheduler};
 use crate::stopping::StopCondition;
 use rand::rngs::SmallRng;
@@ -159,24 +159,9 @@ impl<P: OpinionProtocol, S: InteractionScheduler> AgentSimulator<P, S> {
         );
         recorder.record(self.interactions, &self.config);
         loop {
-            if stop.goal_met(&self.config) {
-                let outcome = if self.config.is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
+            if let Some(outcome) = stop.outcome(&self.config, self.interactions) {
                 return RunResult::new(outcome, self.interactions, self.config.clone())
                     .with_scheduler(self.scheduler.name());
-            }
-            if let Some(budget) = stop.max_interactions() {
-                if self.interactions >= budget {
-                    return RunResult::new(
-                        RunOutcome::BudgetExhausted,
-                        self.interactions,
-                        self.config.clone(),
-                    )
-                    .with_scheduler(self.scheduler.name());
-                }
             }
             if self.step() {
                 recorder.record(self.interactions, &self.config);

@@ -15,13 +15,14 @@
 
 use crate::checkpoint::{Checkpoint, EngineCheckpoint, EngineSnapshot, EngineState};
 use crate::config::Configuration;
+use crate::engine::StepEngine;
 use crate::error::PpError;
 use crate::fenwick::FenwickTree;
 use crate::opinion::AgentState;
 use crate::protocol::OpinionProtocol;
 use crate::recorder::Recorder;
 use crate::rng::SimSeed;
-use crate::run::{RunOutcome, RunResult};
+use crate::run::RunResult;
 use crate::stopping::StopCondition;
 use rand::rngs::SmallRng;
 
@@ -145,50 +146,21 @@ impl<P: OpinionProtocol> CountSimulator<P> {
         self.run_recorded(stop, &mut crate::recorder::NullRecorder)
     }
 
-    /// Runs until the stop condition is met, feeding every configuration to
-    /// the recorder (including the initial one).
+    /// Runs until the stop condition is met, feeding the initial and every
+    /// changed configuration to the recorder: this engine's
+    /// [`StepEngine::run_engine_recorded`].
     ///
     /// # Panics
     ///
-    /// Panics if the stop condition is unbounded (no goal and no budget).
+    /// Panics if the stop condition is unbounded (no goal and no budget), or
+    /// if the configuration is absorbing and can never meet a budget-less
+    /// stop condition.
     pub fn run_recorded<R: Recorder>(
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
     ) -> RunResult {
-        assert!(
-            stop.is_bounded(),
-            "stop condition can never terminate the run"
-        );
-        recorder.record(self.interactions, &self.config);
-        loop {
-            if stop.goal_met(&self.config) {
-                let outcome = if self.config.is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
-                return RunResult::new(outcome, self.interactions, self.config.clone())
-                    .with_scheduler(crate::engine::UNIFORM_PAIR_SCHEDULER_NAME);
-            }
-            if let Some(budget) = stop.max_interactions() {
-                if self.interactions >= budget {
-                    return RunResult::new(
-                        RunOutcome::BudgetExhausted,
-                        self.interactions,
-                        self.config.clone(),
-                    )
-                    .with_scheduler(crate::engine::UNIFORM_PAIR_SCHEDULER_NAME);
-                }
-            }
-            let productive = self.step();
-            // Only hand changed configurations to the recorder (plus the call
-            // above for the initial one); recorders interested in raw
-            // interaction counts still see `self.interactions` advance.
-            if productive {
-                recorder.record(self.interactions, &self.config);
-            }
-        }
+        StepEngine::run_engine_recorded(self, stop, recorder)
     }
 
     /// Runs for exactly `budget` further interactions (or until the structural
@@ -297,6 +269,7 @@ impl<P: OpinionProtocol> EngineCheckpoint for CountSimulator<P> {
 mod tests {
     use super::*;
     use crate::opinion::AgentState;
+    use crate::run::RunOutcome;
 
     /// The 2-opinion USD, used as a self-contained test protocol.
     #[derive(Debug)]

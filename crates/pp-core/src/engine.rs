@@ -79,9 +79,9 @@
 //!
 //! # The event loop
 //!
-//! The drivers ([`StepEngine::run_engine_recorded`], the ensemble's
-//! scheduling windows, `UsdSimulator`'s pausable drive) do not call
-//! [`StepEngine::advance`] once per event: they call
+//! The drivers ([`StepEngine::run_engine_pausable`], which every
+//! single-engine run goes through, and the ensemble's scheduling windows)
+//! do not call [`StepEngine::advance`] once per event: they call
 //! [`StepEngine::leg`], which runs events until the first of
 //!
 //! 1. the hard `limit`: the `advance` that would cross it forwards the
@@ -172,7 +172,7 @@ use crate::opinion::AgentState;
 use crate::protocol::OpinionProtocol;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::rng::SimSeed;
-use crate::run::{MaintenanceStats, RunOutcome, RunResult};
+use crate::run::{MaintenanceStats, RunResult};
 use crate::stopping::StopCondition;
 use crate::telemetry::MetricsSnapshot;
 use rand::rngs::SmallRng;
@@ -408,46 +408,94 @@ pub trait StepEngine {
     where
         Self: Sized,
     {
+        recorder.record(self.interactions(), self.configuration());
+        self.run_engine_pausable(stop, recorder, Pause::Never)
+            .expect("a never-pausing run always finishes")
+    }
+
+    /// The drive loop every single-engine run goes through: runs
+    /// [`leg`](StepEngine::leg)s toward `stop`, feeding every event to
+    /// `recorder`, and checks the goal, the budget and the `pause` rule
+    /// between legs only (see "The event loop" in the module docs).
+    /// Returns `None` when the rule asked to pause; the engine is then at a
+    /// valid capture point, and a later call toward the **same** stop
+    /// condition continues the identical trajectory: pausing consumes no
+    /// RNG and never shrinks a leg's hard limit, which is always the full
+    /// budget.  Unlike [`run_engine_recorded`](StepEngine::run_engine_recorded),
+    /// the recorder does not see the entry configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_engine_recorded`](StepEngine::run_engine_recorded).
+    fn run_engine_pausable<R: Recorder>(
+        &mut self,
+        stop: StopCondition,
+        recorder: &mut R,
+        mut pause: Pause<'_>,
+    ) -> Option<RunResult>
+    where
+        Self: Sized,
+    {
         assert!(
             stop.is_bounded(),
             "stop condition can never terminate the run"
         );
-        recorder.record(self.interactions(), self.configuration());
+        let limit = stop.max_interactions().unwrap_or(u64::MAX);
+        let (until, max_events) = match pause {
+            Pause::Never => (u64::MAX, u64::MAX),
+            Pause::At(at) => (at, u64::MAX),
+            Pause::Hook(_) => (u64::MAX, 1),
+        };
         loop {
-            if stop.goal_met(self.configuration()) {
-                let outcome = if self.configuration().is_consensus() {
-                    RunOutcome::Consensus
-                } else {
-                    RunOutcome::OpinionSettled
-                };
-                return RunResult::new(outcome, self.interactions(), self.configuration().clone())
-                    .with_scheduler(self.scheduler_name())
-                    .with_rejection_misses(self.rejection_misses())
-                    .with_maintenance(self.maintenance())
-                    .with_telemetry(self.telemetry());
+            if let Some(outcome) = stop.outcome(self.configuration(), self.interactions()) {
+                return Some(
+                    RunResult::new(outcome, self.interactions(), self.configuration().clone())
+                        .with_scheduler(self.scheduler_name())
+                        .with_rejection_misses(self.rejection_misses())
+                        .with_maintenance(self.maintenance())
+                        .with_telemetry(self.telemetry()),
+                );
             }
-            let limit = match stop.max_interactions() {
-                Some(budget) if self.interactions() >= budget => {
-                    return RunResult::new(
-                        RunOutcome::BudgetExhausted,
-                        self.interactions(),
-                        self.configuration().clone(),
-                    )
-                    .with_scheduler(self.scheduler_name())
-                    .with_rejection_misses(self.rejection_misses())
-                    .with_maintenance(self.maintenance())
-                    .with_telemetry(self.telemetry());
-                }
-                Some(budget) => budget,
-                None => u64::MAX,
-            };
-            if self.leg(limit, u64::MAX, u64::MAX, recorder).end == Advance::Absorbed {
+            if self.leg(limit, until, max_events, recorder).end == Advance::Absorbed {
                 assert!(
                     stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
                     "absorbing configuration {} can never meet the stop condition",
                     self.configuration()
                 );
             }
+            let at = self.interactions();
+            let paused = match &mut pause {
+                Pause::Never => false,
+                Pause::At(threshold) => at >= *threshold,
+                Pause::Hook(hook) => hook(at),
+            };
+            if paused {
+                return None;
+            }
+        }
+    }
+}
+
+/// When [`StepEngine::run_engine_pausable`] hands control back to its
+/// caller between legs.
+pub enum Pause<'a> {
+    /// Never: the run goes on to its stop condition.
+    Never,
+    /// At the first leg boundary with at least this many interactions; each
+    /// leg ends there at the latest (see [`StepEngine::leg`]'s `until`).
+    At(u64),
+    /// When the hook, asked with the interaction count after every event
+    /// (and after a leg that ends without one), says so.  The drive runs
+    /// one-event legs for a hook, so it sees every event.
+    Hook(&'a mut dyn FnMut(u64) -> bool),
+}
+
+impl fmt::Debug for Pause<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Pause::Never => f.write_str("Never"),
+            Pause::At(at) => f.debug_tuple("At").field(at).finish(),
+            Pause::Hook(_) => f.write_str("Hook(..)"),
         }
     }
 }
@@ -1708,6 +1756,7 @@ impl<P: OpinionProtocol> StepEngine for CountEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::RunOutcome;
 
     /// The 2-opinion USD without batching hooks (exercises the enumeration
     /// fallback).

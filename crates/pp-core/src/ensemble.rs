@@ -342,23 +342,11 @@ struct ReplicaSlot<'a, E, R> {
 /// stays live.
 fn try_finish<E: StepEngine, R>(slot: &mut ReplicaSlot<'_, E, R>, stop: &StopCondition) -> bool {
     let replica = &*slot.replica;
-    if stop.goal_met(replica.configuration()) {
-        let outcome = if replica.configuration().is_consensus() {
-            RunOutcome::Consensus
-        } else {
-            RunOutcome::OpinionSettled
-        };
-        *slot.result = Some(finish(replica, outcome));
-        return true;
-    }
-    if stop
-        .max_interactions()
-        .is_some_and(|b| replica.interactions() >= b)
-    {
-        *slot.result = Some(finish(replica, RunOutcome::BudgetExhausted));
-        return true;
-    }
-    false
+    let Some(outcome) = stop.outcome(replica.configuration(), replica.interactions()) else {
+        return false;
+    };
+    *slot.result = Some(finish(replica, outcome));
+    true
 }
 
 /// Advances one worker's chunk through a scheduling window: every live

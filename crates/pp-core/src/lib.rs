@@ -130,7 +130,9 @@ pub use checkpoint::{
 };
 pub use config::Configuration;
 pub use count_sim::CountSimulator;
-pub use engine::{Advance, BatchedEngine, CountEngine, EngineChoice, ExactEngine, Leg, StepEngine};
+pub use engine::{
+    Advance, BatchedEngine, CountEngine, EngineChoice, ExactEngine, Leg, Pause, StepEngine,
+};
 pub use ensemble::{EnsembleChoice, EnsembleEngine, EnsembleRunResult};
 pub use error::{ConfigError, PpError};
 pub use fenwick::FenwickTree;

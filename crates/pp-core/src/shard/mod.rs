@@ -1,9 +1,9 @@
 //! The sharded population engine: parallel per-shard batched stepping with
 //! multinomial reconciliation.
 //!
-//! For populations beyond what one [`BatchedEngine`](crate::BatchedEngine)
-//! can push through a single core, [`ShardedEngine`] splits the count vector
-//! into `S` shards (each a fixed sub-population; see
+//! For populations beyond what one [`BatchedEngine`] can push through a
+//! single core, [`ShardedEngine`] splits the count vector into `S` shards
+//! (each a fixed sub-population; see
 //! [`multinomial::split_configuration`]) and advances them in *reconciliation
 //! epochs* of `E` interactions:
 //!
@@ -12,17 +12,17 @@
 //!    exactly the probability that a uniform ordered agent pair has its
 //!    responder in shard `a` and its initiator in shard `b`.
 //! 2. **Advance** — every shard consumes its *intra*-shard quota `N_aa`
-//!    independently on its own [`BatchedEngine`](crate::BatchedEngine)
-//!    (geometric skip-ahead, `O(k)` per event), in parallel across the
+//!    independently on its own [`BatchedEngine`] (geometric skip-ahead,
+//!    `O(k)` per event), in parallel across the
 //!    worker threads of the shared [`crate::parallel`] layer (the same
 //!    pool the replica ensemble uses; per-shard RNGs and the layer's
 //!    deterministic partition keep results independent of the thread
 //!    count).
 //! 3. **Reconcile** — the *cross*-shard quotas `N_ab` (`a ≠ b`) are realized
 //!    against boundary snapshots of the initiator shards by the batched
-//!    sampler in [`reconcile`]; responder updates land in shard `a`, and the
-//!    pass again parallelizes over responder shards because every shard's
-//!    writes are disjoint.
+//!    sampler in the private `reconcile` module; responder updates land in
+//!    shard `a`, and the pass again parallelizes over responder shards
+//!    because every shard's writes are disjoint.
 //!
 //! Shard populations never change (an interaction only rewrites the
 //! responder's *state*), so the allocation weights are constant and the
@@ -568,18 +568,7 @@ impl<P: OpinionProtocol + Clone + Send> StepEngine for ShardedEngine<P> {
                 snap.absorb(&s);
             }
         }
-        // Absorbing per-shard snapshots left the fraction gauges at the last
-        // shard's value; recompute them from the aggregated counters.
-        let mut stats = MaintenanceStats::default();
-        for shard in &self.shards {
-            stats.absorb(shard.engine.maintenance_stats());
-        }
-        if let Some(f) = stats.rows_patched_fraction() {
-            snap.set_gauge("maintenance.rows_patched_fraction", f);
-        }
-        if let Some(f) = stats.law_patched_fraction() {
-            snap.set_gauge("maintenance.law_patched_fraction", f);
-        }
+        snap.refresh_maintenance_fractions();
         snap.add_counter("shard.epochs", self.epochs);
         snap.set_gauge("shard.shards", self.shards.len() as f64);
         Some(snap)

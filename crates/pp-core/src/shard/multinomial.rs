@@ -51,7 +51,7 @@ fn binomial_by_skipping<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 
 /// Samples `Binomial(n, p)`.
 ///
-/// Small expected counts (either tail below [`BINOMIAL_EXACT_THRESHOLD`])
+/// Small expected counts (either tail below `BINOMIAL_EXACT_THRESHOLD`)
 /// are sampled exactly; larger ones use the normal approximation with
 /// continuity correction, whose relative error at that scale is far below
 /// the sharded engine's documented epoch-freezing bias.  The result is

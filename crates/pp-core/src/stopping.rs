@@ -1,6 +1,7 @@
 //! Stopping conditions for simulation runs.
 
 use crate::config::Configuration;
+use crate::run::RunOutcome;
 use serde::{Deserialize, Serialize};
 
 /// When a simulation run should stop.
@@ -89,10 +90,26 @@ impl StopCondition {
     /// `config` should stop.
     #[must_use]
     pub fn should_stop(&self, config: &Configuration, interactions: u64) -> bool {
+        self.outcome(config, interactions).is_some()
+    }
+
+    /// How a run at `interactions` steps with configuration `config` ends,
+    /// or `None` while it goes on.  The goal is checked before the budget, so
+    /// a run that meets its goal on the budget's last interaction reports
+    /// the goal.
+    #[must_use]
+    pub fn outcome(&self, config: &Configuration, interactions: u64) -> Option<RunOutcome> {
         if self.goal_met(config) {
-            return true;
+            Some(if config.is_consensus() {
+                RunOutcome::Consensus
+            } else {
+                RunOutcome::OpinionSettled
+            })
+        } else if self.max_interactions.is_some_and(|b| interactions >= b) {
+            Some(RunOutcome::BudgetExhausted)
+        } else {
+            None
         }
-        matches!(self.max_interactions, Some(b) if interactions >= b)
     }
 
     /// Returns `true` if the condition can ever stop a run (it has a goal or a
@@ -139,6 +156,24 @@ mod tests {
         let cfg = Configuration::from_counts(vec![5, 5], 0).unwrap();
         assert!(!stop.should_stop(&cfg, 99));
         assert!(stop.should_stop(&cfg, 100));
+    }
+
+    #[test]
+    fn outcome_reports_the_goal_before_the_budget() {
+        let stop = StopCondition::consensus()
+            .or_opinion_settled()
+            .or_max_interactions(100);
+        let live = Configuration::from_counts(vec![5, 5], 0).unwrap();
+        let settled = Configuration::from_counts(vec![9, 0], 1).unwrap();
+        let done = Configuration::from_counts(vec![10, 0], 0).unwrap();
+        assert_eq!(stop.outcome(&live, 99), None);
+        assert_eq!(stop.outcome(&live, 100), Some(RunOutcome::BudgetExhausted));
+        // A goal met exactly at the budget reports the goal.
+        assert_eq!(stop.outcome(&done, 100), Some(RunOutcome::Consensus));
+        assert_eq!(
+            stop.outcome(&settled, 100),
+            Some(RunOutcome::OpinionSettled)
+        );
     }
 
     #[test]

@@ -649,6 +649,26 @@ impl MetricsSnapshot {
             "maintenance.law_fallback_rebuilds",
             stats.law_fallback_rebuilds,
         );
+        self.set_maintenance_fractions(stats);
+    }
+
+    /// Re-derives the `maintenance.*_fraction` gauges from the snapshot's
+    /// own maintenance counters: after [`absorb`](Self::absorb)ing several
+    /// engines' snapshots the counters are sums, but the gauges are the
+    /// last engine's.
+    pub fn refresh_maintenance_fractions(&mut self) {
+        let count = |name: &str| self.counter(name).unwrap_or(0);
+        let stats = MaintenanceStats {
+            rows_patched: count("maintenance.rows_patched"),
+            rows_rebuilt: count("maintenance.rows_rebuilt"),
+            law_patches: count("maintenance.law_patches"),
+            law_rebuilds: count("maintenance.law_rebuilds"),
+            law_fallback_rebuilds: count("maintenance.law_fallback_rebuilds"),
+        };
+        self.set_maintenance_fractions(&stats);
+    }
+
+    fn set_maintenance_fractions(&mut self, stats: &MaintenanceStats) {
         if let Some(f) = stats.rows_patched_fraction() {
             self.set_gauge("maintenance.rows_patched_fraction", f);
         }

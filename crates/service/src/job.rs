@@ -8,7 +8,7 @@
 //!
 //! Persistence layout (inside the server's state directory):
 //!
-//! * `jobs.log` — the [`JobLog`], appended one line per persisted change:
+//! * `jobs.log` — the `JobLog`, appended one line per persisted change:
 //!   a [`JobRecord`] (version, id, priority, state, scenario, and the
 //!   failure message for failed jobs) as its version-1 JSON document, or
 //!   `result <id> <checksum> <document>` for a done job's canonical result

@@ -31,10 +31,11 @@
 //! boundary — and the runner polls the interrupt once per pause; replica
 //! ensembles pause between lockstep windows via
 //! `UsdEnsemble::run_windows`; single sampling-dynamic runs pause between
-//! activations (exact stepping) or between skip-ahead `advance` calls
-//! (batched) via `SequentialSampler::run_interruptible` /
-//! `run_engine_interruptible`.  All three resume bit-exactly — in place or
-//! from a persisted [`Checkpoint`] in a fresh process.  Sampler
+//! activations (exact stepping, `SequentialSampler::run_interruptible`)
+//! or between skip-ahead `advance` calls (batched, the sampler's
+//! `StepEngine::run_engine_pausable` with a hook).  All three resume
+//! bit-exactly — in place or from a persisted [`Checkpoint`] in a fresh
+//! process.  Sampler
 //! checkpoints carry the replica snapshot in the `exact` engine slot,
 //! stamped with `sampler.format`/`sampler.dynamic` meta so feeding one to
 //! a USD scenario (or vice versa, or to the wrong dynamic) fails loudly
@@ -53,8 +54,8 @@ use consensus_dynamics::{
 use pp_core::checkpoint::{CheckpointJournal, EngineState, ReplicaCheckpoint};
 use pp_core::ensemble::EnsembleRunResult;
 use pp_core::{
-    Checkpoint, Configuration, EngineChoice, MetricsSnapshot, NullRecorder, Recorder, RunOutcome,
-    RunResult, SimSeed, StopCondition, Telemetry,
+    Checkpoint, Configuration, EngineChoice, MetricsSnapshot, NullRecorder, Pause, Recorder,
+    RunOutcome, RunResult, SimSeed, StepEngine, StopCondition, Telemetry,
 };
 use std::path::Path;
 
@@ -549,7 +550,7 @@ struct SamplerRun<'s> {
 impl SamplerRun<'_> {
     /// Drives one sampling dynamic through
     /// [`SequentialSampler::run_interruptible`] (exact) or
-    /// [`SequentialSampler::run_engine_interruptible`] (batched):
+    /// [`StepEngine::run_engine_pausable`] (batched):
     /// interrupts, progress events and checkpoint captures all happen at
     /// activation or `advance`-call boundaries, where the replica snapshot
     /// is exact.
@@ -622,7 +623,7 @@ impl SamplerRun<'_> {
             let result = match engine {
                 EngineChoice::Exact => sim.run_interruptible(self.stop, recorder, &mut pause),
                 EngineChoice::Batched => {
-                    sim.run_engine_interruptible(self.stop, recorder, &mut pause)
+                    sim.run_engine_pausable(self.stop, recorder, Pause::Hook(&mut pause))
                 }
                 other => unreachable!("validate rejects {other} for sampling dynamics"),
             };

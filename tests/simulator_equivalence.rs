@@ -13,7 +13,6 @@
 use k_opinion_usd::prelude::*;
 use k_opinion_usd::service::protocol::progress_event;
 use k_opinion_usd::service::{JobId, ProgressEvent};
-use k_opinion_usd::usd::EnginePolicy;
 use pp_analysis::Summary;
 use pp_core::checkpoint::{EngineSnapshot, ReplicaCheckpoint};
 use pp_core::engine::Advance;
@@ -409,38 +408,6 @@ fn budgets_ending_on_an_event_stop_both_drives_at_the_same_point() {
     let whole = assert_drives_agree("whole", &make, open, u64::MAX, u64::MAX);
     assert!(whole.pauses.is_empty() && whole.journal.is_empty());
     assert_eq!(whole.result, reference.result);
-}
-
-#[test]
-fn legs_record_the_interactions_of_retired_engines() {
-    // A phased run that spends Phase 1 on the exact engine and stops on its
-    // budget under the batched one leaves interactions with a retired
-    // engine; continuing it must record simulator-wide counts.
-    let policy = EnginePolicy::batched().with_phase(Phase::RiseOfUndecided, EngineChoice::Exact);
-    let phased = |budget: u64| {
-        let mut sim = usd_sim(EngineChoice::Batched, vec![2_000, 500, 500], 88);
-        let run = sim.run_with_phases_policy(1.0, budget, &policy);
-        (sim, run)
-    };
-    let (_, full) = phased(200_000_000);
-    let phase_one = full
-        .phases
-        .hitting_time(Phase::RiseOfUndecided)
-        .expect("Phase 1 ends");
-    let budget = (phase_one + full.run.interactions()) / 2;
-    let make = || {
-        let (sim, run) = phased(budget);
-        assert_eq!(run.run.outcome(), RunOutcome::BudgetExhausted);
-        assert_eq!(sim.engine_choice(), EngineChoice::Batched);
-        sim
-    };
-    let stop = StopCondition::consensus().or_max_interactions(200_000_000);
-    let observed = assert_drives_agree("retired", &make, stop, 5_000, 8_000);
-    assert!(observed.result.reached_consensus());
-    assert_eq!(observed.events[0].interactions, budget);
-    let last = observed.events.last().expect("events were recorded");
-    assert_eq!(last.interactions, observed.result.interactions());
-    assert_eq!(&last.configuration, observed.result.final_configuration());
 }
 
 /// A batched USD replica whose legs are one `advance` each (the provided

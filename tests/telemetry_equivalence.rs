@@ -32,7 +32,7 @@ use pp_core::{
     Configuration, EngineChoice, RunResult, ShardPlan, SimSeed, StopCondition, Telemetry,
 };
 use proptest::prelude::*;
-use usd_core::{EnginePolicy, UsdSimulator};
+use usd_core::UsdSimulator;
 
 const MASTER: u64 = 0x07E1_E0B5;
 
@@ -108,19 +108,21 @@ fn telemetry_is_invisible_to_every_usd_engine() {
 #[test]
 fn telemetry_is_invisible_to_phased_runs() {
     let config = Configuration::from_counts(vec![2_000, 600, 400], 0).unwrap();
-    let policy = EnginePolicy::recommended();
-    let mut silent = UsdSimulator::new(config.clone(), SimSeed::from_u64(MASTER ^ 3));
-    let expected = silent.run_with_phases_policy(1.0, 100_000_000, &policy);
-    let tel = Telemetry::enabled();
-    let mut sim = UsdSimulator::new(config, SimSeed::from_u64(MASTER ^ 3));
-    sim.set_telemetry(tel.clone());
-    let traced = sim.run_with_phases_policy(1.0, 100_000_000, &policy);
-    assert_eq!(traced.run, expected.run);
-    assert_eq!(traced.phases, expected.phases);
-    // The phase spans land on the coordinator track and nest.
-    let spans = tel.spans();
-    assert!(spans.iter().any(|s| s.name.starts_with("usd.phase.")));
-    check_span_nesting(&spans).expect("phase spans must nest");
+    for choice in [EngineChoice::Exact, EngineChoice::Batched] {
+        let seed = SimSeed::from_u64(MASTER ^ 3);
+        let mut silent = UsdSimulator::with_engine(config.clone(), seed, choice);
+        let expected = silent.run_with_phases(1.0, 100_000_000);
+        let tel = Telemetry::enabled();
+        let mut sim = UsdSimulator::with_engine(config.clone(), seed, choice);
+        sim.set_telemetry(tel.clone());
+        let traced = sim.run_with_phases(1.0, 100_000_000);
+        assert_eq!(traced.run, expected.run, "{choice}");
+        assert_eq!(traced.phases, expected.phases, "{choice}");
+        // The phase spans land on the coordinator track and nest.
+        let spans = tel.spans();
+        assert!(spans.iter().any(|s| s.name.starts_with("usd.phase.")));
+        check_span_nesting(&spans).expect("phase spans must nest");
+    }
 }
 
 /// Pins a sampling dynamic: ensemble runs with an enabled handle equal
