@@ -61,8 +61,8 @@
 //! A checkpoint is one JSON document, `{"format": 1, "kind": "<engine>",
 //! "engine": {…}}`, plus an optional `"meta": {…}` object of named `u64`
 //! values that wrappers above the engine layer (the `usd-core` simulator)
-//! use to stamp their own resumable state — seed, consumed interactions,
-//! initial counts — onto an engine checkpoint without a second file format.
+//! use to stamp their own resumable state — seed, initial counts — onto an
+//! engine checkpoint without a second file format.
 //! Every value is an unsigned integer, an array or object of them, a
 //! string or `null`; floats travel as their bit patterns.
 //! [`CHECKPOINT_FORMAT_VERSION`] is bumped on any incompatible layout
@@ -316,9 +316,8 @@ impl Checkpoint {
     }
 
     /// Adds (or replaces) a named metadata value.  Metadata is wrapper
-    /// state — the `usd-core` simulator stamps its seed, consumed
-    /// interactions and initial counts here — and is never read by the
-    /// engine-level restore constructors.
+    /// state — the `usd-core` simulator stamps its seed and initial counts
+    /// here — and is never read by the engine-level restore constructors.
     #[must_use]
     pub fn with_meta(mut self, name: &str, value: u64) -> Self {
         if let Some(slot) = self.meta.iter_mut().find(|(n, _)| n == name) {

@@ -9,8 +9,8 @@
 //! * **USD engines** — exact, batched and sharded (the latter at several
 //!   worker-thread counts) run with `Telemetry::enabled()` vs
 //!   `Telemetry::disabled()` and are compared `==`, *including the full
-//!   recorded `(interactions, configuration)` trajectory*, plus a phased
-//!   run under the recommended per-phase engine policy.
+//!   recorded `(interactions, configuration)` trajectory*, plus phased
+//!   runs on the exact and batched engines.
 //! * **All five sampling dynamics** — Voter, TwoChoices, 3-Majority,
 //!   j-Majority and MedianRule through the replica ensemble, instrumented
 //!   vs silent, across thread counts, compared `==` per replica.
