@@ -11,13 +11,65 @@
 //! determinism contract) watches cheap deterministic statistics of the live
 //! counts — the drift/√noise ratio of the most fluctuation-exposed
 //! category, the minimum live mass and the gap to absorption, computed with
-//! [`pp_analysis::fluctuation`] — and switches backends at `advance`
+//! [`pp_analysis::fluctuation`] — and switches backends at event
 //! boundaries, the same pause points where checkpoints are exact.
 //!
-//! The detector runs at every `advance` entry, so it is kept cheap: the
-//! signal is computed in one allocation-free pass over the counts, and it is
-//! not computed at all inside the controller's minimum-dwell window, where
-//! the decision cannot change.
+//! # Legs and the certified quiet horizon
+//!
+//! The engine runs in [`StepEngine::leg`]s like the batched engine.  Its
+//! [`advance`](StepEngine::advance) is a one-event leg: the controller
+//! judges the current counts, then the backend runs one event.  A longer leg
+//! judges the counts once, at its start, and must then pass every boundary
+//! up to its last event without a judgement.  That is exact only where a
+//! judgement could not have switched, and the leg ends before any other
+//! boundary:
+//!
+//! * **Inside the minimum-dwell window** the controller keeps the current
+//!   fidelity whatever the signal, so the signal is not built; a stochastic
+//!   leg runs up to [`FidelityController::dwell_end`] (passed as the leg's
+//!   `until`) and the first boundary past it is judged.
+//! * **At mean-field fidelity** every leg is one ODE step.
+//! * **At stochastic fidelity outside the window** the leg runs at most a
+//!   *quiet horizon* of `h` events, certified from the signal just built:
+//!   the boundaries after events `1 … h − 1` all keep stochastic fidelity.
+//!   Stochastic stays while a mass guard fails or the noise ratio is below
+//!   `promote_ratio`, so each failing condition gives a horizon and the
+//!   largest one is used:
+//!   - `min_live_mass` and `gap_to_absorption` each move by at most 1 per
+//!     event (a USD event moves one agent between a support and the
+//!     undecided pool), so a guard `m` agents under the floor `f` stays
+//!     under it for every `j` with `m + j < f`; `h − 1` is the largest such
+//!     `j`, found in exact integer-to-`f64` comparisons;
+//!   - the noise ratio is a minimum, so it is at most the term `r` of the
+//!     category that set it (the *bottleneck*).  A decided term
+//!     `r = √x·|2U + x − n|/n` grows per event by at most
+//!     `1/(2√x_lo) + 3√(n+1)/n`, the undecided term
+//!     `r = |D² − Σx² − U·D|/(n·√U)` (`D = n − U`) by at most
+//!     `(5 + 3/n)/√U_lo + n/(2·U_lo^{3/2})`, where `x_lo`, `U_lo` bound the
+//!     bottleneck mass over the leg.  Capping `h` at half that mass `x`
+//!     keeps it at least `x/2 − 1`.  The slack `promote_ratio − r` first
+//!     pays for rounding: the signal's `f64` drift sums are within
+//!     `(k + 8)·ε` of the real ones (`ε = 2⁻⁵³`; `k + 1` terms of size at
+//!     most 1), so a computed ratio is within `(k + 8)·ε·n/√x_lo` plus
+//!     `3ε·promote_ratio` of its real value, and the two ratios compared
+//!     (at the start and at a boundary) take less than
+//!     `32ε·(promote_ratio + (k + 4)·n/√x_lo)` of it (below `10⁻⁴` up to
+//!     `n = 10¹⁰`).  Then `h − 1 = ⌊slack/(2·G)⌋` for the growth bound `G`,
+//!     a safety factor of 2 that absorbs the rounding of `G` itself.
+//!
+//!   Both arguments assume the live categories stay live.  A category that
+//!   empties ends the leg at that event (the batched leg's own rule), and a
+//!   category that comes alive (the undecided pool refilling) only adds a
+//!   smaller mass and another term to the minimum.
+//!
+//! The trajectory, every switch point and every recorded configuration are
+//! therefore those of one-event legs, which judge every boundary and serve
+//! as the oracle (`tests/hybrid_equivalence.rs`).
+//! Debug builds check the argument on every run: the leg's recorder
+//! rebuilds the signal at each boundary the leg passes and asserts the
+//! controller would have kept the fidelity there.
+//! [`HybridEngine::detector_evaluations`] reports how often the signal was
+//! built; the signal itself is one allocation-free pass over the counts.
 //!
 //! State transfer between the fidelities goes through the same snapshot
 //! vehicle checkpoints use: integer counts become `f64` fractions exactly on
@@ -47,8 +99,9 @@ use crate::mean_field::MeanFieldEngine;
 use crate::protocol::UndecidedStateDynamics;
 use pp_analysis::fluctuation::drift_noise_ratio;
 use pp_core::checkpoint::{Checkpoint, EngineState};
-use pp_core::engine::{Advance, StepEngine, UNIFORM_PAIR_SCHEDULER_NAME};
+use pp_core::engine::{Advance, Leg, StepEngine, UNIFORM_PAIR_SCHEDULER_NAME};
 use pp_core::hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
+use pp_core::recorder::{NullRecorder, Recorder};
 use pp_core::run::MaintenanceStats;
 use pp_core::{BatchedEngine, Configuration, MetricsSnapshot, PpError, SimSeed};
 
@@ -113,6 +166,8 @@ pub struct HybridEngine {
     mean_field_interactions: u64,
     /// Metrics carried over from retired backends.
     retired: MetricsSnapshot,
+    /// Detector signals built so far.
+    detector_evaluations: u64,
 }
 
 impl HybridEngine {
@@ -139,6 +194,7 @@ impl HybridEngine {
             rebuilds: 0,
             mean_field_interactions: 0,
             retired: MetricsSnapshot::new(),
+            detector_evaluations: 0,
         }
     }
 
@@ -172,6 +228,17 @@ impl HybridEngine {
         }
     }
 
+    /// How many times this engine built the detector signal (since it was
+    /// created or restored).  A legged run builds it once per leg outside
+    /// the dwell window, a run of one-event legs once per event there.
+    ///
+    /// Not part of [`StepEngine::telemetry`]: the snapshot is the same for
+    /// every pause pattern of one trajectory, and this count is not.
+    #[must_use]
+    pub fn detector_evaluations(&self) -> u64 {
+        self.detector_evaluations
+    }
+
     /// The deterministic detector signal at the current counts (consumes no
     /// randomness; see [`pp_core::hybrid`] for the derivation).  Computed
     /// without allocating: one pass over the supports for the mean-field
@@ -180,43 +247,7 @@ impl HybridEngine {
     /// the largest support, with the undecided pool last.
     #[must_use]
     pub fn signal(&self) -> FidelitySignal {
-        let config = self.backend_configuration();
-        let n = config.population();
-        let population = n as f64;
-        let undecided = config.undecided();
-        let w = undecided as f64 / population;
-        let d_undecided = config
-            .supports()
-            .iter()
-            .map(|&x| {
-                let a = x as f64 / population;
-                a * (1.0 - w - a)
-            })
-            .sum::<f64>()
-            - w * (1.0 - w);
-        // Live categories are the supports plus the undecided pool: any of
-        // them can fluctuate against its drift.
-        let mut noise_ratio = f64::INFINITY;
-        let mut min_live_mass = u64::MAX;
-        let mut max_support = 0;
-        for &x in config.supports() {
-            max_support = max_support.max(x);
-            if x > 0 {
-                let a = x as f64 / population;
-                noise_ratio = noise_ratio.min(drift_noise_ratio(n, x, a * (2.0 * w + a - 1.0)));
-                min_live_mass = min_live_mass.min(x);
-            }
-        }
-        if undecided > 0 {
-            noise_ratio = noise_ratio.min(drift_noise_ratio(n, undecided, d_undecided));
-            min_live_mass = min_live_mass.min(undecided);
-        }
-        FidelitySignal {
-            noise_ratio,
-            min_live_mass,
-            gap_to_absorption: n - max_support,
-            population: n,
-        }
+        detector(self.backend_configuration()).0
     }
 
     fn backend_configuration(&self) -> &Configuration {
@@ -295,7 +326,8 @@ impl HybridEngine {
     /// current fidelity, switch count, last switch point) rides in the
     /// metadata.
     ///
-    /// Retired-backend metrics are reporting state and start empty.
+    /// Retired-backend metrics (maintenance counters included) and the
+    /// detector evaluation count are reporting state and start empty.
     ///
     /// # Errors
     ///
@@ -360,6 +392,7 @@ impl HybridEngine {
             rebuilds: checkpoint.meta(META_REBUILDS).unwrap_or(0),
             mean_field_interactions: checkpoint.meta(META_MF_INTERACTIONS).unwrap_or(0),
             retired: MetricsSnapshot::new(),
+            detector_evaluations: 0,
         })
     }
 }
@@ -391,9 +424,17 @@ impl StepEngine for HybridEngine {
     }
 
     fn maintenance(&self) -> Option<MaintenanceStats> {
-        match &self.backend {
+        let current = match &self.backend {
             Backend::Stochastic(e) => e.maintenance(),
             Backend::MeanField(e) => e.maintenance(),
+        };
+        // The retired backends' counters ride in their telemetry.
+        match (self.retired.maintenance(), current) {
+            (Some(mut retired), Some(current)) => {
+                retired.absorb(current);
+                Some(retired)
+            }
+            (retired, current) => retired.or(current),
         }
     }
 
@@ -412,32 +453,247 @@ impl StepEngine for HybridEngine {
     }
 
     fn advance(&mut self, limit: u64) -> Advance {
+        self.leg(limit, u64::MAX, 1, &mut NullRecorder).end
+    }
+
+    /// One leg (see the [module docs](self)): the controller judges the
+    /// current counts, as every one-event leg does, then the backend runs
+    /// one leg up to the next boundary that must be judged — the dwell end,
+    /// the quiet horizon, or one ODE step at mean-field fidelity — within
+    /// the caller's bounds.
+    fn leg<R: Recorder>(
+        &mut self,
+        limit: u64,
+        until: u64,
+        mut max_events: u64,
+        recorder: &mut R,
+    ) -> Leg {
         let total = StepEngine::interactions(self);
         if total >= limit {
-            return Advance::LimitReached;
+            return Leg {
+                events: 0,
+                end: Advance::LimitReached,
+            };
         }
-        // Every `advance` entry is a pause boundary: evaluate the detector
-        // on the current counts (deterministic, no RNG) and switch the
-        // backend if the controller asks for the other fidelity.  Inside the
-        // minimum-dwell window the controller keeps the current fidelity
-        // whatever the signal, so the signal is not built there.
         let population = self.backend_configuration().population();
+        // Inside the minimum-dwell window the controller keeps the current
+        // fidelity whatever the signal, so the signal is not built there.
         if !self.controller.dwelling(total, population) {
-            let desired = self.controller.evaluate(&self.signal(), total);
+            let (signal, bottleneck) = detector(self.backend_configuration());
+            self.detector_evaluations += 1;
+            let desired = self.controller.evaluate(&signal, total);
             if desired != self.backend.fidelity() {
                 self.switch_to(desired);
+            } else if desired == Fidelity::Stochastic && max_events > 1 {
+                let opinions = self.backend_configuration().num_opinions();
+                let horizon =
+                    quiet_horizon(self.controller.config(), &signal, bottleneck, opinions);
+                max_events = max_events.min(horizon);
             }
         }
-        let before = self.backend_interactions();
-        let local_limit = limit.saturating_sub(self.consumed);
-        let advance = match &mut self.backend {
-            Backend::Stochastic(e) => e.advance(local_limit),
-            Backend::MeanField(e) => e.advance(local_limit),
+        let until = match self.controller.dwell_end(population) {
+            Some(end) if self.controller.dwelling(total, population) => until.min(end),
+            _ => until,
         };
-        if matches!(self.backend, Backend::MeanField(_)) {
-            self.mean_field_interactions += self.backend_interactions() - before;
+        let consumed = self.consumed;
+        let mut global = GlobalCounts {
+            recorder,
+            offset: consumed,
+            #[cfg(debug_assertions)]
+            quiet: (max_events > 1).then(|| QuietCheck::new(&self.controller)),
+        };
+        let (local_limit, local_until) = (limit - consumed, until.saturating_sub(consumed));
+        match &mut self.backend {
+            Backend::Stochastic(e) => e.leg(local_limit, local_until, max_events, &mut global),
+            Backend::MeanField(e) => {
+                let before = StepEngine::interactions(e);
+                let leg = e.leg(local_limit, local_until, 1, &mut global);
+                self.mean_field_interactions += StepEngine::interactions(e) - before;
+                leg
+            }
         }
-        advance
+    }
+}
+
+/// The live category whose term is the signal's noise ratio — the one whose
+/// growth [`quiet_horizon`] bounds.
+#[derive(Debug, Clone, Copy)]
+struct Bottleneck {
+    /// Whether it is the undecided pool (otherwise a support).
+    undecided: bool,
+    /// Its count.
+    mass: u64,
+}
+
+/// The detector signal at `config` (see [`HybridEngine::signal`]) and its
+/// bottleneck category.
+fn detector(config: &Configuration) -> (FidelitySignal, Bottleneck) {
+    let n = config.population();
+    let population = n as f64;
+    let undecided = config.undecided();
+    let w = undecided as f64 / population;
+    let d_undecided = config
+        .supports()
+        .iter()
+        .map(|&x| {
+            let a = x as f64 / population;
+            a * (1.0 - w - a)
+        })
+        .sum::<f64>()
+        - w * (1.0 - w);
+    // Live categories are the supports plus the undecided pool: any of
+    // them can fluctuate against its drift.
+    let mut noise_ratio = f64::INFINITY;
+    let mut bottleneck = Bottleneck {
+        undecided: false,
+        mass: 0,
+    };
+    let mut min_live_mass = u64::MAX;
+    let mut max_support = 0;
+    for &x in config.supports() {
+        max_support = max_support.max(x);
+        if x > 0 {
+            let a = x as f64 / population;
+            let ratio = drift_noise_ratio(n, x, a * (2.0 * w + a - 1.0));
+            if ratio < noise_ratio {
+                noise_ratio = ratio;
+                bottleneck = Bottleneck {
+                    undecided: false,
+                    mass: x,
+                };
+            }
+            min_live_mass = min_live_mass.min(x);
+        }
+    }
+    if undecided > 0 {
+        let ratio = drift_noise_ratio(n, undecided, d_undecided);
+        if ratio < noise_ratio {
+            noise_ratio = ratio;
+            bottleneck = Bottleneck {
+                undecided: true,
+                mass: undecided,
+            };
+        }
+        min_live_mass = min_live_mass.min(undecided);
+    }
+    let signal = FidelitySignal {
+        noise_ratio,
+        min_live_mass,
+        gap_to_absorption: n - max_support,
+        population: n,
+    };
+    (signal, bottleneck)
+}
+
+/// How much of the slack `promote_ratio − r` one quiet horizon may use up
+/// (the rest absorbs the rounding of the growth bound; see the module docs).
+const RATIO_SAFETY: f64 = 2.0;
+
+/// The quiet horizon (see the module docs): how many events a stochastic
+/// leg may run from a boundary whose `signal` kept stochastic fidelity
+/// outside the dwell window, such that the boundaries after all but the
+/// last of them keep it too.  At least 1, at most `n` for the guards.
+fn quiet_horizon(
+    config: &FidelityConfig,
+    signal: &FidelitySignal,
+    bottleneck: Bottleneck,
+    opinions: usize,
+) -> u64 {
+    let n = signal.population as f64;
+    let floor = config.guard_floor(signal.population);
+    // A guard that is `start` now is at most `start + j` after event `j`,
+    // and integer-to-`f64` conversion is monotone, so `start + h − 1`
+    // rounding below the floor certifies every boundary before event `h`.
+    let under_floor = |start: u64| {
+        let mut h = if (start as f64) < floor {
+            (floor - start as f64).ceil().min(n) as u64
+        } else {
+            1
+        };
+        while h > 1 && start.saturating_add(h - 1) as f64 >= floor {
+            h /= 2;
+        }
+        h.max(1)
+    };
+    let lo = (bottleneck.mass / 2).saturating_sub(1) as f64;
+    // The slack first pays for the rounding of the two `f64` ratios that
+    // are compared with the threshold (at the start and at a boundary).
+    let rounding =
+        16.0 * f64::EPSILON * (config.promote_ratio + (opinions + 4) as f64 * n / lo.sqrt());
+    let slack = config.promote_ratio - signal.noise_ratio - rounding;
+    let below_promote = if slack > 0.0 && lo >= 1.0 {
+        let growth = if bottleneck.undecided {
+            (5.0 + 3.0 / n) / lo.sqrt() + n / (2.0 * lo * lo.sqrt())
+        } else {
+            0.5 / lo.sqrt() + 3.0 * (n + 1.0).sqrt() / n
+        };
+        let skipped = (slack / (RATIO_SAFETY * growth)).floor() as u64;
+        skipped.saturating_add(1).min(bottleneck.mass / 2).max(1)
+    } else {
+        1
+    };
+    under_floor(signal.min_live_mass)
+        .max(under_floor(signal.gap_to_absorption))
+        .max(below_promote)
+}
+
+/// Feeds a backend leg's events to the caller's recorder at the hybrid's
+/// interaction counts (a backend counts from its own start).
+struct GlobalCounts<'a, R> {
+    recorder: &'a mut R,
+    /// Interactions of the retired backends.
+    offset: u64,
+    /// Debug builds: the check that every boundary the leg passes keeps the
+    /// fidelity (`None` for a one-event leg, which passes none).
+    #[cfg(debug_assertions)]
+    quiet: Option<QuietCheck<'a>>,
+}
+
+impl<R: Recorder> Recorder for GlobalCounts<'_, R> {
+    fn record(&mut self, interactions: u64, config: &Configuration) {
+        let at = self.offset + interactions;
+        #[cfg(debug_assertions)]
+        if let Some(quiet) = &mut self.quiet {
+            quiet.boundary(at, config);
+        }
+        self.recorder.record(at, config);
+    }
+}
+
+/// The debug-build cross-check of a leg's quiet horizon or dwell window:
+/// every boundary a leg passes without judging must be one where the
+/// controller would have kept the current fidelity.  A boundary is only
+/// known to be passed when the next event arrives (the last one ends the
+/// leg and is judged by the next), so each verdict waits for it.
+#[cfg(debug_assertions)]
+struct QuietCheck<'a> {
+    controller: &'a FidelityController,
+    /// The last boundary, when the controller would have switched there.
+    loud: Option<u64>,
+}
+
+#[cfg(debug_assertions)]
+impl<'a> QuietCheck<'a> {
+    fn new(controller: &'a FidelityController) -> Self {
+        QuietCheck {
+            controller,
+            loud: None,
+        }
+    }
+
+    fn boundary(&mut self, at: u64, config: &Configuration) {
+        if let Some(loud) = self.loud {
+            panic!(
+                "a hybrid leg passed the boundary at {loud} interactions without judging it, \
+                 but the controller would have switched away from {} fidelity there",
+                self.controller.current()
+            );
+        }
+        let quiet = self.controller.dwelling(at, config.population())
+            || self.controller.desired(&detector(config).0) == self.controller.current();
+        if !quiet {
+            self.loud = Some(at);
+        }
     }
 }
 
@@ -463,6 +719,33 @@ mod tests {
         let snap = engine.telemetry().unwrap();
         assert_eq!(snap.counter("hybrid.switches"), Some(engine.switches()));
         assert!(snap.gauge("hybrid.mean_field_fraction").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn maintenance_counts_every_backend_the_run_used() {
+        let config = Configuration::from_counts(vec![15_000, 3_000, 2_000], 0).unwrap();
+        let mut engine =
+            HybridEngine::new(config, SimSeed::from_u64(11), FidelityConfig::default());
+        let result = engine.run_engine(StopCondition::consensus().or_max_interactions(500_000_000));
+        assert!(
+            engine.switches() >= 2,
+            "the run must retire a batched backend"
+        );
+        let stats = result
+            .maintenance()
+            .expect("batched backends keep row tables");
+        let snap = result.telemetry().unwrap();
+        assert_eq!(
+            snap.counter("maintenance.rows_patched"),
+            Some(stats.rows_patched)
+        );
+        assert_eq!(
+            snap.counter("maintenance.rows_rebuilt"),
+            Some(stats.rows_rebuilt)
+        );
+        // Each stochastic backend that ran builds its table once: more than
+        // one build means the retired backends are counted.
+        assert!(stats.rows_rebuilt >= 2, "{stats:?}");
     }
 
     #[test]

@@ -220,6 +220,14 @@ impl FidelityConfig {
         Ok(())
     }
 
+    /// The mass guards' floor for a population of `n`, in agents:
+    /// [`mass_floor`](FidelityConfig::mass_floor)` · √n`.  Both guards
+    /// hold when their masses are at least this.
+    #[must_use]
+    pub fn guard_floor(&self, population: u64) -> f64 {
+        self.mass_floor * (population as f64).sqrt()
+    }
+
     /// The dwell this config resolves to for a population of `n`:
     /// [`min_dwell`](FidelityConfig::min_dwell), or `n` (one parallel-time
     /// unit) when left at `0`.
@@ -289,8 +297,7 @@ impl FidelityController {
     /// hysteresis relative to the current one (no dwell, no state change).
     #[must_use]
     pub fn desired(&self, signal: &FidelitySignal) -> Fidelity {
-        let sqrt_n = (signal.population as f64).sqrt();
-        let floor = self.config.mass_floor * sqrt_n;
+        let floor = self.config.guard_floor(signal.population);
         let guards_hold =
             (signal.min_live_mass as f64) >= floor && (signal.gap_to_absorption as f64) >= floor;
         match self.current {
@@ -324,6 +331,17 @@ impl FidelityController {
         self.last_switch_at.is_some_and(|at| {
             interactions.saturating_sub(at) < self.config.resolved_dwell(population)
         })
+    }
+
+    /// The interaction count at which the current minimum-dwell window
+    /// closes for a population of `population`: the first count at which
+    /// [`dwelling`](FidelityController::dwelling) is `false` again (`None`
+    /// before the first switch).  A host may run without evaluating up to
+    /// there.
+    #[must_use]
+    pub fn dwell_end(&self, population: u64) -> Option<u64> {
+        self.last_switch_at
+            .map(|at| at.saturating_add(self.config.resolved_dwell(population)))
     }
 
     /// Evaluates the signal at a pause boundary reached after
@@ -502,10 +520,14 @@ mod tests {
     fn dwell_guard_defers_the_second_switch() {
         let mut ctl = FidelityController::new(FidelityConfig::default()); // dwell = n
         let n = 1_000;
+        assert_eq!(ctl.dwell_end(n), None);
         assert_eq!(
             ctl.evaluate(&signal(100.0, 400, 600, n), 50),
             Fidelity::MeanField
         );
+        // The window closes exactly where `dwelling` turns false.
+        assert_eq!(ctl.dwell_end(n), Some(1_050));
+        assert!(ctl.dwelling(1_049, n) && !ctl.dwelling(1_050, n));
         // A demote-worthy signal arrives before the dwell elapses: held.
         assert_eq!(
             ctl.evaluate(&signal(0.1, 400, 600, n), 500),

@@ -657,15 +657,31 @@ impl MetricsSnapshot {
     /// engines' snapshots the counters are sums, but the gauges are the
     /// last engine's.
     pub fn refresh_maintenance_fractions(&mut self) {
+        if let Some(stats) = self.maintenance() {
+            self.set_maintenance_fractions(&stats);
+        }
+    }
+
+    /// The [`MaintenanceStats`] the snapshot's `maintenance.*` counters
+    /// hold (`None` when it has none): the inverse of
+    /// [`absorb_maintenance`](Self::absorb_maintenance).
+    #[must_use]
+    pub fn maintenance(&self) -> Option<MaintenanceStats> {
+        if !self
+            .counters
+            .iter()
+            .any(|(name, _)| name.starts_with("maintenance."))
+        {
+            return None;
+        }
         let count = |name: &str| self.counter(name).unwrap_or(0);
-        let stats = MaintenanceStats {
+        Some(MaintenanceStats {
             rows_patched: count("maintenance.rows_patched"),
             rows_rebuilt: count("maintenance.rows_rebuilt"),
             law_patches: count("maintenance.law_patches"),
             law_rebuilds: count("maintenance.law_rebuilds"),
             law_fallback_rebuilds: count("maintenance.law_fallback_rebuilds"),
-        };
-        self.set_maintenance_fractions(&stats);
+        })
     }
 
     fn set_maintenance_fractions(&mut self, stats: &MaintenanceStats) {
@@ -940,6 +956,8 @@ mod tests {
         assert_eq!(snap.counter("maintenance.law_fallback_rebuilds"), Some(12));
         assert_eq!(snap.gauge("maintenance.rows_patched_fraction"), Some(0.9));
         assert_eq!(snap.gauge("maintenance.law_patched_fraction"), Some(0.25));
+        assert_eq!(snap.maintenance(), Some(stats));
+        assert_eq!(MetricsSnapshot::new().maintenance(), None);
     }
 
     #[test]

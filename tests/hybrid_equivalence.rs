@@ -21,18 +21,28 @@
 //!    clears, the hybrid is the batched engine, bit for bit; the adaptive
 //!    machinery costs nothing when it never fires.
 //!
+//! 5. **Legs are one-event legs** — a leg judges the counts once and runs
+//!    up to the dwell end or the certified quiet horizon; every pause
+//!    pattern of the engine's drive (`Pause::Never`, `Pause::At`) must give
+//!    the run, event stream, switches and mean-field share that one-event
+//!    legs (`Pause::Hook`, the per-event oracle) give, also resumed from a
+//!    checkpoint taken at a leg pause — while building the signal far less
+//!    often.
+//!
 //! The telemetry counters (`hybrid.switches`, `hybrid.mean_field_fraction`)
 //! double as evidence that the conformance runs actually exercised the
 //! detector — a hybrid that never promoted would pass trivially.
 
 use pp_analysis::Conformance;
+use pp_core::engine::{Pause, StepEngine};
 use pp_core::recorder::NullRecorder;
 use pp_core::{
-    Checkpoint, Configuration, EngineChoice, FidelityConfig, FidelityController, ShardPlan,
-    SimSeed, StopCondition, Telemetry,
+    Checkpoint, Configuration, EngineChoice, FidelityConfig, FidelityController, Recorder,
+    RunResult, ShardPlan, SimSeed, StopCondition, Telemetry,
 };
 use pp_workloads::InitialConfig;
-use usd_core::UsdSimulator;
+use proptest::prelude::*;
+use usd_core::{HybridEngine, UsdSimulator};
 
 const BUDGET: u64 = 500_000_000;
 
@@ -248,5 +258,197 @@ fn telemetry_counters_record_non_trivial_switching() {
     assert!(
         fraction > 0.0 && fraction < 1.0,
         "the run should split interactions across both fidelities, saw {fraction}"
+    );
+}
+
+/// Digests of a recorded event stream: all of it, and the tail strictly
+/// after `after` interactions (for comparing a resumed run's continuation).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct EventDigest {
+    after: u64,
+    events: u64,
+    all: u64,
+    tail: u64,
+}
+
+impl EventDigest {
+    fn after(after: u64) -> Self {
+        EventDigest {
+            after,
+            ..EventDigest::default()
+        }
+    }
+}
+
+fn fold(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+impl Recorder for EventDigest {
+    fn record(&mut self, interactions: u64, config: &Configuration) {
+        let mut h = fold(0xCBF2_9CE4_8422_2325, interactions);
+        for &x in config.supports() {
+            h = fold(h, x);
+        }
+        h = fold(h, config.undecided());
+        self.events += 1;
+        self.all = fold(self.all, h);
+        if interactions > self.after {
+            self.tail = fold(self.tail, h);
+        }
+    }
+}
+
+/// What a hybrid run is compared on.
+#[derive(Debug, PartialEq)]
+struct HybridRun {
+    result: RunResult,
+    switches: u64,
+    mean_field_fraction: u64,
+    /// How many events were recorded, and their digest.
+    events: (u64, u64),
+}
+
+fn finish(engine: &HybridEngine, result: RunResult, events: &EventDigest) -> HybridRun {
+    HybridRun {
+        result,
+        switches: engine.switches(),
+        mean_field_fraction: engine.mean_field_fraction().to_bits(),
+        events: (events.events, events.all),
+    }
+}
+
+/// A start of `n` agents over `k` opinions and thresholds around its own
+/// noise ratio, so quiet horizons are short and switches frequent.
+fn hybrid_start(
+    n: u64,
+    k: usize,
+    bias: f64,
+    undecided: u64,
+    seed: u64,
+    (promote, demote, floor, dwell): (f64, f64, f64, u64),
+) -> (Configuration, FidelityConfig) {
+    let config = InitialConfig::new(n, k)
+        .multiplicative_bias(bias)
+        .undecided_count(undecided)
+        .build(SimSeed::from_u64(seed))
+        .unwrap();
+    let start = HybridEngine::new(
+        config.clone(),
+        SimSeed::from_u64(seed),
+        FidelityConfig::default(),
+    )
+    .signal()
+    .noise_ratio;
+    let promote_ratio = start.max(0.05) * promote;
+    let fidelity = FidelityConfig {
+        promote_ratio,
+        demote_ratio: promote_ratio * demote,
+        mass_floor: floor,
+        min_dwell: dwell,
+    };
+    (config, fidelity)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Legs driven without pauses and with `Pause::At` pauses reproduce the
+    /// one-event-leg oracle exactly, budgets ending the runs mid-leg; a run
+    /// resumed from a checkpoint captured at a leg pause replays the
+    /// oracle's tail.
+    #[test]
+    fn legs_reproduce_the_one_event_leg_oracle(
+        (k_idx, n, seed) in (0usize..4, 500u64..20_000, 0u64..1_000_000),
+        (bias, undecided) in (1.0f64..3.0, 0.0f64..0.4),
+        (promote, demote, floor, dwell) in (0.5f64..1.2, 0.3f64..0.95, 0.0f64..1.5, 0u64..4_000),
+        (budget, step, capture) in (1.0f64..25.0, 0.05f64..2.0, 0usize..6),
+    ) {
+        let k = [2, 3, 4, 8][k_idx];
+        // A quarter of the starts put the undecided pool under the mass
+        // guard's floor, where it then grows up through it.
+        let undecided = if undecided < 0.1 {
+            (undecided * 10.0 * floor * (n as f64).sqrt()) as u64
+        } else {
+            (undecided * n as f64) as u64
+        };
+        let (config, fidelity) =
+            hybrid_start(n, k, bias, undecided, seed, (promote, demote, floor, dwell));
+        let budget = (budget * n as f64) as u64;
+        let step = ((step * n as f64) as u64).max(1);
+        let stop = StopCondition::consensus().or_max_interactions(budget);
+        let engine_seed = SimSeed::from_u64(seed ^ 0x4B1D);
+        let make = || HybridEngine::new(config.clone(), engine_seed, fidelity);
+
+        // Pause::At legs, capturing a checkpoint at one of the pauses.
+        let mut paused = make();
+        let mut at_events = EventDigest::default();
+        let mut captured = None;
+        let mut pauses = 0;
+        let at_result = loop {
+            let next = StepEngine::interactions(&paused).saturating_add(step);
+            if let Some(result) = paused.run_engine_pausable(stop, &mut at_events, Pause::At(next)) {
+                break result;
+            }
+            if pauses == capture {
+                captured = Some((StepEngine::interactions(&paused), paused.checkpoint()));
+            }
+            pauses += 1;
+        };
+        let after = captured.as_ref().map_or(u64::MAX, |(at, _)| *at);
+
+        // The one-event-leg oracle.
+        let mut oracle = make();
+        let mut oracle_events = EventDigest::after(after);
+        let oracle_result = oracle
+            .run_engine_pausable(stop, &mut oracle_events, Pause::Hook(&mut |_| false))
+            .expect("a never-pausing hook finishes");
+        let expected = finish(&oracle, oracle_result, &oracle_events);
+
+        let mut never = make();
+        let mut never_events = EventDigest::default();
+        let never_result = never
+            .run_engine_pausable(stop, &mut never_events, Pause::Never)
+            .expect("a never-pausing run finishes");
+        prop_assert_eq!(&finish(&never, never_result, &never_events), &expected);
+        prop_assert_eq!(&finish(&paused, at_result, &at_events), &expected);
+        prop_assert!(never.detector_evaluations() <= oracle.detector_evaluations());
+
+        if let Some((at, checkpoint)) = captured {
+            let checkpoint = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
+            let mut resumed = HybridEngine::restore(&checkpoint).unwrap();
+            prop_assert_eq!(StepEngine::interactions(&resumed), at);
+            let mut tail = EventDigest::after(at);
+            let result = resumed
+                .run_engine_pausable(stop, &mut tail, Pause::Never)
+                .expect("a never-pausing run finishes");
+            prop_assert_eq!(&result, &expected.result);
+            prop_assert_eq!(tail.tail, oracle_events.tail);
+            prop_assert_eq!(resumed.switches(), expected.switches);
+        }
+    }
+}
+
+#[test]
+fn legs_build_the_signal_far_less_often_than_one_event_legs() {
+    let n = 100_000;
+    let seed = SimSeed::from_u64(0xA11D);
+    let config = InitialConfig::new(n, 4)
+        .additive_bias_in_sqrt_n_log_n(2.0)
+        .build(seed)
+        .unwrap();
+    let stop = StopCondition::consensus().or_max_interactions(BUDGET);
+    let mut legged = HybridEngine::new(config.clone(), seed, FidelityConfig::default());
+    let mut oracle = HybridEngine::new(config, seed, FidelityConfig::default());
+    let expected = oracle
+        .run_engine_pausable(stop, &mut NullRecorder, Pause::Hook(&mut |_| false))
+        .unwrap();
+    let observed = legged.run_engine(stop);
+    assert_eq!(observed, expected);
+    assert_eq!(legged.switches(), oracle.switches());
+    let (legs, events) = (legged.detector_evaluations(), oracle.detector_evaluations());
+    assert!(
+        legs * 4 <= events,
+        "legs built the signal {legs} times against {events} for one-event legs"
     );
 }
