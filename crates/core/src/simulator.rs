@@ -14,9 +14,10 @@ use crate::hybrid::HybridEngine;
 use crate::mean_field::MeanFieldEngine;
 use crate::phases::{Phase, PhaseTimes, PhaseTracker};
 use crate::protocol::UndecidedStateDynamics;
-use pp_core::checkpoint::{Checkpoint, CheckpointJournal, EngineState};
+use pp_core::checkpoint::{Captures, Checkpoint, CheckpointJournal, CheckpointSink, EngineState};
 use pp_core::engine::{Advance, Leg, Pause, StepEngine};
 use pp_core::run::MaintenanceStats;
+use pp_core::telemetry::Counter;
 use pp_core::{
     BatchedEngine, Configuration, CountSimulator, EngineChoice, FidelityConfig, MetricsSnapshot,
     Opinion, PpError, Recorder, RunResult, ShardPlan, ShardedEngine, SimSeed, StopCondition,
@@ -228,17 +229,23 @@ pub struct UsdSimulator {
     initial: Configuration,
     seed: SimSeed,
     tel: Telemetry,
-    /// Periodic checkpoint sink (see [`UsdSimulator::set_checkpoint_sink`]).
-    sink: Option<CheckpointSink>,
+    /// Periodic checkpoint sink (see [`UsdSimulator::attach_checkpoint_sink`]).
+    sink: Option<PeriodicCaptures>,
 }
 
 /// Where and how often the drive loop writes periodic checkpoints.
 #[derive(Debug)]
-struct CheckpointSink {
-    journal: CheckpointJournal,
+struct PeriodicCaptures {
+    captures: Captures,
+    /// The simulator metadata every capture carries (see
+    /// [`UsdSimulator::capture`]), built once.
+    stamp: Vec<(String, u64)>,
     every: u64,
     /// Interaction count at the last capture (cadence anchor).
     last_capture: u64,
+    /// The `checkpoint.captures` and `checkpoint.bytes` counters, resolved
+    /// at the first capture with telemetry attached.
+    counters: Option<(Counter, Counter)>,
 }
 
 /// The recorder of a phase-aware run: feeds every event to its
@@ -319,6 +326,9 @@ impl UsdSimulator {
     /// [`pp_core::telemetry`]).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
+        if let Some(sink) = &mut self.sink {
+            sink.counters = None;
+        }
         self.engine.set_telemetry(&self.tel);
     }
 
@@ -343,7 +353,16 @@ impl UsdSimulator {
     /// its `f64` ODE state as exact IEEE-754 bit patterns); the `Result`
     /// stays so future non-checkpointable backends can fail by name.
     pub fn capture(&self) -> Result<Checkpoint, PpError> {
-        let checkpoint = match &self.engine {
+        let mut checkpoint = self.engine_checkpoint();
+        for (name, value) in self.stamp() {
+            checkpoint = checkpoint.with_meta(&name, value);
+        }
+        Ok(checkpoint)
+    }
+
+    /// The backend's checkpoint, without the simulator metadata.
+    fn engine_checkpoint(&self) -> Checkpoint {
+        match &self.engine {
             UsdEngine::Exact(e) => Checkpoint::capture(e),
             UsdEngine::Batched(e) => Checkpoint::capture(e),
             UsdEngine::Sharded(e) => Checkpoint::capture(e),
@@ -351,14 +370,23 @@ impl UsdSimulator {
             // The hybrid engine stamps its controller state and interaction
             // bookkeeping into the meta section itself.
             UsdEngine::Hybrid(e) => e.checkpoint(),
-        };
-        let mut checkpoint = checkpoint
-            .with_meta("sim.seed", self.seed.value())
-            .with_meta("sim.initial.undecided", self.initial.undecided());
-        for (i, &support) in self.initial.supports().iter().enumerate() {
-            checkpoint = checkpoint.with_meta(&format!("sim.initial.support.{i}"), support);
         }
-        Ok(checkpoint)
+    }
+
+    /// The simulator metadata of a capture: the master seed and the
+    /// initial configuration, constant over a run.
+    fn stamp(&self) -> Vec<(String, u64)> {
+        let mut stamp = vec![
+            ("sim.seed".to_string(), self.seed.value()),
+            (
+                "sim.initial.undecided".to_string(),
+                self.initial.undecided(),
+            ),
+        ];
+        for (i, &support) in self.initial.supports().iter().enumerate() {
+            stamp.push((format!("sim.initial.support.{i}"), support));
+        }
+        stamp
     }
 
     /// Restores a simulator from a checkpoint captured by
@@ -464,17 +492,9 @@ impl UsdSimulator {
         })
     }
 
-    /// Configures periodic checkpointing: every `every_interactions`
-    /// interactions (at the first event that reaches the due count: the
-    /// drive ends each leg there, so spacing is quantized to events) and at
-    /// every phase boundary of a phase-aware run, the drive loop captures a
-    /// checkpoint and appends it to the [`CheckpointJournal`] at `path`,
-    /// whose last whole line is then the newest capture.  When telemetry is
-    /// attached, each write bumps `checkpoint.captures` and adds the
-    /// document size to `checkpoint.bytes`.
-    ///
-    /// Runs that never advance past `every_interactions` write only the
-    /// phase-boundary captures, if any.
+    /// Configures periodic checkpointing into the [`CheckpointJournal`] at
+    /// `path`, whose last whole line is then the newest capture (see
+    /// [`UsdSimulator::attach_checkpoint_sink`]).
     ///
     /// # Panics
     ///
@@ -482,10 +502,38 @@ impl UsdSimulator {
     /// a dead checkpoint path defeats the crash-recovery purpose, so it
     /// fails loudly rather than silently dropping captures.
     pub fn set_checkpoint_sink(&mut self, path: impl Into<PathBuf>, every_interactions: u64) {
-        self.sink = Some(CheckpointSink {
-            journal: CheckpointJournal::new(path),
+        self.attach_checkpoint_sink(Box::new(CheckpointJournal::new(path)), every_interactions);
+    }
+
+    /// Configures periodic checkpointing: every `every_interactions`
+    /// interactions (at the first event that reaches the due count: the
+    /// drive ends each leg there, so spacing is quantized to events) and at
+    /// every phase boundary of a phase-aware run, the drive loop captures a
+    /// checkpoint and stores it in `sink`.  Each capture is encoded into a
+    /// buffer the sink keeps, with the simulator metadata stamped once per
+    /// run, and its document is byte for byte
+    /// [`UsdSimulator::capture`]'s.  When telemetry is attached, each
+    /// store bumps `checkpoint.captures` and adds the document size to
+    /// `checkpoint.bytes`.
+    ///
+    /// Runs that never advance past `every_interactions` write only the
+    /// phase-boundary captures, if any.
+    ///
+    /// # Panics
+    ///
+    /// The drive loop panics if `sink` fails to store a periodic
+    /// checkpoint.
+    pub fn attach_checkpoint_sink(
+        &mut self,
+        sink: Box<dyn CheckpointSink>,
+        every_interactions: u64,
+    ) {
+        self.sink = Some(PeriodicCaptures {
+            captures: Captures::new(sink),
+            stamp: self.stamp(),
             every: every_interactions.max(1),
             last_capture: self.interactions(),
+            counters: None,
         });
     }
 
@@ -526,16 +574,22 @@ impl UsdSimulator {
         if self.sink.is_none() {
             return Ok(false);
         }
-        let checkpoint = self.capture()?;
+        let checkpoint = self.engine_checkpoint();
         let at = self.interactions();
         let Some(sink) = &mut self.sink else {
             return Ok(false);
         };
-        let bytes = sink.journal.append(&checkpoint)?;
+        let bytes = sink.captures.store(&checkpoint, &sink.stamp)?;
         sink.last_capture = at;
         if self.tel.is_enabled() {
-            self.tel.counter("checkpoint.captures").add(1);
-            self.tel.counter("checkpoint.bytes").add(bytes);
+            let (captures, written) = sink.counters.get_or_insert_with(|| {
+                (
+                    self.tel.counter("checkpoint.captures"),
+                    self.tel.counter("checkpoint.bytes"),
+                )
+            });
+            captures.add(1);
+            written.add(bytes);
         }
         Ok(true)
     }
@@ -977,6 +1031,39 @@ mod tests {
                 "{choice} restored tail diverged"
             );
             let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn sink_documents_are_the_capture_documents_on_every_backend() {
+        use std::sync::{Arc, Mutex};
+        struct Keep(Arc<Mutex<Vec<String>>>);
+        impl CheckpointSink for Keep {
+            fn store(&mut self, document: &str) -> Result<(), PpError> {
+                self.0.lock().unwrap().push(document.to_string());
+                Ok(())
+            }
+        }
+        let config = Configuration::from_counts(vec![9_000, 3_000, 2_000], 1_000).unwrap();
+        let stop = StopCondition::consensus().or_max_interactions(100_000_000);
+        for choice in [
+            EngineChoice::Exact,
+            EngineChoice::Batched,
+            EngineChoice::Sharded,
+            EngineChoice::MeanField,
+            EngineChoice::Hybrid,
+        ] {
+            let mut sim = UsdSimulator::with_engine(config.clone(), SimSeed::from_u64(5), choice);
+            let docs = Arc::new(Mutex::new(Vec::new()));
+            sim.attach_checkpoint_sink(Box::new(Keep(Arc::clone(&docs))), u64::MAX);
+            for at in [1_000, 40_000] {
+                assert!(sim
+                    .run_until(stop, &mut pp_core::NullRecorder, at)
+                    .is_none());
+                assert!(sim.checkpoint_now().unwrap());
+                let stored = docs.lock().unwrap().last().cloned();
+                assert_eq!(stored, Some(sim.capture().unwrap().to_json()), "{choice}");
+            }
         }
     }
 

@@ -78,10 +78,13 @@
 //! names through the codec's [`json::write_json_string`]; its bytes are
 //! exactly what [`Json::to_json`] writes for the parsed document.
 //!
-//! On disk a checkpoint file is a [`CheckpointJournal`]: one document a
-//! line, the last whole line being the one [`Checkpoint::load`] returns.
-//! Periodic captures append to it, and [`Checkpoint::save`] writes a
-//! journal of one line.
+//! A run's periodic captures go to a [`CheckpointSink`] through
+//! [`Captures`], which encodes each one into a reused buffer.  On disk a
+//! checkpoint file is a [`CheckpointJournal`], the sink of a file: one
+//! document a line, the last whole line being the one [`Checkpoint::load`]
+//! returns.  Periodic captures append to it, and [`Checkpoint::save`]
+//! writes a journal of one line.  A job server's sink appends to its job
+//! log instead (`pp_service::job`).
 //!
 //! [`CountSimulator::restore`]: crate::CountSimulator::restore
 //! [`BatchedEngine::restore`]: crate::BatchedEngine::restore
@@ -91,7 +94,6 @@
 use crate::config::Configuration;
 use crate::error::PpError;
 use crate::json::{self, Json};
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -338,31 +340,47 @@ impl Checkpoint {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"format\":{},\"kind\":\"{}\",\"engine\":",
-            self.version,
-            self.kind()
-        );
+        self.write_json(&mut out, &[]);
+        out
+    }
+
+    /// Appends to `out` the JSON document of this checkpoint with `stamp`
+    /// added to its metadata — the bytes [`Checkpoint::to_json`] writes
+    /// after one [`with_meta`](Self::with_meta) per entry, in order, without
+    /// building that copy.  A wrapper that stamps the same names on every
+    /// capture (the `usd-core` simulator's seed and initial counts) builds
+    /// them once and encodes each capture into a reused buffer.  `stamp`
+    /// names must be distinct.
+    pub fn write_json(&self, out: &mut String, stamp: &[(String, u64)]) {
+        write_field(out, "{\"format\":", u64::from(self.version));
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.kind());
+        out.push_str("\",\"engine\":");
         match &self.engine {
-            EngineState::Exact(s) | EngineState::Batched(s) => write_snapshot(&mut out, s),
-            EngineState::Sharded(s) => write_sharded(&mut out, s),
-            EngineState::Ensemble(s) => write_ensemble(&mut out, s),
-            EngineState::MeanField(s) => write_mean_field(&mut out, s),
+            EngineState::Exact(s) | EngineState::Batched(s) => write_snapshot(out, s),
+            EngineState::Sharded(s) => write_sharded(out, s),
+            EngineState::Ensemble(s) => write_ensemble(out, s),
+            EngineState::MeanField(s) => write_mean_field(out, s),
         }
-        if !self.meta.is_empty() {
-            out.push_str(",\"meta\":{");
-            for (i, (name, value)) in self.meta.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_json_string(name, &mut out);
-                let _ = write!(out, ":{value}");
-            }
+        let stamped = |name: &str| stamp.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        // `with_meta` replaces a name in place and appends a new one.
+        let own = self
+            .meta
+            .iter()
+            .map(|(name, value)| (name, stamped(name).unwrap_or(*value)));
+        let added = stamp
+            .iter()
+            .filter(|(name, _)| self.meta(name).is_none())
+            .map(|(name, value)| (name, *value));
+        for (i, (name, value)) in own.chain(added).enumerate() {
+            out.push_str(if i == 0 { ",\"meta\":{" } else { "," });
+            json::write_json_string(name, out);
+            write_field(out, ":", value);
+        }
+        if !self.meta.is_empty() || !stamp.is_empty() {
             out.push('}');
         }
         out.push('}');
-        out
     }
 
     /// Parses a checkpoint from its JSON document.
@@ -418,7 +436,9 @@ impl Checkpoint {
     ///
     /// Returns [`PpError::Checkpoint`] wrapping the I/O failure.
     pub fn save(&self, path: &Path) -> Result<u64, PpError> {
-        let (line, bytes) = self.journal_line();
+        let mut line = self.to_json();
+        let bytes = line.len() as u64;
+        line.push('\n');
         write_atomic(path, line.as_bytes()).map_err(|e| write_failed(path, &e))?;
         Ok(bytes)
     }
@@ -447,14 +467,6 @@ impl Checkpoint {
             None => &text,
         };
         Self::from_json(last)
-    }
-
-    /// The document plus its newline, and the document's byte count.
-    fn journal_line(&self) -> (String, u64) {
-        let mut line = self.to_json();
-        let bytes = line.len() as u64;
-        line.push('\n');
-        (line, bytes)
     }
 
     /// Unwraps a single-engine snapshot of the expected `kind`, with a
@@ -517,6 +529,65 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Where a run's captures go: a [`CheckpointJournal`] file, or a job
+/// server's log.  Each [`store`](Self::store) hands over one encoded
+/// checkpoint document, which becomes the newest capture the run resumes
+/// from.  Drive loops encode through [`Captures`], which reuses one buffer.
+pub trait CheckpointSink: Send {
+    /// Stores `document` — one [`Checkpoint`] JSON document, which never
+    /// holds a raw newline — as the newest capture.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpError::Checkpoint`] when the capture cannot be stored;
+    /// the previous capture stays the one to resume from.
+    fn store(&mut self, document: &str) -> Result<(), PpError>;
+}
+
+/// A [`CheckpointSink`] with the buffer its captures are encoded into, so
+/// a capture allocates no document of its own.
+pub struct Captures {
+    sink: Box<dyn CheckpointSink>,
+    document: String,
+}
+
+impl std::fmt::Debug for Captures {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Captures")
+            .field("document_capacity", &self.document.capacity())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Captures {
+    /// Captures going to `sink`.
+    #[must_use]
+    pub fn new(sink: Box<dyn CheckpointSink>) -> Self {
+        Captures {
+            sink,
+            document: String::new(),
+        }
+    }
+
+    /// Encodes `checkpoint` with `stamp` added to its metadata (see
+    /// [`Checkpoint::write_json`]), stores it, and returns the document's
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sink's [`PpError::Checkpoint`].
+    pub fn store(
+        &mut self,
+        checkpoint: &Checkpoint,
+        stamp: &[(String, u64)],
+    ) -> Result<u64, PpError> {
+        self.document.clear();
+        checkpoint.write_json(&mut self.document, stamp);
+        self.sink.store(&self.document)?;
+        Ok(self.document.len() as u64)
+    }
+}
+
 /// The most lines a [`CheckpointJournal`] file holds: the capture after
 /// the 64th line starts the file over.
 pub const JOURNAL_MAX_LINES: usize = 64;
@@ -539,6 +610,8 @@ pub struct CheckpointJournal {
     /// first capture and after a failed append, so the next capture
     /// starts the file over rather than append behind a torn line.
     file: Option<(File, usize)>,
+    /// The line being written, reused across captures.
+    line: String,
 }
 
 impl CheckpointJournal {
@@ -549,6 +622,7 @@ impl CheckpointJournal {
         CheckpointJournal {
             path: path.into(),
             file: None,
+            line: String::new(),
         }
     }
 
@@ -560,15 +634,24 @@ impl CheckpointJournal {
     /// Returns [`PpError::Checkpoint`] wrapping the I/O failure; the
     /// previous capture stays the file's last whole line.
     pub fn append(&mut self, checkpoint: &Checkpoint) -> Result<u64, PpError> {
-        let (line, bytes) = checkpoint.journal_line();
+        self.line.clear();
+        checkpoint.write_json(&mut self.line, &[]);
+        let bytes = self.line.len() as u64;
+        self.write_line()?;
+        Ok(bytes)
+    }
+
+    /// Writes the document in `line` plus a newline as the last line.
+    fn write_line(&mut self) -> Result<(), PpError> {
+        self.line.push('\n');
         match self.file.take() {
             Some((mut file, lines)) if lines < JOURNAL_MAX_LINES => {
-                file.write_all(line.as_bytes())
+                file.write_all(self.line.as_bytes())
                     .map_err(|e| write_failed(&self.path, &e))?;
                 self.file = Some((file, lines + 1));
             }
             _ => {
-                write_atomic(&self.path, line.as_bytes())
+                write_atomic(&self.path, self.line.as_bytes())
                     .map_err(|e| write_failed(&self.path, &e))?;
                 let file = OpenOptions::new()
                     .append(true)
@@ -577,7 +660,15 @@ impl CheckpointJournal {
                 self.file = Some((file, 1));
             }
         }
-        Ok(bytes)
+        Ok(())
+    }
+}
+
+impl CheckpointSink for CheckpointJournal {
+    fn store(&mut self, document: &str) -> Result<(), PpError> {
+        self.line.clear();
+        self.line.push_str(document);
+        self.write_line()
     }
 }
 
@@ -616,13 +707,20 @@ fn bad(reason: &str) -> PpError {
 
 // --- JSON writer --------------------------------------------------------
 
+/// Appends `prefix` (the punctuation and field name before a value) and
+/// `value`.
+fn write_field(out: &mut String, prefix: &str, value: u64) {
+    out.push_str(prefix);
+    json::write_u64(out, value);
+}
+
 fn write_u64_array(out: &mut String, values: &[u64]) {
     out.push('[');
-    for (i, v) in values.iter().enumerate() {
+    for (i, &v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{v}");
+        json::write_u64(out, v);
     }
     out.push(']');
 }
@@ -630,11 +728,9 @@ fn write_u64_array(out: &mut String, values: &[u64]) {
 fn write_snapshot(out: &mut String, s: &EngineSnapshot) {
     out.push_str("{\"supports\":");
     write_u64_array(out, &s.supports);
-    let _ = write!(
-        out,
-        ",\"undecided\":{},\"interactions\":{},\"rng\":",
-        s.undecided, s.interactions
-    );
+    write_field(out, ",\"undecided\":", s.undecided);
+    write_field(out, ",\"interactions\":", s.interactions);
+    out.push_str(",\"rng\":");
     write_u64_array(out, &s.rng);
     out.push_str(",\"counters\":{");
     for (i, (name, value)) in s.counters.iter().enumerate() {
@@ -642,7 +738,7 @@ fn write_snapshot(out: &mut String, s: &EngineSnapshot) {
             out.push(',');
         }
         json::write_json_string(name, out);
-        let _ = write!(out, ":{value}");
+        write_field(out, ":", *value);
     }
     out.push_str("}}");
 }
@@ -661,16 +757,13 @@ fn write_sharded(out: &mut String, s: &ShardedSnapshot) {
     }
     out.push_str("],\"alloc_rng\":");
     write_u64_array(out, &s.alloc_rng);
-    let _ = write!(
-        out,
-        ",\"interactions\":{},\"epochs\":{},\"epoch_len\":{},\"threads\":{},\"rebalance_every\":",
-        s.interactions, s.epochs, s.epoch_len, s.threads
-    );
+    write_field(out, ",\"interactions\":", s.interactions);
+    write_field(out, ",\"epochs\":", s.epochs);
+    write_field(out, ",\"epoch_len\":", s.epoch_len);
+    write_field(out, ",\"threads\":", s.threads);
     match s.rebalance_every {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
-        None => out.push_str("null"),
+        Some(v) => write_field(out, ",\"rebalance_every\":", v),
+        None => out.push_str(",\"rebalance_every\":null"),
     }
     out.push('}');
 }
@@ -683,23 +776,21 @@ fn write_ensemble(out: &mut String, s: &EnsembleSnapshot) {
         }
         write_snapshot(out, replica);
     }
-    let _ = write!(out, "],\"rounds\":{}}}", s.rounds);
+    write_field(out, "],\"rounds\":", s.rounds);
+    out.push('}');
 }
 
 fn write_mean_field(out: &mut String, s: &MeanFieldSnapshot) {
     out.push_str("{\"fraction_bits\":");
     write_u64_array(out, &s.fraction_bits);
-    let _ = write!(
-        out,
-        ",\"undecided_bits\":{},\"supports\":",
-        s.undecided_bits
-    );
+    write_field(out, ",\"undecided_bits\":", s.undecided_bits);
+    out.push_str(",\"supports\":");
     write_u64_array(out, &s.supports);
-    let _ = write!(
-        out,
-        ",\"undecided\":{},\"population\":{},\"interactions\":{},\"dt_bits\":{}}}",
-        s.undecided, s.population, s.interactions, s.dt_bits
-    );
+    write_field(out, ",\"undecided\":", s.undecided);
+    write_field(out, ",\"population\":", s.population);
+    write_field(out, ",\"interactions\":", s.interactions);
+    write_field(out, ",\"dt_bits\":", s.dt_bits);
+    out.push('}');
 }
 
 // --- Field interpretation ---------------------------------------------

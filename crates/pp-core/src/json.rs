@@ -138,11 +138,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::U64(v) => write_u64(out, *v),
             Json::I64(v) => {
-                let _ = write!(out, "{v}");
+                if *v < 0 {
+                    out.push('-');
+                }
+                write_u64(out, v.unsigned_abs());
             }
             Json::F64(v) => out.push_str(&write_f64(*v)),
             Json::Str(s) => write_json_string(s, out),
@@ -200,25 +201,59 @@ pub fn write_f64(x: f64) -> String {
     }
 }
 
+/// Appends the decimal digits of `v` to `out`: the bytes `{v}` formats
+/// to, without the formatting machinery (checkpoints and job-log lines
+/// write a few dozen integers per document).
+pub fn write_u64(out: &mut String, mut v: u64) {
+    // Two digits per division, from a table of "00" to "99".
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v > 0 || start == digits.len() {
+        start -= 1;
+        digits[start] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
 /// Appends `s` to `out` as a quoted JSON string: `"` and `\\` are
 /// backslash-escaped, newline, carriage return and tab use their short
 /// escapes, and the other control characters use `\u00XX`, so a written
-/// document never holds a raw line break.
+/// document never holds a raw line break.  Runs of characters that need
+/// no escape are copied whole.
 pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every byte that needs an escape is ASCII, and no byte of a
+    // multi-byte character is, so splitting at one keeps `rest` valid.
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c);
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -480,6 +515,23 @@ mod tests {
         ] {
             let parsed = Json::parse(doc).unwrap();
             assert_eq!(parsed.to_json(), doc, "round trip of {doc}");
+        }
+    }
+
+    #[test]
+    fn integers_write_what_display_writes() {
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut values = vec![0, 1, 9, 10, 11, 99, 100, 101, 999, 1_000, 1_005, u64::MAX];
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(x >> (x % 64));
+        }
+        for v in values {
+            let mut out = String::from("x");
+            write_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
         }
     }
 

@@ -6,24 +6,36 @@
 //! next [`crate::server::Server::open`] re-queues it — that re-queue is
 //! invisible in the result, which is pinned bit-identical either way.
 //!
-//! Persistence layout (inside the server's state directory):
+//! Persistence layout: a server's state directory holds one file,
+//! `jobs.log` (plus `jobs.log.tmp`, the version a rewrite replaced, and
+//! `jobs.log.corrupt` once a line was set aside).  The `JobLog` appends one
+//! line per persisted change:
 //!
-//! * `jobs.log` — the `JobLog`, appended one line per persisted change:
-//!   a [`JobRecord`] (version, id, priority, state, scenario, and the
-//!   failure message for failed jobs) as its version-1 JSON document, or
-//!   `result <id> <checksum> <document>` for a done job's canonical result
+//! * a [`JobRecord`] (version, id, priority, state, scenario, and the
+//!   failure message for failed jobs) as its version-1 JSON document; a
+//!   job's last record line is its state;
+//! * `result <id> <checksum> <document>` for a done job's canonical result
 //!   ([`crate::runner::result_json`] bytes, stored verbatim so replaying a
 //!   `result` request after a restart returns the identical bytes; the
 //!   checksum is the document's FNV-1a 64 hash as 16 lowercase hex
-//!   digits, so a damaged document that still parses is never served).
-//!   The last record line of a job is its state.  Opening the server
-//!   rewrites the log to its live lines through
-//!   [`pp_core::checkpoint::write_atomic`] (so `jobs.log.tmp` is its
-//!   previous version), and keeps the lines it could not parse — result
-//!   lines whose checksum is missing or wrong, and those whose document
-//!   fails [`crate::protocol::check_result_doc`] — in `jobs.log.corrupt`.
-//! * `ckpt-<id>.json` — a [`pp_core::checkpoint::CheckpointJournal`] for a
-//!   job halted mid-run, removed when the job reaches a terminal state.
+//!   digits, so a damaged document that still parses is never served);
+//! * `ckpt <id> <checksum> <document>` for each checkpoint a running job
+//!   captures (a [`pp_core::Checkpoint`] document; the checksum is the
+//!   same FNV-1a 64 hash, taken over `<id> <document>` so that a capture
+//!   is never read as another job's).  A job resumes from its last
+//!   checkpoint line whose checksum holds.
+//!
+//! The live lines are each job's last record line, a done job's result
+//! line and a job's last checkpoint line until it reaches a terminal
+//! state.  The log is rewritten to them through
+//! [`pp_core::checkpoint::write_atomic`] when the server opens, and while
+//! it runs whenever the file has grown past twice their bytes plus
+//! [`LOG_SLACK`], so its size stays bounded however many captures the
+//! jobs take.  Opening keeps the lines it could not use in
+//! `jobs.log.corrupt`: lines that do not parse, result and checkpoint lines
+//! whose checksum is missing or wrong, results whose document fails
+//! [`crate::protocol::check_result_doc`], and a running job's checkpoint
+//! that is no checkpoint document.
 
 use crate::json::{Json, ObjBuilder};
 use crate::scenario::ScenarioConfig;
@@ -186,12 +198,6 @@ impl JobRecord {
             error,
         })
     }
-
-    /// The resume-checkpoint file for a job.
-    #[must_use]
-    pub fn checkpoint_path_in(dir: &Path, id: JobId) -> PathBuf {
-        dir.join(format!("ckpt-{}.json", id.0))
-    }
 }
 
 /// Priorities serialize through the exact-integer JSON variants.
@@ -209,16 +215,28 @@ pub const JOB_LOG: &str = "jobs.log";
 /// The prefix of a result line.
 const RESULT_PREFIX: &str = "result ";
 
+/// The prefix of a checkpoint line.
+const CKPT_PREFIX: &str = "ckpt ";
+
+/// How many bytes beyond twice its live lines the job log may hold before
+/// it is rewritten to them (see the module docs).
+pub const LOG_SLACK: u64 = 1 << 20;
+
 /// A record's log line, newline included.
 fn record_line(record: &JobRecord) -> String {
     record.to_json() + "\n"
 }
 
-/// The FNV-1a 64 hash a result line carries for its document.
-fn checksum(doc: &str) -> u64 {
-    doc.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+/// Folds `bytes` into an FNV-1a 64 hash.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// The FNV-1a 64 hash a result line carries for its document.
+fn checksum(doc: &str) -> u64 {
+    fnv1a(0xcbf2_9ce4_8422_2325, doc.as_bytes())
 }
 
 /// A done job's result line, newline included: `result <id> <checksum>
@@ -226,6 +244,40 @@ fn checksum(doc: &str) -> u64 {
 #[must_use]
 pub fn result_line(id: JobId, result: &str) -> String {
     format!("{RESULT_PREFIX}{id} {:016x} {result}\n", checksum(result))
+}
+
+/// The FNV-1a 64 hash a checkpoint line carries: over `<id> <document>`.
+fn ckpt_checksum(id: &str, doc: &str) -> u64 {
+    fnv1a(fnv1a(checksum(id), b" "), doc.as_bytes())
+}
+
+/// Writes a checkpoint line into `line` (emptied first), newline
+/// included: `ckpt <id> <checksum> <document>` (see the module docs).
+pub fn write_ckpt_line(line: &mut String, id: JobId, document: &str) {
+    use std::fmt::Write as _;
+    line.clear();
+    let _ = write!(line, "{CKPT_PREFIX}{id}");
+    let sum = ckpt_checksum(&line[CKPT_PREFIX.len()..], document);
+    let _ = write!(line, " {sum:016x} ");
+    line.push_str(document);
+    line.push('\n');
+}
+
+/// The bytes of one job's live lines (see the module docs).
+#[derive(Debug, Default)]
+struct LiveLines {
+    /// Its last record line's bytes.
+    record: u64,
+    /// Its result line's bytes (`0` unless done).
+    result: u64,
+    /// Its last checkpoint line (empty once the job is terminal).
+    capture: String,
+}
+
+impl LiveLines {
+    fn bytes(&self) -> u64 {
+        self.record + self.result + self.capture.len() as u64
+    }
 }
 
 /// The append-only job log of a state directory (see the module docs).
@@ -237,13 +289,22 @@ pub fn result_line(id: JobId, result: &str) -> String {
 pub(crate) struct JobLog {
     path: PathBuf,
     /// The append handle; `None` before the first append and after a
-    /// failed one.
+    /// failed one or a rewrite.
     file: Option<File>,
     /// A failed write may have left part of a line: the next append
     /// starts with a newline so that part never merges with its lines.
     torn: bool,
     /// Appends and rewrites that failed.
     failures: u64,
+    /// The file's bytes, as far as this log wrote them.
+    len: u64,
+    /// Each job's live lines, by id.
+    lines: BTreeMap<u64, LiveLines>,
+    /// The sum of their bytes.
+    live: u64,
+    /// The file is rewritten once it holds more than `2 · live + slack`
+    /// bytes ([`LOG_SLACK`]; tests lower it).
+    pub(crate) slack: u64,
 }
 
 impl JobLog {
@@ -254,6 +315,10 @@ impl JobLog {
             file: None,
             torn: false,
             failures: 0,
+            len: 0,
+            lines: BTreeMap::new(),
+            live: 0,
+            slack: LOG_SLACK,
         }
     }
 
@@ -267,14 +332,56 @@ impl JobLog {
         self.failures
     }
 
+    /// The file's bytes and its live lines' bytes.
+    #[cfg(test)]
+    pub(crate) fn sizes(&self) -> (u64, u64) {
+        (self.len, self.live)
+    }
+
+    /// Whether the file has outgrown its bound and should be rewritten.
+    pub(crate) fn over_bound(&self) -> bool {
+        self.len > 2 * self.live + self.slack
+    }
+
     /// Appends a record line.
     pub(crate) fn append_record(&mut self, record: &JobRecord) {
-        self.append(&record_line(record));
+        let line = record_line(record);
+        self.append(&line);
+        self.set_live(record, line.len() as u64, 0);
     }
 
     /// Appends a done record and its result line with one write.
     pub(crate) fn append_done(&mut self, record: &JobRecord, result: &str) {
-        self.append(&(record_line(record) + &result_line(record.id, result)));
+        let (line, result) = (record_line(record), result_line(record.id, result));
+        self.append(&(line.clone() + &result));
+        self.set_live(record, line.len() as u64, result.len() as u64);
+    }
+
+    /// Appends a running job's checkpoint line (see [`write_ckpt_line`]).
+    pub(crate) fn append_capture(&mut self, id: JobId, line: &str) {
+        self.append(line);
+        self.keep_capture(id, line);
+    }
+
+    /// Makes `line` the job's live checkpoint line.
+    pub(crate) fn keep_capture(&mut self, id: JobId, line: &str) {
+        let live = self.lines.entry(id.0).or_default();
+        self.live = self.live - live.capture.len() as u64 + line.len() as u64;
+        live.capture.clear();
+        live.capture.push_str(line);
+    }
+
+    /// Makes `record` the job's live record line, with a result line of
+    /// `result` bytes; a terminal job's checkpoint is no longer live.
+    fn set_live(&mut self, record: &JobRecord, line: u64, result: u64) {
+        let live = self.lines.entry(record.id.0).or_default();
+        self.live -= live.bytes();
+        live.record = line;
+        live.result = result;
+        if record.state.is_terminal() {
+            live.capture = String::new();
+        }
+        self.live += live.bytes();
     }
 
     /// Best effort: a failure is counted and drops the handle, and the job
@@ -297,6 +404,7 @@ impl JobLog {
             file.write_all(lines.as_bytes())
         };
         if written.is_ok() {
+            self.len += lines.len() as u64 + u64::from(self.torn);
             self.file = Some(file);
             self.torn = false;
         } else {
@@ -305,19 +413,42 @@ impl JobLog {
         }
     }
 
-    /// Replaces the log with `jobs`' live lines: each job's record, and
-    /// the result of a done one.  Called before the first append.
+    /// Replaces the log with the live lines of `jobs` (every job the
+    /// server knows): each one's record, the result of a done one, and the
+    /// last checkpoint line of one that is not terminal.  A failed rewrite
+    /// is counted, and the next one waits for another bound's worth of
+    /// appends.
     pub(crate) fn compact<'a>(
         &mut self,
         jobs: impl Iterator<Item = (&'a JobRecord, Option<&'a str>)>,
     ) {
-        let mut text = String::new();
+        let mut captures = std::mem::take(&mut self.lines);
+        let mut text = String::with_capacity(self.live as usize);
         for (record, result) in jobs {
+            let start = text.len();
             text.push_str(&record_line(record));
+            let mut live = LiveLines {
+                record: (text.len() - start) as u64,
+                ..LiveLines::default()
+            };
             if let Some(result) = result {
+                let start = text.len();
                 text.push_str(&result_line(record.id, result));
+                live.result = (text.len() - start) as u64;
             }
+            if let Some(kept) = captures.remove(&record.id.0) {
+                if !record.state.is_terminal() && !kept.capture.is_empty() {
+                    text.push_str(&kept.capture);
+                    live.capture = kept.capture;
+                }
+            }
+            self.lines.insert(record.id.0, live);
         }
+        self.live = text.len() as u64;
+        self.len = self.live;
+        // The append handle points at the replaced file.
+        self.file = None;
+        self.torn = false;
         if write_atomic(&self.path, text.as_bytes()).is_err() {
             self.failures += 1;
         }
@@ -344,6 +475,9 @@ pub(crate) struct LogReplay {
     pub(crate) results: BTreeMap<u64, String>,
     /// The 1-based line number of each job's last result line, by id.
     pub(crate) result_lines: BTreeMap<u64, usize>,
+    /// Each job's last checkpoint line whose checksum holds, by id: its
+    /// 1-based line number and its document.
+    pub(crate) captures: BTreeMap<u64, (usize, String)>,
     /// The whole lines that did not parse, in file order.
     pub(crate) bad: Vec<BadLine>,
     /// One past the highest id a whole line names, parsed or not (`0` when
@@ -366,14 +500,21 @@ pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
             out.next_id = out.next_id.max(id.saturating_add(1));
         }
         let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"));
-        let parsed = text.and_then(|text| match text.strip_prefix(RESULT_PREFIX) {
-            Some(rest) => parse_result(rest).map(|(id, doc)| {
-                out.results.insert(id, doc.to_string());
-                out.result_lines.insert(id, i + 1);
-            }),
-            None => JobRecord::from_json(text).map(|record| {
-                out.records.insert(record.id.0, record);
-            }),
+        let parsed = text.and_then(|text| {
+            if let Some(rest) = text.strip_prefix(RESULT_PREFIX) {
+                parse_result(rest).map(|(id, doc)| {
+                    out.results.insert(id, doc.to_string());
+                    out.result_lines.insert(id, i + 1);
+                })
+            } else if let Some(rest) = text.strip_prefix(CKPT_PREFIX) {
+                parse_ckpt(rest).map(|(id, doc)| {
+                    out.captures.insert(id, (i + 1, doc.to_string()));
+                })
+            } else {
+                JobRecord::from_json(text).map(|record| {
+                    out.records.insert(record.id.0, record);
+                })
+            }
         });
         if let Err(reason) = parsed {
             out.bad.push(BadLine {
@@ -386,29 +527,67 @@ pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
     out
 }
 
+/// A line's checked parts: the id, as written and parsed, the checksum
+/// when it is 16 lowercase hex digits, and the document.
+struct Checked<'a> {
+    id_text: &'a str,
+    id: u64,
+    sum: Option<u64>,
+    doc: &'a str,
+}
+
+/// Splits the `<id> <checksum> <document>` rest of a `kind` line.
+fn split_checked<'a>(rest: &'a str, kind: &str) -> Result<Checked<'a>, String> {
+    let (id_text, rest) = rest
+        .split_once(' ')
+        .ok_or_else(|| format!("{kind} line without a document"))?;
+    let id = id_text
+        .parse::<u64>()
+        .map_err(|_| format!("{kind} line with a bad job id {id_text:?}"))?;
+    let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+    Ok(match rest.split_once(' ') {
+        Some((sum, doc)) if sum.len() == 16 && sum.bytes().all(lower_hex) => Checked {
+            id_text,
+            id,
+            sum: u64::from_str_radix(sum, 16).ok(),
+            doc,
+        },
+        _ => Checked {
+            id_text,
+            id,
+            sum: None,
+            doc: rest,
+        },
+    })
+}
+
+/// Checks a line's claimed checksum against the hash of what it covers.
+fn verify(kind: &str, what: &str, claimed: Option<u64>, actual: u64) -> Result<(), String> {
+    match claimed {
+        None => Err(format!("{kind} line without a checksum")),
+        Some(sum) if sum != actual => Err(format!(
+            "{kind} checksum mismatch: the line says {sum:016x}, {what} hashes to {actual:016x}"
+        )),
+        Some(_) => Ok(()),
+    }
+}
+
 /// Parses the `<id> <checksum> <document>` rest of a result line.
 fn parse_result(rest: &str) -> Result<(u64, &str), String> {
-    let (id, rest) = rest
-        .split_once(' ')
-        .ok_or_else(|| "result line without a document".to_string())?;
-    let id = id
-        .parse::<u64>()
-        .map_err(|_| format!("result line with a bad job id {id:?}"))?;
-    let (sum, doc) = match rest.split_once(' ') {
-        Some((sum, doc)) if sum.len() == 16 && sum.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            (u64::from_str_radix(sum, 16).ok(), doc)
-        }
-        _ => (None, rest),
-    };
-    Json::parse(doc).map_err(|e| format!("malformed result document: {e}"))?;
-    match sum {
-        None => Err("result line without a checksum".to_string()),
-        Some(sum) if sum != checksum(doc) => Err(format!(
-            "result checksum mismatch: the line says {sum:016x}, the document hashes to {:016x}",
-            checksum(doc)
-        )),
-        Some(_) => Ok((id, doc)),
-    }
+    let line = split_checked(rest, "result")?;
+    Json::parse(line.doc).map_err(|e| format!("malformed result document: {e}"))?;
+    verify("result", "the document", line.sum, checksum(line.doc))?;
+    Ok((line.id, line.doc))
+}
+
+/// Parses the `<id> <checksum> <document>` rest of a checkpoint line.  The
+/// document is only hashed: a server parses the capture a job resumes
+/// from, not the earlier ones.
+fn parse_ckpt(rest: &str) -> Result<(u64, &str), String> {
+    let line = split_checked(rest, "checkpoint")?;
+    let hashed = ckpt_checksum(line.id_text, line.doc);
+    verify("checkpoint", "\"<id> <document>\"", line.sum, hashed)?;
+    Ok((line.id, line.doc))
 }
 
 /// The job id a line names, read from its start even when the rest does
@@ -416,6 +595,7 @@ fn parse_result(rest: &str) -> Result<(u64, &str), String> {
 fn named_id(line: &[u8]) -> Option<u64> {
     let rest = line
         .strip_prefix(RESULT_PREFIX.as_bytes())
+        .or_else(|| line.strip_prefix(CKPT_PREFIX.as_bytes()))
         .or_else(|| line.strip_prefix(br#"{"job":1,"id":"#))?;
     let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
     std::str::from_utf8(&rest[..digits]).ok()?.parse().ok()
@@ -502,6 +682,34 @@ mod tests {
         bytes[sum_at] = if bytes[sum_at] == b'0' { b'1' } else { b'0' };
         let damaged = String::from_utf8(bytes).unwrap();
         assert!(reason(&damaged).starts_with("result checksum mismatch"));
+    }
+
+    #[test]
+    fn a_checkpoint_line_verifies_its_id_and_document() {
+        let doc = r#"{"format":1,"kind":"exact","engine":{}}"#;
+        let mut line = String::new();
+        write_ckpt_line(&mut line, JobId(12), doc);
+        assert!(line.starts_with("ckpt 12 ") && line.ends_with(&format!(" {doc}\n")));
+        let replayed = replay(line.as_bytes());
+        assert_eq!(replayed.captures[&12], (1, doc.to_string()));
+        assert_eq!(replayed.next_id, 13);
+        let reason = |line: &str| {
+            let replayed = replay(line.as_bytes());
+            assert!(replayed.captures.is_empty(), "{line} was kept");
+            replayed.bad[0].reason.clone()
+        };
+        // Another job's id, a changed document, and an uppercase checksum.
+        for damaged in [
+            line.replacen("ckpt 12 ", "ckpt 13 ", 1),
+            line.replace("exact", "exacT"),
+        ] {
+            assert!(
+                reason(&damaged).starts_with("checkpoint checksum mismatch"),
+                "{damaged}"
+            );
+        }
+        let upper = format!("ckpt 12 {} {doc}\n", &line[8..24].to_uppercase());
+        assert_eq!(reason(&upper), "checkpoint line without a checksum");
     }
 
     #[test]

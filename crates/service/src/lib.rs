@@ -39,12 +39,13 @@
 //! ## Resume contract
 //!
 //! With a state directory, a killed server (crash or [`Server::kill`])
-//! leaves every in-flight USD job as a `running` record plus a checkpoint
-//! captured at an exact pause boundary; reopening the directory re-queues
-//! and resumes those jobs, and their results are bit-identical to the
-//! never-interrupted run.  Sampling-dynamic jobs have no mid-run capture
-//! seam — they restart from scratch and reach the same result by
-//! determinism alone, repaying only wall time.  Canonical result documents
+//! leaves every in-flight job as a `running` record plus, for a single
+//! trajectory or a USD ensemble, a checkpoint line captured at an exact
+//! pause boundary; reopening the directory re-queues and resumes those
+//! jobs, and their results are bit-identical to the never-interrupted run.
+//! Sampling-dynamic ensembles have no mid-run capture seam — they restart
+//! from scratch and reach the same result by determinism alone, repaying
+//! only wall time.  Canonical result documents
 //! are stored verbatim, so `result` replies survive restarts byte-for-byte.
 
 #![forbid(unsafe_code)]

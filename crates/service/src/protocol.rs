@@ -27,7 +27,7 @@
 //! schemas (CI runs them over live streams via `service_check`).
 
 use crate::job::{JobId, JobRecord, JobState};
-use crate::json::{Json, ObjBuilder};
+use crate::json::{write_f64, write_json_string, write_u64, Json, ObjBuilder};
 use crate::runner::ProgressEvent;
 use crate::scenario::ScenarioConfig;
 use pp_core::MetricsSnapshot;
@@ -134,74 +134,100 @@ pub fn ok_reply(fields: Vec<(String, Json)>) -> String {
     builder.build().to_json()
 }
 
-/// Serializes a metrics snapshot as nested objects (counter/gauge/histogram
-/// maps keyed by metric name).
-#[must_use]
-pub fn metrics_json(metrics: &MetricsSnapshot) -> Json {
-    let counters = metrics
-        .counters()
-        .iter()
-        .map(|(name, v)| (name.clone(), Json::U64(*v)))
-        .collect();
-    let gauges = metrics
-        .gauges()
-        .iter()
-        .map(|(name, v)| (name.clone(), Json::F64(*v)))
-        .collect();
-    let histograms = metrics
-        .histograms()
-        .iter()
-        .map(|(name, h)| {
-            (
-                name.clone(),
-                ObjBuilder::new()
-                    .field("count", Json::U64(h.count))
-                    .field("sum", Json::U64(h.sum))
-                    .build(),
-            )
-        })
-        .collect();
-    ObjBuilder::new()
-        .field("counters", Json::Obj(counters))
-        .field("gauges", Json::Obj(gauges))
-        .field("histograms", Json::Obj(histograms))
-        .build()
-}
-
-/// Renders one streamed progress line (no trailing newline).
+/// Renders one streamed progress line (no trailing newline): the event,
+/// job and sequence number, then whichever of `interactions`, `supports`,
+/// `undecided` and `metrics` the event carries.  A running job emits one
+/// per pause, so the line is written straight into its buffer; its bytes
+/// are what the [`Json`] writer gives for the same fields.
 #[must_use]
 pub fn progress_event(id: JobId, seq: u64, event: &ProgressEvent) -> String {
-    ObjBuilder::new()
-        .field("event", Json::Str("progress".to_string()))
-        .field("job", Json::U64(id.0))
-        .field("seq", Json::U64(seq))
-        .opt("interactions", event.interactions.map(Json::U64))
-        .opt(
-            "supports",
-            event
-                .supports
-                .as_ref()
-                .map(|s| Json::Arr(s.iter().map(|&v| Json::U64(v)).collect())),
-        )
-        .opt("undecided", event.undecided.map(Json::U64))
-        .opt("metrics", event.metrics.as_ref().map(metrics_json))
-        .build()
-        .to_json()
+    // A job keeps its lines: start at 128 bytes, doubling to 256 for a
+    // line with counters, as a growing `Json::to_json` buffer would.
+    let mut out = String::with_capacity(128);
+    out.push_str("{\"event\":\"progress\",\"job\":");
+    write_u64(&mut out, id.0);
+    out.push_str(",\"seq\":");
+    write_u64(&mut out, seq);
+    if let Some(interactions) = event.interactions {
+        out.push_str(",\"interactions\":");
+        write_u64(&mut out, interactions);
+    }
+    if let Some(supports) = &event.supports {
+        out.push_str(",\"supports\":[");
+        for (i, &support) in supports.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_u64(&mut out, support);
+        }
+        out.push(']');
+    }
+    if let Some(undecided) = event.undecided {
+        out.push_str(",\"undecided\":");
+        write_u64(&mut out, undecided);
+    }
+    if let Some(metrics) = &event.metrics {
+        out.push_str(",\"metrics\":");
+        write_metrics(&mut out, metrics);
+    }
+    out.push('}');
+    out
+}
+
+/// Writes a metrics snapshot as nested objects: counter, gauge and
+/// histogram maps keyed by metric name, a histogram as its count and sum.
+fn write_metrics(out: &mut String, metrics: &MetricsSnapshot) {
+    /// Writes `"name":` after a comma unless it is the first entry.
+    fn key(out: &mut String, i: usize, name: &str) {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_string(name, out);
+        out.push(':');
+    }
+    out.push_str("{\"counters\":{");
+    for (i, (name, value)) in metrics.counters().iter().enumerate() {
+        key(out, i, name);
+        write_u64(out, *value);
+    }
+    out.push_str("},\"gauges\":{");
+    for (i, (name, value)) in metrics.gauges().iter().enumerate() {
+        key(out, i, name);
+        out.push_str(&write_f64(*value));
+    }
+    out.push_str("},\"histograms\":{");
+    for (i, (name, histogram)) in metrics.histograms().iter().enumerate() {
+        key(out, i, name);
+        out.push_str("{\"count\":");
+        write_u64(out, histogram.count);
+        out.push_str(",\"sum\":");
+        write_u64(out, histogram.sum);
+        out.push('}');
+    }
+    out.push_str("}}");
 }
 
 /// Renders the terminal event line for a job (no trailing newline).  Done
 /// jobs embed their canonical result document; failed jobs their error.
+/// `result` is spliced in as it is, so it must be canonical JSON — what
+/// [`crate::runner::result_json`] writes and a job log stores verbatim.
 #[must_use]
 pub fn done_event(record: &JobRecord, seq: u64, result: Option<&str>) -> String {
-    ObjBuilder::new()
+    let mut line = ObjBuilder::new()
         .field("event", Json::Str("done".to_string()))
         .field("job", Json::U64(record.id.0))
         .field("seq", Json::U64(seq))
         .field("state", Json::Str(record.state.name().to_string()))
         .opt("error", record.error.clone().map(Json::Str))
-        .opt("result", result.and_then(|text| Json::parse(text).ok()))
         .build()
-        .to_json()
+        .to_json();
+    if let Some(result) = result {
+        line.pop();
+        line.push_str(",\"result\":");
+        line.push_str(result);
+        line.push('}');
+    }
+    line
 }
 
 /// Validates one streamed event line against the protocol schema.
@@ -411,6 +437,149 @@ mod tests {
         assert!(
             check_progress_line(r#"{"event":"done","job":1,"seq":0,"state":"queued"}"#).is_err()
         );
+    }
+
+    #[test]
+    fn progress_lines_are_what_the_json_writer_gives_for_their_fields() {
+        // What `progress_event` rendered before it wrote the line directly.
+        let tree = |id: JobId, seq: u64, event: &ProgressEvent| {
+            let metrics = event.metrics.as_ref().map(|m| {
+                let map = |pairs: Vec<(String, Json)>| Json::Obj(pairs);
+                ObjBuilder::new()
+                    .field(
+                        "counters",
+                        map(m
+                            .counters()
+                            .iter()
+                            .map(|(n, v)| (n.clone(), Json::U64(*v)))
+                            .collect()),
+                    )
+                    .field(
+                        "gauges",
+                        map(m
+                            .gauges()
+                            .iter()
+                            .map(|(n, v)| (n.clone(), Json::F64(*v)))
+                            .collect()),
+                    )
+                    .field(
+                        "histograms",
+                        map(m
+                            .histograms()
+                            .iter()
+                            .map(|(n, h)| {
+                                let h = ObjBuilder::new()
+                                    .field("count", Json::U64(h.count))
+                                    .field("sum", Json::U64(h.sum))
+                                    .build();
+                                (n.clone(), h)
+                            })
+                            .collect()),
+                    )
+                    .build()
+            });
+            ObjBuilder::new()
+                .field("event", Json::Str("progress".to_string()))
+                .field("job", Json::U64(id.0))
+                .field("seq", Json::U64(seq))
+                .opt("interactions", event.interactions.map(Json::U64))
+                .opt(
+                    "supports",
+                    event
+                        .supports
+                        .as_ref()
+                        .map(|s| Json::Arr(s.iter().map(|&v| Json::U64(v)).collect())),
+                )
+                .opt("undecided", event.undecided.map(Json::U64))
+                .opt("metrics", metrics)
+                .build()
+                .to_json()
+        };
+        let tel = pp_core::Telemetry::enabled();
+        tel.counter("checkpoint.captures").add(62);
+        tel.counter("weird \"name\"\n").add(u64::MAX);
+        tel.gauge("ratio").set(0.1 + 0.2);
+        tel.gauge("nan").set(f64::NAN);
+        tel.histogram("latency_ns").record(1_234);
+        tel.histogram("latency_ns").record(7);
+        let full = ProgressEvent {
+            interactions: Some(u64::MAX),
+            supports: Some(vec![0, 17, 1 << 40]),
+            undecided: Some(3),
+            metrics: Some(tel.snapshot()),
+        };
+        let empty_metrics = ProgressEvent {
+            metrics: Some(pp_core::Telemetry::enabled().snapshot()),
+            ..full.clone()
+        };
+        let bare = ProgressEvent {
+            interactions: None,
+            supports: Some(Vec::new()),
+            undecided: None,
+            metrics: None,
+        };
+        for event in [full, empty_metrics, bare] {
+            let line = progress_event(JobId(9), 4, &event);
+            assert_eq!(line, tree(JobId(9), 4, &event));
+            check_progress_line(&line).unwrap();
+        }
+    }
+
+    #[test]
+    fn done_events_splice_the_result_as_the_parse_and_reencode_did() {
+        use crate::runner::{result_json, run_scenario, RunControl, RunVerdict};
+        use crate::scenario::Dynamic;
+        use pp_core::EngineChoice;
+        // What `done_event` rendered before it spliced: the result parsed
+        // and re-encoded as the last field.
+        let reencoded = |record: &JobRecord, seq: u64, result: &str| {
+            ObjBuilder::new()
+                .field("event", Json::Str("done".to_string()))
+                .field("job", Json::U64(record.id.0))
+                .field("seq", Json::U64(seq))
+                .field("state", Json::Str(record.state.name().to_string()))
+                .opt("error", record.error.clone().map(Json::Str))
+                .field("result", Json::parse(result).unwrap())
+                .build()
+                .to_json()
+        };
+        let base = ScenarioConfig::new(400, 3).with_seed(4);
+        let scenarios = [
+            base.with_engine(EngineChoice::Exact),
+            base.with_engine(EngineChoice::Batched),
+            base.with_engine(EngineChoice::Sharded).with_shards(2),
+            base.with_engine(EngineChoice::MeanField),
+            ScenarioConfig::new(4_000, 3)
+                .with_seed(4)
+                .with_engine(EngineChoice::Hybrid),
+            base.with_replicas(3),
+            base.with_dynamic(Dynamic::ThreeMajority),
+            base.with_dynamic(Dynamic::Voter)
+                .with_engine(EngineChoice::Exact),
+        ];
+        for scenario in scenarios {
+            let RunVerdict::Finished(outcome) =
+                run_scenario(&scenario, RunControl::default()).unwrap()
+            else {
+                panic!("an uninterruptible run finishes");
+            };
+            let result = result_json(&outcome);
+            let record = JobRecord {
+                id: JobId(17),
+                priority: 0,
+                state: JobState::Done,
+                scenario,
+                error: None,
+            };
+            let line = done_event(&record, 9, Some(&result));
+            assert_eq!(
+                line,
+                reencoded(&record, 9, &result),
+                "{}",
+                scenario.to_json()
+            );
+            check_progress_line(&line).unwrap();
+        }
     }
 
     #[test]

@@ -51,7 +51,9 @@ use consensus_dynamics::{
     sampler_ensemble, JMajority, MedianRule, SamplingDynamics, SequentialSampler, ThreeMajority,
     TwoChoices, Voter,
 };
-use pp_core::checkpoint::{CheckpointJournal, EngineState, ReplicaCheckpoint};
+use pp_core::checkpoint::{
+    Captures, CheckpointJournal, CheckpointSink, EngineState, ReplicaCheckpoint,
+};
 use pp_core::ensemble::EnsembleRunResult;
 use pp_core::{
     Checkpoint, Configuration, EngineChoice, MetricsSnapshot, NullRecorder, Pause, Recorder,
@@ -127,6 +129,11 @@ pub struct RunControl<'a> {
     /// interrupt appends one more capture, so the resume point is never
     /// stale.
     pub checkpoint: Option<(&'a Path, u64)>,
+    /// The same, into any [`CheckpointSink`] (a job server passes its job
+    /// log); it takes the place of `checkpoint` when both are set.  Single
+    /// USD runs, single sampling-dynamic runs and the halt capture of a
+    /// USD ensemble all store their captures here.
+    pub sink: Option<(Box<dyn CheckpointSink>, u64)>,
     /// Resume from this capture instead of building the initial state
     /// (single USD, USD-ensemble, and single sampling-dynamic
     /// checkpoints).  It must come from a run with the scenario's `n` and
@@ -148,6 +155,7 @@ impl std::fmt::Debug for RunControl<'_> {
             .field("progress_every", &self.progress_every)
             .field("interrupt", &self.interrupt.is_some())
             .field("checkpoint", &self.checkpoint)
+            .field("sink", &self.sink.as_ref().map(|(_, every)| every))
             .field("resume", &self.resume.map(Checkpoint::kind))
             .field("recorder", &self.recorder.is_some())
             .field("telemetry", &self.telemetry.is_some())
@@ -165,6 +173,23 @@ impl RunControl<'_> {
     /// and counters are those of one uninterrupted drive.
     fn pauses(&self) -> bool {
         self.progress.is_some() || self.interrupt.is_some()
+    }
+
+    /// The run's checkpoint sink and cadence: [`RunControl::sink`], else a
+    /// journal at [`RunControl::checkpoint`]'s path.
+    fn take_sink(&mut self) -> Option<(Box<dyn CheckpointSink>, u64)> {
+        self.sink.take().or_else(|| {
+            self.checkpoint.map(|(path, every)| {
+                let journal: Box<dyn CheckpointSink> = Box::new(CheckpointJournal::new(path));
+                (journal, every)
+            })
+        })
+    }
+
+    /// [`RunControl::take_sink`] with its encode buffer.
+    fn take_captures(&mut self) -> Option<(Captures, u64)> {
+        self.take_sink()
+            .map(|(sink, every)| (Captures::new(sink), every))
     }
 
     /// Interactions between pause boundaries for a population of `n`.
@@ -242,6 +267,7 @@ fn run_recorded<R: Recorder>(
                     .map_err(|e| e.to_string())?,
             };
             ensemble.set_telemetry(tel.clone());
+            let mut captures = control.take_captures();
             let windows = if control.pauses() {
                 ENSEMBLE_WINDOWS_PER_SLICE
             } else {
@@ -252,13 +278,10 @@ fn run_recorded<R: Recorder>(
                     return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)));
                 }
                 if let Some(kind) = control.poll() {
-                    if kind == Interrupt::Halted {
-                        if let Some((path, _)) = control.checkpoint {
-                            ensemble
-                                .capture()
-                                .save(path)
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                        }
+                    if let (Interrupt::Halted, Some((captures, _))) = (kind, &mut captures) {
+                        captures
+                            .store(&ensemble.capture(), &[])
+                            .map_err(|e| format!("cannot checkpoint: {e}"))?;
                     }
                     return Ok(RunVerdict::Interrupted(kind));
                 }
@@ -427,8 +450,8 @@ fn run_single_usd<R: Recorder>(
         }
     };
     sim.set_telemetry(tel.clone());
-    if let Some((path, every)) = control.checkpoint {
-        sim.set_checkpoint_sink(path, every);
+    if let Some((sink, every)) = control.take_sink() {
+        sim.attach_checkpoint_sink(sink, every);
     }
     let pause_every = control.pause_every(scenario.population);
     recorder.record(sim.interactions(), sim.configuration());
@@ -583,22 +606,15 @@ impl SamplerRun<'_> {
         }
         let population = sim.configuration().population();
         let every = control.pause_every(population);
-        let checkpoint_every = control
-            .checkpoint
-            .map(|(_, cadence)| {
-                if cadence == 0 {
-                    population.max(1)
-                } else {
-                    cadence
-                }
-            })
-            .unwrap_or(u64::MAX);
-        let mut journal = control
-            .checkpoint
-            .map(|(path, _)| CheckpointJournal::new(path));
-        let mut write_checkpoint = |sim: &SequentialSampler<D>| match &mut journal {
-            Some(journal) => journal
-                .append(&capture_sampler(sim, dynamic))
+        let mut captures = control.take_captures();
+        let checkpoint_every = match &captures {
+            Some((_, 0)) => population.max(1),
+            Some((_, cadence)) => *cadence,
+            None => u64::MAX,
+        };
+        let mut write_checkpoint = |sim: &SequentialSampler<D>| match &mut captures {
+            Some((captures, _)) => captures
+                .store(&capture_sampler(sim, dynamic), &[])
                 .map(drop)
                 .map_err(|e| format!("cannot checkpoint: {e}")),
             None => Ok(()),

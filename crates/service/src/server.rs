@@ -12,39 +12,45 @@
 //!
 //! Jobs move `Queued → Running → {Done, Failed, Cancelled}`.  With a state
 //! directory configured, every transition persists (see [`crate::job`]),
-//! running USD jobs checkpoint periodically, and [`Server::kill`] halts
-//! workers at the next pause boundary with a final checkpoint — so a
-//! killed (or crashed) server reopened on the same directory re-queues
-//! in-flight jobs and resumes them from their captures, finishing on the
-//! bit-identical trajectory.  Jobs without a pause seam (the sampling
-//! dynamics) restart from scratch instead; determinism makes the re-run's
-//! result equal, it just repays the wall time.
+//! running single-trajectory jobs checkpoint periodically, and
+//! [`Server::kill`] halts workers at the next pause boundary with a final
+//! checkpoint (a USD ensemble captures only then) — so a killed (or
+//! crashed) server reopened on the same directory re-queues in-flight jobs
+//! and resumes them from their captures, finishing on the bit-identical
+//! trajectory.  Jobs without a pause seam (sampling-dynamic ensembles)
+//! restart from scratch instead; determinism makes the re-run's result
+//! equal, it just repays the wall time.
 //!
-//! Job records and results are lines of one append-only `jobs.log` (see
-//! [`crate::job`]): each transition appends one line, and a done job
-//! appends its record and result together, with one `write` to a handle
-//! the server keeps open, so a kill at any byte leaves every earlier line
-//! whole and at most a torn last line.  A job's checkpoint `ckpt-N.json`
-//! is a [`pp_core::checkpoint::CheckpointJournal`]: each capture appends
-//! one line, and a kill at any byte leaves the previous capture as the
-//! last whole line, which is what the job resumes from.  A finished job's
-//! checkpoint is deleted with its spare.  A write that fails is counted
-//! ([`Server::persist_failures`]) and the job goes on in memory.
+//! Job records, results and checkpoints are lines of one append-only
+//! `jobs.log` (see [`crate::job`]), so a job creates, renames and unlinks
+//! no file: each transition appends one line, a done job appends its
+//! record and result together, and each checkpoint a running job captures
+//! is one checksummed `ckpt` line, each with one `write` to a handle the
+//! server keeps open.  A kill at any byte leaves every earlier line whole
+//! and at most a torn last line, so a job's last whole checkpoint line is
+//! what it resumes from.  A write that fails is counted
+//! ([`Server::persist_failures`]) and the job goes on in memory.  Once
+//! the log has grown past twice its live lines plus
+//! [`job::LOG_SLACK`], it is rewritten to them
+//! ([`pp_core::checkpoint::write_atomic`], so `jobs.log.tmp` holds the
+//! version it replaced), which keeps its size bounded while the server
+//! runs.
 //!
 //! Reopening replays the log: each job is in the state of its last whole
 //! record line, and a torn last line is ignored.  A whole line that does
-//! not parse is kept in `jobs.log.corrupt`, and so is a result line whose
-//! checksum is missing or wrong or whose document fails
-//! [`protocol::check_result_doc`]; a job no parsed line
-//! names is forgotten, and new jobs still get ids above it.  A done job
-//! without a valid result line runs again (determinism makes the re-run
-//! store the identical document).  A checkpoint that does not load is set
-//! aside as `ckpt-N.json.corrupt` and its job restarts from scratch.
-//! `job-N.json` and `result-N.json` files of an earlier per-job layout are
-//! not loaded.  [`Server::quarantined`] names each of these with its
+//! not parse is kept in `jobs.log.corrupt`, and so is a result or
+//! checkpoint line whose checksum is missing or wrong, a result whose
+//! document fails [`protocol::check_result_doc`], and a running job's last
+//! checkpoint that is no checkpoint document; a job no parsed line names
+//! is forgotten, and new jobs still get ids above it.  A done job without a
+//! valid result line runs again (determinism makes the re-run store the
+//! identical document).  A running job resumes from its last checkpoint
+//! line whose checksum holds, and restarts from scratch without one.
+//! `job-N.json`, `result-N.json` and `ckpt-N.json` files of an earlier
+//! per-job layout are not loaded (a job whose checkpoint was such a file
+//! restarts).  [`Server::quarantined`] names each of these with its
 //! reason, and the rest of the directory opens normally.  Open then
-//! rewrites the log to its live lines ([`pp_core::checkpoint::write_atomic`]),
-//! the only time the log is rewritten.
+//! rewrites the log to its live lines.
 //!
 //! ## Streaming progress
 //!
@@ -57,8 +63,8 @@ use crate::job::{self, JobId, JobLog, JobRecord, JobState, LogReplay, JOB_LOG};
 use crate::protocol;
 use crate::runner::{self, Interrupt, RunControl, RunVerdict};
 use crate::scenario::ScenarioConfig;
-use pp_core::checkpoint::remove_atomic;
-use pp_core::{Checkpoint, Parallelism};
+use pp_core::checkpoint::CheckpointSink;
+use pp_core::{Checkpoint, Parallelism, PpError};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -133,34 +139,17 @@ struct ServerInner {
     kill: AtomicBool,
 }
 
-/// State [`Server::open`] could not use: a log line, a checkpoint, or a
-/// file of an earlier layout.
+/// State [`Server::open`] could not use: a log line, or a file of an
+/// earlier layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedRecord {
-    /// What was skipped: `jobs.log:<line>` for a whole log line that does
-    /// not parse (kept in `jobs.log.corrupt`), `jobs.log` for a log that
-    /// cannot be read, `ckpt-N.json` for a checkpoint that does not load
-    /// (moved aside with an extra `.corrupt` suffix), or `job-N.json` /
-    /// `result-N.json` from an earlier per-job layout (left in place).
+    /// What was skipped: `jobs.log:<line>` for a whole log line it could
+    /// not use (kept in `jobs.log.corrupt`), `jobs.log` for a log that
+    /// cannot be read, or `job-N.json` / `result-N.json` / `ckpt-N.json`
+    /// from an earlier per-job layout (left in place).
     pub file: String,
     /// Why it was skipped, and where it went.
     pub reason: String,
-}
-
-/// Moves `path` aside as `<path>.corrupt` (when it exists) and names it
-/// with `reason`.
-fn quarantine(path: &Path, reason: &str) -> QuarantinedRecord {
-    let file = path
-        .file_name()
-        .map_or_else(String::new, |name| name.to_string_lossy().into_owned());
-    let mut aside = path.as_os_str().to_owned();
-    aside.push(".corrupt");
-    let reason = match std::fs::rename(path, &aside) {
-        Ok(()) => format!("{reason} (moved to {file}.corrupt)"),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => reason.to_string(),
-        Err(e) => format!("{reason} (cannot move it aside: {e})"),
-    };
-    QuarantinedRecord { file, reason }
 }
 
 /// Names the job log's unparsable lines and appends them to
@@ -199,8 +188,8 @@ fn valid_result(doc: &str) -> Result<(), String> {
     protocol::check_result_doc(&parsed).map_err(|e| format!("invalid result document: {e}"))
 }
 
-/// The `job-N.json` and `result-N.json` files of the earlier per-job
-/// layout, with their ids, in name order.
+/// The `job-N.json`, `result-N.json` and `ckpt-N.json` files of the
+/// earlier per-job layout, with their ids, in name order.
 fn earlier_layout(dir: &Path) -> Result<Vec<(u64, String)>, String> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot scan state directory {}: {e}", dir.display()))?;
@@ -211,6 +200,7 @@ fn earlier_layout(dir: &Path) -> Result<Vec<(u64, String)>, String> {
         let id = name
             .strip_prefix("job-")
             .or_else(|| name.strip_prefix("result-"))
+            .or_else(|| name.strip_prefix("ckpt-"))
             .and_then(|rest| rest.strip_suffix(".json"))
             .and_then(|id| id.parse::<u64>().ok());
         if let Some(id) = id {
@@ -243,8 +233,8 @@ impl Server {
     /// job log (if any), re-queues unfinished ones, rewrites the log to its
     /// live lines, and starts the worker pool.  What it cannot use is
     /// listed by [`Server::quarantined`] (see the module docs): new jobs
-    /// still get ids above every id the log names, so none reuses a
-    /// quarantined job's id or checkpoint.
+    /// still get ids above every id the log or an earlier layout's file
+    /// names, so none reuses a quarantined job's id.
     ///
     /// # Errors
     ///
@@ -275,7 +265,14 @@ impl Server {
                 }
             };
             state.next_id = state.next_id.max(replay.next_id);
-            let (mut bad, mut results) = (replay.bad, replay.results);
+            let LogReplay {
+                records,
+                mut results,
+                result_lines,
+                mut captures,
+                mut bad,
+                ..
+            } = replay;
             // A result line that parses but is no result document is set
             // aside like an unparsable line: a damaged result is never
             // served, and its job runs again.
@@ -283,16 +280,14 @@ impl Server {
                 Ok(()) => true,
                 Err(reason) => {
                     bad.push(job::BadLine {
-                        line: replay.result_lines[id],
+                        line: result_lines[id],
                         reason,
                         bytes: job::result_line(JobId(*id), doc).trim_end().into(),
                     });
                     false
                 }
             });
-            bad.sort_by_key(|line| line.line);
-            quarantined.extend(keep_bad_lines(dir, &bad));
-            for (id, mut record) in replay.records {
+            for (id, mut record) in records {
                 let mut result = None;
                 let mut resume = None;
                 if record.state == JobState::Done {
@@ -302,14 +297,22 @@ impl Server {
                     }
                 } else if !record.state.is_terminal() {
                     // A `running` job was interrupted by a kill or crash;
-                    // it goes back on the queue, resuming from its
-                    // checkpoint when one loads.
+                    // it goes back on the queue, resuming from its last
+                    // checkpoint line when that holds a checkpoint.
                     record.state = JobState::Queued;
-                    let path = JobRecord::checkpoint_path_in(dir, record.id);
-                    if path.exists() {
-                        match Checkpoint::load(&path) {
-                            Ok(checkpoint) => resume = Some(checkpoint),
-                            Err(e) => quarantined.push(quarantine(&path, &e.to_string())),
+                    if let Some((line, doc)) = captures.remove(&id) {
+                        let mut kept = String::new();
+                        job::write_ckpt_line(&mut kept, record.id, &doc);
+                        match Checkpoint::from_json(&doc) {
+                            Ok(checkpoint) => {
+                                log.keep_capture(record.id, &kept);
+                                resume = Some(checkpoint);
+                            }
+                            Err(e) => bad.push(job::BadLine {
+                                line,
+                                reason: e.to_string(),
+                                bytes: kept.trim_end().into(),
+                            }),
                         }
                     }
                 }
@@ -325,6 +328,8 @@ impl Server {
                 };
                 state.jobs.insert(id, job);
             }
+            bad.sort_by_key(|line| line.line);
+            quarantined.extend(keep_bad_lines(dir, &bad));
             for (id, file) in earlier_layout(dir)? {
                 state.next_id = state.next_id.max(id.saturating_add(1));
                 quarantined.push(QuarantinedRecord {
@@ -369,7 +374,7 @@ impl Server {
     }
 
     /// What [`Server::open`] could not use, with its reasons: log lines in
-    /// file order, then checkpoints, then files of an earlier layout.
+    /// file order, then files of an earlier layout.
     #[must_use]
     pub fn quarantined(&self) -> &[QuarantinedRecord] {
         &self.quarantined
@@ -404,17 +409,17 @@ impl Server {
             scenario,
             error: None,
         };
-        state.persist_record(&record);
         state.jobs.insert(
             id.0,
             Job {
-                record,
+                record: record.clone(),
                 result: None,
                 events: Vec::new(),
                 cancel: Arc::new(AtomicBool::new(false)),
                 resume: None,
             },
         );
+        state.persist_record(&record);
         state.queue.push(id.0);
         drop(state);
         self.inner.work_cv.notify_one();
@@ -453,7 +458,6 @@ impl Server {
                 job.record.state = JobState::Cancelled;
                 let record = job.record.clone();
                 push_terminal_event(job, &record, None);
-                remove_checkpoint(&self.inner, id);
                 state.persist_record(&record);
                 state.queue.retain(|&q| q != id.0);
                 drop(state);
@@ -599,11 +603,59 @@ fn snapshot(job: &Job) -> JobStatus {
 impl ServerState {
     /// Best-effort persistence; an unwritable state directory degrades to
     /// in-memory operation (counted by the log) rather than failing the
-    /// job.
+    /// job.  The job's in-memory state must already be `record`, since the
+    /// append may rewrite the log from memory.
     fn persist_record(&mut self, record: &JobRecord) {
         if let Some(log) = &mut self.log {
             log.append_record(record);
         }
+        self.rewrite_log_if_due();
+    }
+
+    /// Persists a done job's record and result.
+    fn persist_done(&mut self, id: u64) {
+        if let (Some(log), Some(job)) = (&mut self.log, self.jobs.get(&id)) {
+            if let Some(result) = &job.result {
+                log.append_done(&job.record, result);
+            }
+        }
+        self.rewrite_log_if_due();
+    }
+
+    /// Rewrites the log to its live lines once it has outgrown its bound.
+    fn rewrite_log_if_due(&mut self) {
+        if let Some(log) = &mut self.log {
+            if log.over_bound() {
+                log.compact(
+                    self.jobs
+                        .values()
+                        .map(|job| (&job.record, job.result.as_deref())),
+                );
+            }
+        }
+    }
+}
+
+/// A running job's [`CheckpointSink`]: each capture is one `ckpt` line of
+/// the job log (see [`crate::job`]), written under the server's lock.
+struct JobLogSink {
+    inner: Arc<ServerInner>,
+    id: JobId,
+    /// The line being written, reused across captures.
+    line: String,
+}
+
+impl CheckpointSink for JobLogSink {
+    /// Best effort, like every job-log write: a failure is counted by the
+    /// log and the job goes on.
+    fn store(&mut self, document: &str) -> Result<(), PpError> {
+        job::write_ckpt_line(&mut self.line, self.id, document);
+        let mut state = self.inner.lock();
+        if let Some(log) = &mut state.log {
+            log.append_capture(self.id, &self.line);
+        }
+        state.rewrite_log_if_due();
+        Ok(())
     }
 }
 
@@ -633,7 +685,7 @@ fn pop_next(state: &mut ServerState) -> Option<u64> {
     Some(best)
 }
 
-fn worker_loop(inner: &ServerInner) {
+fn worker_loop(inner: &Arc<ServerInner>) {
     loop {
         let claimed = {
             let mut state = inner.lock();
@@ -672,7 +724,7 @@ fn worker_loop(inner: &ServerInner) {
 /// Drives one job through the shared scenario runner, wiring the server's
 /// interrupt, progress and checkpoint hooks.
 fn run_job(
-    inner: &ServerInner,
+    inner: &Arc<ServerInner>,
     id: u64,
     record: &JobRecord,
     cancel: &AtomicBool,
@@ -680,16 +732,19 @@ fn run_job(
 ) {
     let job_id = JobId(id);
     let scenario = record.scenario;
-    let checkpoint_path = inner
-        .cfg
-        .state_dir
-        .as_ref()
-        .map(|dir| JobRecord::checkpoint_path_in(dir, job_id));
     let checkpoint_every = if inner.cfg.checkpoint_every == 0 {
         scenario.population.max(1)
     } else {
         inner.cfg.checkpoint_every
     };
+    let sink = inner.cfg.state_dir.as_ref().map(|_| {
+        let sink: Box<dyn CheckpointSink> = Box::new(JobLogSink {
+            inner: Arc::clone(inner),
+            id: job_id,
+            line: String::new(),
+        });
+        (sink, checkpoint_every)
+    });
     let interrupt = || {
         if inner.kill.load(Ordering::SeqCst) {
             Some(Interrupt::Halted)
@@ -714,9 +769,7 @@ fn run_job(
         progress: Some(&mut on_progress),
         progress_every: inner.cfg.progress_every,
         interrupt: Some(&interrupt),
-        checkpoint: checkpoint_path
-            .as_deref()
-            .map(|path| (path, checkpoint_every)),
+        sink,
         resume: resume.as_ref(),
         ..RunControl::default()
     };
@@ -733,23 +786,19 @@ fn run_job(
             job.record.state = JobState::Done;
             let record = job.record.clone();
             push_terminal_event(job, &record, Some(&result));
-            if let Some(log) = &mut state.log {
-                log.append_done(&record, &result);
-            }
             job.result = Some(result);
-            remove_checkpoint(inner, job_id);
+            state.persist_done(id);
         }
         Ok(RunVerdict::Interrupted(Interrupt::Cancelled)) => {
             job.record.state = JobState::Cancelled;
             let record = job.record.clone();
             push_terminal_event(job, &record, None);
             state.persist_record(&record);
-            remove_checkpoint(inner, job_id);
         }
         Ok(RunVerdict::Interrupted(Interrupt::Halted)) => {
             // The server is going down; the job stays `running` on disk
-            // (with its checkpoint) so the next open re-queues it.  In
-            // memory nothing more to do — the process is exiting.
+            // (with its last checkpoint line) so the next open re-queues
+            // it.  In memory nothing more to do — the process is exiting.
         }
         Err(message) => {
             job.record.state = JobState::Failed;
@@ -762,13 +811,6 @@ fn run_job(
     drop(guard);
     inner.watch_cv.notify_all();
     inner.done_cv.notify_all();
-}
-
-/// Deletes a finished job's checkpoint with its spare.
-fn remove_checkpoint(inner: &ServerInner, id: JobId) {
-    if let Some(dir) = &inner.cfg.state_dir {
-        let _ = remove_atomic(&JobRecord::checkpoint_path_in(dir, id));
-    }
 }
 
 #[cfg(test)]
@@ -899,20 +941,32 @@ mod tests {
         names
     }
 
+    /// A sink that keeps every capture's document.
+    struct Collect(Arc<Mutex<Vec<String>>>);
+
+    impl CheckpointSink for Collect {
+        fn store(&mut self, document: &str) -> Result<(), PpError> {
+            self.0.lock().unwrap().push(document.to_string());
+            Ok(())
+        }
+    }
+
     /// Runs `config` until its `boundaries`-th pause boundary (cadence 50)
-    /// and halts it there, checkpointing into `path`.
-    fn halted_checkpoint(config: &ScenarioConfig, path: &Path, boundaries: u32) {
+    /// and halts it there; returns the documents it captured (every 50
+    /// interactions, and at the halt).
+    fn halted_captures(config: &ScenarioConfig, boundaries: u32) -> Vec<String> {
         let polls = std::cell::Cell::new(0);
         let halt = || {
             polls.set(polls.get() + 1);
             (polls.get() >= boundaries).then_some(Interrupt::Halted)
         };
+        let docs = Arc::new(Mutex::new(Vec::new()));
         let verdict = run_scenario(
             config,
             RunControl {
                 progress_every: 50,
                 interrupt: Some(&halt),
-                checkpoint: Some((path, 50)),
+                sink: Some((Box::new(Collect(Arc::clone(&docs))), 50)),
                 ..RunControl::default()
             },
         )
@@ -921,6 +975,35 @@ mod tests {
             verdict,
             RunVerdict::Interrupted(Interrupt::Halted)
         ));
+        let docs = docs.lock().unwrap().clone();
+        docs
+    }
+
+    /// The documents a server job of `config` captures under the default
+    /// cadences (progress events and checkpoints every `n`).
+    fn server_captures(config: &ScenarioConfig) -> Vec<String> {
+        let docs = Arc::new(Mutex::new(Vec::new()));
+        let mut on_progress = |_| {};
+        let verdict = run_scenario(
+            config,
+            RunControl {
+                progress: Some(&mut on_progress),
+                interrupt: Some(&|| None),
+                sink: Some((Box::new(Collect(Arc::clone(&docs))), config.population)),
+                ..RunControl::default()
+            },
+        )
+        .unwrap();
+        assert!(matches!(verdict, RunVerdict::Finished(_)));
+        let docs = docs.lock().unwrap().clone();
+        docs
+    }
+
+    /// Job `id`'s checkpoint line for `document`.
+    fn ckpt_line(id: JobId, document: &str) -> String {
+        let mut line = String::new();
+        job::write_ckpt_line(&mut line, id, document);
+        line
     }
 
     #[test]
@@ -938,15 +1021,20 @@ mod tests {
         let log = dir.join(JOB_LOG);
         let text = std::fs::read_to_string(&log).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[3].starts_with("result 1 "), "{text}");
-        assert!(lines[4].starts_with(r#"{"job":1,"id":2,"#), "{text}");
-        let torn = &lines[4][..lines[4].len() / 2];
-        std::fs::write(&log, format!("{}\n{torn}\n", lines[..4].join("\n"))).unwrap();
+        let result = lines
+            .iter()
+            .position(|line| line.starts_with("result 1 "))
+            .unwrap_or_else(|| panic!("{text}"));
+        let second_record = lines[result + 1];
+        assert!(second_record.starts_with(r#"{"job":1,"id":2,"#), "{text}");
+        let torn = &second_record[..second_record.len() / 2];
+        let kept = lines[..=result].join("\n");
+        std::fs::write(&log, format!("{kept}\n{torn}\n")).unwrap();
 
         let reopened = Server::open(one_worker(&dir)).unwrap();
         let skipped = reopened.quarantined();
         assert_eq!(skipped.len(), 1, "{skipped:?}");
-        assert_eq!(skipped[0].file, "jobs.log:5");
+        assert_eq!(skipped[0].file, format!("jobs.log:{}", result + 2));
         assert!(
             skipped[0].reason.starts_with("malformed job record")
                 && skipped[0].reason.ends_with("(kept in jobs.log.corrupt)"),
@@ -972,28 +1060,41 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let config = scenario(8);
         let id = JobId(1);
-        // A job a crash left `running`, with the checkpoint its run sank
-        // before the crash.
-        JobLog::new(&dir).append_record(&JobRecord {
+        // A job a crash left `running`, with the first checkpoint its run
+        // captured before the crash torn in half by a failed append, which
+        // the next append closed with a newline.
+        let mut log = JobLog::new(&dir);
+        log.append_record(&JobRecord {
             id,
             priority: 0,
             state: JobState::Running,
             scenario: config,
             error: None,
         });
-        let checkpoint = JobRecord::checkpoint_path_in(&dir, id);
-        halted_checkpoint(&config, &checkpoint, 3);
-        // Torn inside its first line.
-        let text = std::fs::read_to_string(&checkpoint).unwrap();
-        let first_line = text.find('\n').expect("the journal has a whole line");
-        std::fs::write(&checkpoint, &text[..first_line / 2]).unwrap();
+        drop(log);
+        let captures = halted_captures(&config, 3);
+        let line = ckpt_line(id, &captures[0]);
+        let torn = &line[..line.len() / 2];
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(JOB_LOG))
+            .unwrap();
+        file.write_all(format!("{torn}\n").as_bytes()).unwrap();
+        drop(file);
 
         let server = Server::open(one_worker(&dir)).unwrap();
         let skipped = server.quarantined();
         assert_eq!(skipped.len(), 1, "{skipped:?}");
-        assert_eq!(skipped[0].file, "ckpt-1.json");
-        assert!(skipped[0].reason.contains("checkpoint"), "{skipped:?}");
-        assert!(dir.join("ckpt-1.json.corrupt").exists());
+        assert_eq!(skipped[0].file, "jobs.log:2");
+        assert!(
+            skipped[0].reason.contains("checkpoint")
+                && skipped[0].reason.ends_with("(kept in jobs.log.corrupt)"),
+            "{skipped:?}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("jobs.log.corrupt")).unwrap(),
+            format!("{torn}\n")
+        );
         let status = server.wait(id).unwrap();
         assert_eq!(status.state, JobState::Done);
         assert_eq!(
@@ -1058,7 +1159,7 @@ mod tests {
         let id = server.submit(scenario(6), 0).unwrap();
         let done = server.wait(id).unwrap();
         server.shutdown();
-        // No record or result file, and the checkpoint left with its spare.
+        // No record, result or checkpoint file.
         assert_eq!(file_names(&dir), ["jobs.log"]);
 
         // A kill mid-compaction leaves a torn spare, and one mid-append a
@@ -1128,9 +1229,12 @@ mod tests {
             status.result.as_deref(),
             Some(standalone_json(&scenario(9)).as_str())
         );
-        // Its queued, running and done appends all failed.
-        assert_eq!(server.persist_failures(), 3);
-        assert_eq!(server.shutdown(), 3);
+        // Its queued, running and done appends all failed, and so did
+        // every checkpoint it captured.
+        let failed = 3 + server_captures(&scenario(9)).len() as u64;
+        assert!(failed > 3, "the job captured no checkpoint");
+        assert_eq!(server.persist_failures(), failed);
+        assert_eq!(server.shutdown(), failed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1151,7 +1255,7 @@ mod tests {
             scenario: configs[id as usize - 1],
             error: None,
         };
-        // Job 1 done, job 2 running with a checkpoint, job 3 queued.
+        // Job 1 done, job 2 running with two checkpoints, job 3 queued.
         let mut log = JobLog::new(&dir);
         log.append_record(&record(1, JobState::Queued));
         log.append_record(&record(1, JobState::Running));
@@ -1159,11 +1263,11 @@ mod tests {
         log.append_record(&record(2, JobState::Queued));
         log.append_record(&record(3, JobState::Queued));
         log.append_record(&record(2, JobState::Running));
+        for capture in &halted_captures(&configs[1], 2)[..2] {
+            log.append_capture(JobId(2), &ckpt_line(JobId(2), capture));
+        }
         drop(log);
         let bytes = std::fs::read(dir.join(JOB_LOG)).unwrap();
-        let checkpoint = JobRecord::checkpoint_path_in(&dir, JobId(2));
-        halted_checkpoint(&configs[1], &checkpoint, 1);
-        let capture = std::fs::read(&checkpoint).unwrap();
 
         for cut in 0..=bytes.len() {
             let torn = &bytes[..cut];
@@ -1188,7 +1292,6 @@ mod tests {
             assert!(replayed.bad.is_empty(), "cut {cut}");
 
             std::fs::write(dir.join(JOB_LOG), torn).unwrap();
-            std::fs::write(&checkpoint, &capture).unwrap();
             let server = Server::open(one_worker(&dir)).unwrap();
             assert!(server.quarantined().is_empty(), "cut {cut}");
             for status in server.list() {
@@ -1217,6 +1320,110 @@ mod tests {
                 );
             }
             server.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_leftover_checkpoint_file_is_listed_and_its_job_restarts() {
+        let dir = fresh_state_dir("server_leftover_checkpoint_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = scenario(13);
+        let id = JobId(1);
+        JobLog::new(&dir).append_record(&JobRecord {
+            id,
+            priority: 0,
+            state: JobState::Running,
+            scenario: config,
+            error: None,
+        });
+        // The earlier layout's per-job checkpoint journal.
+        let leftover = dir.join("ckpt-1.json");
+        std::fs::write(&leftover, halted_captures(&config, 2)[0].clone() + "\n").unwrap();
+        let server = Server::open(one_worker(&dir)).unwrap();
+        let skipped: Vec<(&str, &str)> = server
+            .quarantined()
+            .iter()
+            .map(|q| (q.file.as_str(), q.reason.as_str()))
+            .collect();
+        assert_eq!(
+            skipped,
+            [(
+                "ckpt-1.json",
+                "per-job file from an earlier layout; not loaded"
+            )]
+        );
+        let status = server.wait(id).unwrap();
+        assert_eq!(status.state, JobState::Done);
+        assert_eq!(
+            status.result.as_deref(),
+            Some(standalone_json(&config).as_str())
+        );
+        // It restarted: its first progress event comes one cadence (the
+        // job's `n`) after the start, not after the capture.
+        let (events, _) = server.events(id, 0).unwrap();
+        let first = pp_core::json::Json::parse(&events[0]).unwrap();
+        let interactions = first
+            .get("interactions")
+            .and_then(pp_core::json::Json::as_u64);
+        assert!(
+            interactions.is_some_and(|i| i < 2 * config.population),
+            "{events:?}"
+        );
+        server.shutdown();
+        assert!(leftover.exists(), "the leftover stays where it was");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_jobs_create_no_file_and_the_log_stays_within_its_bound() {
+        let dir = fresh_state_dir("server_bounded_log_test");
+        let cfg = ServerConfig {
+            workers: Some(1),
+            state_dir: Some(dir.clone()),
+            progress_every: 40,
+            checkpoint_every: 40,
+        };
+        let server = Server::open(cfg.clone()).unwrap();
+        let slack = 16 << 10;
+        server.inner.lock().log.as_mut().unwrap().slack = slack;
+        let configs: Vec<ScenarioConfig> = (0..10).map(|i| scenario(40 + i)).collect();
+        let mut served = Vec::new();
+        for config in &configs {
+            let id = server.submit(*config, 0).unwrap();
+            let status = server.wait(id).unwrap();
+            assert_eq!(status.state, JobState::Done);
+            assert_eq!(
+                status.result.as_deref(),
+                Some(standalone_json(config).as_str())
+            );
+            served.push((id, status.result.unwrap()));
+            let text = std::fs::read_to_string(dir.join(JOB_LOG)).unwrap();
+            let (len, live) = server.inner.lock().log.as_ref().unwrap().sizes();
+            assert_eq!(len, text.len() as u64, "the log counts what it wrote");
+            // Every append that carries the log past its bound rewrites it.
+            assert!(len <= 2 * live + slack, "{len} bytes, {live} live");
+            let names = file_names(&dir);
+            assert!(
+                names.iter().all(|n| n == "jobs.log" || n == "jobs.log.tmp"),
+                "{names:?}"
+            );
+        }
+        assert_eq!(server.shutdown(), 0);
+        assert_eq!(
+            file_names(&dir),
+            ["jobs.log", "jobs.log.tmp"],
+            "the log was rewritten while the server ran"
+        );
+        // Reopening rewrites it to the live lines: every record and result,
+        // and no checkpoint of a done job.
+        Server::open(cfg).unwrap().shutdown();
+        let replayed = job::replay(&std::fs::read(dir.join(JOB_LOG)).unwrap());
+        assert!(replayed.bad.is_empty());
+        assert!(replayed.captures.is_empty());
+        assert_eq!(replayed.records.len(), configs.len());
+        for (id, result) in &served {
+            assert_eq!(replayed.results.get(&id.0), Some(result));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

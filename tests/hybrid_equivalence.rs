@@ -320,19 +320,30 @@ fn finish(engine: &HybridEngine, result: RunResult, events: &EventDigest) -> Hyb
 
 /// A start of `n` agents over `k` opinions and thresholds around its own
 /// noise ratio, so quiet horizons are short and switches frequent.
+///
+/// With a `minority` the opinions but the first hold that many agents
+/// each: a small minority that the drift shrinks (`2U + x < n`), the
+/// bottleneck unless the undecided pool is tiny, with `promote_ratio` less
+/// than 1% above the start's noise ratio.
 fn hybrid_start(
     n: u64,
     k: usize,
-    bias: f64,
-    undecided: u64,
+    (bias, undecided, minority): (f64, u64, Option<u64>),
     seed: u64,
     (promote, demote, floor, dwell): (f64, f64, f64, u64),
 ) -> (Configuration, FidelityConfig) {
-    let config = InitialConfig::new(n, k)
-        .multiplicative_bias(bias)
-        .undecided_count(undecided)
-        .build(SimSeed::from_u64(seed))
-        .unwrap();
+    let config = match minority {
+        Some(mass) => {
+            let mut supports = vec![mass; k];
+            supports[0] = n - mass * (k as u64 - 1) - undecided;
+            Configuration::from_counts(supports, undecided).unwrap()
+        }
+        None => InitialConfig::new(n, k)
+            .multiplicative_bias(bias)
+            .undecided_count(undecided)
+            .build(SimSeed::from_u64(seed))
+            .unwrap(),
+    };
     let start = HybridEngine::new(
         config.clone(),
         SimSeed::from_u64(seed),
@@ -340,6 +351,10 @@ fn hybrid_start(
     )
     .signal()
     .noise_ratio;
+    let promote = match minority {
+        Some(_) => 1.0 + (promote - 0.5) / 100.0,
+        None => promote,
+    };
     let promote_ratio = start.max(0.05) * promote;
     let fidelity = FidelityConfig {
         promote_ratio,
@@ -363,8 +378,11 @@ proptest! {
         (bias, undecided) in (1.0f64..3.0, 0.0f64..0.4),
         (promote, demote, floor, dwell) in (0.5f64..1.2, 0.3f64..0.95, 0.0f64..1.5, 0u64..4_000),
         (budget, step, capture) in (1.0f64..25.0, 0.05f64..2.0, 0usize..6),
+        minority in 0u64..160,
     ) {
         let k = [2, 3, 4, 8][k_idx];
+        // A quarter of the starts hold a small shrinking minority.
+        let minority = (minority < 40).then_some(minority + 2);
         // A quarter of the starts put the undecided pool under the mass
         // guard's floor, where it then grows up through it.
         let undecided = if undecided < 0.1 {
@@ -372,8 +390,13 @@ proptest! {
         } else {
             (undecided * n as f64) as u64
         };
-        let (config, fidelity) =
-            hybrid_start(n, k, bias, undecided, seed, (promote, demote, floor, dwell));
+        let (config, fidelity) = hybrid_start(
+            n,
+            k,
+            (bias, undecided, minority),
+            seed,
+            (promote, demote, floor, dwell),
+        );
         let budget = (budget * n as f64) as u64;
         let step = ((step * n as f64) as u64).max(1);
         let stop = StopCondition::consensus().or_max_interactions(budget);

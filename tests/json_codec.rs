@@ -15,18 +15,27 @@
 //!   valid document.  None may panic, every error must say something, a
 //!   checkpoint error must be `PpError::Checkpoint`, and a reopened server
 //!   must never serve a result that fails `check_result_doc`.
+//! * **Checkpoint lines.**  A `jobs.log` holding a running job's `ckpt`
+//!   lines, cut at every byte and with each capture byte flipped: the
+//!   reopened server resumes the job from its last whole capture whose
+//!   checksum holds, names every damaged line, and finishes on the
+//!   standalone result.
 
 use k_opinion_usd::prelude::*;
+use pp_core::checkpoint::CheckpointSink;
 use pp_core::ensemble::EnsembleChoice;
 use pp_core::json::Json;
-use pp_core::{Checkpoint, EngineChoice, NullRecorder, PpError, ShardPlan, StopCondition};
+use pp_core::{
+    Checkpoint, EngineChoice, EngineState, NullRecorder, PpError, ShardPlan, StopCondition,
+};
 use pp_service::protocol::{check_progress_line, check_result_doc, parse_request};
 use pp_service::{
-    job, result_json, run_scenario, JobId, JobRecord, JobState, RunControl, RunVerdict,
+    job, result_json, run_scenario, Interrupt, JobId, JobRecord, JobState, RunControl, RunVerdict,
     ScenarioConfig, Server, ServerConfig,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use usd_core::UsdEnsemble;
 
 /// Asserts that `doc` is the canonical serialization of its own parse.
@@ -362,6 +371,180 @@ fn a_result_with_a_flipped_interactions_digit_is_not_served() {
     assert_eq!(status.state, JobState::Done);
     assert_eq!(status.result.as_deref(), Some(doc.as_str()));
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sink that keeps every capture's document.
+struct Collect(Arc<Mutex<Vec<String>>>);
+
+impl CheckpointSink for Collect {
+    fn store(&mut self, document: &str) -> Result<(), PpError> {
+        self.0.lock().unwrap().push(document.to_string());
+        Ok(())
+    }
+}
+
+/// Progress cadence of the reopened servers below.
+const RESUMED_PROGRESS: u64 = 40;
+/// Checkpoint cadence of the captured run below.
+const CAPTURE_EVERY: u64 = 100;
+
+/// A job log holding job 1 `running` and three of its checkpoint lines,
+/// with the byte range of each checkpoint line (newline included), the
+/// captures' interaction counts, and the job's standalone result.
+fn running_log() -> (Vec<u8>, Vec<std::ops::Range<usize>>, Vec<u64>, String) {
+    let scenario = ScenarioConfig::new(200, 3)
+        .with_seed(3)
+        .with_engine(EngineChoice::Batched);
+    let docs = Arc::new(Mutex::new(Vec::new()));
+    let boundaries = std::cell::Cell::new(0);
+    let halt = || {
+        boundaries.set(boundaries.get() + 1);
+        (boundaries.get() > 8).then_some(Interrupt::Halted)
+    };
+    let verdict = run_scenario(
+        &scenario,
+        RunControl {
+            progress_every: RESUMED_PROGRESS,
+            interrupt: Some(&halt),
+            sink: Some((Box::new(Collect(Arc::clone(&docs))), CAPTURE_EVERY)),
+            ..RunControl::default()
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        verdict,
+        RunVerdict::Interrupted(Interrupt::Halted)
+    ));
+    // The periodic captures, at least `CAPTURE_EVERY` apart (the halt's
+    // own capture comes last and is left out).
+    let docs: Vec<String> = docs.lock().unwrap()[..3].to_vec();
+    let record = JobRecord {
+        id: JobId(1),
+        priority: 0,
+        state: JobState::Running,
+        scenario,
+        error: None,
+    };
+    let mut log = record.to_json() + "\n";
+    let (mut lines, mut at) = (Vec::new(), Vec::new());
+    for doc in &docs {
+        let mut line = String::new();
+        job::write_ckpt_line(&mut line, JobId(1), doc);
+        lines.push(log.len()..log.len() + line.len());
+        log.push_str(&line);
+        let checkpoint = Checkpoint::from_json(doc).unwrap();
+        let EngineState::Batched(snapshot) = checkpoint.engine() else {
+            panic!("a batched run captures batched state");
+        };
+        at.push(snapshot.interactions);
+    }
+    assert!(
+        at.windows(2).all(|w| w[1] >= w[0] + CAPTURE_EVERY),
+        "{at:?}"
+    );
+    (log.into_bytes(), lines, at, run(&scenario))
+}
+
+/// Opens a server on a copy of `log`, runs job 1 to its end and returns
+/// what it quarantined and the interactions of the job's first progress
+/// event (`None` when the log no longer names the job).
+fn reopen_running(dir: &std::path::Path, log: &[u8], golden: &str) -> (Vec<String>, Option<u64>) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("jobs.log"), log).unwrap();
+    let server = Server::open(ServerConfig {
+        workers: Some(1),
+        state_dir: Some(dir.to_path_buf()),
+        progress_every: RESUMED_PROGRESS,
+        checkpoint_every: u64::MAX,
+    })
+    .unwrap();
+    let skipped = server
+        .quarantined()
+        .iter()
+        .map(|q| {
+            assert!(!q.reason.is_empty(), "{q:?}");
+            q.file.clone()
+        })
+        .collect();
+    let first = server.status(JobId(1)).map(|_| {
+        let status = server.wait(JobId(1)).unwrap();
+        assert_eq!(status.state, JobState::Done);
+        assert_eq!(status.result.as_deref(), Some(golden), "the job moved");
+        let (events, _) = server.events(JobId(1), 0).unwrap();
+        Json::parse(&events[0])
+            .unwrap()
+            .get("interactions")
+            .and_then(Json::as_u64)
+            .expect("the job emits progress before it ends")
+    });
+    server.shutdown();
+    (skipped, first)
+}
+
+/// Whether a job's first progress event shows it resumed from a capture
+/// at `from` interactions (`0`: it started over): the event comes at the
+/// first event one progress cadence after that, before the next capture.
+fn resumed_from(first: Option<u64>, from: u64) -> bool {
+    first.is_some_and(|i| (from + RESUMED_PROGRESS..from + CAPTURE_EVERY).contains(&i))
+}
+
+#[test]
+fn a_reopened_server_resumes_from_the_last_whole_verified_capture() {
+    let dir = state_dir("captures");
+    let (log, lines, at, golden) = running_log();
+    // Where a job resumes whose usable capture lines are the first
+    // `whole` ones.
+    let resume_at = |whole: usize| if whole == 0 { 0 } else { at[whole - 1] };
+
+    // A kill at any byte: the job resumes from its last whole capture line,
+    // and a torn one is no damage to report.
+    for end in 0..=log.len() {
+        let (skipped, first) = reopen_running(&dir, &log[..end], &golden);
+        assert!(skipped.is_empty(), "cut {end}: {skipped:?}");
+        if end < lines[0].start {
+            assert_eq!(first, None, "cut {end}: the record line is torn");
+            continue;
+        }
+        let whole = lines.iter().filter(|l| l.end <= end).count();
+        assert!(
+            resumed_from(first, resume_at(whole)),
+            "cut {end}: first progress at {first:?}, want a resume from {}",
+            resume_at(whole)
+        );
+    }
+
+    // A flipped bit in a capture line: the line is named and set aside,
+    // and the job resumes from the last capture line left whole — never
+    // from a damaged one.  A flipped newline merges the line with the
+    // next, or, the last one, leaves a torn tail.
+    let mut flipped = log.clone();
+    for (j, line) in lines.iter().enumerate() {
+        for i in line.clone() {
+            flipped[i] ^= 0x01;
+            let (skipped, first) = reopen_running(&dir, &flipped, &golden);
+            flipped[i] ^= 0x01;
+            let last = lines.len() - 1;
+            let damaged = if i == line.end - 1 {
+                j..j + 2
+            } else {
+                j..j + 1
+            };
+            let usable = (0..=last).rev().find(|l| !damaged.contains(l));
+            let want: Vec<String> = if i == log.len() - 1 {
+                Vec::new()
+            } else {
+                vec![format!("jobs.log:{}", j + 2)]
+            };
+            assert_eq!(skipped, want, "flip at byte {i}");
+            let from = resume_at(usable.map_or(0, |l| l + 1));
+            assert!(
+                resumed_from(first, from),
+                "flip at byte {i}: first progress at {first:?}, want a resume from {from}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
