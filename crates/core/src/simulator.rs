@@ -355,7 +355,7 @@ impl UsdSimulator {
     pub fn capture(&self) -> Result<Checkpoint, PpError> {
         let mut checkpoint = self.engine_checkpoint();
         for (name, value) in self.stamp() {
-            checkpoint = checkpoint.with_meta(&name, value);
+            checkpoint = checkpoint.with_meta(name, value);
         }
         Ok(checkpoint)
     }

@@ -469,12 +469,12 @@ impl<D: SamplingDynamics + Clone> ReplicaCheckpoint for SequentialSampler<D> {
             interactions: self.steps,
             rng: self.rng.state(),
             counters: vec![
-                ("rejection_fallbacks".to_string(), self.rejection_fallbacks),
-                ("rejection_misses".to_string(), self.rejection_misses),
-                ("law_patches".to_string(), self.law_stats.law_patches),
-                ("law_rebuilds".to_string(), self.law_stats.law_rebuilds),
+                ("rejection_fallbacks".into(), self.rejection_fallbacks),
+                ("rejection_misses".into(), self.rejection_misses),
+                ("law_patches".into(), self.law_stats.law_patches),
+                ("law_rebuilds".into(), self.law_stats.law_rebuilds),
                 (
-                    "law_fallback_rebuilds".to_string(),
+                    "law_fallback_rebuilds".into(),
                     self.law_stats.law_fallback_rebuilds,
                 ),
             ],

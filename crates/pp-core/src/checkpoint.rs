@@ -94,6 +94,7 @@
 use crate::config::Configuration;
 use crate::error::PpError;
 use crate::json::{self, Json};
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -117,8 +118,9 @@ pub struct EngineSnapshot {
     /// Engine-specific bookkeeping counters (maintenance, skip/draw counts,
     /// runtime switches), stored by name so each engine round-trips only
     /// what it has.  Missing counters restore as their defaults — they are
-    /// reporting state, never trajectory state.
-    pub counters: Vec<(String, u64)>,
+    /// reporting state, never trajectory state.  An engine names them with
+    /// `&'static str`s, so a capture allocates no name.
+    pub counters: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl EngineSnapshot {
@@ -278,7 +280,7 @@ pub struct Checkpoint {
     engine: EngineState,
     /// Named `u64` metadata stamped by wrappers above the engine layer
     /// (empty for bare engine checkpoints; never read by engine restores).
-    meta: Vec<(String, u64)>,
+    meta: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl Checkpoint {
@@ -320,12 +322,14 @@ impl Checkpoint {
     /// Adds (or replaces) a named metadata value.  Metadata is wrapper
     /// state — the `usd-core` simulator stamps its seed and initial counts
     /// here — and is never read by the engine-level restore constructors.
+    /// A `&'static str` name is stored without allocating.
     #[must_use]
-    pub fn with_meta(mut self, name: &str, value: u64) -> Self {
-        if let Some(slot) = self.meta.iter_mut().find(|(n, _)| n == name) {
+    pub fn with_meta(mut self, name: impl Into<Cow<'static, str>>, value: u64) -> Self {
+        let name = name.into();
+        if let Some(slot) = self.meta.iter_mut().find(|(n, _)| *n == name) {
             slot.1 = value;
         } else {
-            self.meta.push((name.to_string(), value));
+            self.meta.push((name, value));
         }
         self
     }
@@ -367,11 +371,11 @@ impl Checkpoint {
         let own = self
             .meta
             .iter()
-            .map(|(name, value)| (name, stamped(name).unwrap_or(*value)));
+            .map(|(name, value)| (name.as_ref(), stamped(name).unwrap_or(*value)));
         let added = stamp
             .iter()
             .filter(|(name, _)| self.meta(name).is_none())
-            .map(|(name, value)| (name, *value));
+            .map(|(name, value)| (name.as_str(), *value));
         for (i, (name, value)) in own.chain(added).enumerate() {
             out.push_str(if i == 0 { ",\"meta\":{" } else { "," });
             json::write_json_string(name, out);
@@ -416,7 +420,7 @@ impl Checkpoint {
             Some((_, v)) => v
                 .object("meta")?
                 .iter()
-                .map(|(name, v)| Ok((name.clone(), v.uint(name)?)))
+                .map(|(name, v)| Ok((Cow::Owned(name.clone()), v.uint(name)?)))
                 .collect::<Result<Vec<_>, PpError>>()?,
             None => Vec::new(),
         };
@@ -852,7 +856,7 @@ fn read_snapshot(value: &Json) -> Result<EngineSnapshot, PpError> {
     let counters = get(obj, "counters")?
         .object("counters")?
         .iter()
-        .map(|(name, v)| Ok((name.clone(), v.uint(name)?)))
+        .map(|(name, v)| Ok((Cow::Owned(name.clone()), v.uint(name)?)))
         .collect::<Result<Vec<_>, PpError>>()?;
     Ok(EngineSnapshot {
         supports: read_u64_array(get(obj, "supports")?, "supports")?,
@@ -927,8 +931,8 @@ mod tests {
             interactions: 123_456,
             rng: [1, u64::MAX, 0, 42],
             counters: vec![
-                ("events_drawn".to_string(), 99),
-                ("incremental".to_string(), 1),
+                ("events_drawn".into(), 99),
+                ("incremental".into(), 1),
             ],
         }
     }
@@ -1061,7 +1065,7 @@ mod tests {
     fn counter_names_with_escapes_survive_the_round_trip() {
         let mut snap = sample_snapshot();
         snap.counters
-            .push(("weird\"name\\with\nescapes".to_string(), 7));
+            .push(("weird\"name\\with\nescapes".into(), 7));
         let checkpoint = Checkpoint::new(EngineState::Batched(snap));
         let parsed = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
         assert_eq!(parsed, checkpoint);

@@ -58,7 +58,20 @@
 //!   off table row `r`.  Prefix sums never decrease, so these counts are
 //!   the categories a stop-at-first scan would find, without its
 //!   data-dependent exits.  Nothing on the per-event path calls the
-//!   protocol or branches on the counts.
+//!   protocol.
+//! * The draw has one data-dependent branch: whether responder row `r` has
+//!   a **destination**, the one category every productive initiator moves
+//!   a category-`r` responder to ([`row_destinations`], derived from the
+//!   table at construction).  Then the move is known once `r` is, and the
+//!   draw skips the modulo and the initiator count.  In the USD every
+//!   decided row has destination `⊥`, so every clash event (about half of
+//!   all events at k = 8) takes it.  The branch follows the drawn
+//!   responder, so it is mispredicted often; it still pays: a release
+//!   build of the batched k = 8 USD went from 67–72 to 57–65 ns per event
+//!   (interleaved runs, 2-core x86-64 VM), and the traced
+//!   `pp-core.engine.ns_per_event` of the paper regimes from ~86–91 to
+//!   ~65–71 ns.  The RNG words drawn are the same either way, so the
+//!   trajectory does not depend on the branch.
 //! * All weights are exact integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
 //!   whether maintenance was on.
@@ -108,8 +121,10 @@
 //! ending a leg early, or a driver checking something between legs,
 //! consumes no randomness and moves no limit.  [`BatchedEngine`] runs the
 //! whole leg in one loop over its row table (its `advance` is that loop
-//! capped at one event); the other engines keep the provided one-event
-//! leg, so the hybrid engine's detector still sees every event.
+//! capped at one event).  The hybrid engine (`usd-core`) runs legs too: it
+//! judges its fidelity detector once per leg and runs up to the end of its
+//! dwell or of a certified quiet horizon (see its module docs).  The other
+//! engines keep the provided leg, one `advance` per event.
 //!
 //! # Weight width
 //!
@@ -136,7 +151,9 @@
 //! invalidate the maintained state).  Patch/rebuild counts are reported
 //! through [`StepEngine::maintenance`] into [`RunResult`].  Debug builds
 //! cross-check a sample (every 64th refresh) of tables against direct
-//! enumeration; the `exhaustive-checks` feature checks every refresh.
+//! enumeration, and at the same cadence resolve the initiator of an event
+//! whose row has a destination and assert that its move agrees; the
+//! `exhaustive-checks` feature checks every refresh and every event.
 //!
 //! # Example
 //!
@@ -937,7 +954,65 @@ pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
     Ok(())
 }
 
-/// A protocol's category transitions in the two layouts the batched kernel
+/// The row destinations of a flat `(k+1)²` transition table (see
+/// [`transition_table`]): entry `r` is the one category that every
+/// productive initiator moves a category-`r` responder to, or `None` when
+/// that category depends on the initiator (or no initiator is productive).
+/// On a row with a destination the batched event draw applies the move
+/// without resolving the initiator (see [`BatchedEngine`]).  In the USD
+/// with `k ≥ 2` every decided row's destination is `⊥` and the `⊥` row has
+/// none; in the pairwise voter with `k ≥ 3` no row has one.
+///
+/// # Panics
+///
+/// Panics if `table` is not a flat square table.
+#[must_use]
+pub fn row_destinations(table: &[u32]) -> Vec<Option<u32>> {
+    let width = table.len().isqrt();
+    assert!(
+        width > 0 && width * width == table.len(),
+        "a transition table is a flat (k+1)² table, not {} entries",
+        table.len()
+    );
+    table
+        .chunks_exact(width)
+        .enumerate()
+        .map(|(r, row)| {
+            let mut productive = row.iter().filter(|&&dest| dest as usize != r);
+            let first = *productive.next()?;
+            productive.all(|&dest| dest == first).then_some(first)
+        })
+        .collect()
+}
+
+/// The initiator category that the batched event draw resolves for a
+/// category-`responder` responder and an initiator unit `unit < S_r` (`S_r`
+/// the summed count of the row's productive initiators in `config`): the
+/// resolution that a row with a [`row_destinations`] entry skips.  It runs
+/// in the weight width the engine keeps for `config`'s population (`u64`
+/// up to `2³² − 1`, `u128` above; see the module docs).
+///
+/// # Panics
+///
+/// Panics if `table` is shorter than `config`'s `(k+1)²` entries or
+/// `responder > k`.
+#[must_use]
+pub fn resolve_initiator(
+    table: &[u32],
+    config: &Configuration,
+    responder: usize,
+    unit: u64,
+) -> usize {
+    let width = config.num_opinions() + 1;
+    let row = &table[responder * width..][..width];
+    if needs_wide_weights(config.population()) {
+        select_initiator(row, config.supports(), responder, u128::from(unit))
+    } else {
+        select_initiator(row, config.supports(), responder, unit)
+    }
+}
+
+/// A protocol's category transitions in the layouts the batched kernel
 /// reads.
 #[derive(Debug)]
 struct Transitions {
@@ -949,10 +1024,12 @@ struct Transitions {
     /// (`next[cat][c] ≠ cat`), so an agent entering category `c` raises
     /// `S_cat` by it and one leaving lowers `S_cat` by it.
     gain: Vec<u8>,
+    /// Each row's destination ([`row_destinations`]).
+    dest: Vec<Option<u32>>,
 }
 
 impl Transitions {
-    /// Both layouts of `protocol`'s transitions, or `None` when it opted out.
+    /// The layouts of `protocol`'s transitions, or `None` when it opted out.
     fn new<P: OpinionProtocol + ?Sized>(protocol: &P) -> Option<Self> {
         let next = transition_table(protocol)?;
         let width = protocol.num_opinions() + 1;
@@ -962,7 +1039,8 @@ impl Transitions {
                 u8::from(next[cat * width + c] as usize != cat)
             })
             .collect();
-        Some(Transitions { next, gain })
+        let dest = row_destinations(&next);
+        Some(Transitions { next, gain, dest })
     }
 }
 
@@ -981,11 +1059,13 @@ impl Transitions {
 ///
 /// Cost: `O(k)` exact integer adds, compares and table lookups per
 /// state-changing event while the incremental delta rule holds (see the
-/// module docs) — with *no* protocol calls and no data-dependent branches
-/// on the hot path: prefix counts over the row table and over the counts
-/// pick the responder and the initiator, and the category transition and
-/// productivity tables built at construction give the responder's move and
-/// the row patch.  Each event also pays one [`geometric_skip`]: a few
+/// module docs) — with *no* protocol calls on the hot path: prefix counts
+/// over the row table and over the counts pick the responder and the
+/// initiator, and the category transition and productivity tables built at
+/// construction give the responder's move and the row patch.  The one
+/// data-dependent branch skips the initiator when the responder's row has
+/// a destination ([`row_destinations`]; measured in the module docs).
+/// Each event also pays one [`geometric_skip`]: a few
 /// multiplications and compares for the common small skip, two libm logs
 /// for the rest (see the module docs).  `O(k)` hook calls or `O(k²)`
 /// enumeration per rebuild otherwise — but never proportional to the
@@ -1330,11 +1410,16 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// parts, the remainder modulo `S_r` is an exact uniform draw of the
     /// initiator unit.
     ///
-    /// With a transition table, `S_r` is the maintained `sums[r]`, the
-    /// initiator is the number of prefix sums of `c_i · [next[r][i] ≠ r]`
-    /// `≤` that unit ([`select_initiator`]), and the responder's new category
-    /// is read off table row `r` — no data-dependent branch on the way.
-    /// Without one, `S_r = row / c_r` and `respond` resolves both.
+    /// With a transition table and a row destination for `r`
+    /// ([`row_destinations`]), that destination is the move and the
+    /// initiator is not resolved (debug builds resolve it on the sampled
+    /// cross-check cadence and assert the same move).  Otherwise `S_r` is
+    /// the maintained `sums[r]`, the initiator is the number of prefix sums
+    /// of `c_i · [next[r][i] ≠ r]` `≤` that unit ([`select_initiator`]), and
+    /// the responder's new category is read off table row `r`.  That row
+    /// test is the draw's one data-dependent branch (its measurement is in
+    /// the module docs); the RNG words drawn do not depend on it.  Without a
+    /// table, `S_r = row / c_r` and `respond` resolves both.
     ///
     /// Returns the applied `(from, to)` responder move as categories and
     /// invalidates the maintained row table (callers on the incremental path
@@ -1343,7 +1428,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         let target = W::uniform_below(&mut self.rng, table.total);
         let (responder_cat, remainder) = select_unit(&table.rows, target);
         debug_assert!(self.config.category_count(responder_cat) > 0);
-        let Some(Transitions { next, .. }) = &self.transitions else {
+        let Some(Transitions { next, dest, .. }) = &self.transitions else {
             return self.draw_and_apply_by_respond(
                 table.rows[responder_cat].into(),
                 responder_cat,
@@ -1352,9 +1437,26 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         };
         let width = self.config.num_opinions() + 1;
         let row = &next[responder_cat * width..][..width];
-        let itarget = remainder.modulo(table.sums[responder_cat]);
-        let initiator_cat = select_initiator(row, self.config.supports(), responder_cat, itarget);
-        let to_cat = row[initiator_cat] as usize;
+        let resolve = || {
+            let itarget = remainder.modulo(table.sums[responder_cat]);
+            row[select_initiator(row, self.config.supports(), responder_cat, itarget)] as usize
+        };
+        let to_cat = match dest[responder_cat] {
+            Some(to) => {
+                #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+                if self.should_cross_check() {
+                    let resolved = resolve();
+                    assert_eq!(
+                        resolved, to as usize,
+                        "row {responder_cat}'s destination {to} disagrees with the resolved \
+                         initiator's move to {resolved} at {}",
+                        self.config
+                    );
+                }
+                to as usize
+            }
+            None => resolve(),
+        };
         debug_assert_ne!(to_cat, responder_cat, "sampled event must be productive");
         self.config.move_category(responder_cat, to_cat);
         self.rows_valid = false;
@@ -1419,18 +1521,15 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             interactions: self.interactions,
             rng: self.rng.state(),
             counters: vec![
-                ("events_drawn".to_string(), self.events_drawn),
-                ("nulls_skipped".to_string(), self.nulls_skipped),
-                ("refreshes".to_string(), self.refreshes),
-                ("rows_patched".to_string(), self.stats.rows_patched),
-                ("rows_rebuilt".to_string(), self.stats.rows_rebuilt),
-                ("law_patches".to_string(), self.stats.law_patches),
-                ("law_rebuilds".to_string(), self.stats.law_rebuilds),
-                (
-                    "law_fallback_rebuilds".to_string(),
-                    self.stats.law_fallback_rebuilds,
-                ),
-                ("incremental".to_string(), u64::from(self.incremental)),
+                ("events_drawn".into(), self.events_drawn),
+                ("nulls_skipped".into(), self.nulls_skipped),
+                ("refreshes".into(), self.refreshes),
+                ("rows_patched".into(), self.stats.rows_patched),
+                ("rows_rebuilt".into(), self.stats.rows_rebuilt),
+                ("law_patches".into(), self.stats.law_patches),
+                ("law_rebuilds".into(), self.stats.law_rebuilds),
+                ("law_fallback_rebuilds".into(), self.stats.law_fallback_rebuilds),
+                ("incremental".into(), u64::from(self.incremental)),
             ],
         }
     }
@@ -1902,13 +2001,21 @@ mod tests {
 
     /// FNV-1a over every `(interactions, supports, undecided)` a run visits.
     fn trajectory_fingerprint<E: StepEngine>(engine: &mut E) -> (u64, u64) {
+        prefix_fingerprint(engine, u64::MAX)
+    }
+
+    /// [`trajectory_fingerprint`] over at most the first `events` events.
+    fn prefix_fingerprint<E: StepEngine>(engine: &mut E, events: u64) -> (u64, u64) {
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
         let mut mix = |word: u64| {
             for byte in word.to_le_bytes() {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
             }
         };
-        while !engine.configuration().is_consensus() {
+        for _ in 0..events {
+            if engine.configuration().is_consensus() {
+                break;
+            }
             assert_eq!(engine.advance(u64::MAX), Advance::Event);
             mix(engine.interactions());
             engine
@@ -1931,6 +2038,50 @@ mod tests {
         assert_eq!(
             trajectory_fingerprint(&mut engine),
             (12_159, 11_896_979_895_830_745_647)
+        );
+    }
+
+    #[test]
+    fn usd_rows_have_their_destinations() {
+        // Rows: opinion 0, opinion 1, undecided (category 2).
+        let table = transition_table(&Usd2Plain).unwrap();
+        assert_eq!(row_destinations(&table), [Some(2), Some(2), None]);
+        // A row with no productive initiator has no destination.
+        assert_eq!(row_destinations(&[0, 0, 0, 1]), [None, Some(0)]);
+    }
+
+    /// A batched k = 2 USD engine whose opinion-1 row destination is
+    /// corrupted from `⊥` to opinion 0: a clash then moves an opinion-1
+    /// responder to opinion 0 instead of making it undecided.
+    fn misdirected_usd() -> BatchedEngine<Usd2Plain> {
+        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
+        let mut engine = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
+        let dest = &mut engine.transitions.as_mut().unwrap().dest;
+        assert_eq!(dest[1], Some(2));
+        dest[1] = Some(0);
+        engine
+    }
+
+    #[test]
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    #[should_panic(expected = "row 1's destination 0 disagrees with the resolved initiator's move to 2")]
+    fn a_corrupted_row_destination_fails_the_debug_cross_check() {
+        let _ = misdirected_usd()
+            .run_engine(StopCondition::consensus().or_max_interactions(10_000_000));
+    }
+
+    #[test]
+    #[cfg(not(feature = "exhaustive-checks"))]
+    fn a_corrupted_row_destination_changes_the_trajectory() {
+        // Debug builds first cross-check a destination at the 64th event's
+        // draw, so 48 events run unchecked in every build without the
+        // feature (under it the first corrupted move panics, which the test
+        // above shows).
+        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
+        let mut sound = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
+        assert_ne!(
+            prefix_fingerprint(&mut misdirected_usd(), 48),
+            prefix_fingerprint(&mut sound, 48)
         );
     }
 

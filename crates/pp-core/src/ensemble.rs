@@ -5,7 +5,7 @@
 //! protocol and initial configuration.  [`EnsembleEngine`] runs `R` such
 //! replicas as one job, in *scheduling windows*: each window, every live
 //! replica runs up to a fixed chunk of events through its own
-//! [`StepEngine::advance`] — the standalone skip-ahead path, with its own
+//! [`StepEngine::leg`]s — the standalone skip-ahead path, with its own
 //! maintained row table or activation law — and the live replicas are
 //! partitioned into contiguous chunks over the worker threads of the
 //! shared [`crate::parallel`] layer.  A window is the unit of scheduling
@@ -24,7 +24,7 @@
 //! argument has two parts:
 //!
 //! * each replica *is* a standalone engine: it owns its RNG stream and
-//!   advances only through its own `advance`, so interleaving replicas at
+//!   advances only through its own `leg`s, so interleaving replicas at
 //!   chunk granularity never reorders draws *within* one stream, and
 //! * the worker partition is deterministic (contiguous chunks in replica
 //!   order — see the [`crate::parallel`] determinism contract) and workers

@@ -11,19 +11,24 @@
 //! `jobs.log.corrupt` once a line was set aside).  The `JobLog` appends one
 //! line per persisted change:
 //!
-//! * a [`JobRecord`] (version, id, priority, state, scenario, and the
-//!   failure message for failed jobs) as its version-1 JSON document; a
-//!   job's last record line is its state;
+//! * `record <id> <checksum> <document>` for a [`JobRecord`] (version,
+//!   id, priority, state, scenario, and the failure message for failed
+//!   jobs; the document is its version-1 JSON).  A job's last record line
+//!   is its state.  The checksum is the FNV-1a 64 hash of `<id>
+//!   <document>` as 16 lowercase hex digits, so a record whose scenario
+//!   was damaged but still parses is never run.  A bare version-1 record
+//!   document on its own line, as earlier servers wrote them, still
+//!   replays, and the rewrite at open frames it;
 //! * `result <id> <checksum> <document>` for a done job's canonical result
 //!   ([`crate::runner::result_json`] bytes, stored verbatim so replaying a
 //!   `result` request after a restart returns the identical bytes; the
-//!   checksum is the document's FNV-1a 64 hash as 16 lowercase hex
-//!   digits, so a damaged document that still parses is never served);
+//!   checksum is the FNV-1a 64 hash of the document alone, so a damaged
+//!   document that still parses is never served);
 //! * `ckpt <id> <checksum> <document>` for each checkpoint a running job
 //!   captures (a [`pp_core::Checkpoint`] document; the checksum is the
-//!   same FNV-1a 64 hash, taken over `<id> <document>` so that a capture
-//!   is never read as another job's).  A job resumes from its last
-//!   checkpoint line whose checksum holds.
+//!   same FNV-1a 64 hash, taken over `<id> <document>` like a record's, so
+//!   that a capture is never read as another job's).  A job resumes from
+//!   its last checkpoint line whose checksum holds.
 //!
 //! The live lines are each job's last record line, a done job's result
 //! line and a job's last checkpoint line until it reaches a terminal
@@ -32,8 +37,9 @@
 //! it runs whenever the file has grown past twice their bytes plus
 //! [`LOG_SLACK`], so its size stays bounded however many captures the
 //! jobs take.  Opening keeps the lines it could not use in
-//! `jobs.log.corrupt`: lines that do not parse, result and checkpoint lines
-//! whose checksum is missing or wrong, results whose document fails
+//! `jobs.log.corrupt`: lines that do not parse, record, result and
+//! checkpoint lines whose checksum is missing or wrong, results whose
+//! document fails
 //! [`crate::protocol::check_result_doc`], and a running job's checkpoint
 //! that is no checkpoint document.
 
@@ -212,6 +218,9 @@ fn priority_json(priority: i64) -> Json {
 /// The job log's file name inside a state directory.
 pub const JOB_LOG: &str = "jobs.log";
 
+/// The prefix of a record line.
+const RECORD_PREFIX: &str = "record ";
+
 /// The prefix of a result line.
 const RESULT_PREFIX: &str = "result ";
 
@@ -222,9 +231,13 @@ const CKPT_PREFIX: &str = "ckpt ";
 /// it is rewritten to them (see the module docs).
 pub const LOG_SLACK: u64 = 1 << 20;
 
-/// A record's log line, newline included.
-fn record_line(record: &JobRecord) -> String {
-    record.to_json() + "\n"
+/// A record's log line, newline included: `record <id> <checksum>
+/// <document>` (see the module docs).
+#[must_use]
+pub fn record_line(record: &JobRecord) -> String {
+    let mut line = String::new();
+    write_checked_line(&mut line, RECORD_PREFIX, record.id, &record.to_json());
+    line
 }
 
 /// Folds `bytes` into an FNV-1a 64 hash.
@@ -246,21 +259,28 @@ pub fn result_line(id: JobId, result: &str) -> String {
     format!("{RESULT_PREFIX}{id} {:016x} {result}\n", checksum(result))
 }
 
-/// The FNV-1a 64 hash a checkpoint line carries: over `<id> <document>`.
-fn ckpt_checksum(id: &str, doc: &str) -> u64 {
+/// The FNV-1a 64 hash a record or checkpoint line carries: over `<id>
+/// <document>`.
+fn id_checksum(id: &str, doc: &str) -> u64 {
     fnv1a(fnv1a(checksum(id), b" "), doc.as_bytes())
+}
+
+/// Writes `<prefix><id> <checksum> <document>` and a newline into `line`
+/// (emptied first), the checksum taken over `<id> <document>`.
+fn write_checked_line(line: &mut String, prefix: &str, id: JobId, document: &str) {
+    use std::fmt::Write as _;
+    line.clear();
+    let _ = write!(line, "{prefix}{id}");
+    let sum = id_checksum(&line[prefix.len()..], document);
+    let _ = write!(line, " {sum:016x} ");
+    line.push_str(document);
+    line.push('\n');
 }
 
 /// Writes a checkpoint line into `line` (emptied first), newline
 /// included: `ckpt <id> <checksum> <document>` (see the module docs).
 pub fn write_ckpt_line(line: &mut String, id: JobId, document: &str) {
-    use std::fmt::Write as _;
-    line.clear();
-    let _ = write!(line, "{CKPT_PREFIX}{id}");
-    let sum = ckpt_checksum(&line[CKPT_PREFIX.len()..], document);
-    let _ = write!(line, " {sum:016x} ");
-    line.push_str(document);
-    line.push('\n');
+    write_checked_line(line, CKPT_PREFIX, id, document);
 }
 
 /// The bytes of one job's live lines (see the module docs).
@@ -501,7 +521,11 @@ pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
         }
         let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"));
         let parsed = text.and_then(|text| {
-            if let Some(rest) = text.strip_prefix(RESULT_PREFIX) {
+            if let Some(rest) = text.strip_prefix(RECORD_PREFIX) {
+                parse_record(rest).map(|record| {
+                    out.records.insert(record.id.0, record);
+                })
+            } else if let Some(rest) = text.strip_prefix(RESULT_PREFIX) {
                 parse_result(rest).map(|(id, doc)| {
                     out.results.insert(id, doc.to_string());
                     out.result_lines.insert(id, i + 1);
@@ -511,6 +535,7 @@ pub(crate) fn replay(bytes: &[u8]) -> LogReplay {
                     out.captures.insert(id, (i + 1, doc.to_string()));
                 })
             } else {
+                // A bare record document, as earlier servers wrote them.
                 JobRecord::from_json(text).map(|record| {
                     out.records.insert(record.id.0, record);
                 })
@@ -572,6 +597,21 @@ fn verify(kind: &str, what: &str, claimed: Option<u64>, actual: u64) -> Result<(
     }
 }
 
+/// Parses the `<id> <checksum> <document>` rest of a record line.
+fn parse_record(rest: &str) -> Result<JobRecord, String> {
+    let line = split_checked(rest, "record")?;
+    let record = JobRecord::from_json(line.doc)?;
+    let hashed = id_checksum(line.id_text, line.doc);
+    verify("record", "\"<id> <document>\"", line.sum, hashed)?;
+    if record.id.0 != line.id {
+        return Err(format!(
+            "record line of job {} holds job {}'s record",
+            line.id, record.id
+        ));
+    }
+    Ok(record)
+}
+
 /// Parses the `<id> <checksum> <document>` rest of a result line.
 fn parse_result(rest: &str) -> Result<(u64, &str), String> {
     let line = split_checked(rest, "result")?;
@@ -585,16 +625,17 @@ fn parse_result(rest: &str) -> Result<(u64, &str), String> {
 /// from, not the earlier ones.
 fn parse_ckpt(rest: &str) -> Result<(u64, &str), String> {
     let line = split_checked(rest, "checkpoint")?;
-    let hashed = ckpt_checksum(line.id_text, line.doc);
+    let hashed = id_checksum(line.id_text, line.doc);
     verify("checkpoint", "\"<id> <document>\"", line.sum, hashed)?;
     Ok((line.id, line.doc))
 }
 
 /// The job id a line names, read from its start even when the rest does
-/// not parse (a version-1 record line starts `{"job":1,"id":<id>`).
+/// not parse (a bare version-1 record line starts `{"job":1,"id":<id>`).
 fn named_id(line: &[u8]) -> Option<u64> {
     let rest = line
-        .strip_prefix(RESULT_PREFIX.as_bytes())
+        .strip_prefix(RECORD_PREFIX.as_bytes())
+        .or_else(|| line.strip_prefix(RESULT_PREFIX.as_bytes()))
         .or_else(|| line.strip_prefix(CKPT_PREFIX.as_bytes()))
         .or_else(|| line.strip_prefix(br#"{"job":1,"id":"#))?;
     let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
@@ -682,6 +723,43 @@ mod tests {
         bytes[sum_at] = if bytes[sum_at] == b'0' { b'1' } else { b'0' };
         let damaged = String::from_utf8(bytes).unwrap();
         assert!(reason(&damaged).starts_with("result checksum mismatch"));
+    }
+
+    #[test]
+    fn a_record_line_verifies_its_id_and_document() {
+        let queued = record(12, JobState::Queued);
+        let line = record_line(&queued);
+        assert!(line.starts_with("record 12 "), "{line}");
+        assert!(line.ends_with(&format!(" {}\n", queued.to_json())), "{line}");
+        assert_eq!(replay(line.as_bytes()).records[&12], queued);
+        let reason = |line: &str| {
+            let replayed = replay(line.as_bytes());
+            assert!(replayed.records.is_empty(), "{line} was kept");
+            replayed.bad[0].reason.clone()
+        };
+        // Another job's id and a changed scenario that still parses.
+        for damaged in [
+            line.replacen("record 12 ", "record 13 ", 1),
+            line.replace("\"seed\":12", "\"seed\":11"),
+        ] {
+            assert_ne!(damaged, line);
+            assert!(
+                reason(&damaged).starts_with("record checksum mismatch"),
+                "{damaged}"
+            );
+        }
+        assert_eq!(
+            reason(&format!("record 12 {}\n", queued.to_json())),
+            "record line without a checksum"
+        );
+        // A checksum that holds over another job's record.
+        let mut forged = String::new();
+        write_checked_line(&mut forged, RECORD_PREFIX, JobId(13), &queued.to_json());
+        assert_eq!(reason(&forged), "record line of job 13 holds job 12's record");
+        // A bare record document, as earlier servers wrote them.
+        let bare = queued.to_json() + "\n";
+        assert_eq!(replay(bare.as_bytes()).records[&12], queued);
+        assert_eq!(replay(bare.as_bytes()).next_id, 13);
     }
 
     #[test]

@@ -1026,7 +1026,7 @@ mod tests {
             .position(|line| line.starts_with("result 1 "))
             .unwrap_or_else(|| panic!("{text}"));
         let second_record = lines[result + 1];
-        assert!(second_record.starts_with(r#"{"job":1,"id":2,"#), "{text}");
+        assert!(second_record.starts_with("record 2 "), "{text}");
         let torn = &second_record[..second_record.len() / 2];
         let kept = lines[..=result].join("\n");
         std::fs::write(&log, format!("{kept}\n{torn}\n")).unwrap();
@@ -1051,6 +1051,76 @@ mod tests {
         assert_eq!(third, JobId(3), "no new job reuses the quarantined id");
         reopened.wait(third).unwrap();
         reopened.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_with_a_damaged_scenario_is_quarantined_and_never_runs() {
+        let dir = fresh_state_dir("server_damaged_record_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut log = JobLog::new(&dir);
+        log.append_record(&JobRecord {
+            id: JobId(1),
+            priority: 0,
+            state: JobState::Queued,
+            scenario: scenario(3),
+            error: None,
+        });
+        drop(log);
+        // The damaged scenario still parses: only the checksum tells.
+        let text = std::fs::read_to_string(dir.join(JOB_LOG)).unwrap();
+        let damaged = text.replacen("\"seed\":3", "\"seed\":2", 1);
+        assert_ne!(damaged, text);
+        std::fs::write(dir.join(JOB_LOG), &damaged).unwrap();
+
+        let server = Server::open(one_worker(&dir)).unwrap();
+        let skipped = server.quarantined();
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert_eq!(skipped[0].file, "jobs.log:1");
+        assert!(
+            skipped[0].reason.starts_with("record checksum mismatch")
+                && skipped[0].reason.ends_with("(kept in jobs.log.corrupt)"),
+            "{skipped:?}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("jobs.log.corrupt")).unwrap(),
+            damaged
+        );
+        assert!(server.status(JobId(1)).is_none(), "the damaged job is known");
+        assert!(server.list().is_empty());
+        let next = server.submit(scenario(5), 0).unwrap();
+        assert_eq!(next, JobId(2), "no new job reuses the quarantined id");
+        server.wait(next).unwrap();
+        server.shutdown();
+        let replayed = job::replay(&std::fs::read(dir.join(JOB_LOG)).unwrap());
+        assert_eq!(replayed.records.keys().collect::<Vec<_>>(), [&2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bare_record_line_of_an_earlier_server_still_runs_and_is_reframed() {
+        let dir = fresh_state_dir("server_bare_record_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let record = JobRecord {
+            id: JobId(1),
+            priority: 0,
+            state: JobState::Queued,
+            scenario: scenario(9),
+            error: None,
+        };
+        std::fs::write(dir.join(JOB_LOG), record.to_json() + "\n").unwrap();
+
+        let server = Server::open(one_worker(&dir)).unwrap();
+        assert!(server.quarantined().is_empty());
+        let text = std::fs::read_to_string(dir.join(JOB_LOG)).unwrap();
+        assert!(text.starts_with("record 1 "), "open reframes it: {text}");
+        let status = server.wait(JobId(1)).unwrap();
+        assert_eq!(status.state, JobState::Done);
+        assert_eq!(
+            status.result.as_deref(),
+            Some(standalone_json(&scenario(9)).as_str())
+        );
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1277,7 +1347,11 @@ mod tests {
             let whole = std::str::from_utf8(&torn[..whole]).unwrap();
             let mut last = BTreeMap::new();
             for line in whole.lines() {
-                if let Ok(r) = JobRecord::from_json(line) {
+                // `record <id> <checksum> <document>`.
+                let doc = line
+                    .strip_prefix("record ")
+                    .and_then(|rest| rest.splitn(3, ' ').nth(2));
+                if let Some(r) = doc.and_then(|doc| JobRecord::from_json(doc).ok()) {
                     last.insert(r.id.0, r.state);
                 }
             }

@@ -2,6 +2,12 @@
 //!
 //! * The batched engine's category transition table must equal `respond`
 //!   on every category pair, for every shipped protocol.
+//! * A responder row with a destination (`row_destinations`) lets the
+//!   batched event draw skip resolving the initiator.  On random
+//!   configurations and initiator units, in both weight widths, that
+//!   destination must be the move the full resolution (`resolve_initiator`)
+//!   reads off the table, for the USD at k ∈ {1, 2, 3, 8}; the pairwise
+//!   voter at k ≥ 3 and a protocol without a table never have one.
 //! * `HybridEngine::signal` is computed without allocating; it must equal,
 //!   bit for bit, the `Vec`-based computation kept here as the reference
 //!   (mean-field derivative vectors plus the `pp_analysis::fluctuation`
@@ -17,7 +23,9 @@
 use k_opinion_usd::analysis::fluctuation::{
     gap_to_absorption, min_drift_noise_ratio, min_live_mass,
 };
-use k_opinion_usd::core::engine::{check_transition_table, geometric_skip, transition_table};
+use k_opinion_usd::core::engine::{
+    check_transition_table, geometric_skip, resolve_initiator, row_destinations, transition_table,
+};
 use k_opinion_usd::core::{
     AgentState, Configuration, FidelityConfig, FidelityController, FidelitySignal, OpinionProtocol,
     SimSeed,
@@ -65,6 +73,109 @@ fn check_transition_table_names_a_tampered_entry() {
     let err = check_transition_table(&protocol, &table).unwrap_err();
     assert!(err.contains("(0, 1)"), "{err}");
     assert!(check_transition_table(&protocol, &table[1..]).is_err());
+}
+
+#[test]
+fn row_destinations_have_the_shapes_of_the_shipped_protocols() {
+    for k in 1..=8 {
+        let usd = row_destinations(&transition_table(&UndecidedStateDynamics::new(k)).unwrap());
+        let voter = row_destinations(&transition_table(&PairwiseVoter::new(k)).unwrap());
+        // Every decided USD responder that meets another opinion goes ⊥.
+        let mut clash = vec![Some(k as u32); k];
+        clash.push(None);
+        match k {
+            // One opinion: no decided pair clashes, and an undecided
+            // responder can only adopt opinion 0.
+            1 => {
+                assert_eq!(usd, [None, Some(0)]);
+                assert_eq!(voter, [None, Some(0)]);
+            }
+            // Two opinions: each decided voter has one opinion to adopt.
+            2 => {
+                assert_eq!(usd, clash);
+                assert_eq!(voter, [Some(1), Some(0), None]);
+            }
+            _ => {
+                assert_eq!(usd, clash, "k = {k}");
+                assert!(voter.iter().all(Option::is_none), "k = {k}: {voter:?}");
+            }
+        }
+    }
+}
+
+/// A protocol whose transitions are not a function of the category pair,
+/// so it has no transition table and no destinations.
+struct TableLess;
+
+impl OpinionProtocol for TableLess {
+    fn num_opinions(&self) -> usize {
+        3
+    }
+
+    fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
+        UndecidedStateDynamics::new(3).respond(r, i)
+    }
+
+    fn productivity_matrix(&self) -> Option<Vec<bool>> {
+        None
+    }
+}
+
+#[test]
+fn a_protocol_without_a_table_has_no_destinations() {
+    assert_eq!(transition_table(&TableLess), None);
+}
+
+/// The initiator units worth checking below `s`: 0, `s − 1`, eight random
+/// ones from `seed`, and every prefix boundary of `productive` ± 1.
+fn initiator_units(productive: &[u64], s: u64, seed: u64) -> Vec<u64> {
+    let mut units = vec![0, s - 1];
+    let mut word = seed;
+    for _ in 0..8 {
+        word = mix(word);
+        units.push(word % s);
+    }
+    let mut prefix = 0;
+    for &c in productive {
+        prefix += c;
+        units.extend([prefix.saturating_sub(1), prefix, prefix + 1]);
+    }
+    units.retain(|&u| u < s);
+    units
+}
+
+/// Checks, for every responder row of the `k`-opinion USD at `config`,
+/// that the full resolution picks a productive initiator and, when the row
+/// has a destination, that its move is that destination.
+fn assert_destinations_match_resolution(k: usize, config: &Configuration, seed: u64) {
+    let table = transition_table(&UndecidedStateDynamics::new(k)).unwrap();
+    let destinations = row_destinations(&table);
+    for (r, row) in table.chunks_exact(k + 1).enumerate() {
+        let productive: Vec<u64> = (0..=k)
+            .map(|i| {
+                if row[i] as usize == r {
+                    0
+                } else {
+                    config.category_count(i)
+                }
+            })
+            .collect();
+        let s: u64 = productive.iter().sum();
+        if s == 0 || config.category_count(r) == 0 {
+            continue;
+        }
+        for unit in initiator_units(&productive, s, seed ^ r as u64) {
+            let initiator = resolve_initiator(&table, config, r, unit);
+            let moved = row[initiator];
+            assert_ne!(moved as usize, r, "unit {unit} of row {r} at {config} is unproductive");
+            if let Some(destination) = destinations[r] {
+                assert_eq!(
+                    moved, destination,
+                    "row {r} at {config}: unit {unit} resolves initiator {initiator}"
+                );
+            }
+        }
+    }
 }
 
 /// The detector signal as the hybrid engine computed it before the
@@ -295,6 +406,31 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn row_destinations_equal_the_full_initiator_resolution(
+        k_index in 0usize..4,
+        counts in proptest::collection::vec((0u64..u64::MAX, 1u32..11, 0u8..4), 9..10),
+        wide in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let k = [1, 2, 3, 8][k_index];
+        let wide = wide == 1;
+        // Narrow: every count below (2³² − 1)/9, so n fits the u64 table;
+        // wide: at least 2³² undecided agents, so n needs the u128 table.
+        let cap = if wide { 10_000_000_000 } else { u64::from(u32::MAX) / 9 };
+        let mut counts: Vec<u64> = counts
+            .into_iter()
+            .map(|(raw, decades, extinct)| count(raw, decades, extinct) % cap)
+            .collect();
+        if wide {
+            counts[k] += 1 << 32;
+        }
+        prop_assume!(counts[..=k].iter().sum::<u64>() > 0);
+        let config = Configuration::from_counts(counts[..k].to_vec(), counts[k]).unwrap();
+        prop_assert_eq!(config.population() > u64::from(u32::MAX), wide);
+        assert_destinations_match_resolution(k, &config, seed);
+    }
 
     #[test]
     fn signal_is_bit_identical_to_the_vec_based_reference(

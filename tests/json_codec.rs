@@ -12,7 +12,8 @@
 //!   `ScenarioConfig::from_json`, `JobRecord::from_json`, `parse_request`
 //!   and `Server::open` (on a `jobs.log` holding the bytes) see random
 //!   JSON-ish byte strings and every truncation and single-byte flip of a
-//!   valid document.  None may panic, every error must say something, a
+//!   valid document (for `Server::open`, a log of a checksummed record
+//!   line, a result line and a bare record line of an earlier server).  None may panic, every error must say something, a
 //!   checkpoint error must be `PpError::Checkpoint`, and a reopened server
 //!   must never serve a result that fails `check_result_doc`.
 //! * **Checkpoint lines.**  A `jobs.log` holding a running job's `ckpt`
@@ -30,8 +31,8 @@ use pp_core::{
 };
 use pp_service::protocol::{check_progress_line, check_result_doc, parse_request};
 use pp_service::{
-    job, result_json, run_scenario, Interrupt, JobId, JobRecord, JobState, RunControl, RunVerdict,
-    ScenarioConfig, Server, ServerConfig,
+    job, result_json, run_scenario, Interrupt, JobId, JobRecord, JobState, JobStatus, RunControl,
+    RunVerdict, ScenarioConfig, Server, ServerConfig,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -227,8 +228,8 @@ fn state_dir(tag: &str) -> PathBuf {
 }
 
 /// Opens a server on `dir` whose `jobs.log` holds `log`, checks every
-/// result it would serve, and halts it.
-fn open_on_log(dir: &std::path::Path, log: &[u8]) {
+/// result it would serve, halts it, and returns the jobs it knew.
+fn open_on_log(dir: &std::path::Path, log: &[u8]) -> Vec<JobStatus> {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).unwrap();
     std::fs::write(dir.join("jobs.log"), log).unwrap();
@@ -241,7 +242,8 @@ fn open_on_log(dir: &std::path::Path, log: &[u8]) {
     for record in server.quarantined() {
         assert!(!record.reason.is_empty(), "{record:?}");
     }
-    for status in server.list() {
+    let jobs = server.list();
+    for status in &jobs {
         if let Some(result) = &status.result {
             let doc = Json::parse(result)
                 .unwrap_or_else(|e| panic!("job {} serves unparsable {result:?}: {e}", status.id));
@@ -255,9 +257,11 @@ fn open_on_log(dir: &std::path::Path, log: &[u8]) {
         }
     }
     server.kill();
+    jobs
 }
 
-/// A job log with a done job (record and result line) and a cancelled one.
+/// A job log with a done job (record and result line) and a cancelled one
+/// whose record is a bare document, as earlier servers wrote them.
 fn valid_log() -> Vec<u8> {
     let scenario = ScenarioConfig::new(60, 2).with_seed(3);
     let done = JobRecord {
@@ -274,8 +278,8 @@ fn valid_log() -> Vec<u8> {
         ..done.clone()
     };
     format!(
-        "{}\n{}{}\n",
-        done.to_json(),
+        "{}{}{}\n",
+        job::record_line(&done),
         job::result_line(JobId(1), &run(&scenario)),
         cancelled.to_json()
     )
@@ -328,7 +332,20 @@ fn every_truncation_and_flip_of_a_valid_document_fails_cleanly() {
 fn a_reopened_server_never_serves_a_damaged_result() {
     let dir = state_dir("flips");
     let log = valid_log();
-    truncations_and_flips(&log, &[0x01], |bytes| open_on_log(&dir, bytes));
+    truncations_and_flips(&log, &[0x01], |bytes| {
+        // Job 1's record line is checksummed: a flip that still parses
+        // (its priority 0 to 1, say) is set aside, never loaded.
+        for status in open_on_log(&dir, bytes) {
+            if status.id == JobId(1) {
+                assert_eq!(
+                    status.priority,
+                    0,
+                    "a damaged record was loaded from {:?}",
+                    String::from_utf8_lossy(bytes)
+                );
+            }
+        }
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -611,7 +628,7 @@ proptest! {
         let dir = state_dir("random");
         let mut log = hostile(&picks);
         log.push(b'\n');
-        open_on_log(&dir, &log);
+        let _ = open_on_log(&dir, &log);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
