@@ -930,10 +930,7 @@ mod tests {
             undecided: 3,
             interactions: 123_456,
             rng: [1, u64::MAX, 0, 42],
-            counters: vec![
-                ("events_drawn".into(), 99),
-                ("incremental".into(), 1),
-            ],
+            counters: vec![("events_drawn".into(), 99), ("incremental".into(), 1)],
         }
     }
 
@@ -1064,8 +1061,7 @@ mod tests {
     #[test]
     fn counter_names_with_escapes_survive_the_round_trip() {
         let mut snap = sample_snapshot();
-        snap.counters
-            .push(("weird\"name\\with\nescapes".into(), 7));
+        snap.counters.push(("weird\"name\\with\nescapes".into(), 7));
         let checkpoint = Checkpoint::new(EngineState::Batched(snap));
         let parsed = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
         assert_eq!(parsed, checkpoint);

@@ -1013,19 +1013,20 @@ pub fn resolve_initiator(
 }
 
 /// A protocol's category transitions in the layouts the batched kernel
-/// reads.
+/// reads (boxed slices: they never grow, and the engine stays as small as
+/// it was with two of them).
 #[derive(Debug)]
 struct Transitions {
     /// The flat `(k+1)²` transition table (see [`transition_table`]), row
     /// `r` for a category-`r` responder.
-    next: Vec<u32>,
+    next: Box<[u32]>,
     /// The transposed productivity table: `gain[c·(k+1) + cat]` is 1 when a
     /// category-`c` initiator is productive for a category-`cat` responder
     /// (`next[cat][c] ≠ cat`), so an agent entering category `c` raises
     /// `S_cat` by it and one leaving lowers `S_cat` by it.
-    gain: Vec<u8>,
+    gain: Box<[u8]>,
     /// Each row's destination ([`row_destinations`]).
-    dest: Vec<Option<u32>>,
+    dest: Box<[Option<u32>]>,
 }
 
 impl Transitions {
@@ -1039,8 +1040,12 @@ impl Transitions {
                 u8::from(next[cat * width + c] as usize != cat)
             })
             .collect();
-        let dest = row_destinations(&next);
-        Some(Transitions { next, gain, dest })
+        let dest = row_destinations(&next).into();
+        Some(Transitions {
+            next: next.into(),
+            gain,
+            dest,
+        })
     }
 }
 
@@ -1528,7 +1533,10 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
                 ("rows_rebuilt".into(), self.stats.rows_rebuilt),
                 ("law_patches".into(), self.stats.law_patches),
                 ("law_rebuilds".into(), self.stats.law_rebuilds),
-                ("law_fallback_rebuilds".into(), self.stats.law_fallback_rebuilds),
+                (
+                    "law_fallback_rebuilds".into(),
+                    self.stats.law_fallback_rebuilds,
+                ),
                 ("incremental".into(), u64::from(self.incremental)),
             ],
         }
@@ -2064,7 +2072,9 @@ mod tests {
 
     #[test]
     #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-    #[should_panic(expected = "row 1's destination 0 disagrees with the resolved initiator's move to 2")]
+    #[should_panic(
+        expected = "row 1's destination 0 disagrees with the resolved initiator's move to 2"
+    )]
     fn a_corrupted_row_destination_fails_the_debug_cross_check() {
         let _ = misdirected_usd()
             .run_engine(StopCondition::consensus().or_max_interactions(10_000_000));
@@ -2587,10 +2597,17 @@ mod tests {
         );
         // The bookkeeping counters continue where the interrupted run left
         // off (a checkpoint after 40 events carries 40 draws).
+        let snapshot = restored.capture_state();
         assert_eq!(
-            restored.capture_state().counter("events_drawn"),
+            snapshot.counter("events_drawn"),
             Some(reference.events_drawn)
         );
+        // A capture names its counters without allocating.
+        assert_eq!(snapshot.counters.len(), 9);
+        assert!(snapshot
+            .counters
+            .iter()
+            .all(|(name, _)| matches!(name, std::borrow::Cow::Borrowed(_))));
         let expected = reference.run_engine(stop);
         let resumed = restored.run_engine(stop);
         // RunResult equality covers outcome, interactions, the final

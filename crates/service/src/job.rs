@@ -730,7 +730,10 @@ mod tests {
         let queued = record(12, JobState::Queued);
         let line = record_line(&queued);
         assert!(line.starts_with("record 12 "), "{line}");
-        assert!(line.ends_with(&format!(" {}\n", queued.to_json())), "{line}");
+        assert!(
+            line.ends_with(&format!(" {}\n", queued.to_json())),
+            "{line}"
+        );
         assert_eq!(replay(line.as_bytes()).records[&12], queued);
         let reason = |line: &str| {
             let replayed = replay(line.as_bytes());
@@ -755,7 +758,10 @@ mod tests {
         // A checksum that holds over another job's record.
         let mut forged = String::new();
         write_checked_line(&mut forged, RECORD_PREFIX, JobId(13), &queued.to_json());
-        assert_eq!(reason(&forged), "record line of job 13 holds job 12's record");
+        assert_eq!(
+            reason(&forged),
+            "record line of job 13 holds job 12's record"
+        );
         // A bare record document, as earlier servers wrote them.
         let bare = queued.to_json() + "\n";
         assert_eq!(replay(bare.as_bytes()).records[&12], queued);

@@ -1086,7 +1086,10 @@ mod tests {
             std::fs::read_to_string(dir.join("jobs.log.corrupt")).unwrap(),
             damaged
         );
-        assert!(server.status(JobId(1)).is_none(), "the damaged job is known");
+        assert!(
+            server.status(JobId(1)).is_none(),
+            "the damaged job is known"
+        );
         assert!(server.list().is_empty());
         let next = server.submit(scenario(5), 0).unwrap();
         assert_eq!(next, JobId(2), "no new job reuses the quarantined id");

@@ -167,7 +167,10 @@ fn assert_destinations_match_resolution(k: usize, config: &Configuration, seed: 
         for unit in initiator_units(&productive, s, seed ^ r as u64) {
             let initiator = resolve_initiator(&table, config, r, unit);
             let moved = row[initiator];
-            assert_ne!(moved as usize, r, "unit {unit} of row {r} at {config} is unproductive");
+            assert_ne!(
+                moved as usize, r,
+                "unit {unit} of row {r} at {config} is unproductive"
+            );
             if let Some(destination) = destinations[r] {
                 assert_eq!(
                     moved, destination,
