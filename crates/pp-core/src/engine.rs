@@ -66,12 +66,13 @@
 //!   draw skips the modulo and the initiator count.  In the USD every
 //!   decided row has destination `⊥`, so every clash event (about half of
 //!   all events at k = 8) takes it.  The branch follows the drawn
-//!   responder, so it is mispredicted often; it still pays: a release
-//!   build of the batched k = 8 USD went from 67–72 to 57–65 ns per event
-//!   (interleaved runs, 2-core x86-64 VM), and the traced
-//!   `pp-core.engine.ns_per_event` of the paper regimes from ~86–91 to
-//!   ~65–71 ns.  The RNG words drawn are the same either way, so the
-//!   trajectory does not depend on the branch.
+//!   responder, so it is mispredicted often; it still pays.  On a 2-core
+//!   x86-64 VM, a release build of the batched k = 8 USD (n = 10⁶, from a
+//!   uniform start with n/4 undecided, legs of 10⁶ events) took 0.88–0.99×
+//!   the time per event of the build without the branch, in 10 of 10
+//!   interleaved pairs; the repository benchmark's `usd-paper-regimes`
+//!   wall time fell 6.6% (medians of 10 pairs).  The RNG words drawn are
+//!   the same either way, so the trajectory does not depend on the branch.
 //! * All weights are exact integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
 //!   whether maintenance was on.
@@ -1440,9 +1441,9 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
                 remainder.into(),
             );
         };
-        let width = self.config.num_opinions() + 1;
-        let row = &next[responder_cat * width..][..width];
         let resolve = || {
+            let width = self.config.num_opinions() + 1;
+            let row = &next[responder_cat * width..][..width];
             let itarget = remainder.modulo(table.sums[responder_cat]);
             row[select_initiator(row, self.config.supports(), responder_cat, itarget)] as usize
         };

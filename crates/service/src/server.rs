@@ -38,7 +38,7 @@
 //!
 //! Reopening replays the log: each job is in the state of its last whole
 //! record line, and a torn last line is ignored.  A whole line that does
-//! not parse is kept in `jobs.log.corrupt`, and so is a result or
+//! not parse is kept in `jobs.log.corrupt`, and so is a record, result or
 //! checkpoint line whose checksum is missing or wrong, a result whose
 //! document fails [`protocol::check_result_doc`], and a running job's last
 //! checkpoint that is no checkpoint document; a job no parsed line names
