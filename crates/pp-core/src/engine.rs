@@ -2008,13 +2008,9 @@ mod tests {
         let _ = BatchedEngine::new(OutOfRange, config, SimSeed::from_u64(1));
     }
 
-    /// FNV-1a over every `(interactions, supports, undecided)` a run visits.
-    fn trajectory_fingerprint<E: StepEngine>(engine: &mut E) -> (u64, u64) {
-        prefix_fingerprint(engine, u64::MAX)
-    }
-
-    /// [`trajectory_fingerprint`] over at most the first `events` events.
-    fn prefix_fingerprint<E: StepEngine>(engine: &mut E, events: u64) -> (u64, u64) {
+    /// FNV-1a over every `(interactions, supports, undecided)` a run visits
+    /// in its first `events` events or up to consensus.
+    fn trajectory_fingerprint<E: StepEngine>(engine: &mut E, events: u64) -> (u64, u64) {
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
         let mut mix = |word: u64| {
             for byte in word.to_le_bytes() {
@@ -2045,7 +2041,7 @@ mod tests {
         let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
         let mut engine = BatchedEngine::new(Usd2NoDelta, config, SimSeed::from_u64(33));
         assert_eq!(
-            trajectory_fingerprint(&mut engine),
+            trajectory_fingerprint(&mut engine, u64::MAX),
             (12_159, 11_896_979_895_830_745_647)
         );
     }
@@ -2091,8 +2087,8 @@ mod tests {
         let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
         let mut sound = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
         assert_ne!(
-            prefix_fingerprint(&mut misdirected_usd(), 48),
-            prefix_fingerprint(&mut sound, 48)
+            trajectory_fingerprint(&mut misdirected_usd(), 48),
+            trajectory_fingerprint(&mut sound, 48)
         );
     }
 
