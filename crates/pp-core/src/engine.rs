@@ -71,7 +71,7 @@
 //!   uniform start with n/4 undecided, legs of 10⁶ events) took 0.88–0.99×
 //!   the time per event of the build without the branch, in 10 of 10
 //!   interleaved pairs; the repository benchmark's `usd-paper-regimes`
-//!   wall time fell 6.6% (medians of 10 pairs).  The RNG words drawn are
+//!   wall time fell 6.6–7.4% (medians of 10 pairs, two rounds).  The RNG words drawn are
 //!   the same either way, so the trajectory does not depend on the branch.
 //! * All weights are exact integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
