@@ -7,8 +7,8 @@
 //!
 //! * [`UndecidedStateDynamics`] — the protocol (transition function of
 //!   Section 2), pluggable into every simulator and step engine of
-//!   [`pp_core`]; it provides the closed-form batching hooks, so the batched
-//!   backend draws its state-changing events in `O(k)`.
+//!   [`pp_core`]; the batched backend tabulates it once and draws its
+//!   state-changing events in `O(k)`.
 //! * [`UsdSimulator`] — the USD driver over the unified step-engine layer,
 //!   with USD-specific helpers (phase-aware runs, bias queries).  Pick a
 //!   backend per run with [`UsdSimulator::with_engine`] — `Exact` for ground

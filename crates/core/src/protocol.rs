@@ -1,6 +1,6 @@
 //! The k-opinion Undecided State Dynamics transition function.
 
-use pp_core::{AgentState, Configuration, OpinionProtocol};
+use pp_core::{AgentState, OpinionProtocol};
 use serde::{Deserialize, Serialize};
 
 /// The k-opinion Undecided State Dynamics (USD) of the paper.
@@ -81,33 +81,6 @@ impl OpinionProtocol for UndecidedStateDynamics {
     fn name(&self) -> &str {
         "undecided state dynamics"
     }
-
-    /// Closed form for the USD's null pairs, enabling `O(k)`-per-event
-    /// batching (see [`pp_core::BatchedEngine`]).  Productive ordered pairs
-    /// are exactly the discordant decided pairs (`Σ_{a≠b} x_a·x_b =
-    /// d² − Σ x_a²`, with `d` the decided count) plus the undecided-adopts
-    /// pairs (`u·d`); everything else is null.
-    fn null_interaction_weight(&self, config: &Configuration) -> Option<u128> {
-        let n = u128::from(config.population());
-        let d = u128::from(config.decided());
-        let u = u128::from(config.undecided());
-        let discordant = d * d - config.sum_of_squares();
-        Some(n * n - discordant - u * d)
-    }
-
-    /// Closed form for the productive weight per responder category: a
-    /// decided responder with support `x` is productive against the `d − x`
-    /// decided agents of other opinions; an undecided responder against all
-    /// `d` decided agents.
-    fn productive_responder_weight(&self, config: &Configuration, cat: usize) -> Option<u128> {
-        let d = u128::from(config.decided());
-        Some(if cat == config.num_opinions() {
-            u128::from(config.undecided()) * d
-        } else {
-            let x = u128::from(config.support(cat));
-            x * (d - x)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +126,7 @@ mod tests {
             for i in 0..4usize {
                 let rs = if r == 3 { AgentState::Undecided } else { d(r) };
                 let is = if i == 3 { AgentState::Undecided } else { d(i) };
-                let productive = usd.is_productive(rs, is);
+                let productive = usd.respond(rs, is) != rs;
                 let expected = (rs.is_decided() && is.is_decided() && rs != is)
                     || (rs.is_undecided() && is.is_decided());
                 assert_eq!(productive, expected, "r={rs:?} i={is:?}");

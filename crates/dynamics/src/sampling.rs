@@ -41,13 +41,11 @@ pub trait SamplingDynamics {
     /// agent unchanged (a *null* activation), exactly (up to floating-point
     /// rounding of the count arithmetic).
     ///
-    /// This is the sampling-dynamics analogue of
-    /// [`pp_core::OpinionProtocol::null_interaction_weight`]: the opt-in
-    /// hook that lets [`SequentialSampler`] skip null activations
-    /// geometrically instead of simulating them one by one.  The
-    /// conservative default returns `None` ("no closed form known"), which
-    /// makes the runner fall back to plain per-activation stepping — so each
-    /// dynamic opts in incrementally.
+    /// This is the opt-in hook that lets [`SequentialSampler`] skip null
+    /// activations geometrically instead of simulating them one by one.
+    /// The conservative default returns `None` ("no closed form known"),
+    /// which makes the runner fall back to plain per-activation stepping —
+    /// so each dynamic opts in incrementally.
     fn null_activation_probability(&self, config: &Configuration) -> Option<f64> {
         let _ = config;
         None

@@ -154,7 +154,7 @@ mod tests {
     fn transition_table_matches_respond() {
         for k in 1..=8 {
             let protocol = UndecidedStateDynamics::new(k);
-            let table = transition_table(&protocol).expect("the USD opts into the table");
+            let table = transition_table(&protocol);
             assert_eq!(check_transition_table(&protocol, &table), Ok(()));
         }
     }

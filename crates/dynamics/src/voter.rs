@@ -142,8 +142,8 @@ impl SamplingDynamics for Voter {
 /// The Voter process expressed as a one-way pairwise protocol over
 /// *(responder, initiator)* pairs — the `j = 1` sampling dynamic and this
 /// protocol induce the same count-vector Markov chain, so the Voter can run
-/// on every [`pp_core::StepEngine`] backend (including
-/// [`pp_core::BatchedEngine`], for which it provides closed-form hooks).
+/// on every [`pp_core::StepEngine`] backend, [`pp_core::BatchedEngine`]
+/// included.
 ///
 /// # Examples
 ///
@@ -189,27 +189,6 @@ impl OpinionProtocol for PairwiseVoter {
 
     fn name(&self) -> &str {
         "voter (pairwise)"
-    }
-
-    /// Null pairs: undecided initiator (`n·u`) or initiator sharing the
-    /// responder's opinion (`Σ x_a²`).
-    fn null_interaction_weight(&self, config: &Configuration) -> Option<u128> {
-        let n = u128::from(config.population());
-        let u = u128::from(config.undecided());
-        Some(n * u + config.sum_of_squares())
-    }
-
-    /// Productive rows match the USD's: a decided responder changes against
-    /// the `d − x` decided agents of other opinions, an undecided responder
-    /// against all `d` decided agents.
-    fn productive_responder_weight(&self, config: &Configuration, cat: usize) -> Option<u128> {
-        let d = u128::from(config.decided());
-        Some(if cat == config.num_opinions() {
-            u128::from(config.undecided()) * d
-        } else {
-            let x = u128::from(config.support(cat));
-            x * (d - x)
-        })
     }
 }
 

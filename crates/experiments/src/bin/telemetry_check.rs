@@ -17,10 +17,7 @@
 //!   `{"metrics":{...}}` object `usd_run --metrics` prints on stdout; the
 //!   metrics object must be present and non-empty.
 //! * `--run` — a run/ensemble summary JSON (the `--output` document of an
-//!   ensemble run) that must embed a non-empty `"metrics"` object, and
-//!   whose deprecated flat `maintenance` alias must equal the snapshot's
-//!   canonical values — the alias is derived from the snapshot, so a
-//!   disagreement is a reporting bug, not formatting drift.
+//!   ensemble run) that must embed a non-empty `"metrics"` object.
 //!
 //! Exits 0 when every given artifact passes, 1 with a diagnostic per
 //! failure otherwise.  At least one artifact flag is required.
@@ -179,40 +176,6 @@ fn check_metrics_object(doc: &Json) -> Result<String, String> {
     }
 }
 
-/// Validates a run/ensemble summary document: the embedded `"metrics"`
-/// snapshot must be non-empty, and every key of the deprecated flat
-/// `maintenance` alias object must equal the canonical value inside the
-/// snapshot.  An absent snapshot counter reads as 0, the
-/// same default the alias writer uses.
-fn check_run_document(doc: &Json) -> Result<String, String> {
-    let detail = check_metrics_object(doc)?;
-    let metric = |name: &str| {
-        doc.get("metrics")
-            .and_then(|m| m.get(name))
-            .and_then(Json::as_f64)
-    };
-    let mut aliases = 0usize;
-    if let Some(Json::Obj(pairs)) = doc.get("maintenance") {
-        for (key, value) in pairs {
-            let Some(value) = value.as_f64() else {
-                return Err(format!("maintenance alias {key:?} is not a number"));
-            };
-            let canonical = format!("maintenance.{key}");
-            let snapshot = metric(&canonical).unwrap_or(0.0);
-            if value != snapshot {
-                return Err(format!(
-                    "flat alias \"maintenance\".{key} = {value} disagrees with metrics \
-                     {canonical:?} = {snapshot}"
-                ));
-            }
-            aliases += 1;
-        }
-    }
-    Ok(format!(
-        "{detail}; {aliases} flat aliases match the snapshot"
-    ))
-}
-
 /// Validates a `--metrics` capture: the last non-empty line must be the
 /// `{"metrics":{...}}` object (tolerates stray preceding stdout lines).
 fn check_metrics_file(text: &str) -> Result<String, String> {
@@ -261,7 +224,7 @@ fn main() -> ExitCode {
         check(
             "run",
             path,
-            read(path).and_then(|text| check_run_document(&Json::parse(&text)?)),
+            read(path).and_then(|text| check_metrics_object(&Json::parse(&text)?)),
         );
     }
     if failures > 0 {
@@ -330,43 +293,5 @@ mod tests {
         assert!(check_metrics_object(&run).is_ok());
         let bare = Json::parse(r#"{"tool":"usd_run"}"#).unwrap();
         assert!(check_metrics_object(&bare).is_err());
-    }
-
-    #[test]
-    fn matching_flat_aliases_pass_the_run_check() {
-        let doc = Json::parse(
-            r#"{"metrics":{"maintenance.rows_patched":12,
-                "maintenance.law_fallback_rebuilds":2},
-                "maintenance":{"rows_patched":12,"law_fallback_rebuilds":2,"law_rebuilds":0}}"#,
-        )
-        .unwrap();
-        let detail = check_run_document(&doc).unwrap();
-        assert!(detail.contains("3 flat aliases match"), "{detail}");
-        // A document without aliases (single-run summaries) still passes —
-        // only aliases that are present must agree.
-        let plain = Json::parse(r#"{"metrics":{"shard.epochs":3}}"#).unwrap();
-        assert!(check_run_document(&plain)
-            .unwrap()
-            .contains("0 flat aliases"));
-    }
-
-    #[test]
-    fn drifting_flat_aliases_fail_the_run_check() {
-        // The maintenance object is compared key by key against the
-        // dotted counters, including the fallback-rebuild split.
-        let maintenance = Json::parse(
-            r#"{"metrics":{"maintenance.law_fallback_rebuilds":2},
-                "maintenance":{"law_fallback_rebuilds":1}}"#,
-        )
-        .unwrap();
-        let err = check_run_document(&maintenance).unwrap_err();
-        assert!(
-            err.contains("law_fallback_rebuilds") && err.contains("disagrees"),
-            "{err}"
-        );
-        // An alias with no snapshot counterpart must be zero, not dropped.
-        let phantom =
-            Json::parse(r#"{"metrics":{"x":1},"maintenance":{"law_rebuilds":5}}"#).unwrap();
-        assert!(check_run_document(&phantom).is_err());
     }
 }

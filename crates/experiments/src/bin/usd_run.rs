@@ -317,42 +317,12 @@ fn ensemble_summary_json(
     };
     let total = outcome.total_interactions();
     // The canonical per-run metrics object (same names as `--metrics` and
-    // the printed summaries).  The flat `maintenance` field below
-    // duplicates it and is a deprecated alias, kept for one release
-    // so existing consumers keep parsing — it is read back from the
-    // snapshot itself, so the alias can never drift from the canonical
-    // values (telemetry_check asserts the equality).
-    let snap = outcome.metrics_snapshot();
-    let metrics_json = snap.to_json();
-    let maintenance_counters = [
-        "maintenance.rows_patched",
-        "maintenance.rows_rebuilt",
-        "maintenance.law_patches",
-        "maintenance.law_rebuilds",
-        "maintenance.law_fallback_rebuilds",
-    ];
-    let maintenance_json = if maintenance_counters
-        .iter()
-        .any(|name| snap.counter(name).is_some())
-    {
-        let count = |name: &str| snap.counter(name).unwrap_or(0);
-        format!(
-            "{{\"rows_patched\":{},\"rows_rebuilt\":{},\"law_patches\":{},\
-             \"law_rebuilds\":{},\"law_fallback_rebuilds\":{}}}",
-            count("maintenance.rows_patched"),
-            count("maintenance.rows_rebuilt"),
-            count("maintenance.law_patches"),
-            count("maintenance.law_rebuilds"),
-            count("maintenance.law_fallback_rebuilds"),
-        )
-    } else {
-        "null".to_string()
-    };
+    // the printed summaries).
+    let metrics_json = outcome.metrics_snapshot().to_json();
     format!(
         "{{\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":{},\"k\":{},\"seed\":{},\
          \"replicas\":{},\"workers\":{},\"rounds\":{},\
          \"metrics\":{metrics_json},\
-         \"maintenance\":{maintenance_json},\
          \"consensus\":{{\"reached\":{},\"proportion\":{},\"wilson95\":[{},{}]}},\
          \"hitting_time\":{hitting_json},\
          \"total_interactions\":{total},\"seconds\":{},\"interactions_per_sec\":{},\

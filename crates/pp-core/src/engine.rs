@@ -26,24 +26,23 @@
 //! * `MeanFieldEngine` (in `usd-core`) — the deterministic ODE limit lifted
 //!   behind the same trait for instant large-`n` approximation.
 //!
-//! Protocols opt into fast batching by overriding
-//! [`OpinionProtocol::null_interaction_weight`] and
-//! [`OpinionProtocol::productive_responder_weight`]; without the overrides
-//! the batched engine falls back to exact `O(k²)`-per-event enumeration, so
-//! the refactor is incremental per protocol.
+//! # The transition table
+//!
+//! The responder's next state is a pure function of the (responder,
+//! initiator) category pair (the [`OpinionProtocol`] contract), so
+//! [`BatchedEngine`] tabulates it once, at construction, as a flat `(k+1)²`
+//! **transition table** `next[r·(k+1) + i] = respond(r, i)` (as a
+//! category; see [`transition_table`]), and from then on reads only the
+//! table.  A pair is productive exactly when `next[r][i] ≠ r`, so each row
+//! factors as `row_cat = c_cat · S_cat` with `S_cat` the count-weighted sum
+//! of productive initiator categories; a full rebuild computes every
+//! `S_cat` from the table and the counts in `O(k²)`.
 //!
 //! # Incremental row maintenance
 //!
-//! On top of the hooks, [`BatchedEngine`] maintains its row table *across*
-//! events instead of recomputing it before each one.  The invariants:
+//! Between rebuilds, the engine maintains its row table *across* events
+//! instead of recomputing it before each one.  The invariants:
 //!
-//! * The responder's next state is a pure function of the (responder,
-//!   initiator) category pair, so the engine tabulates it once, at
-//!   construction, as a flat `(k+1)²` **transition table**
-//!   `next[r·(k+1) + i] = respond(r, i)` (as a category; see
-//!   [`transition_table`]).  A pair is productive exactly when
-//!   `next[r][i] ≠ r`, so each row factors as `row_cat = c_cat · S_cat` with
-//!   `S_cat` the count-weighted sum of productive initiator categories.
 //! * A state-changing event moves exactly one agent `from → to`; every
 //!   `S_cat` shifts by `gain[to][cat] − gain[from][cat]`, where the
 //!   transposed `(k+1)²` byte table `gain[c][cat] = [next[cat][c] ≠ cat]`
@@ -138,22 +137,21 @@
 //! after every external count edit).  Both widths hold the same exact
 //! integers, draw through the same RNG words ([`uniform_u64_below`] is the
 //! `u64` branch of [`uniform_u128_below`]) and convert to the same `f64`,
-//! so the trajectory does not depend on the width.  The protocol hooks and
-//! the debug cross-checks stay in `u128`; the `u64` table narrows the hook
-//! results, which the bound above makes infallible.
+//! so the trajectory does not depend on the width.  The debug cross-checks
+//! stay in `u128`.
 //!
-//! A protocol whose [`OpinionProtocol::productivity_matrix`] is `None` has
-//! no transition table: its events resolve through `respond` and its rows
-//! are rebuilt before every event (its responder is still picked by the
-//! prefix-count rule).  The engine also falls back to a full rebuild when
+//! # Rebuilds and checks
+//!
+//! The engine rebuilds the full row table from the transition table when
 //! maintenance is disabled via [`BatchedEngine::set_incremental_rows`] (the
 //! baseline that E13 and `engine_microbench` measure the patch against), and
 //! after external count edits (the shard reconciler's cross-shard updates
 //! invalidate the maintained state).  Patch/rebuild counts are reported
-//! through [`StepEngine::maintenance`] into [`RunResult`].  Debug builds
-//! cross-check a sample (every 64th refresh) of tables against direct
-//! enumeration, and at the same cadence resolve the initiator of an event
-//! whose row has a destination and assert that its move agrees; the
+//! through [`StepEngine::maintenance`] into [`RunResult`].  The rows have one
+//! reference: debug builds cross-check a sample (every 64th refresh, rebuilt
+//! or patched) of tables against direct enumeration of `respond` over the
+//! counts, and at the same cadence resolve the initiator of an event whose
+//! row has a destination and assert that its move agrees; the
 //! `exhaustive-checks` feature checks every refresh and every event.
 //!
 //! # Example
@@ -699,15 +697,7 @@ fn small_skip(u: f64, p: f64) -> Option<u64> {
 /// Each operation returns the same integer, RNG draw and `f64` in both
 /// widths.
 trait Weight:
-    Copy
-    + Default
-    + Ord
-    + From<u64>
-    + Into<u128>
-    + TryFrom<u128>
-    + Mul<Output = Self>
-    + AddAssign
-    + SubAssign
+    Copy + Default + Ord + From<u64> + Into<u128> + Mul<Output = Self> + AddAssign + SubAssign
 {
     /// A uniform draw below `bound`.
     fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: Self) -> Self;
@@ -717,13 +707,6 @@ trait Weight:
 
     /// The nearest `f64`.
     fn to_f64(self) -> f64;
-
-    /// `wide` in this width; the width rule guarantees it fits.
-    fn narrow(wide: u128) -> Self {
-        Self::try_from(wide)
-            .ok()
-            .expect("a row weight exceeds n², the bound the table width is chosen for")
-    }
 }
 
 impl Weight for u64 {
@@ -828,8 +811,7 @@ fn select_initiator<W: Weight>(
 struct RowTable<W> {
     /// Productive weight per responder category (`row_cat = c_cat · S_cat`).
     rows: Vec<W>,
-    /// The per-category productive initiator sums `S_cat` behind `rows`;
-    /// meaningful only with a transition table.
+    /// The per-category productive initiator sums `S_cat` behind `rows`.
     sums: Vec<W>,
     /// `Σ rows`.
     total: W,
@@ -875,9 +857,7 @@ impl WeightTable {
 /// [`respond`](OpinionProtocol::respond) moves a category-`r` responder to
 /// when it meets a category-`i` initiator (categories `0..k` are the
 /// opinions, `k` is `⊥`).  The pair is productive exactly when the entry
-/// differs from `r`.  `None` when the protocol's
-/// [`productivity_matrix`](OpinionProtocol::productivity_matrix) is `None`
-/// (its transitions are not a pure function of the category pair).
+/// differs from `r`.
 ///
 /// Debug builds and the `exhaustive-checks` feature run
 /// [`check_transition_table`] on every table built.
@@ -885,8 +865,7 @@ impl WeightTable {
 /// # Panics
 ///
 /// Panics if `respond` produces an opinion outside `0..k`.
-pub fn transition_table<P: OpinionProtocol + ?Sized>(protocol: &P) -> Option<Vec<u32>> {
-    protocol.productivity_matrix()?;
+pub fn transition_table<P: OpinionProtocol + ?Sized>(protocol: &P) -> Vec<u32> {
     let k = protocol.num_opinions();
     let mut table = Vec::with_capacity((k + 1) * (k + 1));
     for r in 0..=k {
@@ -906,35 +885,29 @@ pub fn transition_table<P: OpinionProtocol + ?Sized>(protocol: &P) -> Option<Vec
     if let Err(reason) = check_transition_table(protocol, &table) {
         panic!("{reason}");
     }
-    Some(table)
+    table
 }
 
 /// Checks `table` against `protocol` for every category pair: the entry must
-/// be the category [`respond`](OpinionProtocol::respond) yields, and its
-/// productivity (entry `≠ r`) must agree with the protocol's
-/// [`productivity_matrix`](OpinionProtocol::productivity_matrix).
+/// be the category [`respond`](OpinionProtocol::respond) yields.
 ///
 /// # Errors
 ///
-/// Names the first disagreeing pair, or a table or matrix that is not a flat
-/// `(k+1)²` table.
+/// Names the first disagreeing pair, or a table that is not a flat `(k+1)²`
+/// table.
 pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
     protocol: &P,
     table: &[u32],
 ) -> Result<(), String> {
     let k = protocol.num_opinions();
-    let matrix = protocol
-        .productivity_matrix()
-        .ok_or("the protocol has no productivity matrix, so no transition table")?;
-    if table.len() != (k + 1) * (k + 1) || matrix.len() != table.len() {
+    if table.len() != (k + 1) * (k + 1) {
         return Err(format!(
-            "transition table ({}) and productivity matrix ({}) must be flat (k+1)² = {} tables",
+            "transition table ({}) must be a flat (k+1)² = {} table",
             table.len(),
-            matrix.len(),
             (k + 1) * (k + 1)
         ));
     }
-    for (slot, (&dest, &productive)) in table.iter().zip(&matrix).enumerate() {
+    for (slot, &dest) in table.iter().enumerate() {
         let (r, i) = (slot / (k + 1), slot % (k + 1));
         let next = protocol.respond(
             AgentState::from_category(r, k),
@@ -943,12 +916,6 @@ pub fn check_transition_table<P: OpinionProtocol + ?Sized>(
         if dest as usize != next.category(k) {
             return Err(format!(
                 "transition table says category {dest} at ({r}, {i}) but respond yields {next}"
-            ));
-        }
-        if (dest as usize != r) != productive {
-            return Err(format!(
-                "transition table and productivity_matrix disagree on whether ({r}, {i}) is \
-                 productive"
             ));
         }
     }
@@ -1031,10 +998,9 @@ struct Transitions {
 }
 
 impl Transitions {
-    /// The layouts of `protocol`'s transitions, or `None` when it opted out.
-    fn new<P: OpinionProtocol + ?Sized>(protocol: &P) -> Option<Self> {
-        let next = transition_table(protocol)?;
-        let width = protocol.num_opinions() + 1;
+    /// The layouts of the flat `(k+1)²` transition table `next`.
+    fn new(next: Vec<u32>) -> Self {
+        let width = next.len().isqrt();
         let gain = (0..width * width)
             .map(|slot| {
                 let (c, cat) = (slot / width, slot % width);
@@ -1042,11 +1008,11 @@ impl Transitions {
             })
             .collect();
         let dest = row_destinations(&next).into();
-        Some(Transitions {
+        Transitions {
             next: next.into(),
             gain,
             dest,
-        })
+        }
     }
 }
 
@@ -1073,8 +1039,8 @@ impl Transitions {
 /// a destination ([`row_destinations`]; measured in the module docs).
 /// Each event also pays one [`geometric_skip`]: a few
 /// multiplications and compares for the common small skip, two libm logs
-/// for the rest (see the module docs).  `O(k)` hook calls or `O(k²)`
-/// enumeration per rebuild otherwise — but never proportional to the
+/// for the rest (see the module docs).  A full rebuild reads the whole
+/// transition table, `O(k²)` — but nothing is ever proportional to the
 /// number of skipped null interactions.  The integers are `u64` for
 /// populations up to `2³² − 1` and `u128` beyond (the width rule in the
 /// module docs); one generic kernel serves both, so the common case pays
@@ -1093,9 +1059,9 @@ pub struct BatchedEngine<P> {
     /// wide path must walk the narrow path's trajectory).
     #[cfg(test)]
     force_wide: bool,
-    /// The category transitions (`None`: the protocol opted out, every
-    /// event rebuilds and resolves through `respond`).
-    transitions: Option<Transitions>,
+    /// The category transitions: the engine's only description of the
+    /// protocol after construction.
+    transitions: Transitions,
     /// Runtime switch for the delta rule (off = the rebuild-every-event
     /// baseline that E13 and `engine_microbench` measure against).
     incremental: bool,
@@ -1135,7 +1101,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
                 configuration: config.num_opinions(),
             });
         }
-        let transitions = Transitions::new(&protocol);
+        let transitions = Transitions::new(transition_table(&protocol));
         let table = WeightTable::new(
             config.num_opinions(),
             needs_wide_weights(config.population()),
@@ -1209,6 +1175,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
 
     /// Productive weight of responder category `cat` by direct enumeration:
     /// `c_cat · Σ_{i : productive} c_i`.
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
     fn enumerated_row(&self, cat: usize) -> u128 {
         // The single-population weight is the cross-shard weight with the
         // responder and initiator sides drawn from the same configuration;
@@ -1217,43 +1184,14 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         crate::shard::reconcile::productive_row(&self.protocol, &self.config, &self.config, cat)
     }
 
-    /// Fills `rows` with the per-category productive weights for the current
-    /// counts and returns their sum.  A pure function of the configuration.
-    fn fill_rows<W: Weight>(&self, rows: &mut Vec<W>) -> W {
-        let k = self.config.num_opinions();
-        rows.clear();
-        rows.resize(k + 1, W::default());
-        let mut total = W::default();
-        for (cat, row_slot) in rows.iter_mut().enumerate() {
-            let row = W::narrow(
-                self.protocol
-                    .productive_responder_weight(&self.config, cat)
-                    .unwrap_or_else(|| self.enumerated_row(cat)),
-            );
-            *row_slot = row;
-            total += row;
-        }
-        #[cfg(feature = "exhaustive-checks")]
-        self.cross_check_rows(rows, total);
-        total
-    }
-
     /// Asserts `rows`/`total` for the current counts against direct
-    /// enumeration — the ground truth for both the closed-form hooks and the
-    /// incremental patch.  `O(k²)`: debug builds run it on a sample of
-    /// refreshes (every 64th); the `exhaustive-checks` feature on every one.
+    /// enumeration of `respond` — the one reference for the rows, whether
+    /// rebuilt from the transition table or patched.  `O(k²)`: debug builds
+    /// run it on a sample of refreshes (every 64th); the `exhaustive-checks`
+    /// feature on every one.
     #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
     fn cross_check_rows<W: Weight>(&self, rows: &[W], total: W) {
         let total: u128 = total.into();
-        if let Some(null) = self.protocol.null_interaction_weight(&self.config) {
-            let n = u128::from(self.config.population());
-            assert_eq!(
-                total + null,
-                n * n,
-                "null_interaction_weight override disagrees with enumeration at {}",
-                self.config
-            );
-        }
         let mut enumerated_total = 0u128;
         for (cat, &row) in rows.iter().enumerate() {
             let enumerated = self.enumerated_row(cat);
@@ -1293,25 +1231,28 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         std::mem::replace(&mut self.table, WeightTable::Narrow(RowTable::default()))
     }
 
-    /// Rebuilds `rows`, `sums` and `total` from the full counts.
+    /// Rebuilds `sums`, `rows` and `total` from the transition table and the
+    /// full counts: `S_cat` sums the counts of row `cat`'s productive
+    /// initiators, and `row_cat = c_cat · S_cat`.
     fn rebuild_rows<W: Weight>(&mut self, table: &mut RowTable<W>) -> W {
-        let total = self.fill_rows(&mut table.rows);
-        if let Some(Transitions { next, .. }) = &self.transitions {
-            let k = self.config.num_opinions();
-            for (cat, (sum_slot, row)) in table
-                .sums
-                .iter_mut()
-                .zip(next.chunks_exact(k + 1))
-                .enumerate()
-            {
-                let mut s = W::default();
-                for (i, &dest) in row.iter().enumerate() {
-                    if dest as usize != cat {
-                        s += W::from(self.config.category_count(i));
-                    }
+        let width = self.config.num_opinions() + 1;
+        let mut total = W::default();
+        for (cat, ((sum_slot, row_slot), next)) in table
+            .sums
+            .iter_mut()
+            .zip(table.rows.iter_mut())
+            .zip(self.transitions.next.chunks_exact(width))
+            .enumerate()
+        {
+            let mut s = W::default();
+            for (i, &dest) in next.iter().enumerate() {
+                if dest as usize != cat {
+                    s += W::from(self.config.category_count(i));
                 }
-                *sum_slot = s;
             }
+            *sum_slot = s;
+            *row_slot = W::from(self.config.category_count(cat)) * s;
+            total += *row_slot;
         }
         table.total = total;
         self.rows_valid = true;
@@ -1336,26 +1277,22 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
 
     /// Patches `sums`, `rows` and `total` across an applied move of one agent
     /// from category `from_cat` to `to_cat` (the delta rule; see the module
-    /// docs), or invalidates the table when the protocol opted out or
-    /// maintenance is disabled.  Every `S_cat` gains `gain[to][cat] −
-    /// gain[from][cat]` without a per-category branch; the undecided
-    /// category, whose count is not in `supports()`, is patched after the
-    /// opinions.
+    /// docs), or invalidates the table when maintenance is disabled.  Every
+    /// `S_cat` gains `gain[to][cat] − gain[from][cat]` without a
+    /// per-category branch; the undecided category, whose count is not in
+    /// `supports()`, is patched after the opinions.
     fn apply_row_delta<W: Weight>(
         &mut self,
         table: &mut RowTable<W>,
         from_cat: usize,
         to_cat: usize,
     ) {
-        let Some(Transitions { gain, .. }) = &self.transitions else {
-            self.rows_valid = false;
-            return;
-        };
         if !self.incremental {
             self.rows_valid = false;
             return;
         }
         let width = self.config.num_opinions() + 1;
+        let gain = &self.transitions.gain;
         let gain_to = &gain[to_cat * width..][..width];
         let gain_from = &gain[from_cat * width..][..width];
         let shift = |s: &mut W, up: u8, down: u8| {
@@ -1416,16 +1353,15 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// parts, the remainder modulo `S_r` is an exact uniform draw of the
     /// initiator unit.
     ///
-    /// With a transition table and a row destination for `r`
-    /// ([`row_destinations`]), that destination is the move and the
-    /// initiator is not resolved (debug builds resolve it on the sampled
-    /// cross-check cadence and assert the same move).  Otherwise `S_r` is
-    /// the maintained `sums[r]`, the initiator is the number of prefix sums
-    /// of `c_i · [next[r][i] ≠ r]` `≤` that unit ([`select_initiator`]), and
-    /// the responder's new category is read off table row `r`.  That row
-    /// test is the draw's one data-dependent branch (its measurement is in
-    /// the module docs); the RNG words drawn do not depend on it.  Without a
-    /// table, `S_r = row / c_r` and `respond` resolves both.
+    /// With a row destination for `r` ([`row_destinations`]), that
+    /// destination is the move and the initiator is not resolved (debug
+    /// builds resolve it on the sampled cross-check cadence and assert the
+    /// same move).  Otherwise `S_r` is the maintained `sums[r]`, the
+    /// initiator is the number of prefix sums of `c_i · [next[r][i] ≠ r]`
+    /// `≤` that unit ([`select_initiator`]), and the responder's new
+    /// category is read off table row `r`.  That row test is the draw's one
+    /// data-dependent branch (its measurement is in the module docs); the
+    /// RNG words drawn do not depend on it.
     ///
     /// Returns the applied `(from, to)` responder move as categories and
     /// invalidates the maintained row table (callers on the incremental path
@@ -1434,13 +1370,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         let target = W::uniform_below(&mut self.rng, table.total);
         let (responder_cat, remainder) = select_unit(&table.rows, target);
         debug_assert!(self.config.category_count(responder_cat) > 0);
-        let Some(Transitions { next, dest, .. }) = &self.transitions else {
-            return self.draw_and_apply_by_respond(
-                table.rows[responder_cat].into(),
-                responder_cat,
-                remainder.into(),
-            );
-        };
+        let Transitions { next, dest, .. } = &self.transitions;
         let resolve = || {
             let width = self.config.num_opinions() + 1;
             let row = &next[responder_cat * width..][..width];
@@ -1467,51 +1397,6 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         self.config.move_category(responder_cat, to_cat);
         self.rows_valid = false;
         (responder_cat, to_cat)
-    }
-
-    /// The event draw's initiator resolution and move for a protocol without
-    /// a transition table: `S_r = row / c_r`, and `respond` decides both
-    /// productivity and the responder's new state.
-    fn draw_and_apply_by_respond(
-        &mut self,
-        row: u128,
-        responder_cat: usize,
-        target: u128,
-    ) -> (usize, usize) {
-        let k = self.config.num_opinions();
-        let responder = AgentState::from_category(responder_cat, k);
-        let c_responder = u128::from(self.config.category_count(responder_cat));
-        // 64-bit fast path: the weights fit u64 for any population ≤ ~4·10⁹,
-        // avoiding the 128-bit division intrinsics.
-        let initiator_total = match (u64::try_from(row), u64::try_from(c_responder)) {
-            (Ok(r), Ok(c)) => u128::from(r / c),
-            _ => row / c_responder,
-        };
-        let mut itarget = target.modulo(initiator_total);
-        let mut initiator = AgentState::Undecided;
-        for i in 0..=k {
-            let c_i = self.config.category_count(i);
-            if c_i == 0 {
-                continue;
-            }
-            let candidate = AgentState::from_category(i, k);
-            if self.protocol.respond(responder, candidate) == responder {
-                continue;
-            }
-            if itarget < u128::from(c_i) {
-                initiator = candidate;
-                break;
-            }
-            itarget -= u128::from(c_i);
-        }
-
-        let new_responder = self.protocol.respond(responder, initiator);
-        debug_assert_ne!(new_responder, responder, "sampled event must be productive");
-        self.config
-            .apply_move(responder, new_responder)
-            .expect("transition produced an inconsistent move");
-        self.rows_valid = false;
-        (responder_cat, new_responder.category(k))
     }
 
     /// Captures this engine's resumable state.  The maintained row table is
@@ -1866,8 +1751,7 @@ mod tests {
     use super::*;
     use crate::run::RunOutcome;
 
-    /// The 2-opinion USD without batching hooks (exercises the enumeration
-    /// fallback).
+    /// The 2-opinion USD.
     #[derive(Debug)]
     struct Usd2Plain;
 
@@ -1887,75 +1771,21 @@ mod tests {
         }
     }
 
-    /// The same protocol with closed-form batching hooks (exercises the
-    /// debug cross-check against enumeration).
-    #[derive(Debug)]
-    struct Usd2Hooked;
-
-    impl OpinionProtocol for Usd2Hooked {
-        fn num_opinions(&self) -> usize {
-            2
-        }
-        fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
-            Usd2Plain.respond(r, i)
-        }
-        fn name(&self) -> &str {
-            "usd-2-hooked"
-        }
-        fn null_interaction_weight(&self, config: &Configuration) -> Option<u128> {
-            let n = u128::from(config.population());
-            let d = u128::from(config.decided());
-            let u = u128::from(config.undecided());
-            let discordant = d * d - config.sum_of_squares();
-            Some(n * n - discordant - u * d)
-        }
-        fn productive_responder_weight(&self, config: &Configuration, cat: usize) -> Option<u128> {
-            let d = u128::from(config.decided());
-            Some(if cat == config.num_opinions() {
-                u128::from(config.undecided()) * d
-            } else {
-                let x = u128::from(config.support(cat));
-                x * (d - x)
-            })
-        }
-    }
-
-    /// `Usd2Plain` with the delta rule disabled (exercises the
-    /// rebuild-every-event fallback for protocols that opt out).
-    #[derive(Debug)]
-    struct Usd2NoDelta;
-
-    impl OpinionProtocol for Usd2NoDelta {
-        fn num_opinions(&self) -> usize {
-            2
-        }
-        fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
-            Usd2Plain.respond(r, i)
-        }
-        fn productivity_matrix(&self) -> Option<Vec<bool>> {
-            None
-        }
-    }
-
     #[test]
     fn incremental_rows_produce_the_same_trajectory_as_rebuilds() {
-        // Same seed, maintenance on vs off vs opted out: the three engines
-        // must walk bit-identical trajectories (the rows are exact integers
-        // either way), differing only in their maintenance counters.
+        // Same seed, maintenance on vs off: the two engines must walk
+        // bit-identical trajectories (the rows are exact integers either
+        // way), differing only in their maintenance counters.
         let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
         let mut patched = BatchedEngine::new(Usd2Plain, config.clone(), SimSeed::from_u64(21));
-        let mut rebuilt = BatchedEngine::new(Usd2Plain, config.clone(), SimSeed::from_u64(21));
+        let mut rebuilt = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(21));
         rebuilt.set_incremental_rows(false);
-        let mut opted_out = BatchedEngine::new(Usd2NoDelta, config, SimSeed::from_u64(21));
         let mut events = 0u64;
         loop {
             let a = patched.advance(u64::MAX);
             let b = rebuilt.advance(u64::MAX);
-            let c = opted_out.advance(u64::MAX);
             assert_eq!(a, b);
-            assert_eq!(a, c);
             assert_eq!(patched.configuration(), rebuilt.configuration());
-            assert_eq!(patched.configuration(), opted_out.configuration());
             assert_eq!(patched.interactions(), rebuilt.interactions());
             if a != Advance::Event {
                 break;
@@ -1969,20 +1799,14 @@ mod tests {
         let baseline = rebuilt.maintenance_stats();
         assert_eq!(baseline.rows_patched, 0);
         assert_eq!(baseline.rows_rebuilt, events + 1);
-        let fallback = opted_out.maintenance_stats();
-        assert_eq!(fallback.rows_patched, 0);
-        assert!(fallback.rows_rebuilt >= events);
     }
 
     #[test]
-    fn transition_tables_follow_respond_and_the_opt_out() {
-        for table in [transition_table(&Usd2Plain), transition_table(&Usd2Hooked)] {
-            let table = table.expect("default productivity matrix opts in");
-            // Rows: opinion 0, opinion 1, undecided (category 2).
-            assert_eq!(table, vec![0, 2, 0, 2, 1, 1, 0, 1, 2]);
-            assert_eq!(check_transition_table(&Usd2Plain, &table), Ok(()));
-        }
-        assert_eq!(transition_table(&Usd2NoDelta), None);
+    fn transition_tables_follow_respond() {
+        let table = transition_table(&Usd2Plain);
+        // Rows: opinion 0, opinion 1, undecided (category 2).
+        assert_eq!(table, vec![0, 2, 0, 2, 1, 1, 0, 1, 2]);
+        assert_eq!(check_transition_table(&Usd2Plain, &table), Ok(()));
     }
 
     /// A protocol that moves agents to an opinion it does not have.
@@ -2034,22 +1858,9 @@ mod tests {
     }
 
     #[test]
-    fn opted_out_protocol_keeps_its_recorded_trajectory() {
-        // A protocol without a productivity matrix draws its events through
-        // the `respond` loop; this pins that path's trajectory across
-        // commits (recorded before the transition table existed).
-        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
-        let mut engine = BatchedEngine::new(Usd2NoDelta, config, SimSeed::from_u64(33));
-        assert_eq!(
-            trajectory_fingerprint(&mut engine, u64::MAX),
-            (12_159, 11_896_979_895_830_745_647)
-        );
-    }
-
-    #[test]
     fn usd_rows_have_their_destinations() {
         // Rows: opinion 0, opinion 1, undecided (category 2).
-        let table = transition_table(&Usd2Plain).unwrap();
+        let table = transition_table(&Usd2Plain);
         assert_eq!(row_destinations(&table), [Some(2), Some(2), None]);
         // A row with no productive initiator has no destination.
         assert_eq!(row_destinations(&[0, 0, 0, 1]), [None, Some(0)]);
@@ -2061,7 +1872,7 @@ mod tests {
     fn misdirected_usd() -> BatchedEngine<Usd2Plain> {
         let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
         let mut engine = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
-        let dest = &mut engine.transitions.as_mut().unwrap().dest;
+        let dest = &mut engine.transitions.dest;
         assert_eq!(dest[1], Some(2));
         dest[1] = Some(0);
         engine
@@ -2088,6 +1899,52 @@ mod tests {
         let mut sound = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
         assert_ne!(
             trajectory_fingerprint(&mut misdirected_usd(), 48),
+            trajectory_fingerprint(&mut sound, 48)
+        );
+    }
+
+    /// `Usd2Plain`'s transitions with one table entry corrupted: an
+    /// opinion-0 responder that meets an opinion-1 initiator keeps its
+    /// opinion instead of becoming undecided, so row 0 loses all its
+    /// productive weight.  The layouts are re-derived from the corrupted
+    /// table, so the engine is consistent with itself and only enumeration
+    /// of `respond` can tell.
+    fn corrupted_usd_transitions() -> Transitions {
+        let mut next = transition_table(&Usd2Plain);
+        assert_eq!(next[1], 2);
+        next[1] = 0;
+        Transitions::new(next)
+    }
+
+    #[test]
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    #[should_panic(expected = "row weight disagrees with enumeration for category 0")]
+    fn a_corrupted_transition_table_fails_the_debug_cross_check() {
+        // 62 sound events leave 63 refreshes (one rebuild, 62 patches), so
+        // the rebuild after the corruption is the 64th refresh, which every
+        // debug build cross-checks.
+        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
+        let mut engine = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
+        for _ in 0..62 {
+            assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        }
+        assert_eq!(engine.refreshes, 63);
+        engine.transitions = corrupted_usd_transitions();
+        engine.rows_valid = false;
+        let _ = engine.productive_probability();
+    }
+
+    #[test]
+    #[cfg(not(feature = "exhaustive-checks"))]
+    fn a_corrupted_transition_table_changes_the_trajectory() {
+        // Debug builds first cross-check the rows at the 64th refresh, so 48
+        // events run unchecked in every build without the feature.
+        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
+        let mut sound = BatchedEngine::new(Usd2Plain, config.clone(), SimSeed::from_u64(33));
+        let mut corrupted = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
+        corrupted.transitions = corrupted_usd_transitions();
+        assert_ne!(
+            trajectory_fingerprint(&mut corrupted, 48),
             trajectory_fingerprint(&mut sound, 48)
         );
     }
@@ -2158,14 +2015,6 @@ mod tests {
         assert!(result.reached_consensus());
         assert_eq!(result.winner().unwrap().index(), 0);
         assert_eq!(result.scheduler(), Some(UNIFORM_PAIR_SCHEDULER_NAME));
-    }
-
-    #[test]
-    fn hooked_protocol_passes_the_debug_cross_check() {
-        let config = Configuration::from_counts(vec![600, 300], 100).unwrap();
-        let mut engine = BatchedEngine::new(Usd2Hooked, config, SimSeed::from_u64(6));
-        let result = engine.run_engine(StopCondition::consensus().or_max_interactions(5_000_000));
-        assert!(result.reached_consensus());
     }
 
     #[test]
@@ -2301,12 +2150,10 @@ mod tests {
         );
     }
 
-    /// The k-opinion USD without batching hooks, for random-k properties;
-    /// `opted_out` drops its productivity matrix (no transition table).
+    /// The k-opinion USD, for random-k properties.
     #[derive(Debug)]
     struct UsdK {
         k: usize,
-        opted_out: bool,
     }
 
     impl OpinionProtocol for UsdK {
@@ -2315,18 +2162,6 @@ mod tests {
         }
         fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
             Usd2Plain.respond(r, i)
-        }
-        fn productivity_matrix(&self) -> Option<Vec<bool>> {
-            let k = self.k;
-            (!self.opted_out).then(|| {
-                (0..(k + 1) * (k + 1))
-                    .map(|slot| {
-                        let (r, i) = (slot / (k + 1), slot % (k + 1));
-                        let responder = AgentState::from_category(r, k);
-                        self.respond(responder, AgentState::from_category(i, k)) != responder
-                    })
-                    .collect()
-            })
         }
     }
 
@@ -2542,14 +2377,13 @@ mod tests {
                 supports in proptest::collection::vec(0u64..300, 1..9),
                 undecided in 0u64..300,
                 seed in 0u64..u64::MAX,
-                mode in 0u8..3,
+                mode in 0u8..2,
             ) {
                 prop_assume!(supports.iter().sum::<u64>() + undecided > 0);
                 let k = supports.len();
                 let config = Configuration::from_counts(supports, undecided).unwrap();
-                // Mode 0: patched rows; 1: rebuilt rows; 2: no transition
-                // table (the `respond` path).
-                let protocol = || UsdK { k, opted_out: mode == 2 };
+                // Mode 0: patched rows; 1: rebuilt rows.
+                let protocol = || UsdK { k };
                 let mut narrow = BatchedEngine::new(protocol(), config.clone(), SimSeed::from_u64(seed));
                 let mut wide = BatchedEngine::new_wide(protocol(), config, SimSeed::from_u64(seed));
                 narrow.set_incremental_rows(mode == 0);

@@ -753,7 +753,7 @@ mod tests {
     use crate::opinion::AgentState;
     use crate::protocol::OpinionProtocol;
 
-    /// The 2-opinion USD with closed-form batching hooks.
+    /// The 2-opinion USD.
     #[derive(Debug, Clone)]
     struct Usd2;
 

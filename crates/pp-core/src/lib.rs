@@ -23,9 +23,8 @@
 //!   geometrically distributed runs of *null* interactions and draws only
 //!   the state-changing events.  Same trajectory law, orders of magnitude
 //!   faster whenever nulls dominate (deep-bias regimes, every consensus
-//!   endgame).  Use it for large populations; protocols opt into `O(k)`
-//!   events via [`OpinionProtocol::null_interaction_weight`] /
-//!   [`OpinionProtocol::productive_responder_weight`].
+//!   endgame).  Use it for large populations; it tabulates the protocol
+//!   once and draws each event in `O(k)`.
 //! * [`ShardedEngine`] — the count vector split into `S` shards, each owned
 //!   by a batched engine and advanced in parallel worker threads, with
 //!   cross-shard interactions allocated to shard pairs by multinomial draws

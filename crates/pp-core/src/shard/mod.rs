@@ -607,7 +607,7 @@ mod tests {
     use crate::run::RunOutcome;
     use crate::stopping::StopCondition;
 
-    /// The 2-opinion USD (no batching hooks needed here).
+    /// The 2-opinion USD.
     #[derive(Debug, Clone)]
     struct Usd2;
 

@@ -7,7 +7,7 @@
 //!   configurations and initiator units, in both weight widths, that
 //!   destination must be the move the full resolution (`resolve_initiator`)
 //!   reads off the table, for the USD at k ∈ {1, 2, 3, 8}; the pairwise
-//!   voter at k ≥ 3 and a protocol without a table never have one.
+//!   voter at k ≥ 3 never has one.
 //! * `HybridEngine::signal` is computed without allocating; it must equal,
 //!   bit for bit, the `Vec`-based computation kept here as the reference
 //!   (mean-field derivative vectors plus the `pp_analysis::fluctuation`
@@ -37,7 +37,7 @@ use rand::Rng;
 
 fn assert_table_matches_respond<P: OpinionProtocol>(protocol: &P) {
     let k = protocol.num_opinions();
-    let table = transition_table(protocol).expect("shipped protocols opt into the table");
+    let table = transition_table(protocol);
     assert_eq!(table.len(), (k + 1) * (k + 1));
     for r in 0..=k {
         for i in 0..=k {
@@ -67,7 +67,7 @@ fn transition_tables_equal_respond_for_the_shipped_protocols() {
 #[test]
 fn check_transition_table_names_a_tampered_entry() {
     let protocol = UndecidedStateDynamics::new(3);
-    let mut table = transition_table(&protocol).unwrap();
+    let mut table = transition_table(&protocol);
     // Decided(0) meeting Decided(1) goes undecided (category 3), not to 2.
     table[1] = 2;
     let err = check_transition_table(&protocol, &table).unwrap_err();
@@ -78,8 +78,8 @@ fn check_transition_table_names_a_tampered_entry() {
 #[test]
 fn row_destinations_have_the_shapes_of_the_shipped_protocols() {
     for k in 1..=8 {
-        let usd = row_destinations(&transition_table(&UndecidedStateDynamics::new(k)).unwrap());
-        let voter = row_destinations(&transition_table(&PairwiseVoter::new(k)).unwrap());
+        let usd = row_destinations(&transition_table(&UndecidedStateDynamics::new(k)));
+        let voter = row_destinations(&transition_table(&PairwiseVoter::new(k)));
         // Every decided USD responder that meets another opinion goes ⊥.
         let mut clash = vec![Some(k as u32); k];
         clash.push(None);
@@ -101,29 +101,6 @@ fn row_destinations_have_the_shapes_of_the_shipped_protocols() {
             }
         }
     }
-}
-
-/// A protocol whose transitions are not a function of the category pair,
-/// so it has no transition table and no destinations.
-struct TableLess;
-
-impl OpinionProtocol for TableLess {
-    fn num_opinions(&self) -> usize {
-        3
-    }
-
-    fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
-        UndecidedStateDynamics::new(3).respond(r, i)
-    }
-
-    fn productivity_matrix(&self) -> Option<Vec<bool>> {
-        None
-    }
-}
-
-#[test]
-fn a_protocol_without_a_table_has_no_destinations() {
-    assert_eq!(transition_table(&TableLess), None);
 }
 
 /// The initiator units worth checking below `s`: 0, `s − 1`, eight random
@@ -148,7 +125,7 @@ fn initiator_units(productive: &[u64], s: u64, seed: u64) -> Vec<u64> {
 /// that the full resolution picks a productive initiator and, when the row
 /// has a destination, that its move is that destination.
 fn assert_destinations_match_resolution(k: usize, config: &Configuration, seed: u64) {
-    let table = transition_table(&UndecidedStateDynamics::new(k)).unwrap();
+    let table = transition_table(&UndecidedStateDynamics::new(k));
     let destinations = row_destinations(&table);
     for (r, row) in table.chunks_exact(k + 1).enumerate() {
         let productive: Vec<u64> = (0..=k)
