@@ -1,16 +1,24 @@
 //! The five-phase structure of the paper's analysis (Section 2.1).
 //!
-//! | Phase | End condition | Paper's running time |
-//! |---|---|---|
-//! | 1 | `u ≥ (n − x_max)/2` | `O(n log n)` |
-//! | 2 | exactly one significant opinion | `O(n² log n / x_max)` |
-//! | 3 | `x_max ≥ 2·x_i` for all other `i` | `O(n² log n / x_max)` |
-//! | 4 | `x_max ≥ 2n/3` | `O(n²/x_max + n log n)` |
-//! | 5 | `x_max = n` | `O(n log n)` |
+//! | Phase | End condition | Paper's running time | Horizon gap, closed per event by ≤ |
+//! |---|---|---|---|
+//! | 1 | `u ≥ (n − x_max)/2` | `O(n log n)` | `n − x_max − 2u`, 2 |
+//! | 2 | exactly one significant opinion | `O(n² log n / x_max)` | `⌊α·√(n·ln n)⌋ − 1 − (x_max − x_2nd)`, 2 |
+//! | 3 | `x_max ≥ 2·x_i` for all other `i` | `O(n² log n / x_max)` | `2·x_2nd − x_max`, 3 |
+//! | 4 | `x_max ≥ 2n/3` | `O(n²/x_max + n log n)` | `2n − 3·x_max`, 3 |
+//! | 5 | `x_max = n` | `O(n log n)` | `n − x_max`, 1 |
 //!
 //! [`PhaseTracker`] is a [`Recorder`] that measures the hitting times
 //! `T1..T5` of a run, defined cumulatively as in the paper
 //! (`T_i = inf{t ≥ T_{i−1} : condition_i}`).
+//!
+//! An event moves one agent, which changes `u` and each order statistic of
+//! the supports (`x_max`, the runner-up `x_2nd`) by at most one, and `u`
+//! rises only when an agent leaves an opinion, which raises no support.  So
+//! no end condition can hold before the gap in the last column closes (Phase
+//! 2's keeps one agent of margin for its `f64` threshold), which makes
+//! [`PhaseTracker::horizon`] a certified number of events to run between
+//! judgements; `UsdSimulator::run_with_phases` runs each as one leg.
 
 use pp_core::{Configuration, Recorder};
 use serde::{Deserialize, Serialize};
@@ -211,6 +219,40 @@ impl PhaseTracker {
             .copied()
             .find(|p| self.times.hitting_time(*p).is_none())
     }
+
+    /// How many events, each moving one agent of `config`, must pass before
+    /// the current phase's end condition can first hold (see the module
+    /// docs): at least 1, and `u64::MAX` once every phase completed.
+    #[must_use]
+    pub fn horizon(&self, config: &Configuration) -> u64 {
+        let Some(phase) = self.current_phase() else {
+            return u64::MAX;
+        };
+        let (mut first, mut second) = (0, 0);
+        for &x in config.supports() {
+            if x > first {
+                (first, second) = (x, first);
+            } else if x > second {
+                second = x;
+            }
+        }
+        let [n, u, first, second] =
+            [config.population(), config.undecided(), first, second].map(u128::from);
+        let (gap, per_event) = match phase {
+            Phase::RiseOfUndecided => ((n - first).saturating_sub(2 * u), 2),
+            // Below 2⁵² agents every count converts to `f64` exactly and the
+            // threshold subtraction rounds by at most half an agent.
+            Phase::AdditiveBias if n < 1 << 52 => {
+                let need = config.significance_threshold(self.alpha).floor() - 1.0;
+                ((need as u128).saturating_sub(first - second), 2)
+            }
+            Phase::AdditiveBias => (0, 1),
+            Phase::MultiplicativeBias => ((2 * second).saturating_sub(first), 3),
+            Phase::AbsoluteMajority => ((2 * n).saturating_sub(3 * first), 3),
+            Phase::Consensus => (n - first, 1),
+        };
+        u64::try_from(gap.div_ceil(per_event)).map_or(u64::MAX, |h| h.max(1))
+    }
 }
 
 impl Recorder for PhaseTracker {
@@ -339,6 +381,84 @@ mod tests {
         assert_eq!(times.last_completed(), None);
         assert!(!times.completed());
         assert_eq!(tracker.current_phase(), Some(Phase::RiseOfUndecided));
+    }
+
+    /// Moves one agent from category `from` to category `to`.
+    fn shift(config: &mut Configuration, from: usize, to: usize) {
+        let k = config.num_opinions();
+        let state = |cat| pp_core::AgentState::from_category(cat, k);
+        config.apply_move(state(from), state(to)).unwrap();
+    }
+
+    /// A tracker inside `phase` (every earlier phase registered at 0).
+    fn tracker_in(phase: Phase) -> PhaseTracker {
+        let mut tracker = PhaseTracker::new(1.0);
+        for earlier in &mut tracker.times.times[..phase.number() - 1] {
+            *earlier = Some(0);
+        }
+        tracker
+    }
+
+    /// The horizon at `start` is tight: `moves`, one per event, first meet
+    /// the current phase's end condition at the last of them.
+    fn assert_tight(phase: Phase, start: Configuration, moves: &[(usize, usize)]) {
+        let tracker = tracker_in(phase);
+        assert_eq!(
+            tracker.horizon(&start),
+            moves.len() as u64,
+            "{phase} at {start}"
+        );
+        let mut config = start;
+        for (done, &(from, to)) in moves.iter().enumerate() {
+            assert!(
+                !phase.end_condition_met(&config, 1.0),
+                "{phase} after {done} moves"
+            );
+            shift(&mut config, from, to);
+        }
+        assert!(phase.end_condition_met(&config, 1.0), "{phase} at {config}");
+    }
+
+    #[test]
+    fn horizons_are_tight_where_every_event_can_close_the_gap_fully() {
+        // Categories: opinions 0 and 1, then the undecided pool (2).
+        // Phase 1: 60 − 50 − 2·0 = 10, closed by 2 per decided-to-⊥ move.
+        assert_tight(Phase::RiseOfUndecided, cfg(vec![50, 10], 0), &[(1, 2); 5]);
+        // Phase 3: 2·10 − 10 = 10, closed by 3 per move from the runner-up
+        // to the plurality.
+        assert_tight(
+            Phase::MultiplicativeBias,
+            cfg(vec![10, 10], 0),
+            &[(1, 0); 4],
+        );
+        // Phase 4: 2·30 − 3·15 = 15, closed by 3 per move that raises x_max.
+        assert_tight(Phase::AbsoluteMajority, cfg(vec![15, 15], 0), &[(1, 0); 5]);
+        // Phase 5: 60 − 58 = 2 undecided agents still to adopt.
+        assert_tight(Phase::Consensus, cfg(vec![58, 0], 2), &[(2, 0); 2]);
+    }
+
+    #[test]
+    fn the_phase_two_horizon_keeps_one_agent_of_margin() {
+        // n = 10_000: threshold 303.5, so the gap under the 302 agents of
+        // margin is 302 − (3_000 − 2_900) = 202, closed by 2 per event.
+        let config = cfg(vec![3_000, 2_900, 100], 4_000);
+        assert_eq!(tracker_in(Phase::AdditiveBias).horizon(&config), 101);
+        // The 101st move from the runner-up to the plurality still leaves
+        // the condition unmet; it first holds at the 102nd.
+        let mut moved = config.clone();
+        for _ in 0..101 {
+            shift(&mut moved, 1, 0);
+        }
+        assert!(!Phase::AdditiveBias.end_condition_met(&moved, 1.0));
+        shift(&mut moved, 1, 0);
+        assert!(Phase::AdditiveBias.end_condition_met(&moved, 1.0));
+        // A threshold no configuration can clear gives no margin to keep.
+        let mut tracker = tracker_in(Phase::AdditiveBias);
+        tracker.alpha = -1.0;
+        assert_eq!(tracker.horizon(&config), 1);
+        // A finished tracker has no phase to end.
+        tracker.times.times = [Some(0); 5];
+        assert_eq!(tracker.horizon(&config), u64::MAX);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use pp_core::{
     Telemetry,
 };
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::path::PathBuf;
 
 /// The result of a phase-aware USD run: the ordinary [`RunResult`] plus the
@@ -248,23 +247,6 @@ struct PeriodicCaptures {
     counters: Option<(Counter, Counter)>,
 }
 
-/// The recorder of a phase-aware run: feeds every event to its
-/// [`PhaseTracker`] and flags the event that completes a phase.
-struct PhaseWatch<'a> {
-    tracker: &'a mut PhaseTracker,
-    completed: &'a Cell<bool>,
-}
-
-impl Recorder for PhaseWatch<'_> {
-    fn record(&mut self, interactions: u64, config: &Configuration) {
-        let phase = self.tracker.current_phase();
-        self.tracker.record(interactions, config);
-        if self.tracker.current_phase() != phase {
-            self.completed.set(true);
-        }
-    }
-}
-
 impl UsdSimulator {
     /// Creates a USD simulator with the exact (ground-truth) backend.
     #[must_use]
@@ -344,7 +326,7 @@ impl UsdSimulator {
     /// [`Checkpoint`]: the backend's engine snapshot plus simulator
     /// metadata (master seed and the initial configuration) stamped into
     /// the checkpoint's `meta` section.  Call between `advance` boundaries
-    /// only — the drive loop and the phase-boundary hook do; see
+    /// only — the drive loop and the phased run's boundary captures do; see
     /// [`pp_core::checkpoint`] for the bit-exactness rules.
     ///
     /// # Errors
@@ -654,57 +636,27 @@ impl UsdSimulator {
     /// simulator state is then a valid capture point and a later call
     /// toward the **same** stop condition continues the identical
     /// trajectory.
+    ///
+    /// The public run methods wrap it in the `usd.run` coordinator span, so
+    /// every backend gives a loadable chrome trace; spans consume no RNG
+    /// (pinned by tests/telemetry_equivalence.rs).
     fn drive<R: Recorder>(
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
-        pause: Pause<'_>,
+        pause: Pause,
     ) -> Option<RunResult> {
-        // One coordinator span covering the whole drive, so even backends
-        // that only report counters (exact, batched) produce a loadable
-        // chrome trace.  Spans consume no RNG — the trajectory is
-        // unaffected (pinned by tests/telemetry_equivalence.rs).
-        let _run_span = self.tel.span("usd.run");
-        let (pause_at, mut hook) = match pause {
-            Pause::Never => (u64::MAX, None),
-            Pause::At(at) => (at, None),
-            Pause::Hook(hook) => (u64::MAX, Some(hook)),
-        };
         loop {
-            let due = self.sink_due();
-            // Whether the caller's hook, asked inside the engine's loop,
-            // is what paused it.
-            let mut hooked = false;
-            let finished = match &mut hook {
-                None => {
-                    let at = pause_at.min(due);
-                    let pause = if at == u64::MAX {
-                        Pause::Never
-                    } else {
-                        Pause::At(at)
-                    };
-                    self.engine.run_engine_pausable(stop, recorder, pause)
-                }
-                Some(hook) => {
-                    let mut until_due = |i: u64| {
-                        hooked = i < due && hook(i);
-                        hooked || i >= due
-                    };
-                    self.engine
-                        .run_engine_pausable(stop, recorder, Pause::Hook(&mut until_due))
-                }
-            };
+            let at = pause.at.min(self.sink_due());
+            let finished = self
+                .engine
+                .run_engine_pausable(stop, recorder, Pause { at, ..pause });
             if finished.is_some() {
                 return finished;
             }
             // Between legs — the only place a capture is exact.
             self.sink_checkpoint(false);
-            let at = self.interactions();
-            let paused = match &mut hook {
-                None => at >= pause_at,
-                Some(hook) => hooked || hook(at),
-            };
-            if paused {
+            if pause.pauses_at(self.interactions()) {
                 return None;
             }
         }
@@ -738,45 +690,43 @@ impl UsdSimulator {
         recorder: &mut R,
     ) -> RunResult {
         recorder.record(self.interactions(), self.configuration());
-        self.drive(stop, recorder, Pause::Never)
+        let _run_span = self.tel.span("usd.run");
+        self.drive(stop, recorder, Pause::NEVER)
             .expect("a never-pausing drive always finishes")
     }
 
-    /// Runs like [`UsdSimulator::run_recorded`], but checks the cooperative
-    /// `pause` hook after every event (and after an `advance` that ends
-    /// without one) and returns `None` when it asks to stop — with the
-    /// simulator parked at an exact capture point.
+    /// Runs like [`UsdSimulator::run_recorded`], but asks the cooperative
+    /// `pause` closure with the interaction count after every event (and
+    /// after an `advance` that ends without one) and returns `None` when it
+    /// asks to stop, parked at an exact capture point.  Each ask costs a
+    /// drive round trip; [`UsdSimulator::run_until`] pauses at an
+    /// interaction count without them.
     ///
-    /// The hook receives the interaction count so far.  Closure hooks still
-    /// see every event: the drive runs one-event legs for them, so a hook
-    /// costs a driver round trip per event.  A pause that only waits for an
-    /// interaction count should use [`UsdSimulator::run_until`], which
-    /// pauses at the same point without the per-event round trips.
-    ///
-    /// Pausing consumes no RNG and never shrinks an `advance` limit, so
-    /// calling this again with the **same** stop condition continues the
-    /// bit-identical trajectory; the final [`RunResult`] equals an
-    /// uninterrupted run's.  This is the seam job servers use to multiplex
-    /// long runs: pause, emit progress or a [`Checkpoint`], then resume (or
-    /// hand the capture to a fresh process via [`UsdSimulator::restore`]).
-    ///
-    /// Unlike [`UsdSimulator::run_recorded`], the recorder does *not* see
-    /// the initial configuration on every call — only the first segment of
-    /// an interrupted run should record it, so the caller does so once.
+    /// Pausing consumes no RNG, so calling this again with the **same** stop
+    /// condition continues the bit-identical trajectory; the final
+    /// [`RunResult`] equals an uninterrupted run's.  The recorder does *not*
+    /// see the initial configuration: only the first segment of an
+    /// interrupted run should record it, so the caller does so once.
     pub fn run_interruptible<R: Recorder>(
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
         pause: &mut dyn FnMut(u64) -> bool,
     ) -> Option<RunResult> {
-        self.drive(stop, recorder, Pause::Hook(pause))
+        let _run_span = self.tel.span("usd.run");
+        loop {
+            let run = self.drive(stop, recorder, Pause::events(1));
+            if run.is_some() || pause(self.interactions()) {
+                return run;
+            }
+        }
     }
 
-    /// Runs like [`UsdSimulator::run_interruptible`] with the hook
+    /// Runs like [`UsdSimulator::run_interruptible`] with the closure
     /// `|i| i >= pause_at`: returns `None` at the first event (or
     /// event-less `advance`) after which at least `pause_at` interactions
     /// have elapsed, at the same state, recorder stream, checkpoint sink
-    /// writes and RNG position as that hook.  The threshold is checked
+    /// writes and RNG position as that closure.  The threshold is checked
     /// between the engine's legs (see [`StepEngine::leg`]), so the batched
     /// backend runs its events in one loop up to the boundary.
     pub fn run_until<R: Recorder>(
@@ -785,22 +735,26 @@ impl UsdSimulator {
         recorder: &mut R,
         pause_at: u64,
     ) -> Option<RunResult> {
-        self.drive(stop, recorder, Pause::At(pause_at))
+        let _run_span = self.tel.span("usd.run");
+        self.drive(stop, recorder, Pause::at(pause_at))
     }
 
     /// Runs to consensus while tracking the paper's five phase hitting times
     /// with significance multiplier `alpha`.
     ///
-    /// This is [`UsdSimulator::run_recorded`]'s drive with a
-    /// [`PhaseTracker`] as the recorder, pausing after each event that
-    /// completes a phase (one-event legs, as for a
-    /// [`run_interruptible`](UsdSimulator::run_interruptible) hook).  There
-    /// it rotates the `usd.phase.<number>` telemetry span and, when a
-    /// checkpoint sink is set, captures the phase boundary; the sink's
-    /// periodic captures happen as in every other run.  The run ends when
-    /// the tracker holds all five hitting times (Phase 5 ends at consensus)
-    /// or at `max_interactions`; an `alpha` under which Phase 2 cannot end
-    /// at consensus runs to the budget.
+    /// This is [`UsdSimulator::run_recorded`]'s drive in legs of at most
+    /// the [`PhaseTracker::horizon`]'s events, with the tracker judging the
+    /// counts at each leg end: no phase can end inside a leg, so the
+    /// hitting times are those of a tracker that judges every event.  (Debug
+    /// builds check that on every event a leg passes; backends whose events
+    /// can move many agents, mean-field steps and sharded epochs, run
+    /// one-event legs.)
+    /// Where a phase ends, the run rotates the `usd.phase.<number>`
+    /// telemetry span and, when a checkpoint sink is set, captures the phase
+    /// boundary; the sink's periodic captures happen as in every other run.
+    /// The run ends when the tracker holds all five hitting times (Phase 5
+    /// ends at consensus) or at `max_interactions`; an `alpha` under which
+    /// Phase 2 cannot end at consensus runs to the budget.
     pub fn run_with_phases(&mut self, alpha: f64, max_interactions: u64) -> PhasedRunResult {
         let initial_plurality = self.initial.max_opinion();
         let mut tracker = PhaseTracker::new(alpha);
@@ -820,23 +774,32 @@ impl UsdSimulator {
             let phase = tracker.current_phase()?;
             Some(tel.span(&format!("usd.phase.{}", phase.number())))
         };
-        let completed = Cell::new(false);
+        let _run_span = self.tel.span("usd.run");
         let mut span = phase_span(&tracker, &self.tel);
         let run = loop {
-            let mut watch = PhaseWatch {
-                tracker: &mut tracker,
-                completed: &completed,
+            let phase = tracker.current_phase();
+            let pause = Pause::events(tracker.horizon(self.configuration()));
+            #[cfg(debug_assertions)]
+            let mut check = HorizonCheck {
+                phase,
+                alpha,
+                met: None,
             };
-            if let Some(run) = self.drive(stop, &mut watch, Pause::Hook(&mut |_| completed.get())) {
+            #[cfg(not(debug_assertions))]
+            let mut check = pp_core::NullRecorder;
+            let run = self.drive(stop, &mut check, pause);
+            tracker.record(self.interactions(), self.configuration());
+            if let Some(run) = run {
                 break run;
             }
-            completed.set(false);
-            // The outgoing phase's span closes before the next one opens,
-            // so the coordinator track stays properly nested.
-            drop(span.take());
-            span = phase_span(&tracker, &self.tel);
-            if span.is_some() {
-                self.sink_checkpoint(true);
+            if tracker.current_phase() != phase {
+                // The outgoing phase's span closes before the next one
+                // opens, so the coordinator track stays properly nested.
+                drop(span.take());
+                span = phase_span(&tracker, &self.tel);
+                if span.is_some() {
+                    self.sink_checkpoint(true);
+                }
             }
         };
         drop(span);
@@ -846,6 +809,34 @@ impl UsdSimulator {
             phases: tracker.times(),
             initial_plurality,
             plurality_won,
+        }
+    }
+}
+
+/// The debug-build cross-check of a phased run's horizon: no event that a
+/// leg passes without judging may meet the current phase's end condition.
+/// An event is only known to be passed when the next one arrives (the last
+/// one ends the leg and is judged there), so each verdict waits for it.
+#[cfg(debug_assertions)]
+struct HorizonCheck {
+    phase: Option<Phase>,
+    alpha: f64,
+    /// The last event, when it met the end condition.
+    met: Option<u64>,
+}
+
+#[cfg(debug_assertions)]
+impl Recorder for HorizonCheck {
+    fn record(&mut self, interactions: u64, config: &Configuration) {
+        let Some(phase) = self.phase else { return };
+        if let Some(met) = self.met {
+            panic!(
+                "a phase leg passed the event at {met} interactions without judging it, \
+                 but the end condition of {phase} holds there"
+            );
+        }
+        if phase.end_condition_met(config, self.alpha) {
+            self.met = Some(interactions);
         }
     }
 }

@@ -270,39 +270,20 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         stop: StopCondition,
         recorder: &mut R,
     ) -> RunResult {
-        assert!(
-            stop.is_bounded(),
-            "stop condition can never terminate the run"
-        );
         recorder.record(self.steps, &self.config);
-        loop {
-            if let Some(result) = self.finished(&stop) {
-                return result;
-            }
-            if self.step() {
-                recorder.record(self.steps, &self.config);
-            }
-        }
-    }
-
-    /// The run's result if `stop` ends it at the current state.
-    fn finished(&self, stop: &StopCondition) -> Option<RunResult> {
-        let outcome = stop.outcome(&self.config, self.steps)?;
-        Some(
-            RunResult::new(outcome, self.steps, self.config.clone())
-                .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
-                .with_rejection_misses(Some(self.rejection_misses)),
-        )
+        self.run_interruptible(stop, recorder, u64::MAX)
+            .expect("a run that never pauses finishes")
     }
 
     /// Runs like [`SequentialSampler::run_recorded`] (per-activation
-    /// stepping, same [`RunResult`] construction), but polls `pause` with
-    /// the activation count after every step — the boundary where
-    /// [`ReplicaCheckpoint::capture_replica`] is exact — and returns `None`
-    /// when it asks to stop.  Pausing consumes no randomness, so slicing a
-    /// run over any number of pauses leaves the trajectory bit-identical;
-    /// unlike the uninterrupted twin this method never records the entry
-    /// state, so re-entering after a pause emits no duplicate sample.
+    /// stepping, same [`RunResult`] construction), but returns `None` after
+    /// the first activation that brings the count to `pause_at` or past it
+    /// — a boundary where [`ReplicaCheckpoint::capture_replica`] is exact.
+    /// Pausing consumes no randomness, so slicing a run over any number of
+    /// pauses leaves the trajectory bit-identical; unlike
+    /// [`run_recorded`](SequentialSampler::run_recorded) this method never
+    /// records the entry state, so re-entering after a pause emits no
+    /// duplicate sample.
     ///
     /// # Panics
     ///
@@ -311,20 +292,24 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
-        pause: &mut dyn FnMut(u64) -> bool,
+        pause_at: u64,
     ) -> Option<RunResult> {
         assert!(
             stop.is_bounded(),
             "stop condition can never terminate the run"
         );
         loop {
-            if let Some(result) = self.finished(&stop) {
-                return Some(result);
+            if let Some(outcome) = stop.outcome(&self.config, self.steps) {
+                return Some(
+                    RunResult::new(outcome, self.steps, self.config.clone())
+                        .with_scheduler(SEQUENTIAL_ACTIVATION_SCHEDULER_NAME)
+                        .with_rejection_misses(Some(self.rejection_misses)),
+                );
             }
             if self.step() {
                 recorder.record(self.steps, &self.config);
             }
-            if pause(self.steps) {
+            if self.steps >= pause_at {
                 return None;
             }
         }

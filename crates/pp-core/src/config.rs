@@ -330,14 +330,17 @@ impl Configuration {
     /// `α·√(n·ln n)`: all `i` with `x_i > x_max − α·√(n·ln n)` (Section 2).
     #[must_use]
     pub fn significant_opinions(&self, alpha: f64) -> Vec<Opinion> {
-        let threshold = self.significance_threshold(alpha);
-        let max = self.max_support() as f64;
+        self.significant(alpha).map(Opinion::new).collect()
+    }
+
+    /// The indices of [`Configuration::significant_opinions`], in order.
+    fn significant(&self, alpha: f64) -> impl Iterator<Item = usize> + '_ {
+        let floor = self.max_support() as f64 - self.significance_threshold(alpha);
         self.counts
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| (c as f64) > max - threshold)
-            .map(|(i, _)| Opinion::new(i))
-            .collect()
+            .filter(move |&(_, &c)| (c as f64) > floor)
+            .map(|(i, _)| i)
     }
 
     /// The significance margin `α·√(n·ln n)` used throughout the paper.
@@ -351,7 +354,7 @@ impl Configuration {
     /// `α·√(n·ln n)` — the end condition of Phase 2.
     #[must_use]
     pub fn has_unique_significant_opinion(&self, alpha: f64) -> bool {
-        self.significant_opinions(alpha).len() == 1
+        self.significant(alpha).take(2).count() == 1
     }
 
     /// Applies a responder transition: one agent moves from state `from` to

@@ -105,7 +105,10 @@
 //! 4. an event that empties its source category,
 //!
 //! and check their goal, budget, checkpoint cadence and pause rule only
-//! between legs.  The goal check is still exact.  An event moves one agent
+//! between legs.  The pause rule is data, not a callback: a [`Pause`] is an
+//! interaction bound, which becomes the legs' `until`, and an event cap,
+//! which becomes their `max_events`, so no driver runs caller code per
+//! event.  The goal check is still exact.  An event moves one agent
 //! from its source category to a different one, so an event that leaves
 //! its source non-empty empties no category: afterwards both the source and
 //! the destination are non-empty, which is not a consensus, and no opinion
@@ -150,8 +153,9 @@
 //! through [`StepEngine::maintenance`] into [`RunResult`].  The rows have one
 //! reference: debug builds cross-check a sample (every 64th refresh, rebuilt
 //! or patched) of tables against direct enumeration of `respond` over the
-//! counts, and at the same cadence resolve the initiator of an event whose
-//! row has a destination and assert that its move agrees; the
+//! counts, and at the same cadence resolve the event's initiator and assert
+//! that the applied move is the one `respond` gives for the drawn pair (and,
+//! on a row with a destination, the one the table gives); the
 //! `exhaustive-checks` feature checks every refresh and every event.
 //!
 //! # Example
@@ -376,7 +380,7 @@ pub trait StepEngine {
     /// * an event that empties the category its agent left.
     ///
     /// The drivers check their goal, budget, checkpoint cadence and pause
-    /// hook between legs only: the last rule makes that exact for the
+    /// rule between legs only: the last rule makes that exact for the
     /// consensus and opinion-settled goals.  The events, the RNG stream and
     /// every recorded configuration are those of the same `advance` calls
     /// made one at a time.
@@ -425,7 +429,7 @@ pub trait StepEngine {
         Self: Sized,
     {
         recorder.record(self.interactions(), self.configuration());
-        self.run_engine_pausable(stop, recorder, Pause::Never)
+        self.run_engine_pausable(stop, recorder, Pause::NEVER)
             .expect("a never-pausing run always finishes")
     }
 
@@ -447,7 +451,7 @@ pub trait StepEngine {
         &mut self,
         stop: StopCondition,
         recorder: &mut R,
-        mut pause: Pause<'_>,
+        pause: Pause,
     ) -> Option<RunResult>
     where
         Self: Sized,
@@ -457,11 +461,6 @@ pub trait StepEngine {
             "stop condition can never terminate the run"
         );
         let limit = stop.max_interactions().unwrap_or(u64::MAX);
-        let (until, max_events) = match pause {
-            Pause::Never => (u64::MAX, u64::MAX),
-            Pause::At(at) => (at, u64::MAX),
-            Pause::Hook(_) => (u64::MAX, 1),
-        };
         loop {
             if let Some(outcome) = stop.outcome(self.configuration(), self.interactions()) {
                 return Some(
@@ -472,20 +471,14 @@ pub trait StepEngine {
                         .with_telemetry(self.telemetry()),
                 );
             }
-            if self.leg(limit, until, max_events, recorder).end == Advance::Absorbed {
+            if self.leg(limit, pause.at, pause.events, recorder).end == Advance::Absorbed {
                 assert!(
                     stop.max_interactions().is_some() || stop.goal_met(self.configuration()),
                     "absorbing configuration {} can never meet the stop condition",
                     self.configuration()
                 );
             }
-            let at = self.interactions();
-            let paused = match &mut pause {
-                Pause::Never => false,
-                Pause::At(threshold) => at >= *threshold,
-                Pause::Hook(hook) => hook(at),
-            };
-            if paused {
+            if pause.pauses_at(self.interactions()) {
                 return None;
             }
         }
@@ -493,26 +486,42 @@ pub trait StepEngine {
 }
 
 /// When [`StepEngine::run_engine_pausable`] hands control back to its
-/// caller between legs.
-pub enum Pause<'a> {
-    /// Never: the run goes on to its stop condition.
-    Never,
-    /// At the first leg boundary with at least this many interactions; each
-    /// leg ends there at the latest (see [`StepEngine::leg`]'s `until`).
-    At(u64),
-    /// When the hook, asked with the interaction count after every event
-    /// (and after a leg that ends without one), says so.  The drive runs
-    /// one-event legs for a hook, so it sees every event.
-    Hook(&'a mut dyn FnMut(u64) -> bool),
+/// caller between legs (see "The event loop" in the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pause {
+    /// Pause at the first leg boundary with at least this many interactions.
+    pub at: u64,
+    /// Cap every leg at this many events (at least 1), and pause after each
+    /// leg unless the cap is `u64::MAX`.
+    pub events: u64,
 }
 
-impl fmt::Debug for Pause<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Pause::Never => f.write_str("Never"),
-            Pause::At(at) => f.debug_tuple("At").field(at).finish(),
-            Pause::Hook(_) => f.write_str("Hook(..)"),
+impl Pause {
+    /// Never: the run goes on to its stop condition.
+    pub const NEVER: Pause = Pause {
+        at: u64::MAX,
+        events: u64::MAX,
+    };
+
+    /// At the first leg boundary with at least `at` interactions.
+    #[must_use]
+    pub const fn at(at: u64) -> Pause {
+        Pause { at, ..Pause::NEVER }
+    }
+
+    /// After one leg of at most `events` events.
+    #[must_use]
+    pub const fn events(events: u64) -> Pause {
+        Pause {
+            events,
+            ..Pause::NEVER
         }
+    }
+
+    /// Whether the drive pauses at a leg boundary after `interactions`.
+    #[must_use]
+    pub const fn pauses_at(self, interactions: u64) -> bool {
+        self.events < u64::MAX || interactions >= self.at
     }
 }
 
@@ -1355,13 +1364,13 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     ///
     /// With a row destination for `r` ([`row_destinations`]), that
     /// destination is the move and the initiator is not resolved (debug
-    /// builds resolve it on the sampled cross-check cadence and assert the
-    /// same move).  Otherwise `S_r` is the maintained `sums[r]`, the
-    /// initiator is the number of prefix sums of `c_i · [next[r][i] ≠ r]`
-    /// `≤` that unit ([`select_initiator`]), and the responder's new
-    /// category is read off table row `r`.  That row test is the draw's one
-    /// data-dependent branch (its measurement is in the module docs); the
-    /// RNG words drawn do not depend on it.
+    /// builds resolve it on the sampled cross-check cadence, and there
+    /// assert every applied move against `respond`).  Otherwise `S_r` is the
+    /// maintained `sums[r]`, the initiator is the number of prefix sums of
+    /// `c_i · [next[r][i] ≠ r]` `≤` that unit ([`select_initiator`]), and the
+    /// responder's new category is read off table row `r`.  That row test is
+    /// the draw's one data-dependent branch (its measurement is in the
+    /// module docs); the RNG words drawn do not depend on it.
     ///
     /// Returns the applied `(from, to)` responder move as categories and
     /// invalidates the maintained row table (callers on the incremental path
@@ -1371,28 +1380,38 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         let (responder_cat, remainder) = select_unit(&table.rows, target);
         debug_assert!(self.config.category_count(responder_cat) > 0);
         let Transitions { next, dest, .. } = &self.transitions;
+        // The initiator category and the responder's move it selects.
         let resolve = || {
             let width = self.config.num_opinions() + 1;
             let row = &next[responder_cat * width..][..width];
             let itarget = remainder.modulo(table.sums[responder_cat]);
-            row[select_initiator(row, self.config.supports(), responder_cat, itarget)] as usize
+            let initiator = select_initiator(row, self.config.supports(), responder_cat, itarget);
+            (initiator, row[initiator] as usize)
         };
-        let to_cat = match dest[responder_cat] {
-            Some(to) => {
-                #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-                if self.should_cross_check() {
-                    let resolved = resolve();
-                    assert_eq!(
-                        resolved, to as usize,
-                        "row {responder_cat}'s destination {to} disagrees with the resolved \
-                         initiator's move to {resolved} at {}",
-                        self.config
-                    );
-                }
-                to as usize
-            }
-            None => resolve(),
-        };
+        let to_cat = dest[responder_cat].map_or_else(|| resolve().1, |to| to as usize);
+        // The move against the table's row and against `respond`: an entry
+        // that changes a move but not its productivity passes the row checks.
+        #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+        if self.should_cross_check() {
+            let (initiator, resolved) = resolve();
+            assert_eq!(
+                to_cat, resolved,
+                "row {responder_cat}'s destination {to_cat} disagrees with the resolved \
+                 initiator's move to {resolved} at {}",
+                self.config
+            );
+            let state = |cat| AgentState::from_category(cat, self.config.num_opinions());
+            let expected = self
+                .protocol
+                .respond(state(responder_cat), state(initiator));
+            assert_eq!(
+                state(to_cat),
+                expected,
+                "the move {responder_cat} → {to_cat} disagrees with respond on the pair \
+                 ({responder_cat}, {initiator}) at {}",
+                self.config
+            );
+        }
         debug_assert_ne!(to_cat, responder_cat, "sampled event must be productive");
         self.config.move_category(responder_cat, to_cat);
         self.rows_valid = false;
@@ -1947,6 +1966,32 @@ mod tests {
             trajectory_fingerprint(&mut corrupted, 48),
             trajectory_fingerprint(&mut sound, 48)
         );
+    }
+
+    /// `Usd2Plain`'s transitions with one table entry corrupted: an
+    /// undecided responder that meets an opinion-0 initiator adopts
+    /// opinion 1.  Every pair keeps its productivity, so the rows still
+    /// agree with enumeration, and the re-derived `⊥` row gains destination
+    /// 1, so the destination check agrees with the table: only the move
+    /// check sees it.
+    fn misadopting_usd_transitions() -> Transitions {
+        let mut next = transition_table(&Usd2Plain);
+        assert_eq!(next[2 * 3], 0);
+        next[2 * 3] = 1;
+        Transitions::new(next)
+    }
+
+    #[test]
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    #[should_panic(expected = "the move 2 → 1 disagrees with respond on the pair (2, 0)")]
+    fn a_misdirected_adoption_fails_the_debug_move_check() {
+        // Most events here are adoptions, most of them of opinion 0, so
+        // one of the sampled cross-checks meets the corrupted pair early.
+        let config = Configuration::from_counts(vec![300, 100], 600).unwrap();
+        let mut engine = BatchedEngine::new(Usd2Plain, config, SimSeed::from_u64(33));
+        engine.transitions = misadopting_usd_transitions();
+        assert_eq!(engine.transitions.dest[2], Some(1));
+        let _ = engine.run_engine(StopCondition::consensus().or_max_interactions(10_000_000));
     }
 
     #[test]

@@ -18,22 +18,22 @@
 //! [`InitialConfig`](pp_workloads::InitialConfig), the run seed
 //! `SimSeed::from_u64(seed).child(1)` (replica `i` of an ensemble seeded
 //! `master.child(i)`), and the consensus-or-budget stop condition.
-//! Attaching recorders, telemetry, checkpoints or pause hooks consumes no
-//! randomness, so none of the service machinery can move a trajectory.
+//! Attaching recorders, telemetry, checkpoints or progress callbacks consumes
+//! no randomness, so none of the service machinery can move a trajectory.
 //! A run with neither a progress nor an interrupt hook never pauses, so
 //! its telemetry spans and counters are those of one uninterrupted drive.
 //!
 //! ## Interrupts
 //!
-//! Single USD runs pause cooperatively at the first event past each pause
-//! boundary via `UsdSimulator::run_until`, which checks the boundary (and
-//! the checkpoint cadence) between the engine's legs — the checkpoint-exact
-//! boundary — and the runner polls the interrupt once per pause; replica
-//! ensembles pause between lockstep windows via
-//! `UsdEnsemble::run_windows`; single sampling-dynamic runs pause between
-//! activations (exact stepping, `SequentialSampler::run_interruptible`)
-//! or between skip-ahead `advance` calls (batched, the sampler's
-//! `StepEngine::run_engine_pausable` with a hook).  All three resume
+//! Every pause is a plain interaction count, and the runner polls the
+//! interrupt once per pause.  Single USD runs pause at the first event past
+//! each boundary via `UsdSimulator::run_until`, which checks it (and the
+//! checkpoint cadence) between the engine's legs; replica ensembles pause
+//! between lockstep windows via `UsdEnsemble::run_windows`; single
+//! sampling-dynamic runs pause at the first activation past it (exact
+//! stepping, `SequentialSampler::run_interruptible`) or the first
+//! skip-ahead `advance` past it (batched, the sampler's
+//! `StepEngine::run_engine_pausable` with `Pause::at`).  All three resume
 //! bit-exactly — in place or from a persisted [`Checkpoint`] in a fresh
 //! process.  Sampler
 //! checkpoints carry the replica snapshot in the `exact` engine slot,
@@ -623,30 +623,20 @@ impl SamplerRun<'_> {
         let mut next_progress = sim.steps().saturating_add(every);
         let mut next_checkpoint = sim.steps().saturating_add(checkpoint_every);
         loop {
-            // Same one-shot interrupt contract as the USD seam: poll once
-            // per pause boundary and park the verdict.  Pausing consumes no
-            // RNG.
-            let want_interrupt = control.interrupt;
-            let mut pending: Option<Interrupt> = None;
             let pause_at = next_progress.min(next_checkpoint);
-            let mut pause = |i: u64| {
-                if i < pause_at {
-                    return false;
-                }
-                pending = want_interrupt.and_then(|f| f());
-                true
-            };
             let result = match engine {
-                EngineChoice::Exact => sim.run_interruptible(self.stop, recorder, &mut pause),
+                EngineChoice::Exact => sim.run_interruptible(self.stop, recorder, pause_at),
                 EngineChoice::Batched => {
-                    sim.run_engine_pausable(self.stop, recorder, Pause::Hook(&mut pause))
+                    sim.run_engine_pausable(self.stop, recorder, Pause::at(pause_at))
                 }
                 other => unreachable!("validate rejects {other} for sampling dynamics"),
             };
             if let Some(result) = result {
                 return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
             }
-            if let Some(kind) = pending {
+            // Same one-shot interrupt contract as the USD seam: poll once
+            // per pause boundary.  Pausing consumes no RNG.
+            if let Some(kind) = control.interrupt.and_then(|f| f()) {
                 if kind == Interrupt::Halted {
                     write_checkpoint(&sim)?;
                 }
@@ -827,10 +817,14 @@ mod tests {
 
     #[test]
     fn the_interrupt_is_polled_once_per_pause_boundary() {
-        let voter = small()
-            .with_dynamic(Dynamic::Voter)
-            .with_engine(EngineChoice::Batched);
-        for scenario in [small(), voter] {
+        // The USD seam and both sampler paths: skip-ahead `advance` calls
+        // (batched) and per-activation stepping (exact).
+        let voter = |engine| small().with_dynamic(Dynamic::Voter).with_engine(engine);
+        for scenario in [
+            small(),
+            voter(EngineChoice::Batched),
+            voter(EngineChoice::Exact),
+        ] {
             let polls = std::cell::Cell::new(0_u64);
             let poll = || {
                 polls.set(polls.get() + 1);

@@ -23,9 +23,9 @@
 //!
 //! 5. **Legs are one-event legs** — a leg judges the counts once and runs
 //!    up to the dwell end or the certified quiet horizon; every pause
-//!    pattern of the engine's drive (`Pause::Never`, `Pause::At`) must give
+//!    pattern of the engine's drive (`Pause::NEVER`, `Pause::at`) must give
 //!    the run, event stream, switches and mean-field share that one-event
-//!    legs (`Pause::Hook`, the per-event oracle) give, also resumed from a
+//!    legs (`Pause::events(1)`, the per-event oracle) give, also resumed from a
 //!    checkpoint taken at a leg pause — while building the signal far less
 //!    often.
 //!
@@ -309,6 +309,20 @@ struct HybridRun {
     events: (u64, u64),
 }
 
+/// Drives `engine` to `stop` in one-event legs, pausing after each: the
+/// per-event oracle that every leg pattern must reproduce.
+fn one_event_legs<R: Recorder>(
+    engine: &mut HybridEngine,
+    stop: StopCondition,
+    recorder: &mut R,
+) -> RunResult {
+    loop {
+        if let Some(result) = engine.run_engine_pausable(stop, recorder, Pause::events(1)) {
+            return result;
+        }
+    }
+}
+
 fn finish(engine: &HybridEngine, result: RunResult, events: &EventDigest) -> HybridRun {
     HybridRun {
         result,
@@ -368,7 +382,7 @@ fn hybrid_start(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Legs driven without pauses and with `Pause::At` pauses reproduce the
+    /// Legs driven without pauses and with `Pause::at` pauses reproduce the
     /// one-event-leg oracle exactly, budgets ending the runs mid-leg; a run
     /// resumed from a checkpoint captured at a leg pause replays the
     /// oracle's tail.
@@ -403,14 +417,14 @@ proptest! {
         let engine_seed = SimSeed::from_u64(seed ^ 0x4B1D);
         let make = || HybridEngine::new(config.clone(), engine_seed, fidelity);
 
-        // Pause::At legs, capturing a checkpoint at one of the pauses.
+        // Pause::at legs, capturing a checkpoint at one of the pauses.
         let mut paused = make();
         let mut at_events = EventDigest::default();
         let mut captured = None;
         let mut pauses = 0;
         let at_result = loop {
             let next = StepEngine::interactions(&paused).saturating_add(step);
-            if let Some(result) = paused.run_engine_pausable(stop, &mut at_events, Pause::At(next)) {
+            if let Some(result) = paused.run_engine_pausable(stop, &mut at_events, Pause::at(next)) {
                 break result;
             }
             if pauses == capture {
@@ -423,15 +437,13 @@ proptest! {
         // The one-event-leg oracle.
         let mut oracle = make();
         let mut oracle_events = EventDigest::after(after);
-        let oracle_result = oracle
-            .run_engine_pausable(stop, &mut oracle_events, Pause::Hook(&mut |_| false))
-            .expect("a never-pausing hook finishes");
+        let oracle_result = one_event_legs(&mut oracle, stop, &mut oracle_events);
         let expected = finish(&oracle, oracle_result, &oracle_events);
 
         let mut never = make();
         let mut never_events = EventDigest::default();
         let never_result = never
-            .run_engine_pausable(stop, &mut never_events, Pause::Never)
+            .run_engine_pausable(stop, &mut never_events, Pause::NEVER)
             .expect("a never-pausing run finishes");
         prop_assert_eq!(&finish(&never, never_result, &never_events), &expected);
         prop_assert_eq!(&finish(&paused, at_result, &at_events), &expected);
@@ -443,7 +455,7 @@ proptest! {
             prop_assert_eq!(StepEngine::interactions(&resumed), at);
             let mut tail = EventDigest::after(at);
             let result = resumed
-                .run_engine_pausable(stop, &mut tail, Pause::Never)
+                .run_engine_pausable(stop, &mut tail, Pause::NEVER)
                 .expect("a never-pausing run finishes");
             prop_assert_eq!(&result, &expected.result);
             prop_assert_eq!(tail.tail, oracle_events.tail);
@@ -463,9 +475,7 @@ fn legs_build_the_signal_far_less_often_than_one_event_legs() {
     let stop = StopCondition::consensus().or_max_interactions(BUDGET);
     let mut legged = HybridEngine::new(config.clone(), seed, FidelityConfig::default());
     let mut oracle = HybridEngine::new(config, seed, FidelityConfig::default());
-    let expected = oracle
-        .run_engine_pausable(stop, &mut NullRecorder, Pause::Hook(&mut |_| false))
-        .unwrap();
+    let expected = one_event_legs(&mut oracle, stop, &mut NullRecorder);
     let observed = legged.run_engine(stop);
     assert_eq!(observed, expected);
     assert_eq!(legged.switches(), oracle.switches());

@@ -2,7 +2,8 @@
 //! undecided-count bounds (Lemmas 3 and 4) on full runs.
 
 use k_opinion_usd::prelude::*;
-use pp_core::{Configuration, Recorder, StopCondition};
+use pp_core::{Configuration, EngineChoice, Recorder, StopCondition};
+use proptest::prelude::*;
 
 #[test]
 fn phases_complete_in_order_on_biased_and_uniform_starts() {
@@ -167,4 +168,45 @@ fn lemma2_bias_survival_holds_at_the_end_of_phase_one() {
         "plurality support at T1 ({plurality_at_t1}) below the Lemma 2 floor ({})",
         survival.plurality_support_floor
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A phased run, which judges its tracker only at the end of each
+    /// horizon leg, gives the run and the hitting times of a tracker that
+    /// judges every event: on the batched engine's multi-event legs and the
+    /// exact engine's one-event legs, from random starts with ties and
+    /// empty opinions, with budgets that end some runs mid-phase, and with
+    /// the Phase 2 threshold within a few agents of the start's gap, so
+    /// that its horizons are short.
+    #[test]
+    fn horizon_legs_give_the_phase_times_of_judging_every_event(
+        (k_idx, exact, seed) in (0usize..3, 0u8..2, 0u64..1_000_000),
+        supports in collection::vec(0u64..60, 8..9),
+        (undecided, offset, cut) in (0u64..100, 0u64..9, 0u64..40),
+    ) {
+        let k = [2, 3, 8][k_idx];
+        let supports = supports[..k].to_vec();
+        prop_assume!(supports.iter().sum::<u64>() > 0);
+        let mut sorted = supports.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let gap = sorted[0] - sorted.get(1).copied().unwrap_or(0);
+        let config = Configuration::from_counts(supports, undecided).unwrap();
+        let n = config.population();
+        // Within (−3, +5) agents of the gap, and reachable at consensus, so
+        // that the phased run stops there too.
+        let threshold = (gap as f64 + offset as f64 - 3.0).clamp(0.5, (n as f64 - 1.0).max(0.5));
+        let alpha = threshold / config.significance_threshold(1.0);
+        let engine = if exact == 1 { EngineChoice::Exact } else { EngineChoice::Batched };
+        let budget = if cut < 20 { n * (cut + 1) } else { 100_000_000 };
+        let seed = SimSeed::from_u64(seed);
+        let phased = UsdSimulator::with_engine(config.clone(), seed, engine)
+            .run_with_phases(alpha, budget);
+        let mut tracker = PhaseTracker::new(alpha);
+        let stop = StopCondition::consensus().or_max_interactions(budget);
+        let run = UsdSimulator::with_engine(config, seed, engine).run_recorded(stop, &mut tracker);
+        prop_assert_eq!(phased.phases, tracker.times());
+        prop_assert_eq!(phased.run, run);
+    }
 }

@@ -114,6 +114,30 @@ proptest! {
         prop_assert_eq!(rebuilt, config);
     }
 
+    /// The allocation-free Phase 2 check agrees with the significant set:
+    /// scaled small counts give ties and empty opinions, and `alpha` puts
+    /// the threshold within four agents of the gap between the two largest
+    /// supports (negative, so that nothing is significant, below it).
+    #[test]
+    fn unique_significance_is_a_significant_set_of_one(
+        counts in proptest::collection::vec(0u64..5, 1..9),
+        (scale, undecided, offset) in (1u64..5_000, 0u64..40, 0u64..9),
+    ) {
+        let counts: Vec<u64> = counts.into_iter().map(|c| c * scale).collect();
+        prop_assume!(counts.iter().sum::<u64>() + undecided > 0);
+        let mut sorted = counts.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let gap = sorted[0] - sorted.get(1).copied().unwrap_or(0);
+        let config = Configuration::from_counts(counts, undecided).unwrap();
+        let threshold = gap as f64 + offset as f64 - 4.0;
+        let alpha = threshold / config.significance_threshold(1.0);
+        prop_assert_eq!(
+            config.has_unique_significant_opinion(alpha),
+            config.significant_opinions(alpha).len() == 1,
+            "alpha {} at {}", alpha, config
+        );
+    }
+
     /// The Lemma 17 coupling never violates majorization, from any starting
     /// configuration (not only the Phase 5 precondition).
     #[test]
