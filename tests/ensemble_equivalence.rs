@@ -384,6 +384,142 @@ fn ensemble_hitting_times_conform_to_fresh_standalone_runs() {
     .assert_consistent();
 }
 
+/// FNV-1a over a checkpoint document with its `"rounds":N` member (written
+/// by older builds) removed, so the pins below survive that key's removal.
+fn pause_point_fingerprint(checkpoint: &pp_core::checkpoint::Checkpoint) -> u64 {
+    let mut json = checkpoint.to_json();
+    if let Some(at) = json.find(",\"rounds\":") {
+        let digits = json[at + 10..]
+            .bytes()
+            .take_while(u8::is_ascii_digit)
+            .count();
+        json.replace_range(at..at + 10 + digits, "");
+    }
+    json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Drives an ensemble `w` windows per `run_windows` call to completion and
+/// returns, per call, whether it paused and the fingerprint of the state it
+/// left.
+fn pause_points<E>(ensemble: &mut EnsembleEngine<E>, stop: StopCondition, w: u64) -> Vec<PausePoint>
+where
+    E: StepEngine + pp_core::checkpoint::ReplicaCheckpoint + Send,
+{
+    let mut calls = Vec::new();
+    loop {
+        let paused = ensemble.run_windows(stop, w).is_none();
+        calls.push((
+            paused,
+            pause_point_fingerprint(&pp_core::checkpoint::Checkpoint::capture(&*ensemble)),
+        ));
+        if !paused {
+            return calls;
+        }
+    }
+}
+
+/// Whether a `run_windows` call paused, and the fingerprint of the state it
+/// left.
+type PausePoint = (bool, u64);
+
+/// Every `run_windows(stop, w)` call of the two ensembles below, per window
+/// budget `w`: whether it paused, and the fingerprint of the checkpoint
+/// captured after it (recorded with the per-window scheduler; the USD arm
+/// ends three replicas at consensus and two on the budget, the 3-Majority
+/// arm three and two).
+const PAUSE_POINTS: [(&str, u64, &[PausePoint]); 6] = [
+    (
+        "usd",
+        1,
+        &[
+            (true, 7_307_237_999_047_808_868),
+            (true, 9_238_465_987_113_478_377),
+            (true, 1_892_933_165_851_949_663),
+            (true, 14_526_696_048_361_159_303),
+            (true, 4_027_259_098_829_281_226),
+            (true, 5_446_309_737_773_716_516),
+            (true, 1_931_560_270_227_563_500),
+            (true, 10_100_703_448_199_159_969),
+            (true, 13_551_235_326_558_527_746),
+            (true, 11_676_204_058_917_219_490),
+            (false, 11_676_204_058_917_219_490),
+        ],
+    ),
+    (
+        "3-majority",
+        1,
+        &[
+            (true, 2_031_209_700_101_042_860),
+            (true, 8_451_106_170_743_901_023),
+            (true, 7_192_220_777_202_373_956),
+            (true, 1_032_171_403_205_316_942),
+            (true, 3_758_124_833_461_879_062),
+            (true, 11_811_633_016_018_563_302),
+            (false, 11_811_633_016_018_563_302),
+        ],
+    ),
+    (
+        "usd",
+        4,
+        &[
+            (true, 14_526_696_048_361_159_303),
+            (true, 10_100_703_448_199_159_969),
+            (false, 11_676_204_058_917_219_490),
+        ],
+    ),
+    (
+        "3-majority",
+        4,
+        &[
+            (true, 1_032_171_403_205_316_942),
+            (false, 11_811_633_016_018_563_302),
+        ],
+    ),
+    (
+        "usd",
+        7,
+        &[
+            (true, 1_931_560_270_227_563_500),
+            (false, 11_676_204_058_917_219_490),
+        ],
+    ),
+    ("3-majority", 7, &[(false, 11_811_633_016_018_563_302)]),
+];
+
+#[test]
+fn pause_points_reproduce_their_fingerprints() {
+    let usd_config = Configuration::from_counts(vec![300, 200, 100], 0).unwrap();
+    let maj_config = Configuration::from_counts(vec![120, 80, 60], 40).unwrap();
+    let master = SimSeed::from_u64(MASTER ^ 30);
+    for threads in [1usize, 2, 3] {
+        let choice = EnsembleChoice::new(5).threads(threads);
+        let mut observed = Vec::new();
+        for w in [1u64, 4, 7] {
+            let members = choice
+                .seeds(master)
+                .into_iter()
+                .map(|seed| {
+                    BatchedEngine::new(UndecidedStateDynamics::new(3), usd_config.clone(), seed)
+                })
+                .collect();
+            let mut usd = EnsembleEngine::try_new(members)
+                .unwrap()
+                .with_parallelism(choice.parallelism());
+            observed.push(("usd", w, pause_points(&mut usd, stop(9_000), w)));
+            let mut maj =
+                sampler_ensemble(&ThreeMajority::new(3), &maj_config, master, choice).unwrap();
+            observed.push(("3-majority", w, pause_points(&mut maj, stop(3_000), w)));
+        }
+        let expected: Vec<_> = PAUSE_POINTS
+            .iter()
+            .map(|&(arm, w, calls)| (arm, w, calls.to_vec()))
+            .collect();
+        assert_eq!(observed, expected, "threads = {threads}");
+    }
+}
+
 #[test]
 fn unsupported_nestings_are_rejected_with_named_diagnostics() {
     let config = Configuration::from_counts(vec![60, 40], 0).unwrap();
