@@ -27,7 +27,7 @@
 //! The scenario documents the dynamics, engines and their combinations.
 //! Briefly: the USD runs on all five engines; the baseline sampling
 //! dynamics run on `exact` (per-activation stepping) or `batched`
-//! (skip-ahead); `--replicas R` runs a lockstep ensemble of batched
+//! (skip-ahead); `--replicas R` runs an ensemble of batched
 //! replicas over `--threads T` workers and prints a streaming summary
 //! (hitting-time mean/CI, consensus proportion, throughput) instead of a
 //! CSV, with `--output path` adding a JSON document of the summary and the
@@ -321,7 +321,7 @@ fn ensemble_summary_json(
     let metrics_json = outcome.metrics_snapshot().to_json();
     format!(
         "{{\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":{},\"k\":{},\"seed\":{},\
-         \"replicas\":{},\"workers\":{},\"rounds\":{},\
+         \"replicas\":{},\"workers\":{},\
          \"metrics\":{metrics_json},\
          \"consensus\":{{\"reached\":{},\"proportion\":{},\"wilson95\":[{},{}]}},\
          \"hitting_time\":{hitting_json},\
@@ -332,7 +332,6 @@ fn ensemble_summary_json(
         scenario.seed,
         outcome.len(),
         outcome.workers(),
-        outcome.rounds(),
         summary.goal_reached,
         write_f64(goal),
         write_f64(wilson_lo),
@@ -430,10 +429,9 @@ fn print_ensemble_summary(outcome: &EnsembleRunResult, elapsed: f64) {
     let summary = summarize_ensemble(outcome);
     let (goal, lo, hi) = summary.goal_proportion();
     eprintln!(
-        "ensemble: {} replicas over {} worker threads, {} scheduling windows",
+        "ensemble: {} replicas over {} worker threads",
         summary.replicas,
         outcome.workers(),
-        outcome.rounds(),
     );
     eprintln!(
         "consensus: {}/{} replicas ({:.1}%, Wilson 95% [{:.3}, {:.3}])",

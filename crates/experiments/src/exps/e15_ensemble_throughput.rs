@@ -2,8 +2,8 @@
 //!
 //! Monte Carlo experiments average over independent replicas; the
 //! `pp_core::ensemble` layer runs those replicas as one job — each
-//! replica advancing through its own skip-ahead path, window by window,
-//! over a pool of worker threads — while staying *bit-exact*: replica `i`
+//! replica a task on the workspace's task pool, advancing through its own
+//! skip-ahead path — while staying *bit-exact*: replica `i`
 //! of the ensemble and standalone run `i` of the loop see the same seed and
 //! produce the same trajectory.  This experiment prices it: for each
 //! `(workload, n, R)` cell it runs the identical replica set through
@@ -16,12 +16,13 @@
 //! wall-clock.
 //!
 //! Each cell runs three arms over the identical replica set: the
-//! `replica-loop` baseline, the single-threaded `ensemble` (threads pinned
-//! to 1 — the scheduling overhead in isolation), and the
-//! `parallel-ensemble` (automatic worker parallelism through
-//! `pp_core::parallel`).  On a single-core box the parallel arm resolves to
-//! one worker and measures pure scheduling overhead; the `threads` column
-//! records what it resolved to.  Every arm is timed as the median of
+//! `replica-loop` baseline (a serial loop of standalone engines), the
+//! `ensemble` at `threads = 1` (the ensemble's own overhead in isolation),
+//! and the `parallel-ensemble` at `threads = 2` (the task pool's
+//! scaling).  The parallel arm never resolves to more workers than the
+//! machine's available parallelism, so on a single-core box it measures
+//! the single-threaded ensemble again; the `threads` column records what
+//! it resolved to.  Every arm is timed as the median of
 //! [`EnsembleThroughputExperiment::runs`] repetitions, each repeated up to
 //! [`EnsembleThroughputExperiment::min_sample_seconds`]: the quick cells
 //! are millisecond-scale, where a single shot swings by more than the trend
@@ -148,12 +149,9 @@ impl EnsembleThroughputExperiment {
         };
         EnsembleThroughputExperiment {
             cells,
-            // Quick cells are millisecond-scale: the median of 5 steadies
-            // the speedup the CI trend gate guards.
-            runs: match scale {
-                Scale::Quick => 5,
-                Scale::Full => 1,
-            },
+            // Every arm is the median of 5 runs: quick cells are
+            // millisecond-scale, and the CI trend gate guards their speedup.
+            runs: 5,
             min_sample_seconds: match scale {
                 Scale::Quick => 0.1,
                 Scale::Full => 0.0,
@@ -326,7 +324,7 @@ impl EnsembleThroughputExperiment {
                         self.timed_loop(workload, &config, replicas, cell_seed, budget)
                     }),
                     ensemble(Parallelism::single()),
-                    ensemble(Parallelism::auto()),
+                    ensemble(Parallelism::fixed(2)),
                 ];
                 // The bit-exactness contract: identical replicas, identical
                 // results across every arm and thread count, so the speedup
@@ -400,8 +398,8 @@ impl EnsembleThroughputExperiment {
             ));
         }
         report.push_note(format!(
-            "the parallel-ensemble arm resolves Parallelism::auto on the measuring box (available parallelism here: {}); on a single-core box it degenerates to the single-threaded ensemble plus scheduling overhead, so its scaling column is only meaningful on multi-core hardware",
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            "the parallel-ensemble arm asks for 2 threads, capped at the measuring box's available parallelism ({} here); on a single-core box it is the single-threaded ensemble again",
+            Parallelism::auto().resolve(usize::MAX)
         ));
         report.push_note(
             "CI95 column: half-width of the normal-approximation confidence interval of the mean hitting time, from the streaming Welford accumulator — identical across arms by bit-exactness".to_string(),

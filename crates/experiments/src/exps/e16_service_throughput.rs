@@ -133,8 +133,7 @@ impl ServiceThroughputExperiment {
         })
         .expect("in-memory server always opens");
         let resolved = workers
-            .map_or_else(Parallelism::auto, Parallelism::fixed)
-            .resolve(usize::MAX)
+            .unwrap_or_else(|| Parallelism::auto().resolve(usize::MAX))
             .max(1) as u64;
         let start = Instant::now();
         let ids: Vec<_> = scenarios

@@ -2,11 +2,12 @@
 //!
 //! Experiments repeat every measurement over independent trials.  The runner
 //! derives one child seed per trial from the experiment's master seed (so
-//! results are reproducible regardless of thread interleaving) and spreads the
-//! trials over a bounded number of worker threads using `std::thread::scope`.
+//! results are reproducible regardless of thread interleaving) and runs the
+//! trials as tasks on the workspace's task pool,
+//! [`pp_core::parallel::run_tasks`].
 
+use pp_core::parallel::run_tasks;
 use pp_core::SimSeed;
-use std::sync::Mutex;
 
 /// Runs `trials` independent trials of `f` (each receiving its trial index and
 /// a derived seed) across up to `max_threads` worker threads, and returns the
@@ -34,37 +35,9 @@ where
     F: Fn(u64, SimSeed) -> T + Sync,
 {
     assert!(max_threads > 0, "need at least one worker thread");
-    if trials == 0 {
-        return Vec::new();
-    }
-    let workers = max_threads.min(trials as usize);
-    let next = Mutex::new(0u64);
-    let results: Mutex<Vec<(u64, T)>> = Mutex::new(Vec::with_capacity(trials as usize));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let trial = {
-                    let mut guard = next.lock().expect("trial counter poisoned");
-                    if *guard >= trials {
-                        break;
-                    }
-                    let t = *guard;
-                    *guard += 1;
-                    t
-                };
-                let value = f(trial, master_seed.child(trial));
-                results
-                    .lock()
-                    .expect("result vector poisoned")
-                    .push((trial, value));
-            });
-        }
-    });
-
-    let mut collected = results.into_inner().expect("result vector poisoned");
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, v)| v).collect()
+    run_tasks(max_threads, (0..trials).collect(), |trial| {
+        f(trial, master_seed.child(trial))
+    })
 }
 
 /// The default number of worker threads: the available parallelism capped at

@@ -219,17 +219,17 @@ const RUNS: &[(&str, &[&str], &str)] = &[
     (
         "usd-ensemble",
         &["--n", "2000", "--k", "3", "--seed", "18", "--replicas", "3", "--threads", "2", "--output", "summary.json"],
-        "exit Some(0)\nstdout cbf29ce484222325\noutput {\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":2000,\"k\":3,\"seed\":18,\"replicas\":3,\"workers\":1,\"rounds\":93,\"metrics\":{\"batched.events_drawn\":51146,\"batched.nulls_skipped\":111224,\"batched.table_refreshes\":51149,\"ensemble.rounds\":93,\"maintenance.law_fallback_rebuilds\":0,\"maintenance.law_patches\":0,\"maintenance.law_rebuilds\":0,\"maintenance.rows_patched\":51146,\"maintenance.rows_rebuilt\":3,\"ensemble.replicas\":3,\"ensemble.workers\":1,\"maintenance.rows_patched_fraction\":0.999941347826937},\"consensus\":{\"reached\":3,\"proportion\":1,\"wilson95\":[0.43849391955098227,1]},\"hitting_time\":{\"count\":3,\"mean\":54123.333333333336,\"ci95\":[39895.14345432046,68351.52321234622],\"std_dev\":12573.442739891621,\"median\":50758,\"min\":43575,\"max\":68037},\"total_interactions\":162370,\"results\":[{\"replica\":0,\"outcome\":\"consensus\",\"interactions\":68037,\"parallel_time\":34.0185,\"winner\":2,\"rejection_misses\":null},{\"replica\":1,\"outcome\":\"consensus\",\"interactions\":43575,\"parallel_time\":21.7875,\"winner\":0,\"rejection_misses\":null},{\"replica\":2,\"outcome\":\"consensus\",\"interactions\":50758,\"parallel_time\":25.379,\"winner\":2,\"rejection_misses\":null}]}",
+        "exit Some(0)\nstdout cbf29ce484222325\noutput {\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":2000,\"k\":3,\"seed\":18,\"replicas\":3,\"workers\":1,\"metrics\":{\"batched.events_drawn\":51146,\"batched.nulls_skipped\":111224,\"batched.table_refreshes\":51149,\"maintenance.law_fallback_rebuilds\":0,\"maintenance.law_patches\":0,\"maintenance.law_rebuilds\":0,\"maintenance.rows_patched\":51146,\"maintenance.rows_rebuilt\":3,\"ensemble.replicas\":3,\"ensemble.workers\":1,\"maintenance.rows_patched_fraction\":0.999941347826937},\"consensus\":{\"reached\":3,\"proportion\":1,\"wilson95\":[0.43849391955098227,1]},\"hitting_time\":{\"count\":3,\"mean\":54123.333333333336,\"ci95\":[39895.14345432046,68351.52321234622],\"std_dev\":12573.442739891621,\"median\":50758,\"min\":43575,\"max\":68037},\"total_interactions\":162370,\"results\":[{\"replica\":0,\"outcome\":\"consensus\",\"interactions\":68037,\"parallel_time\":34.0185,\"winner\":2,\"rejection_misses\":null},{\"replica\":1,\"outcome\":\"consensus\",\"interactions\":43575,\"parallel_time\":21.7875,\"winner\":0,\"rejection_misses\":null},{\"replica\":2,\"outcome\":\"consensus\",\"interactions\":50758,\"parallel_time\":25.379,\"winner\":2,\"rejection_misses\":null}]}",
     ),
     (
         "usd-ensemble-bias",
         &["--n", "2000", "--k", "2", "--seed", "19", "--replicas", "3", "--threads", "1", "--engine", "batched", "--mult-bias", "3.0", "--output", "summary.json"],
-        "exit Some(0)\nstdout cbf29ce484222325\noutput {\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":2000,\"k\":2,\"seed\":19,\"replicas\":3,\"workers\":1,\"rounds\":11,\"metrics\":{\"batched.events_drawn\":7002,\"batched.nulls_skipped\":62787,\"batched.table_refreshes\":7005,\"ensemble.rounds\":11,\"maintenance.law_fallback_rebuilds\":0,\"maintenance.law_patches\":0,\"maintenance.law_rebuilds\":0,\"maintenance.rows_patched\":7002,\"maintenance.rows_rebuilt\":3,\"ensemble.replicas\":3,\"ensemble.workers\":1,\"maintenance.rows_patched_fraction\":0.9995717344753747},\"consensus\":{\"reached\":3,\"proportion\":1,\"wilson95\":[0.43849391955098227,1]},\"hitting_time\":{\"count\":3,\"mean\":23263,\"ci95\":[19385.72745836286,27140.27254163714],\"std_dev\":3426.343386177165,\"median\":24168,\"min\":19475,\"max\":26146},\"total_interactions\":69789,\"results\":[{\"replica\":0,\"outcome\":\"consensus\",\"interactions\":26146,\"parallel_time\":13.073,\"winner\":0,\"rejection_misses\":null},{\"replica\":1,\"outcome\":\"consensus\",\"interactions\":19475,\"parallel_time\":9.7375,\"winner\":0,\"rejection_misses\":null},{\"replica\":2,\"outcome\":\"consensus\",\"interactions\":24168,\"parallel_time\":12.084,\"winner\":0,\"rejection_misses\":null}]}",
+        "exit Some(0)\nstdout cbf29ce484222325\noutput {\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":2000,\"k\":2,\"seed\":19,\"replicas\":3,\"workers\":1,\"metrics\":{\"batched.events_drawn\":7002,\"batched.nulls_skipped\":62787,\"batched.table_refreshes\":7005,\"maintenance.law_fallback_rebuilds\":0,\"maintenance.law_patches\":0,\"maintenance.law_rebuilds\":0,\"maintenance.rows_patched\":7002,\"maintenance.rows_rebuilt\":3,\"ensemble.replicas\":3,\"ensemble.workers\":1,\"maintenance.rows_patched_fraction\":0.9995717344753747},\"consensus\":{\"reached\":3,\"proportion\":1,\"wilson95\":[0.43849391955098227,1]},\"hitting_time\":{\"count\":3,\"mean\":23263,\"ci95\":[19385.72745836286,27140.27254163714],\"std_dev\":3426.343386177165,\"median\":24168,\"min\":19475,\"max\":26146},\"total_interactions\":69789,\"results\":[{\"replica\":0,\"outcome\":\"consensus\",\"interactions\":26146,\"parallel_time\":13.073,\"winner\":0,\"rejection_misses\":null},{\"replica\":1,\"outcome\":\"consensus\",\"interactions\":19475,\"parallel_time\":9.7375,\"winner\":0,\"rejection_misses\":null},{\"replica\":2,\"outcome\":\"consensus\",\"interactions\":24168,\"parallel_time\":12.084,\"winner\":0,\"rejection_misses\":null}]}",
     ),
     (
         "3-majority-ensemble",
         &["--n", "600", "--k", "3", "--seed", "20", "--dynamic", "3-majority", "--replicas", "3", "--threads", "2", "--output", "summary.json"],
-        "exit Some(0)\nstdout cbf29ce484222325\noutput {\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":600,\"k\":3,\"seed\":20,\"replicas\":3,\"workers\":1,\"rounds\":16,\"metrics\":{\"engine.rejection_misses\":0,\"ensemble.rounds\":16,\"maintenance.law_fallback_rebuilds\":0,\"maintenance.law_patches\":10706,\"maintenance.law_rebuilds\":3,\"maintenance.rows_patched\":0,\"maintenance.rows_rebuilt\":0,\"ensemble.replicas\":3,\"ensemble.workers\":1,\"maintenance.law_patched_fraction\":0.9997198617984873},\"consensus\":{\"reached\":3,\"proportion\":1,\"wilson95\":[0.43849391955098227,1]},\"hitting_time\":{\"count\":3,\"mean\":8887.333333333334,\"ci95\":[8276.650116672592,9498.016549994076],\"std_dev\":539.6603870336729,\"median\":9054,\"min\":8284,\"max\":9324},\"total_interactions\":26662,\"results\":[{\"replica\":0,\"outcome\":\"consensus\",\"interactions\":9324,\"parallel_time\":15.54,\"winner\":1,\"rejection_misses\":0},{\"replica\":1,\"outcome\":\"consensus\",\"interactions\":9054,\"parallel_time\":15.09,\"winner\":1,\"rejection_misses\":0},{\"replica\":2,\"outcome\":\"consensus\",\"interactions\":8284,\"parallel_time\":13.806666666666667,\"winner\":0,\"rejection_misses\":0}]}",
+        "exit Some(0)\nstdout cbf29ce484222325\noutput {\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":600,\"k\":3,\"seed\":20,\"replicas\":3,\"workers\":1,\"metrics\":{\"engine.rejection_misses\":0,\"maintenance.law_fallback_rebuilds\":0,\"maintenance.law_patches\":10706,\"maintenance.law_rebuilds\":3,\"maintenance.rows_patched\":0,\"maintenance.rows_rebuilt\":0,\"ensemble.replicas\":3,\"ensemble.workers\":1,\"maintenance.law_patched_fraction\":0.9997198617984873},\"consensus\":{\"reached\":3,\"proportion\":1,\"wilson95\":[0.43849391955098227,1]},\"hitting_time\":{\"count\":3,\"mean\":8887.333333333334,\"ci95\":[8276.650116672592,9498.016549994076],\"std_dev\":539.6603870336729,\"median\":9054,\"min\":8284,\"max\":9324},\"total_interactions\":26662,\"results\":[{\"replica\":0,\"outcome\":\"consensus\",\"interactions\":9324,\"parallel_time\":15.54,\"winner\":1,\"rejection_misses\":0},{\"replica\":1,\"outcome\":\"consensus\",\"interactions\":9054,\"parallel_time\":15.09,\"winner\":1,\"rejection_misses\":0},{\"replica\":2,\"outcome\":\"consensus\",\"interactions\":8284,\"parallel_time\":13.806666666666667,\"winner\":0,\"rejection_misses\":0}]}",
     ),
     (
         "voter-ensemble-no-output",

@@ -179,14 +179,13 @@ pub struct ShardedSnapshot {
     pub rebalance_every: Option<u64>,
 }
 
-/// Snapshot of an [`EnsembleEngine`](crate::EnsembleEngine): every replica
-/// plus the run's scheduling-window count.
+/// Snapshot of an [`EnsembleEngine`](crate::EnsembleEngine): every
+/// replica.  Documents written by older builds also carry a `rounds` count,
+/// which the reader ignores.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleSnapshot {
     /// Per-replica state, in construction order.
     pub replicas: Vec<EngineSnapshot>,
-    /// Scheduling windows run since the run started.
-    pub rounds: u64,
 }
 
 /// Snapshot of a mean-field (fluid-limit) engine.  The ODE state is `f64`,
@@ -224,7 +223,7 @@ pub enum EngineState {
     Batched(EngineSnapshot),
     /// A sharded parallel engine.
     Sharded(ShardedSnapshot),
-    /// A lockstep replica ensemble.
+    /// A replica ensemble.
     Ensemble(EnsembleSnapshot),
     /// A mean-field (fluid-limit) ODE engine.
     MeanField(MeanFieldSnapshot),
@@ -780,8 +779,7 @@ fn write_ensemble(out: &mut String, s: &EnsembleSnapshot) {
         }
         write_snapshot(out, replica);
     }
-    write_field(out, "],\"rounds\":", s.rounds);
-    out.push('}');
+    out.push_str("]}");
 }
 
 fn write_mean_field(out: &mut String, s: &MeanFieldSnapshot) {
@@ -903,7 +901,6 @@ fn read_ensemble(value: &Json) -> Result<EnsembleSnapshot, PpError> {
             .iter()
             .map(read_snapshot)
             .collect::<Result<Vec<_>, PpError>>()?,
-        rounds: get(obj, "rounds")?.uint("rounds")?,
     })
 }
 
@@ -959,7 +956,6 @@ mod tests {
             }),
             EngineState::Ensemble(EnsembleSnapshot {
                 replicas: vec![sample_snapshot(); 3],
-                rounds: 17,
             }),
             EngineState::MeanField(MeanFieldSnapshot {
                 fraction_bits: vec![

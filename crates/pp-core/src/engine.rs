@@ -93,7 +93,7 @@
 //! # The event loop
 //!
 //! The drivers ([`StepEngine::run_engine_pausable`], which every
-//! single-engine run goes through, and the ensemble's scheduling windows)
+//! single-engine run goes through, and the ensemble's replica tasks)
 //! do not call [`StepEngine::advance`] once per event: they call
 //! [`StepEngine::leg`], which runs events until the first of
 //!

@@ -3,16 +3,21 @@
 //! Every Monte Carlo experiment in this workspace (hitting times, phase
 //! durations, bias sweeps) averages over independent replicas of the same
 //! protocol and initial configuration.  [`EnsembleEngine`] runs `R` such
-//! replicas as one job, in *scheduling windows*: each window, every live
-//! replica runs up to a fixed chunk of events through its own
+//! replicas as one job: each replica is one task on the workspace's task
+//! pool ([`crate::parallel::run_tasks`]) and runs its own
 //! [`StepEngine::leg`]s — the standalone skip-ahead path, with its own
-//! maintained row table or activation law — and the live replicas are
-//! partitioned into contiguous chunks over the worker threads of the
-//! shared [`crate::parallel`] layer.  A window is the unit of scheduling
-//! and of pausing: scoped worker threads cost tens of microseconds to
-//! fork/join, which a window of `R × 256` events amortizes, and a paused
-//! ensemble resumes at a window boundary (see
-//! [`EnsembleEngine::run_windows`]).
+//! maintained row table or activation law — until it meets the stop
+//! condition.  Replicas share nothing, so they need no barrier: a run
+//! forks once, and every worker takes the next replica as soon as it is
+//! free.
+//!
+//! Pausing is counted in *windows* of 256 events per replica (see
+//! [`EnsembleEngine::run_windows`]): a `w`-window call leaves each replica
+//! after at most `256·w` events, and returns a result only once every
+//! replica has met its stop with a window to spare.  The pause points are
+//! thus a function of the replicas' trajectories alone, never of timing or
+//! thread count, and checkpoints written at them by any build resume to
+//! the same results.  A paused run forks once per call.
 //!
 //! # Exactness
 //!
@@ -24,12 +29,12 @@
 //! argument has two parts:
 //!
 //! * each replica *is* a standalone engine: it owns its RNG stream and
-//!   advances only through its own `leg`s, so interleaving replicas at
-//!   chunk granularity never reorders draws *within* one stream, and
-//! * the worker partition is deterministic (contiguous chunks in replica
-//!   order — see the [`crate::parallel`] determinism contract) and workers
-//!   share no mutable state, so thread count and scheduling affect only
-//!   which core advances a replica, never what it computes.
+//!   advances only through its own `leg`s, so running replicas side by
+//!   side never reorders draws *within* one stream, and
+//! * replica tasks share no mutable state and their results are collected
+//!   in replica order (see the [`crate::parallel`] determinism contract),
+//!   so thread count and scheduling affect only which core advances a
+//!   replica, never what it computes.
 //!
 //! `tests/ensemble_equivalence.rs` pins this claim for the USD and for all
 //! five sampling dynamics, including `threads = 1` vs `threads = T`
@@ -81,13 +86,12 @@ use crate::stopping::StopCondition;
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use serde::{Deserialize, Serialize};
 
-/// Workers are only forked when every worker gets at least this many live
-/// replicas: below that the per-window fork/join costs more than the
-/// advancement it parallelizes.
+/// Workers are only forked when every worker gets at least this many
+/// replicas.
 const MIN_REPLICAS_PER_WORKER: usize = 2;
 
-/// Events each live replica advances per scheduling window (chunking keeps
-/// the replica's state hot and the scheduling overhead negligible).
+/// Events per replica in one window of an [`EnsembleEngine::run_windows`]
+/// budget.
 const CHUNK_EVENTS: u64 = 256;
 
 /// An `EngineChoice`-adjacent selector for ensemble runs: how many
@@ -213,11 +217,10 @@ impl EnsembleChoice {
 
 /// The aggregate outcome of one [`EnsembleEngine::run`]: every replica's
 /// [`RunResult`] (index-aligned with the construction order) plus the
-/// scheduling bookkeeping the throughput experiments report.
+/// worker count the throughput experiments report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnsembleRunResult {
     results: Vec<RunResult>,
-    rounds: u64,
     workers: u64,
 }
 
@@ -252,23 +255,13 @@ impl EnsembleRunResult {
         self.results.is_empty()
     }
 
-    /// Scheduling windows the run took since it started — across every
-    /// [`EnsembleEngine::run_windows`] call and checkpoint restore, so a
-    /// paused and resumed run reports what the uninterrupted run does.
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The largest worker-thread count any scheduling window of the
-    /// completing call resolved to (the count shrinks toward one as
-    /// replicas finish and the live set no longer feeds every worker).
+    /// The worker-thread count the completing call resolved to.
     #[must_use]
     pub fn workers(&self) -> u64 {
         self.workers
     }
 
-    /// The run's scheduling bookkeeping and the replicas' engine counters as
+    /// The run's worker count and the replicas' engine counters as
     /// one flat [`MetricsSnapshot`] under the canonical metric names — the
     /// surface `usd_run` serializes and the summary printers read.
     ///
@@ -301,7 +294,6 @@ impl EnsembleRunResult {
         if let Some(f) = agg.law_patched_fraction() {
             snap.set_gauge("maintenance.law_patched_fraction", f);
         }
-        snap.add_counter("ensemble.rounds", self.rounds);
         snap.set_gauge("ensemble.replicas", self.results.len() as f64);
         snap.set_gauge("ensemble.workers", self.workers as f64);
         snap
@@ -325,74 +317,48 @@ impl EnsembleRunResult {
     }
 }
 
-/// One worker's mutable view of a replica: the engine, the slot its
-/// finished [`RunResult`] lands in (index-aligned with construction order
-/// through the deterministic partition), and the replica's recorder (fed
-/// the same event-by-event observation stream
-/// [`StepEngine::run_engine_recorded`] produces; [`NullRecorder`]s on the
-/// plain [`EnsembleEngine::run`] path).
-struct ReplicaSlot<'a, E, R> {
-    replica: &'a mut E,
-    result: &'a mut Option<RunResult>,
-    recorder: &'a mut R,
-}
-
-/// Finishes a replica whose stop condition is met, mirroring the standalone
-/// driver's goal-before-budget order.  Returns `false` when the replica
-/// stays live.
-fn try_finish<E: StepEngine, R>(slot: &mut ReplicaSlot<'_, E, R>, stop: &StopCondition) -> bool {
-    let replica = &*slot.replica;
-    let Some(outcome) = stop.outcome(replica.configuration(), replica.interactions()) else {
-        return false;
-    };
-    *slot.result = Some(finish(replica, outcome));
-    true
-}
-
-/// Advances one worker's chunk through a scheduling window: every live
-/// replica runs up to [`CHUNK_EVENTS`] events through its own legs, with
-/// the goal and budget checked between legs (see [`StepEngine::leg`]).
-/// Returns the events advanced.
-fn advance_chunk<E: StepEngine, R: Recorder>(
-    slots: &mut [ReplicaSlot<'_, E, R>],
+/// Runs one replica as a task of a [`EnsembleEngine::run_windows_recorded`]
+/// call: its legs toward `stop`, feeding every event to `recorder`, within
+/// a budget of `max_windows` windows of [`CHUNK_EVENTS`] events.  No leg
+/// crosses a window boundary, and the replica's result is collected in the
+/// window after the one in which it met its stop, so a call pauses exactly
+/// where a loop of one-window calls would.  Returns the result (`None`
+/// when the budget ran out first) and the events advanced.
+fn run_replica<E: StepEngine, R: Recorder>(
+    replica: &mut E,
+    recorder: &mut R,
     stop: &StopCondition,
-    limit: u64,
-) -> u64 {
+    max_windows: u64,
+) -> (Option<RunResult>, u64) {
+    let limit = stop.max_interactions().unwrap_or(u64::MAX);
+    let mut windows = 0u64;
     let mut events = 0u64;
-    for slot in slots.iter_mut() {
-        if slot.result.is_some() || try_finish(slot, stop) {
-            continue;
+    loop {
+        if let Some(outcome) = stop.outcome(replica.configuration(), replica.interactions()) {
+            let result = (windows < max_windows).then(|| finish(replica, outcome));
+            return (result, events);
         }
-        let replica = &mut *slot.replica;
-        let mut left = CHUNK_EVENTS;
-        while left > 0
-            && !stop.goal_met(replica.configuration())
-            && stop
-                .max_interactions()
-                .is_none_or(|b| replica.interactions() < b)
-        {
-            let leg = replica.leg(limit, u64::MAX, left, &mut *slot.recorder);
-            events += leg.events;
-            left -= leg.events;
-            match leg.end {
-                Advance::Event => {}
-                Advance::LimitReached => break,
-                Advance::Absorbed => {
-                    assert!(
-                        stop.max_interactions().is_some() || stop.goal_met(replica.configuration()),
-                        "absorbing configuration {} can never meet the stop condition",
-                        replica.configuration()
-                    );
-                    break;
-                }
+        let left = CHUNK_EVENTS - events % CHUNK_EVENTS;
+        if left == CHUNK_EVENTS {
+            if windows == max_windows {
+                return (None, events);
             }
+            windows += 1;
+        }
+        let leg = replica.leg(limit, u64::MAX, left, recorder);
+        events += leg.events;
+        if leg.end == Advance::Absorbed {
+            assert!(
+                stop.max_interactions().is_some() || stop.goal_met(replica.configuration()),
+                "absorbing configuration {} can never meet the stop condition",
+                replica.configuration()
+            );
         }
     }
-    events
 }
 
-/// Advances `R` replicas of one protocol/configuration in worker-parallel
-/// scheduling windows (module docs have the design and exactness argument).
+/// Advances `R` replicas of one protocol/configuration as tasks on the
+/// shared task pool (module docs have the design and exactness argument).
 ///
 /// Worker threads come from the shared [`crate::parallel`] layer; select
 /// the count with [`EnsembleEngine::with_parallelism`].  Thread count never
@@ -401,7 +367,6 @@ fn advance_chunk<E: StepEngine, R: Recorder>(
 pub struct EnsembleEngine<E> {
     replicas: Vec<E>,
     parallelism: Parallelism,
-    rounds: u64,
     tel: Telemetry,
 }
 
@@ -431,15 +396,14 @@ impl<E: StepEngine> EnsembleEngine<E> {
         Ok(EnsembleEngine {
             replicas,
             parallelism: Parallelism::auto(),
-            rounds: 0,
             tel: Telemetry::disabled(),
         })
     }
 
-    /// Attaches a telemetry handle: scheduling windows open
-    /// `ensemble.window` spans, worker chunks open `ensemble.chunk` spans on
-    /// their worker track, and each run folds its scheduling counters
-    /// (`ensemble.*`) into the registry.  Telemetry never consumes
+    /// Attaches a telemetry handle: every [`EnsembleEngine::run_windows`]
+    /// call opens an `ensemble.window` span, each worker an `ensemble.chunk`
+    /// span on its worker track, and each completed run folds its
+    /// `ensemble.*` counters into the registry.  Telemetry never consumes
     /// randomness, so attaching a handle cannot change any replica's
     /// trajectory (see [`crate::telemetry`]).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
@@ -478,9 +442,9 @@ impl<E: StepEngine> EnsembleEngine<E> {
         self.replicas.is_empty()
     }
 
-    /// Runs every replica until it meets the stop condition, advancing the
-    /// live replicas in worker-parallel scheduling windows, and returns the
-    /// index-aligned per-replica results.  Each replica's result is
+    /// Runs every replica until it meets the stop condition, one task per
+    /// replica on the shared task pool, and returns the index-aligned
+    /// per-replica results.  Each replica's result is
     /// identical to what the standalone `run_engine` would return for the
     /// same seed, at every thread count.
     ///
@@ -522,12 +486,14 @@ impl<E: StepEngine> EnsembleEngine<E> {
             .expect("an unbounded window budget can never pause")
     }
 
-    /// Runs at most `max_windows` scheduling windows toward the stop
-    /// condition, recording nothing.  Returns `None` when the window budget
-    /// ran out with live replicas remaining — the *pause* point the
-    /// checkpoint layer captures at (see [`crate::checkpoint`]): call
-    /// [`Checkpoint::capture`] on the paused engine, and resume (here or in
-    /// a restored engine) by calling this again **with the same `stop`**.
+    /// Runs at most `max_windows` windows toward the stop condition,
+    /// recording nothing: each replica advances at most `256 × max_windows`
+    /// events, in one task per replica.  Returns `None` when some replica
+    /// has not met its stop with a window to spare (see the module docs) —
+    /// the *pause* point the checkpoint layer captures at (see
+    /// [`crate::checkpoint`]): call [`Checkpoint::capture`] on the paused
+    /// engine, and resume (here or in a restored engine) by calling this
+    /// again **with the same `stop`**.
     /// The completing call recomputes every replica's [`RunResult`] purely
     /// from replica state, so per-replica results are bit-identical to an
     /// uninterrupted [`EnsembleEngine::run`].
@@ -575,80 +541,35 @@ impl<E: StepEngine> EnsembleEngine<E> {
             self.replicas.len(),
             "one recorder per replica"
         );
-        for (replica, recorder) in self.replicas.iter().zip(recorders.iter_mut()) {
-            recorder.record(replica.interactions(), replica.configuration());
-        }
-        let rounds_before = self.rounds;
+        let workers = self
+            .parallelism
+            .resolve(self.replicas.len() / MIN_REPLICAS_PER_WORKER);
+        let _window = self.tel.span("ensemble.window");
+        let tasks: Vec<_> = self.replicas.iter_mut().zip(recorders.iter_mut()).collect();
+        let runs = parallel::run_tasks_traced(
+            workers,
+            &self.tel,
+            "ensemble.chunk",
+            tasks,
+            |(replica, recorder)| {
+                recorder.record(replica.interactions(), replica.configuration());
+                run_replica(replica, recorder, &stop, max_windows)
+            },
+        );
         // Events observed by the recorders this call (one `record` call per
-        // event) — drained into the registry as `ensemble.recorded_events`
-        // when telemetry is attached.
-        let mut events_observed = 0u64;
-        let mut results: Vec<Option<RunResult>> = vec![None; self.replicas.len()];
-        let limit = stop.max_interactions().unwrap_or(u64::MAX);
-        let mut workers_used = 1u64;
-        let mut windows_run = 0u64;
-
-        loop {
-            // Per-window live view: exclusive access to every unfinished
-            // replica, its result slot and its recorder, in construction
-            // order, ready for the deterministic contiguous partition.
-            let mut slots: Vec<ReplicaSlot<'_, E, R>> = self
-                .replicas
-                .iter_mut()
-                .zip(results.iter_mut())
-                .zip(recorders.iter_mut())
-                .filter(|((_, result), _)| result.is_none())
-                .map(|((replica, result), recorder)| ReplicaSlot {
-                    replica,
-                    result,
-                    recorder,
-                })
-                .collect();
-            if slots.is_empty() {
-                break;
-            }
-            if windows_run >= max_windows {
-                // Pause: live replicas remain but the window budget is
-                // spent.  Partial results are dropped — the completing call
-                // recomputes them, bit-identically.
-                return None;
-            }
-            // Re-resolved per window so tail windows (most replicas
-            // finished) fall back to inline execution instead of forking
-            // workers for a handful of live replicas.
-            let workers = self
-                .parallelism
-                .resolve(slots.len() / MIN_REPLICAS_PER_WORKER)
-                .max(1);
-            workers_used = workers_used.max(workers as u64);
-            let _window = self.tel.span("ensemble.window");
-            let events = parallel::map_chunks_traced(
-                workers,
-                &self.tel,
-                "ensemble.chunk",
-                &mut slots,
-                |_, chunk| advance_chunk(chunk, &stop, limit),
-            );
-            events_observed += events.into_iter().sum::<u64>();
-            self.rounds += 1;
-            windows_run += 1;
-        }
-
+        // event), drained into the registry as `ensemble.recorded_events`.
+        let events: u64 = runs.iter().map(|&(_, events)| events).sum();
+        // A paused call drops the finished replicas' results: the
+        // completing call recomputes them, bit-identically.
         let result = EnsembleRunResult {
-            results: results
+            results: runs
                 .into_iter()
-                .map(|r| r.expect("every replica finished"))
-                .collect(),
-            rounds: self.rounds,
-            workers: workers_used,
+                .map(|(result, _)| result)
+                .collect::<Option<_>>()?,
+            workers: workers as u64,
         };
         if self.tel.is_enabled() {
-            self.tel
-                .counter("ensemble.rounds")
-                .add(self.rounds - rounds_before);
-            self.tel
-                .counter("ensemble.recorded_events")
-                .add(events_observed);
+            self.tel.counter("ensemble.recorded_events").add(events);
             self.tel
                 .gauge("ensemble.replicas")
                 .set(result.results.len() as f64);
@@ -660,10 +581,9 @@ impl<E: StepEngine> EnsembleEngine<E> {
     }
 
     /// Snapshots the ensemble's trajectory-relevant state for
-    /// [`Checkpoint::capture`]: every replica's [`EngineSnapshot`] (in
-    /// construction order) plus the cumulative `rounds` bookkeeping.
-    /// Capture only at a *pause* point — between
-    /// [`EnsembleEngine::run_windows`] calls — never mid-window.
+    /// [`Checkpoint::capture`]: every replica's [`EngineSnapshot`], in
+    /// construction order.  Capture only at a *pause* point — between
+    /// [`EnsembleEngine::run_windows`] calls.
     ///
     /// [`EngineSnapshot`]: crate::checkpoint::EngineSnapshot
     pub fn capture_state(&self) -> EnsembleSnapshot
@@ -676,7 +596,6 @@ impl<E: StepEngine> EnsembleEngine<E> {
                 .iter()
                 .map(ReplicaCheckpoint::capture_replica)
                 .collect(),
-            rounds: self.rounds,
         }
     }
 
@@ -719,9 +638,7 @@ impl<E: StepEngine> EnsembleEngine<E> {
             .iter()
             .map(|s| E::restore_replica(ctx, s))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut engine = Self::try_new(replicas)?;
-        engine.rounds = snapshot.rounds;
-        Ok(engine)
+        Self::try_new(replicas)
     }
 }
 
@@ -803,7 +720,6 @@ mod tests {
             assert_eq!(outcome.replica(i), &expected, "replica {i} diverged");
         }
         assert!(outcome.all_reached_goal());
-        assert!(outcome.rounds() > 0);
         assert!(outcome.workers() >= 1);
     }
 
@@ -900,7 +816,6 @@ mod tests {
             .map(|r| u128::from(r.interactions()))
             .sum();
         assert_eq!(outcome.total_interactions(), total);
-        assert!(outcome.rounds() > 0);
     }
 
     /// A recorder that keeps the full observation stream, for comparing the
@@ -973,7 +888,6 @@ mod tests {
             .any(|s| s.name == "ensemble.chunk" && s.tid >= 1));
         crate::telemetry::check_span_nesting(&spans).expect("window spans must nest");
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("ensemble.rounds"), Some(traced.rounds()));
         assert!(snap.counter("ensemble.recorded_events").unwrap() > 0);
         assert_eq!(snap.gauge("ensemble.replicas"), Some(6.0));
     }
@@ -983,7 +897,6 @@ mod tests {
         let mut ens = ensemble(vec![500, 100], 0, 4);
         let outcome = ens.run(StopCondition::consensus().or_max_interactions(5_000_000));
         let snap = outcome.metrics_snapshot();
-        assert_eq!(snap.counter("ensemble.rounds"), Some(outcome.rounds()));
         assert_eq!(snap.gauge("ensemble.replicas"), Some(4.0));
         // Replica engine counters fold in under the canonical names.
         let drawn = snap.counter("batched.events_drawn").unwrap();

@@ -40,19 +40,19 @@
 //!   and the determinism contract).
 //!
 //! Monte Carlo estimates over many independent runs go through the
-//! [`ensemble::EnsembleEngine`], which advances `R` replicas of one
-//! protocol/configuration in scheduling windows: each window, every live
-//! replica runs a chunk of events through its own [`StepEngine::advance`],
-//! and the live replicas spread over the worker threads of the shared
-//! [`parallel`] layer.  Per-replica RNG streams and the layer's deterministic partition
+//! [`ensemble::EnsembleEngine`], which runs `R` replicas of one
+//! protocol/configuration as tasks on the [`parallel`] task pool: each
+//! replica runs its own [`StepEngine::leg`]s to its stop, and a run forks
+//! once.  Per-replica RNG streams, and outputs collected in replica order,
 //! keep every replica *bit-identical* to a standalone same-seed run at
 //! every thread count — see [`ensemble`] for the exactness argument.
 //!
-//! Both parallel engines (sharded, ensemble) draw their workers from
-//! [`parallel`]: a [`Parallelism`] knob plus scoped fork/join execution
-//! over a deterministic contiguous partition, under a shared determinism
-//! contract (see the module docs) that makes thread count a pure
-//! wall-clock dial.
+//! Everything that runs in parallel (the sharded engine's epoch passes,
+//! the ensemble's replicas, the experiments' trials) goes through the one
+//! task pool in [`parallel`]: a [`Parallelism`] knob plus a scoped
+//! fork/join in which each worker takes the next task when it is free,
+//! under a shared determinism contract (see the module docs) that makes
+//! thread count a pure wall-clock dial.
 //!
 //! [`AgentSimulator`] remains as the explicit agent-array ground truth for
 //! fidelity cross-checks and protocols with per-agent state.

@@ -1,73 +1,75 @@
-//! The shared parallel execution layer: deterministic work partitioning
-//! over scoped worker threads.
+//! The workspace's one task pool: independent tasks over scoped worker
+//! threads.
 //!
-//! Two engines in this workspace advance many independent pieces of
-//! simulation state side by side — [`crate::shard::ShardedEngine`] spreads
-//! shards over workers within one run, and
-//! [`crate::ensemble::EnsembleEngine`] spreads replicas over
-//! workers across runs, each replica advancing through its own engine.
-//! This module is the single layer both build on:
+//! Everything in this workspace that runs work side by side goes through
+//! [`run_tasks`]: the [`crate::ensemble::EnsembleEngine`] runs each replica
+//! as a task, [`crate::shard::ShardedEngine`] each shard's epoch pass, and
+//! the experiment harness each trial.  This module provides:
 //!
 //! * [`Parallelism`] — the worker-thread knob every parallel engine
 //!   exposes, resolving `auto` to the machine's available parallelism and
-//!   capping at the task count.
-//! * [`run_partitioned`] / [`map_chunks`] — scoped fork/join execution over
-//!   a deterministic partition of a task slice.
+//!   capping every request at it and at the task count.
+//! * [`run_tasks`] / [`run_tasks_traced`] — one fork/join over a list of
+//!   tasks: each worker takes the next task as soon as it is free, and the
+//!   outputs come back in task order.
 //!
 //! # Determinism contract
 //!
 //! Parallel execution in this workspace must never change *results*, only
-//! wall-clock.  The layer guarantees it structurally:
+//! wall-clock.  The pool guarantees it structurally:
 //!
-//! 1. **Deterministic partitioning.**  Tasks are split into contiguous
-//!    chunks of `ceil(len / workers)` items, in index order.  Which worker
-//!    advances which task is a pure function of `(len, workers)` — never of
-//!    scheduling, load, or timing.
-//! 2. **No shared mutable state.**  A worker gets exclusive `&mut` access
-//!    to its chunk and (at most) shared `&` access to read-only data frozen
-//!    for the duration of the call (the ensemble's stop condition and
-//!    window limit, the shard engine's boundary snapshots).  Anything a worker needs to
-//!    mutate — RNG streams, scratch buffers, per-task accumulators — lives
-//!    *inside* its tasks.
-//! 3. **Ordered reduction.**  [`map_chunks`] returns per-chunk outputs in
-//!    chunk-index order, so any cross-worker reduction (event counts,
+//! 1. **A task's result never depends on which worker runs it.**  Tasks go
+//!    to workers in whatever order the workers free up, so the assignment
+//!    depends on timing; nothing a task computes may.  Outputs are returned
+//!    in task order, so any cross-task reduction (event counts,
 //!    statistics) folds in a scheduling-independent order.
+//! 2. **No shared mutable state.**  A task owns its inputs (typically
+//!    `&mut` borrows of one replica, shard or result slot) and gets at most
+//!    shared `&` access to read-only data frozen for the duration of the
+//!    call (the ensemble's stop condition, the shard engine's boundary
+//!    snapshots).  Anything a task needs to mutate — RNG streams, scratch
+//!    buffers, accumulators — lives *inside* it.
 //!
 //! Under these rules every task's trajectory depends only on its own state
-//! and RNG, so an engine built on this layer produces bit-identical results
+//! and RNG, so an engine built on the pool produces bit-identical results
 //! for *every* thread count — pinned for the ensemble by the `threads=1` vs
 //! `threads=T` cases in `tests/ensemble_equivalence.rs` and for the sharded
 //! engine by `runs_are_deterministic_per_seed`.
 //!
 //! Threads are scoped (`std::thread::scope`), so borrowed data flows in
 //! without `'static` bounds and a worker panic propagates to the caller.
-//! Spawning costs tens of microseconds per call; callers amortize it by
-//! batching enough work per call (the sharded engine runs sub-millisecond
-//! epochs inline, the ensemble advances whole scheduling windows of rounds
-//! per call).
+//! Spawning costs tens of microseconds per call, so callers hand the pool
+//! whole runs rather than slices of them: the ensemble forks once per
+//! [`crate::ensemble::EnsembleEngine::run_windows`] call, and the sharded
+//! engine runs sub-millisecond epochs inline.
 
 use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, OnceLock};
 
 /// The worker-thread knob shared by every parallel engine
 /// ([`crate::ensemble::EnsembleChoice`], [`crate::shard::ShardPlan`]).
 ///
 /// `Parallelism` separates what the user *requested* (a fixed count, or
 /// "whatever the machine has") from what a given workload *resolves to*
-/// (never more workers than tasks, never zero).  Thread count never affects
-/// results — see the [module docs](self) for the determinism contract — so
-/// the default is [`Parallelism::auto`].
+/// (never more workers than the machine's available parallelism or than
+/// tasks, never zero).  Thread count never affects results — see the
+/// [module docs](self) for the determinism contract — so the default is
+/// [`Parallelism::auto`], and capping a request costs nothing but the
+/// threads the machine could not run at once.
 ///
 /// # Examples
 ///
 /// ```
 /// use pp_core::parallel::Parallelism;
 ///
+/// let cores = Parallelism::auto().resolve(usize::MAX);
+/// assert!(cores >= 1);
 /// assert_eq!(Parallelism::single().resolve(8), 1);
-/// assert_eq!(Parallelism::fixed(4).resolve(8), 4);
-/// // Never more workers than tasks.
-/// assert_eq!(Parallelism::fixed(4).resolve(2), 2);
-/// assert!(Parallelism::auto().resolve(64) >= 1);
+/// // Never more workers than tasks…
+/// assert_eq!(Parallelism::fixed(4).resolve(2), 2.min(cores));
+/// // …nor than the machine runs at once.
+/// assert_eq!(Parallelism::fixed(10_000).resolve(20_000), cores);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Parallelism {
@@ -107,137 +109,109 @@ impl Parallelism {
     }
 
     /// The worker count this knob resolves to for `tasks` parallel tasks on
-    /// this machine: the requested count (or the available parallelism),
-    /// capped at the task count and floored at one.
+    /// this machine: the requested count (all of it for `auto`), capped at
+    /// the machine's available parallelism and at the task count, and
+    /// floored at one.
     #[must_use]
     pub fn resolve(&self, tasks: usize) -> usize {
         self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+            .unwrap_or(usize::MAX)
+            .min(available_parallelism())
             .min(tasks)
             .max(1)
     }
 }
 
-/// The deterministic chunk size of the partition: `items` tasks over at
-/// most `workers` chunks, contiguous in index order.
-#[must_use]
-pub fn chunk_size(items: usize, workers: usize) -> usize {
-    items.div_ceil(workers.max(1)).max(1)
+/// The machine's available parallelism, read once per process (the query
+/// costs microseconds, and [`Parallelism::resolve`] runs on every
+/// ensemble call).
+fn available_parallelism() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Runs `f` over every chunk of the deterministic partition of `items` into
-/// at most `workers` contiguous chunks, in parallel, and returns the
-/// per-chunk outputs in chunk-index order.  `f` receives the chunk index
-/// and the mutable chunk.  With one worker (or one chunk) everything runs
-/// inline on the calling thread — same partition, no spawn cost.
+/// Runs `f` on every task over at most `workers` threads and returns the
+/// outputs in task order.  Each worker takes the next task as soon as it
+/// is free, so tasks of uneven length keep every worker busy; tasks are
+/// handed out in stride order (`0, s, 2s, …, 1, 1 + s, …` for
+/// `s = ⌈len/workers⌉`), so the tasks running side by side are far apart
+/// in the list.  With one worker (or one task) everything runs inline on
+/// the calling thread, in task order.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker.
-pub fn map_chunks<T, R, F>(workers: usize, items: &mut [T], f: F) -> Vec<R>
+/// Propagates a panic from any task.
+pub fn run_tasks<T, R, F>(workers: usize, tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let chunk = chunk_size(items.len(), workers);
-    if workers <= 1 || items.len() <= chunk {
-        return items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, chunk)| f(c, chunk))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, chunk)| scope.spawn(move || f(c, chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    })
+    run_tasks_traced(workers, &Telemetry::disabled(), "", tasks, f)
 }
 
-/// [`map_chunks`] with telemetry: the whole fork/join is bracketed in a
+/// [`run_tasks`] with telemetry: the whole fork/join is bracketed in a
 /// `{label}.forkjoin` span on the coordinator track and each worker's busy
-/// time in a `{label}` span on track `1 + chunk_index`, so the chrome trace
-/// shows one lane per worker.  With a disabled handle this is exactly
-/// [`map_chunks`] — no clock reads, no allocation.
-///
-/// Timing never feeds back into the partition or the reduction order, so
-/// the determinism contract is untouched.
+/// time in a `{label}` span on track `1 + worker_index`, so the chrome
+/// trace shows one lane per worker.  With a disabled handle this is
+/// exactly [`run_tasks`] — no clock reads, no allocation.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker.
-pub fn map_chunks_traced<T, R, F>(
+/// Propagates a panic from any task.
+pub fn run_tasks_traced<T, R, F>(
     workers: usize,
     tel: &Telemetry,
     label: &str,
-    items: &mut [T],
+    tasks: Vec<T>,
     f: F,
 ) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    if !tel.is_enabled() {
-        return map_chunks(workers, items, f);
+    let workers = workers.min(tasks.len());
+    let _forkjoin = tel
+        .is_enabled()
+        .then(|| tel.span(&format!("{label}.forkjoin")));
+    if workers <= 1 {
+        let _busy = tel.span_on(label, 1);
+        return tasks.into_iter().map(f).collect();
     }
-    let _forkjoin = tel.span(&format!("{label}.forkjoin"));
-    map_chunks(workers, items, |c, chunk| {
-        let _busy = tel.span_on(label, u32::try_from(c + 1).unwrap_or(u32::MAX));
-        f(c, chunk)
-    })
-}
-
-/// Runs `f` once per task, spread over at most `workers` threads with the
-/// deterministic contiguous partition.  `f` receives each task's global
-/// index.  The per-item counterpart of [`map_chunks`] for callers without
-/// per-chunk outputs (the sharded engine's intra-shard and reconcile
-/// passes).
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_partitioned<T, F>(workers: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    run_partitioned_traced(workers, &Telemetry::disabled(), "", items, f);
-}
-
-/// [`run_partitioned`] with telemetry (see [`map_chunks_traced`] for the
-/// span layout).
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_partitioned_traced<T, F>(
-    workers: usize,
-    tel: &Telemetry,
-    label: &str,
-    items: &mut [T],
-    f: F,
-) where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let chunk = chunk_size(items.len(), workers);
-    map_chunks_traced(workers, tel, label, items, |c, tasks| {
-        for (offset, task) in tasks.iter_mut().enumerate() {
-            f(c * chunk + offset, task);
-        }
+    // Tasks next to each other in the list usually own state next to each
+    // other in memory, and two workers advancing neighbours side by side
+    // contend for shared cache lines: eight USD replicas at n = 10⁶ ran no
+    // faster on two threads than on one.  Handing tasks out in stride
+    // order runs task `i` beside task `i + ⌈len/workers⌉` instead.
+    let stride = tasks.len().div_ceil(workers);
+    let mut order: Vec<_> = tasks.into_iter().enumerate().collect();
+    order.sort_by_key(|&(i, _)| (i % stride, i / stride));
+    let queue = Mutex::new(order.into_iter());
+    let mut outputs: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let (queue, f) = (&queue, &f);
+        let handles: Vec<_> = (1..=workers)
+            .map(|track| {
+                scope.spawn(move || {
+                    let _busy = tel.span_on(label, u32::try_from(track).unwrap_or(u32::MAX));
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("task queue poisoned").next();
+                        let Some((i, task)) = next else {
+                            return done;
+                        };
+                        done.push((i, f(task)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel worker panicked"))
+            .collect()
     });
+    outputs.sort_unstable_by_key(|&(i, _)| i);
+    outputs.into_iter().map(|(_, output)| output).collect()
 }
 
 #[cfg(test)]
@@ -247,14 +221,30 @@ mod tests {
 
     #[test]
     fn parallelism_resolves_with_caps() {
+        let cores = available_parallelism();
         assert_eq!(Parallelism::single().resolve(100), 1);
-        assert_eq!(Parallelism::fixed(8).resolve(3), 3);
-        assert_eq!(Parallelism::fixed(2).resolve(100), 2);
+        assert_eq!(Parallelism::fixed(8).resolve(3), 3.min(cores));
+        assert_eq!(Parallelism::fixed(2).resolve(100), 2.min(cores));
         assert_eq!(Parallelism::fixed(5).resolve(0), 1);
         assert!(Parallelism::auto().resolve(1_000) >= 1);
         assert_eq!(Parallelism::default(), Parallelism::auto());
         assert_eq!(Parallelism::fixed(3).requested(), Some(3));
         assert_eq!(Parallelism::auto().requested(), None);
+    }
+
+    #[test]
+    fn requests_are_capped_at_the_available_parallelism() {
+        // A served scenario may ask for any thread count; it never gets
+        // more workers than the machine runs at once.
+        let cores = available_parallelism();
+        assert_eq!(
+            cores,
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        );
+        assert_eq!(Parallelism::fixed(10_000).resolve(20_000), cores);
+        assert_eq!(Parallelism::fixed(usize::MAX).resolve(usize::MAX), cores);
+        assert_eq!(Parallelism::auto().resolve(usize::MAX), cores);
+        assert_eq!(Parallelism::fixed(10_000).resolve(1), 1);
     }
 
     #[test]
@@ -264,49 +254,36 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_contiguous_and_deterministic() {
-        assert_eq!(chunk_size(10, 3), 4);
-        assert_eq!(chunk_size(10, 1), 10);
-        assert_eq!(chunk_size(0, 4), 1);
-        assert_eq!(chunk_size(3, 16), 1);
-        // Every item is visited exactly once, with its global index.
+    fn run_tasks_returns_outputs_in_task_order() {
+        // Tasks of uneven length finish out of order; outputs never do.
         for workers in 1..=6 {
-            let mut items: Vec<usize> = vec![usize::MAX; 11];
-            run_partitioned(workers, &mut items, |i, slot| *slot = i);
-            assert_eq!(items, (0..11).collect::<Vec<_>>(), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn map_chunks_returns_outputs_in_chunk_order() {
-        let mut items: Vec<u64> = (0..10).collect();
-        for workers in [1, 3, 10] {
-            let sums = map_chunks(workers, &mut items, |c, chunk| {
-                (c, chunk.iter().sum::<u64>())
+            let outputs = run_tasks(workers, (0..11u64).collect(), |i| {
+                std::thread::sleep(std::time::Duration::from_micros((11 - i) * 50));
+                i * i
             });
-            // Chunk indices are ascending and the totals cover every item.
-            assert!(sums.windows(2).all(|w| w[0].0 < w[1].0));
-            assert_eq!(sums.iter().map(|(_, s)| s).sum::<u64>(), 45);
+            let expected: Vec<u64> = (0..11).map(|i| i * i).collect();
+            assert_eq!(outputs, expected, "workers = {workers}");
         }
-        assert!(map_chunks(4, &mut Vec::<u64>::new(), |_, _| 0).is_empty());
+        assert!(run_tasks(4, Vec::<u64>::new(), |i| i).is_empty());
     }
 
     #[test]
     fn workers_actually_run_every_task_in_parallel_mode() {
         let counter = AtomicUsize::new(0);
-        let mut items = vec![(); 64];
-        run_partitioned(4, &mut items, |_, ()| {
+        let mut items = [0u8; 64];
+        run_tasks(4, items.iter_mut().collect(), |item| {
+            *item += 1;
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+        assert!(items.iter().all(|&item| item == 1));
     }
 
     #[test]
     fn traced_fork_join_records_per_worker_spans() {
         let tel = Telemetry::enabled();
-        let mut items: Vec<u64> = (0..8).collect();
-        let sums = map_chunks_traced(4, &tel, "work", &mut items, |_, c| c.iter().sum::<u64>());
-        assert_eq!(sums.iter().sum::<u64>(), 28);
+        let sums = run_tasks_traced(4, &tel, "work", (0..8u64).collect(), |i| i * 2);
+        assert_eq!(sums.iter().sum::<u64>(), 56);
         let spans = tel.spans();
         assert!(spans
             .iter()
@@ -319,16 +296,19 @@ mod tests {
         assert_eq!(worker_tids, (1..=4).collect());
         crate::telemetry::check_span_nesting(&spans).unwrap();
         // Disabled telemetry records nothing and produces the same outputs.
-        let silent = map_chunks_traced(4, &Telemetry::disabled(), "work", &mut items, |_, c| {
-            c.iter().sum::<u64>()
-        });
+        let silent = run_tasks_traced(
+            4,
+            &Telemetry::disabled(),
+            "work",
+            (0..8u64).collect(),
+            |i| i * 2,
+        );
         assert_eq!(silent, sums);
     }
 
     #[test]
     #[should_panic(expected = "parallel worker panicked")]
     fn worker_panics_propagate() {
-        let mut items = vec![0u8; 8];
-        run_partitioned(4, &mut items, |i, _| assert!(i != 5, "boom"));
+        run_tasks(4, (0..8).collect(), |i: usize| assert!(i != 5, "boom"));
     }
 }

@@ -13,11 +13,10 @@
 //!    responder in shard `a` and its initiator in shard `b`.
 //! 2. **Advance** — every shard consumes its *intra*-shard quota `N_aa`
 //!    independently on its own [`BatchedEngine`] (geometric skip-ahead,
-//!    `O(k)` per event), in parallel across the
-//!    worker threads of the shared [`crate::parallel`] layer (the same
-//!    pool the replica ensemble uses; per-shard RNGs and the layer's
-//!    deterministic partition keep results independent of the thread
-//!    count).
+//!    `O(k)` per event), one task per shard on the shared
+//!    [`crate::parallel`] task pool (the same pool the replica ensemble
+//!    uses; per-shard RNGs and outputs in shard order keep results
+//!    independent of the thread count).
 //! 3. **Reconcile** — the *cross*-shard quotas `N_ab` (`a ≠ b`) are realized
 //!    against boundary snapshots of the initiator shards by the batched
 //!    sampler in the private `reconcile` module; responder updates land in
@@ -363,16 +362,14 @@ impl<P: OpinionProtocol + Clone> ShardedEngine<P> {
             }
         }
 
-        // Pass 1: independent intra-shard advancement, spread over the
-        // shared worker layer's deterministic partition.
-        parallel::run_partitioned_traced(
+        // Pass 1: independent intra-shard advancement, one task per shard
+        // on the shared task pool.
+        parallel::run_tasks_traced(
             threads,
             &self.tel,
             "shard.intra",
-            &mut self.shards,
-            |_, shard| {
-                shard.advance_intra();
-            },
+            self.shards.iter_mut().collect(),
+            ShardState::advance_intra,
         );
 
         // Pass 2: cross-shard reconciliation against boundary snapshots.
@@ -385,14 +382,12 @@ impl<P: OpinionProtocol + Clone> ShardedEngine<P> {
             .iter()
             .map(|s| s.engine.configuration().clone())
             .collect();
-        parallel::run_partitioned_traced(
+        parallel::run_tasks_traced(
             threads,
             &self.tel,
             "shard.reconcile",
-            &mut self.shards,
-            |a, shard| {
-                shard.reconcile_cross(a, &snapshots);
-            },
+            self.shards.iter_mut().enumerate().collect(),
+            |(a, shard)| shard.reconcile_cross(a, &snapshots),
         );
 
         self.epochs += 1;

@@ -193,7 +193,8 @@ mod tests {
         assert_eq!(ShardPlan::new(4).parallelism(), Parallelism::auto());
         let plan = ShardPlan::new(4).threads(3);
         assert_eq!(plan.parallelism(), Parallelism::fixed(3));
-        assert_eq!(plan.resolved_threads(), 3);
+        let cores = Parallelism::auto().resolve(usize::MAX);
+        assert_eq!(plan.resolved_threads(), 3.min(cores));
         let plan = ShardPlan::new(4).with_parallelism(Parallelism::single());
         assert_eq!(plan.resolved_threads(), 1);
     }

@@ -5,8 +5,8 @@
 //! ensemble's `shared_*` counters), each threaded through the result types
 //! by hand.  This module is the common substrate: engines and drivers hold
 //! a cheap, cloneable [`Telemetry`] handle, record into named counters /
-//! gauges / histograms, and bracket coarse units of work (epochs, lockstep
-//! windows, run phases, worker bodies) in RAII [`Span`] guards.  Two sinks
+//! gauges / histograms, and bracket coarse units of work (epochs, ensemble
+//! calls, run phases, worker bodies) in RAII [`Span`] guards.  Two sinks
 //! read the result back out:
 //!
 //! - [`Telemetry::chrome_trace_json`] renders the recorded spans in the

@@ -29,7 +29,8 @@
 //! interrupt once per pause.  Single USD runs pause at the first event past
 //! each boundary via `UsdSimulator::run_until`, which checks it (and the
 //! checkpoint cadence) between the engine's legs; replica ensembles pause
-//! between lockstep windows via `UsdEnsemble::run_windows`; single
+//! every `ENSEMBLE_WINDOWS_PER_SLICE` windows of 256 events per replica
+//! via `UsdEnsemble::run_windows`, which forks once per call; single
 //! sampling-dynamic runs pause at the first activation past it (exact
 //! stepping, `SequentialSampler::run_interruptible`) or the first
 //! skip-ahead `advance` past it (batched, the sampler's
@@ -61,8 +62,9 @@ use pp_core::{
 };
 use std::path::Path;
 
-/// How many lockstep windows a replica ensemble advances between interrupt
-/// polls and progress events.
+/// How many windows (256 events per replica each) a replica ensemble
+/// advances between interrupt polls and progress events: at most
+/// `256 × 4` events per replica per pause, one fork over the replicas.
 const ENSEMBLE_WINDOWS_PER_SLICE: u64 = 4;
 
 /// The deterministic outcome of a scenario run.
@@ -70,7 +72,7 @@ const ENSEMBLE_WINDOWS_PER_SLICE: u64 = 4;
 pub enum ScenarioOutcome {
     /// A single trajectory (`replicas == 1`).
     Single(RunResult),
-    /// A lockstep replica ensemble (`replicas > 1`).
+    /// A replica ensemble (`replicas > 1`).
     Ensemble(EnsembleRunResult),
 }
 
@@ -659,7 +661,7 @@ impl SamplerRun<'_> {
     }
 }
 
-/// Runs a baseline sampling dynamic as a lockstep replica ensemble
+/// Runs a baseline sampling dynamic as a replica ensemble
 /// (`Send` because the ensemble spreads replicas over worker threads).
 fn run_sampling_ensemble<D: SamplingDynamics + Clone + Send>(
     dynamics: D,
@@ -684,10 +686,9 @@ fn run_sampling_ensemble<D: SamplingDynamics + Clone + Send>(
 /// fields the determinism contract covers (no wall-clock times, no worker
 /// counts), so the same scenario always yields the same bytes — the payload
 /// `pp_serve` stores and `usd_run --scenario` prints are compared verbatim
-/// in `tests/service_equivalence.rs`.  Ensemble scheduling bookkeeping
-/// (window and worker counts) stays out too: it describes how the run was
-/// scheduled, not what it computed, so it is reported through the metrics
-/// snapshot instead.
+/// in `tests/service_equivalence.rs`.  The ensemble's worker count stays
+/// out too: it describes how the run was scheduled, not what it computed,
+/// so it is reported through the metrics snapshot instead.
 #[must_use]
 pub fn result_json(outcome: &ScenarioOutcome) -> String {
     use crate::json::{Json, ObjBuilder};

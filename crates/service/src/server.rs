@@ -75,7 +75,8 @@ use std::sync::{Arc, Condvar, Mutex};
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     /// Worker pool size; `None` resolves like the parallel engines
-    /// (machine parallelism).
+    /// (machine parallelism).  An explicit size is the operator's and is
+    /// not capped.
     pub workers: Option<usize>,
     /// Persistence root; `None` keeps everything in memory (no crash
     /// recovery, no checkpoints).
@@ -349,8 +350,7 @@ impl Server {
         }
         let workers = cfg
             .workers
-            .map_or_else(Parallelism::auto, Parallelism::fixed)
-            .resolve(usize::MAX)
+            .unwrap_or_else(|| Parallelism::auto().resolve(usize::MAX))
             .max(1);
         let inner = Arc::new(ServerInner {
             cfg,

@@ -734,7 +734,8 @@ mod tests {
             .replicas(8)
             .threads(3);
         assert_eq!(spec.parallelism_choice(), Parallelism::fixed(3));
-        assert_eq!(spec.shard_plan().resolved_threads(), 3);
+        let cores = Parallelism::auto().resolve(usize::MAX);
+        assert_eq!(spec.shard_plan().resolved_threads(), 3.min(cores));
         assert_eq!(spec.ensemble_choice().parallelism(), Parallelism::fixed(3));
         // Default: automatic parallelism everywhere.
         let auto = InitialConfig::new(1_000, 2);

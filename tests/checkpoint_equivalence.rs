@@ -226,7 +226,7 @@ fn ensembles_resume_bit_identically_at_two_thread_counts() {
     let config = spec.build(master).unwrap();
     let stop = StopCondition::consensus().or_max_interactions(BUDGET);
 
-    let mut results: Vec<(Vec<RunResult>, u64)> = Vec::new();
+    let mut results: Vec<Vec<RunResult>> = Vec::new();
     for threads in [1usize, 3] {
         let choice = EnsembleChoice::new(5).threads(threads);
         let mut reference = UsdEnsemble::try_new(config.clone(), master.child(1), choice).unwrap();
@@ -251,8 +251,7 @@ fn ensembles_resume_bit_identically_at_two_thread_counts() {
             expected.results(),
             "resumed ensemble diverged at {threads} thread(s)"
         );
-        assert_eq!(outcome.rounds(), expected.rounds());
-        results.push((expected.results().to_vec(), expected.rounds()));
+        results.push(expected.results().to_vec());
     }
     assert_eq!(
         results[0], results[1],
@@ -262,9 +261,10 @@ fn ensembles_resume_bit_identically_at_two_thread_counts() {
 
 #[test]
 fn parent_format_ensemble_checkpoints_still_restore() {
-    // Ensemble checkpoints used to carry a `dormant_events` counter next to
-    // `rounds`.  The key is no longer written, and a document that still
-    // has it must restore and finish exactly like the uninterrupted run.
+    // Ensemble checkpoints used to carry `rounds` and `dormant_events`
+    // counters after the replicas.  Neither key is written any more, and a
+    // document that still has them must restore and finish exactly like
+    // the uninterrupted run.
     let spec = InitialConfig::new(1_200, 3).multiplicative_bias(1.5);
     let master = SimSeed::from_u64(6);
     let config = spec.build(master).unwrap();
@@ -278,9 +278,11 @@ fn parent_format_ensemble_checkpoints_still_restore() {
     assert!(paused.run_windows(stop, 2).is_none(), "must pause mid-run");
     let json = paused.capture().to_json();
     assert!(!json.contains("dormant_events"), "{json}");
-    let rounds = "\"rounds\":2}";
-    assert!(json.contains(rounds), "{json}");
-    let parent_format = json.replace(rounds, "\"rounds\":2,\"dormant_events\":1024}");
+    assert!(!json.contains("rounds"), "{json}");
+    let replicas = json
+        .strip_suffix("]}}")
+        .expect("the replicas array ends the document");
+    let parent_format = format!("{replicas}],\"rounds\":2,\"dormant_events\":1024}}}}");
 
     let restored = Checkpoint::from_json(&parent_format).unwrap();
     let outcome = UsdEnsemble::restore(&restored, choice)
@@ -288,7 +290,6 @@ fn parent_format_ensemble_checkpoints_still_restore() {
         .run_windows(stop, u64::MAX)
         .expect("an unbounded window budget cannot pause");
     assert_eq!(outcome.results(), expected.results());
-    assert_eq!(outcome.rounds(), expected.rounds());
 }
 
 proptest! {

@@ -510,7 +510,6 @@ fn leg_running_ensembles_match_one_event_ensembles() {
             7,
         );
         assert_eq!(observed.0.results(), reference.0.results());
-        assert_eq!(observed.0.rounds(), reference.0.rounds());
         assert_eq!(observed.1, reference.1, "recorded events");
         assert_eq!(observed.2, reference.2, "pause captures");
         assert!(reference.2.len() >= 2, "the ensemble must pause");
@@ -528,7 +527,6 @@ fn leg_running_ensembles_match_one_event_ensembles() {
                 7,
             );
             assert_eq!(resumed.0.results(), resumed_one.0.results());
-            assert_eq!(resumed.0.rounds(), reference.0.rounds());
             assert_eq!(resumed.1, resumed_one.1);
             assert_eq!(resumed.2, resumed_one.2);
         }

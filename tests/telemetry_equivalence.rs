@@ -152,8 +152,11 @@ fn pin_sampler_telemetry<D: SamplingDynamics + Clone + Send>(
         // Every window span the run emitted nests properly per track.
         check_span_nesting(&tel.spans()).expect("ensemble spans must nest");
         assert!(
-            tel.snapshot().counter("ensemble.rounds").unwrap_or(0) > 0,
-            "{} recorded no lockstep rounds",
+            tel.snapshot()
+                .counter("ensemble.recorded_events")
+                .unwrap_or(0)
+                > 0,
+            "{} recorded no ensemble events",
             dynamics.name()
         );
     }
